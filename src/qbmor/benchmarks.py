@@ -1,4 +1,4 @@
-"""Benchmark generators, canonical inputs, stiff integration, error metrics.
+"""Benchmark generators, canonical inputs, stiff simulation, error metrics.
 
 Both generators lift a cubic reaction term through the auxiliary state
 z = v * v, which turns the semi-discretized PDE into a QB system whose
@@ -182,158 +182,28 @@ class Trajectory:
     stats: dict = field(default_factory=dict)
 
 
-def _integrate(f, jac, x0, T, rtol, atol, E=None, f_at=None):
-    """Implicit midpoint with modified Newton and step doubling.
-
-    Returns the accepted nodes (times, states, slopes, stats). Accepted
-    states are Richardson-extrapolated, so the local order is three while
-    the error estimate controls the order-two pair. The Jacobian is frozen
-    across steps and the iteration matrix is LU-cached per step size on a
-    power-of-two ladder; a stage that stops converging refreshes once
-    before the step is halved. `f_at(t)` may supply a closure with the
-    time-dependent pieces of f pre-evaluated, since every Newton sweep
-    keeps t fixed at the stage midpoint.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    n = x.size
-    Emat = None if E is None else np.asarray(E, dtype=float)
-    lu_E = None if Emat is None else sla.lu_factor(Emat)
-    Ieye = np.eye(n)
-    if f_at is None:
-        def f_at(tv):
-            return lambda xv: f(xv, tv)
-
-    def slope(xv, tv):
-        r = f(xv, tv)
-        return r if lu_E is None else sla.lu_solve(lu_E, r)
-
-    stats = {"steps": 0, "rejected": 0, "newton_iters": 0,
-             "jacobian_factorizations": 0}
-    frozen = {"stale": True}
-    lu_cache = {}
-
-    def iteration_lu(dt):
-        lu = lu_cache.get(dt)
-        if lu is None:
-            stats["jacobian_factorizations"] += 1
-            lu = sla.lu_factor((Ieye if Emat is None else Emat)
-                               - 0.5 * dt * frozen["J"], check_finite=False)
-            if len(lu_cache) >= 8:
-                lu_cache.pop(next(iter(lu_cache)))
-            lu_cache[dt] = lu
-        return lu
-
-    def stage(xn, tn, dt, z0):
-        # solve E (z - xn) = dt f((xn + z)/2, tn + dt/2) for z
-        tm = tn + 0.5 * dt
-        fx = f_at(tm)
-        iters = stats["newton_iters"]
-        for attempt in range(2):
-            if frozen["stale"]:
-                frozen["J"] = jac(xn, tm)
-                frozen["stale"] = False
-                lu_cache.clear()
-            lu = iteration_lu(dt)
-            z = z0.copy()
-            last = math.inf
-            for _ in range(10):
-                d = z - xn
-                g = (d if Emat is None else Emat @ d) - dt * fx(0.5 * (xn + z))
-                if not np.all(np.isfinite(g)):
-                    break
-                dz = sla.lu_solve(lu, g, check_finite=False)
-                z = z - dz
-                iters += 1
-                w = dz / (atol + rtol * np.abs(z))
-                nrm = math.sqrt(float(w @ w) / n)
-                if nrm <= 0.05:
-                    stats["newton_iters"] = iters
-                    return z
-                if nrm > 0.7 * last:
-                    break               # stale-Jacobian rate too slow
-                last = nrm
-            frozen["stale"] = True      # retry once with a fresh Jacobian
-            if attempt == 1:
-                stats["newton_iters"] = iters
-                return None
-        return None
-
-    t = 0.0
-    ts = [0.0]
-    xs = [x.copy()]
-    fs = [slope(x, 0.0)]
-    dt = T * 1e-3
-    dt_min = 1e-12 * T
-    while True:
-        remaining = T - t
-        if remaining < dt_min:
-            break                       # within roundoff of the horizon
-        dt_step = min(dt, remaining)
-        if dt_step < dt_min:
-            raise NewtonDivergence("step size underflow at t=%.6g" % t)
-        # predictors: node slope for the stages leaving x, then linear
-        # state extrapolation for the second half step
-        pred = x + dt_step * fs[-1]
-        x_full = stage(x, t, dt_step, pred)
-        x_half = None if x_full is None else stage(
-            x, t, 0.5 * dt_step, x + 0.5 * dt_step * fs[-1])
-        x_two = None if x_half is None else stage(
-            x_half, t + 0.5 * dt_step, 0.5 * dt_step, 2.0 * x_half - x)
-        if x_two is None:
-            stats["rejected"] += 1
-            dt = 0.5 * dt_step
-            continue
-        err_vec = (x_two - x_full) / 3.0
-        sc = atol + rtol * np.maximum(np.abs(x), np.abs(x_two))
-        err = math.sqrt(np.mean((err_vec / sc) ** 2))
-        if not math.isfinite(err):
-            stats["rejected"] += 1
-            dt = 0.2 * dt_step
-            continue
-        if err <= 1.0:
-            x = x_two + err_vec
-            if not np.all(np.isfinite(x)):
-                raise NonFiniteState("state became non-finite at t=%.6g"
-                                     % (t + dt_step))
-            t += dt_step
-            ts.append(t)
-            xs.append(x.copy())
-            fs.append(slope(x, t))
-            stats["steps"] += 1
-            # double/halve only, so the LU cache stays small and hot
-            fac = math.inf if err == 0.0 else 0.9 * err ** (-1.0 / 3.0)
-            if fac >= 2.0:
-                dt = 2.0 * dt_step
-            elif fac < 1.0:
-                dt = 0.5 * dt_step
-            else:
-                dt = dt_step
-        else:
-            stats["rejected"] += 1
-            dt = 0.5 * dt_step
-    return np.array(ts), np.array(xs), np.array(fs), stats
-
-
-def _hermite_sample(ts, xs, fs, tq):
-    """Cubic Hermite evaluation on the accepted nodes; rows are queries."""
-    idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 2)
-    t0 = ts[idx]
-    h = ts[idx + 1] - t0
-    s = ((tq - t0) / h)[:, None]
-    s2 = s * s
-    s3 = s2 * s
-    return ((2 * s3 - 3 * s2 + 1) * xs[idx]
-            + (s3 - 2 * s2 + s) * (h[:, None] * fs[idx])
-            + (-2 * s3 + 3 * s2) * xs[idx + 1]
-            + (s3 - s2) * (h[:, None] * fs[idx + 1]))
-
-
 def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
              store_states=False):
     """Integrate a QB system driven by an input signal.
 
-    Outputs are sampled on `samples` equidistant points by dense cubic
-    interpolation between accepted integrator nodes.
+    The integrator is scipy's Radau IIA (order 5, L-stable) on the
+    system's own rhs and Jacobian, with a mass matrix folded in through one
+    LU factorization. Outputs are sampled on `samples` equidistant points
+    from each accepted step's collocation polynomial.
+
+    `stats` holds integer counters:
+
+    * steps: accepted steps;
+    * rejected: trial steps thrown away, by the error test or by a
+      simplified Newton iteration that would not converge;
+    * newton_iters: simplified Newton iterations over all trial steps;
+    * jacobian_factorizations, nlu: LU factorizations of the iteration
+      matrices, one real and one complex per refresh;
+    * nfev, njev: rhs and Jacobian evaluations.
+
+    Raises NewtonDivergence when the step size underflows and
+    NonFiniteState when the state or the sampled outputs leave the
+    representable range.
     """
     if T <= 0:
         raise ValueError("horizon must be positive")
@@ -342,76 +212,67 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     if u.m != sys.m:
         raise ValueError("signal has %d channels, system expects %d"
                          % (u.m, sys.m))
-    A, B, C, N = sys.A, sys.B, sys.C, sys.N
-    n = sys.n
-    x_init = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+    from scipy.integrate import Radau
 
-    # flatten the Hessian into two stacked dense factors once; sparse or
-    # per-pair matvec dispatch would otherwise dominate the Newton loop
-    if sys.H.is_zero:
-        quad = quad_jac = None
-    elif sys.H.storage == "pairs":
-        dense_pairs = [
-            (np.asarray(L.toarray() if sp.issparse(L) else L, dtype=float),
-             np.asarray(R.toarray() if sp.issparse(R) else R, dtype=float))
-            for L, R in sys.H.pairs]
-        npair = len(dense_pairs)
-        Ls = np.vstack([L for L, _ in dense_pairs])
-        Rs = np.vstack([R for _, R in dense_pairs])
+    x_init = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float)
+    # E^{-1} H would be n x n^2, so E is applied by solves, never inverted
+    lu_E = None if sys.E is None else sla.lu_factor(sys.E)
+    evals = []                      # times f was evaluated at in one step
 
-        def quad(x):
-            return ((Ls @ x) * (Rs @ x)).reshape(npair, n).sum(axis=0)
+    def f(t, x):
+        evals.append(t)
+        out = sys.rhs(x, u(t), t)
+        return out if lu_E is None else sla.lu_solve(lu_E, out,
+                                                      check_finite=False)
 
-        def quad_jac(x):
-            J = np.zeros((n, n))
-            for L, R in dense_pairs:
-                J += (R @ x)[:, None] * L + (L @ x)[:, None] * R
-            return J
-    else:
-        T3 = sys.H.mode1().reshape(n, n, n)
-
-        def quad(x):
-            return (T3 @ x) @ x
-
-        def quad_jac(x):
-            # constructor-symmetrized tensor: chain rule doubles one mode
-            return 2.0 * (T3 @ x)
-
-    any_bilinear = any(np.any(Nk) for Nk in N)
-
-    def f_at(tv):
-        uv = u(tv)
-        Aeff = A
-        if any_bilinear:
-            for Nk, uk in zip(N, uv):
-                if uk != 0.0:
-                    Aeff = Aeff + uk * Nk
-        base = B @ uv
-        if quad is None:
-            return lambda xm: Aeff @ xm + base
-        return lambda xm: Aeff @ xm + quad(xm) + base
-
-    def f(x, t):
-        return f_at(t)(x)
-
-    def jacf(x, t):
-        uv = u(t)
-        J = A.copy() if quad_jac is None else A + quad_jac(x)
-        for Nk, uk in zip(N, uv):
-            if uk != 0.0:
-                J += uk * Nk
+    def jac(t, x):
+        J = sys.jacobian(x, u(t))
+        if lu_E is not None:
+            J = sla.lu_solve(lu_E, J, check_finite=False)
+        if not np.all(np.isfinite(J)):
+            raise NonFiniteState("Jacobian became non-finite at t=%.6g" % t)
         return J
 
-    ts, xs, fs, stats = _integrate(f, jacf, x_init, T, rtol, atol, E=sys.E,
-                                   f_at=f_at)
     tq = np.linspace(0.0, T, samples)
-    states = _hermite_sample(ts, xs, fs, tq)
-    outputs = C @ states.T
+    states = np.empty((sys.n, samples))
+    states[:, 0] = x_init
+    done = 1
+    steps = rejected = newton_iters = 0
+    with np.errstate(all="ignore"):
+        solver = Radau(f, 0.0, x_init, T, rtol=rtol, atol=atol, jac=jac)
+        if not np.all(np.isfinite(solver.f)):
+            raise NonFiniteState("rhs is non-finite at the initial state")
+        while solver.status == "running":
+            t0 = solver.t
+            evals.clear()
+            message = solver.step()
+            if solver.status == "failed":
+                raise NewtonDivergence("step size underflow at t=%.6g: %s"
+                                       % (t0, message))
+            if not np.all(np.isfinite(solver.y)):
+                raise NonFiniteState("state became non-finite at t=%.6g"
+                                     % solver.t)
+            # Each Newton iteration evaluates f at the collocation nodes
+            # t0 + c h, the last (c = 1) at its trial's end; a rejection may
+            # add one error re-estimate at t0; the accepted end comes last.
+            nodes = [tv for tv in evals[:-1] if tv != t0]
+            ends = nodes[2::3]
+            steps += 1
+            newton_iters += len(ends)
+            rejected += sum(bool(a != b) for a, b in zip(ends, ends[1:]))
+            stop = int(np.searchsorted(tq, solver.t, side="right"))
+            if stop > done:
+                states[:, done:stop] = solver.dense_output()(tq[done:stop])
+                done = stop
+    outputs = sys.C @ states
     if not np.all(np.isfinite(outputs)):
         raise NonFiniteState("sampled outputs are non-finite")
-    stats = dict(stats, nodes=len(ts))
+    stats = {"steps": steps, "rejected": rejected,
+             "newton_iters": newton_iters,
+             "jacobian_factorizations": solver.nlu,
+             "nfev": solver.nfev, "njev": solver.njev, "nlu": solver.nlu}
     return Trajectory(times=tq, outputs=outputs,
-                      states=states.T if store_states else None, stats=stats)
+                      states=states if store_states else None, stats=stats)
 
 
 def output_errors(y, yhat):

@@ -16,7 +16,9 @@ from qbmor.errors import (
     DegradedDiagnostics, ProjectorSingular, SingularShift, TooLarge,
 )
 from qbmor.kron_tensor import Hessian, mode_matricize, perm_T, vec, unvec
-from qbmor.qb_core import QBSystem, ProjectionBases, orthonormalize
+from qbmor.qb_core import (
+    ProjectionBases, QBSystem, fold_mass_matrix, orthonormalize,
+)
 from qbmor.tqb_irka import _solve_bases_core, solve_bases
 
 _COND_LIMIT = 1e13
@@ -72,12 +74,8 @@ def _standardized_pair(sys, bases):
     if sys.E is None:
         return sys, bases
     E = sys.E
-    Ei = np.linalg.inv(E)
-    sys_std = QBSystem(Ei @ sys.A, sys.H.left_multiplied(Ei),
-                       [Ei @ Nk for Nk in sys.N], Ei @ sys.B, sys.C,
-                       label=sys.label)
     W = E.T @ bases.W
-    return sys_std, ProjectionBases(
+    return fold_mass_matrix(sys), ProjectionBases(
         V1=bases.V1, V2=bases.V2,
         W1=E.T @ bases.W1, W2=E.T @ bases.W2,
         V=bases.V, W=W,
@@ -233,10 +231,7 @@ def verify_against_bruteforce(sys, red, tol=1e-9):
     """
     if sys.n > 30:
         raise TooLarge("brute-force verification is limited to n <= 30")
-    if sys.E is not None:
-        Ei = np.linalg.inv(sys.E)
-        sys = QBSystem(Ei @ sys.A, sys.H.left_multiplied(Ei),
-                       [Ei @ Nk for Nk in sys.N], Ei @ sys.B, sys.C)
+    sys = fold_mass_matrix(sys)
     n, r = sys.n, red.r
     f = red.spectral
     lam = f.lam

@@ -66,7 +66,11 @@ class RankDeficient(NumericalError):
 # benchmarks
 
 class NewtonDivergence(NumericalError):
-    """Newton refused to converge even at the minimal step size."""
+    """The implicit solver's step size underflowed.
+
+    Its simplified Newton iteration or its error test kept rejecting trial
+    steps until the step fell below the spacing of floating-point times.
+    """
 
 
 class NonFiniteState(NumericalError):

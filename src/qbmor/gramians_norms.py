@@ -18,7 +18,7 @@ from qbmor.errors import (
     IndefiniteGramian, NoConvergence, NumericalError, SolverBreakdown,
 )
 from qbmor.kron_tensor import Hessian
-from qbmor.qb_core import QBSystem
+from qbmor.qb_core import QBSystem, fold_mass_matrix
 from qbmor.matrix_equations import solve_lyapunov
 
 
@@ -28,16 +28,6 @@ class GramianBundle:
     Q_l: np.ndarray
     P_T: np.ndarray
     Q_T: np.ndarray
-
-
-def _standardize(sys):
-    """Fold an invertible mass matrix into the other coefficients."""
-    if sys.E is None:
-        return sys
-    Einv = np.linalg.inv(sys.E)
-    return QBSystem(Einv @ sys.A, sys.H.left_multiplied(Einv),
-                    [Einv @ Nk for Nk in sys.N], Einv @ sys.B, sys.C,
-                    label=sys.label)
 
 
 def _psd_sqrt(X, what):
@@ -81,7 +71,7 @@ def _check_psd(X, what):
 
 def truncated_gramians(sys):
     """Linear and truncated Gramians of a stable QB system."""
-    sys = _standardize(sys)
+    sys = fold_mass_matrix(sys)
     P_l = solve_lyapunov(sys.A, sys.B @ sys.B.T)
     Q_l = solve_lyapunov(sys.A.T, sys.C.T @ sys.C)
     P_T = solve_lyapunov(sys.A, _quadratic_source(sys, P_l) + sys.B @ sys.B.T)
@@ -99,7 +89,7 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
     the quadratic and bilinear parts are too large; rescale the system first.
     Returns (P, Q, (iterations_P, iterations_Q)).
     """
-    sys = _standardize(sys)
+    sys = fold_mass_matrix(sys)
     BBt = sys.B @ sys.B.T
     CtC = sys.C.T @ sys.C
 
@@ -159,7 +149,7 @@ def truncated_h2_norm(sys, return_both=False):
     The controllability and observability routes are both evaluated and must
     agree to 1e-7 relative; the controllability value is returned.
     """
-    sys = _standardize(sys)
+    sys = fold_mass_matrix(sys)
     g = truncated_gramians(sys)
     t_c, t_o = _dual_traces(sys, g.P_T, g.Q_T, 1e-7, "truncated")
     if return_both:
@@ -169,7 +159,7 @@ def truncated_h2_norm(sys, return_both=False):
 
 def h2_norm(sys, tol=1e-10, maxit=50, return_both=False):
     """H2 norm through the converged quadratic Gramians."""
-    sys = _standardize(sys)
+    sys = fold_mass_matrix(sys)
     P, Q, _ = quadratic_gramians(sys, tol=tol, maxit=maxit)
     t_c, t_o = _dual_traces(sys, P, Q, 1e-6, "quadratic")
     if return_both:
@@ -199,7 +189,7 @@ def error_system(sys, red):
     full state, rows in the reduced part only the reduced state, so it is
     stored as structured factor pairs and never densified.
     """
-    sys = _standardize(sys)
+    sys = fold_mass_matrix(sys)
     n, r = sys.n, red.r
     if sys.m != red.m or sys.p != red.p:
         raise ValueError("input/output dimensions of the pair do not match")

@@ -108,13 +108,6 @@ def _row_kron(X, Y):
     return (X[:, :, None] * Y[:, None, :]).reshape(n, a * b)
 
 
-def _scale_rows(M, d):
-    # diag(d) @ M for dense or sparse M
-    if sp.issparse(M):
-        return M.multiply(d[:, None]).tocsr()
-    return d[:, None] * M
-
-
 class Hessian:
     """Order-3 tensor accessed through its mode-1 unfolding.
 
@@ -141,6 +134,7 @@ class Hessian:
             self._Hm = None
         else:
             raise ValueError("unknown storage %r" % (storage,))
+        self._stack = None
 
     @classmethod
     def dense(cls, Hm, symmetric=False):
@@ -166,6 +160,21 @@ class Hessian:
             raise ValueError("not in pair storage; call to_pairs() first")
         return self._pairs
 
+    def _stacked(self):
+        """The pairs stacked once into two (npairs*n) x n operators.
+
+        CSR when any factor is sparse, so H(u (x) v) costs two matvecs.
+        """
+        if self._stack is None:
+            Ls = [L for L, _ in self._pairs]
+            Rs = [R for _, R in self._pairs]
+            if any(sp.issparse(M) for M in Ls + Rs):
+                self._stack = (sp.csr_array(sp.vstack(Ls)),
+                               sp.csr_array(sp.vstack(Rs)))
+            else:
+                self._stack = (np.vstack(Ls), np.vstack(Rs))
+        return self._stack
+
     def tensor(self):
         """Dense (n, n, n) view T with T[i, a, b]."""
         return self.mode1().reshape(self.n, self.n, self.n)
@@ -187,12 +196,11 @@ class Hessian:
         if u.shape != (self.n,) or v.shape != (self.n,):
             raise ValueError("vector length mismatch")
         if self.storage == "dense":
-            T = self._Hm.reshape(self.n, self.n, self.n)
-            return np.tensordot(np.tensordot(T, u, axes=([1], [0])), v, axes=([1], [0]))
-        out = np.zeros(self.n, dtype=np.result_type(u, v, float))
-        for L, R in self._pairs:
-            out += (L @ u) * (R @ v)
-        return out
+            return self.kron_identity(v) @ u
+        if not self._pairs:
+            return np.zeros(self.n, dtype=np.result_type(u, v, float))
+        Ls, Rs = self._stacked()
+        return ((Ls @ u) * (Rs @ v)).reshape(-1, self.n).sum(axis=0)
 
     def apply_kron(self, X, Y):
         """H(X (x) Y), an n x (cols(X)*cols(Y)) matrix."""
@@ -231,14 +239,19 @@ class Hessian:
     def kron_identity(self, x):
         """The n x n matrix H(I (x) x); column a is H(e_a (x) x)."""
         x = np.asarray(x)
+        n = self.n
         if self.storage == "dense":
-            T = self._Hm.reshape(self.n, self.n, self.n)
-            return np.tensordot(T, x, axes=([2], [0]))
-        out = np.zeros((self.n, self.n), dtype=np.result_type(x, float))
-        for L, R in self._pairs:
-            term = _scale_rows(L, R @ x)
-            out += term.toarray() if sp.issparse(term) else term
-        return out
+            return (self._Hm.reshape(n * n, n) @ x).reshape(n, n)
+        if not self._pairs:
+            return np.zeros((n, n), dtype=np.result_type(x, float))
+        Ls, Rs = self._stacked()
+        # sum_j diag(R_j x) L_j: scale the stacked rows, then add the blocks
+        d = Rs @ x
+        if sp.issparse(Ls):
+            L = Ls.tocoo()
+            return sp.coo_array((L.data * d[L.row], (L.row % n, L.col)),
+                                shape=(n, n)).toarray()
+        return (d[:, None] * Ls).reshape(-1, n, n).sum(axis=0)
 
     def congruence(self, V, W):
         """W^T H (V (x) V) as an r x r^2 matrix.

@@ -256,6 +256,19 @@ def rescale(sys, gamma):
                     sys.B, sys.C, E=sys.E, label=sys.label)
 
 
+def fold_mass_matrix(sys):
+    """Same dynamics with an invertible mass matrix folded into A, H, N, B.
+
+    Forms E^{-1} explicitly, which densifies H; returns sys when E is absent.
+    """
+    if sys.E is None:
+        return sys
+    Einv = np.linalg.inv(sys.E)
+    return QBSystem(Einv @ sys.A, sys.H.left_multiplied(Einv),
+                    [Einv @ Nk for Nk in sys.N], Einv @ sys.B, sys.C,
+                    label=sys.label)
+
+
 def rhs(sys, x, u, t=0.0):
     return sys.rhs(x, u, t)
 

@@ -3,8 +3,8 @@
 import numpy as np
 
 from qbmor.errors import RankDeficient
-from qbmor.gramians_norms import truncated_gramians, _psd_sqrt, _standardize
-from qbmor.qb_core import project, rescale
+from qbmor.gramians_norms import truncated_gramians, _psd_sqrt
+from qbmor.qb_core import fold_mass_matrix, project, rescale
 
 
 def balanced_truncation(sys, r, gamma=1.0):
@@ -22,7 +22,7 @@ def balanced_truncation(sys, r, gamma=1.0):
     """
     if not (1 <= r <= sys.n):
         raise ValueError("reduced order must satisfy 1 <= r <= n")
-    sys = _standardize(sys)
+    sys = fold_mass_matrix(sys)
     # Gramians of the damped system, projection of the original one
     src = rescale(sys, gamma) if gamma != 1.0 else sys
     g = truncated_gramians(src)

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from conftest import rng_for, random_stable_qb
-from qbmor.benchmarks import (InputSignal, Trajectory, _hermite_sample,
-                              _integrate, chafee_infante, fitzhugh_nagumo,
-                              input_signal, output_errors, simulate, to_csv)
+import qbmor
+from qbmor.benchmarks import (InputSignal, Trajectory, chafee_infante,
+                              fitzhugh_nagumo, input_signal, output_errors,
+                              simulate, to_csv)
 from qbmor.errors import NewtonDivergence, NonFiniteState
 from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import QBSystem, project
@@ -288,13 +295,13 @@ def test_twin_simulation_against_unlifted_cubic():
     D2[0, 1] = 2.0 / hg ** 2
     D2[k - 1, k - 2] = 2.0 / hg ** 2
 
-    def f(x, t):
+    def f(t, x):
         v, w = x[:k], x[k:]
         fv = v * (v - 0.1) * (1.0 - v)
         return np.concatenate([eps * (D2 @ v) + (fv - w + q) / eps,
                                h_par * v - gam * w + q])
 
-    def jac(x, t):
+    def jac(t, x):
         v = x[:k]
         dfv = -3.0 * v * v + 2.2 * v - 0.1
         J = np.zeros((2 * k, 2 * k))
@@ -304,10 +311,11 @@ def test_twin_simulation_against_unlifted_cubic():
         J[k:, k:] = -gam * np.eye(k)
         return J
 
-    ts, xs, fs, _ = _integrate(f, jac, np.zeros(2 * k), T, 1e-8, 1e-10)
     grid = np.linspace(0.0, T, 201)
-    states = _hermite_sample(ts, xs, fs, grid)
-    twin = Trajectory(times=grid, outputs=states.T[[0, k]])
+    sol = solve_ivp(f, (0.0, T), np.zeros(2 * k), method="Radau", jac=jac,
+                    t_eval=grid, rtol=1e-8, atol=1e-10)
+    assert sol.success
+    twin = Trajectory(times=grid, outputs=sol.y[[0, k]])
     mean_rel, _ = output_errors(twin, lifted)
     assert mean_rel <= 1e-5
 
@@ -327,12 +335,17 @@ def test_mass_matrix_consistency():
 
 
 def test_blowup_is_reported():
+    # x' = x^2 blows up at t = 1/x0: the steps underflow before it, or the
+    # first rhs already overflows; either way a typed error, no warnings
     h = Hessian.dense(np.array([[1.0]]))
     sys = QBSystem(A=[[0.0]], H=h, N=[np.zeros((1, 1))],
                    B=[[0.0]], C=[[1.0]])
-    with pytest.raises((NewtonDivergence, NonFiniteState)):
-        simulate(sys, constant_input(1, [0.0]), 2.0, 21, x0=[1.0],
-                 rtol=1e-5, atol=1e-7)
+    for x0, error in ((1.0, NewtonDivergence), (1e160, NonFiniteState)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                simulate(sys, constant_input(1, [0.0]), 2.0, 21, x0=[x0],
+                         rtol=1e-5, atol=1e-7)
 
 
 def test_simulate_deterministic():
@@ -342,6 +355,50 @@ def test_simulate_deterministic():
     y2 = simulate(sys, u, 2.0, 41)
     assert np.array_equal(y1.outputs, y2.outputs)
     assert y1.stats == y2.stats
+
+
+def test_simulate_stats_contract(monkeypatch):
+    # count Radau's trial steps and Newton iterations independently, at
+    # the collocation solve: one call per trial step and Jacobian state
+    from scipy.integrate._ivp import radau
+    solve = radau.solve_collocation_system
+    calls = []
+
+    def counted(fun, t, y, h, *args):
+        out = solve(fun, t, y, h, *args)
+        calls.append(((t, h), out[1]))
+        return out
+
+    monkeypatch.setattr(radau, "solve_collocation_system", counted)
+    sys_ = fitzhugh_nagumo(3)
+    u = input_signal("fhn_i0_sin")
+    tr = simulate(sys_, u, 2.0, 21, rtol=1e-6, atol=1e-8)
+    stats = tr.stats
+    assert set(stats) == {"steps", "rejected", "newton_iters",
+                          "jacobian_factorizations", "nfev", "njev", "nlu"}
+    assert all(type(v) is int for v in stats.values())
+    assert stats["newton_iters"] >= stats["steps"] >= 1
+    assert stats["jacobian_factorizations"] == stats["nlu"] >= 1
+
+    keys = [key for key, _ in calls]
+    # a retry after a Jacobian refresh repeats its trial's (t, h)
+    trials = [k for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
+    steps = len({t for t, _ in trials})
+    assert stats["steps"] == steps
+    assert stats["rejected"] == len(trials) - steps >= 1
+    assert stats["newton_iters"] == sum(n for _, n in calls)
+    assert simulate(sys_, u, 2.0, 21, rtol=1e-6, atol=1e-8).stats == stats
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # simulate imports it lazily, so no other workload pays for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qbmor.__file__)))
+    code = "import sys, qbmor; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------ error metrics

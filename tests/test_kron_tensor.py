@@ -291,8 +291,11 @@ def test_kron_identity_jacobian_columns():
 def test_kron_identity_sparse_pairs():
     rng = rng_for(14)
     n = 5
+    # pairs are stacked into one operator; the second mixes in a dense factor
     pairs = [(sp.csr_array(np.diag(rng.standard_normal(n))),
-              sp.csr_array(rng.standard_normal((n, n))))]
+              sp.csr_array(rng.standard_normal((n, n)))),
+             (rng.standard_normal((n, n)),
+              sp.csr_array(np.diag(rng.standard_normal(n))))]
     h = Hessian.from_pairs(pairs, n)
     hd = Hessian.dense(h.mode1())
     x = rng.standard_normal(n)
