@@ -4,7 +4,11 @@ The truncated pair (P_T, Q_T) extends the linear Gramians by the quadratic
 and bilinear source terms; the quadratic pair (P, Q) is the fixed point of
 the Picard iteration on the full quadratic-type Lyapunov equations. Source
 terms are always evaluated through factored square roots, never through an
-explicit n^2 x n^2 Kronecker product.
+explicit n^2 x n^2 Kronecker product. The factors are rank-truncated: an
+eigenpair of X is kept only when its eigenvalue exceeds n * eps * max|w|,
+so a Gramian of numerical rank rho costs n x rho^2 in H(L (x) L), not
+n x n^2. All Lyapunov solves of one Gramian set share the real Schur form
+of A.
 """
 
 import warnings
@@ -19,7 +23,7 @@ from qbmor.errors import (
 )
 from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import QBSystem, fold_mass_matrix
-from qbmor.matrix_equations import solve_lyapunov
+from qbmor.matrix_equations import hurwitz_schur, solve_lyapunov
 
 
 @dataclass
@@ -31,34 +35,39 @@ class GramianBundle:
 
 
 def _psd_sqrt(X, what):
-    """Factor X ~= L L^T by eigendecomposition with negative clipping."""
+    """Rank-truncated factor L with L L^T ~= X, by eigendecomposition.
+
+    Only eigenpairs with w > n * eps * max|w| are kept, so L has as many
+    columns as X has numerical rank; a negative eigenvalue beyond the PSD
+    floor warns.
+    """
     w, U = np.linalg.eigh(X)
-    floor = -1e-10 * max(np.abs(w).max(), 1e-300)
-    if w.min() < floor:
+    top = max(np.abs(w).max(), 1e-300)
+    if w.min() < -1e-10 * top:
         warnings.warn("%s has negative eigenvalue %.3e beyond the PSD floor"
                       % (what, w.min()), IndefiniteGramian)
-    w = np.clip(w, 0.0, None)
-    return U * np.sqrt(w)
+    keep = w > w.size * np.finfo(float).eps * top
+    return U[:, keep] * np.sqrt(w[keep])
 
 
-def _quadratic_source(sys, P):
-    """H(P (x) P) H^T + sum_k N_k P N_k^T without forming P (x) P."""
-    L = _psd_sqrt(P, "controllability iterate")
+def _quadratic_source(sys, L):
+    """H(P (x) P) H^T + sum_k N_k P N_k^T for P = L L^T, without P (x) P."""
     K = sys.H.apply_kron(L, L)
     S = K @ K.T
     for Nk in sys.N:
-        S += (Nk @ P) @ Nk.T
+        NL = Nk @ L
+        S += NL @ NL.T
     return S
 
 
-def _observability_source(sys, P, Q):
-    """H2-mode source: H^(2)(P (x) Q)(H^(2))^T + sum_k N_k^T Q N_k."""
-    LP = _psd_sqrt(P, "controllability factor")
-    LQ = _psd_sqrt(Q, "observability iterate")
+def _observability_source(sys, LP, LQ):
+    """H2-mode source H^(2)(P (x) Q)(H^(2))^T + sum_k N_k^T Q N_k for
+    P = LP LP^T and Q = LQ LQ^T."""
     K = sys.H.apply_kron_mode2(LP, LQ)
     S = K @ K.T
     for Nk in sys.N:
-        S += (Nk.T @ Q) @ Nk
+        NL = Nk.T @ LQ
+        S += NL @ NL.T
     return S
 
 
@@ -72,12 +81,16 @@ def _check_psd(X, what):
 def truncated_gramians(sys):
     """Linear and truncated Gramians of a stable QB system."""
     sys = fold_mass_matrix(sys)
-    P_l = solve_lyapunov(sys.A, sys.B @ sys.B.T)
-    Q_l = solve_lyapunov(sys.A.T, sys.C.T @ sys.C)
-    P_T = solve_lyapunov(sys.A, _quadratic_source(sys, P_l) + sys.B @ sys.B.T)
-    Q_T = solve_lyapunov(sys.A.T,
-                         _observability_source(sys, P_l, Q_l) + sys.C.T @ sys.C)
-    for X, name in ((P_l, "P_l"), (Q_l, "Q_l"), (P_T, "P_T"), (Q_T, "Q_T")):
+    S = hurwitz_schur(sys.A)
+    P_l = solve_lyapunov(S, sys.B @ sys.B.T)
+    Q_l = solve_lyapunov(S, sys.C.T @ sys.C, transpose=True)
+    # factoring P_l and Q_l also checks them for indefiniteness
+    L_P = _psd_sqrt(P_l, "P_l")
+    L_Q = _psd_sqrt(Q_l, "Q_l")
+    P_T = solve_lyapunov(S, _quadratic_source(sys, L_P) + sys.B @ sys.B.T)
+    Q_T = solve_lyapunov(S, _observability_source(sys, L_P, L_Q)
+                         + sys.C.T @ sys.C, transpose=True)
+    for X, name in ((P_T, "P_T"), (Q_T, "Q_T")):
         _check_psd(X, name)
     return GramianBundle(P_l=P_l, Q_l=Q_l, P_T=P_T, Q_T=Q_T)
 
@@ -92,16 +105,17 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
     sys = fold_mass_matrix(sys)
     BBt = sys.B @ sys.B.T
     CtC = sys.C.T @ sys.C
+    S = hurwitz_schur(sys.A)
 
-    def picard(seed_rhs, source, A, what):
-        X = solve_lyapunov(A, seed_rhs)
+    def picard(seed_rhs, source, transpose, what):
+        X = solve_lyapunov(S, seed_rhs, transpose=transpose)
         for it in range(1, maxit + 1):
             src = source(X)
             if not np.all(np.isfinite(src)):
                 raise NoConvergence("%s iteration diverged (non-finite source);"
                                     " rescale the system" % what)
             try:
-                Xn = solve_lyapunov(A, src + seed_rhs)
+                Xn = solve_lyapunov(S, src + seed_rhs, transpose=transpose)
             except SolverBreakdown as exc:
                 raise NoConvergence("%s iteration broke the solver; rescale "
                                     "the system" % what) from exc
@@ -119,10 +133,15 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
         raise NoConvergence("%s iteration did not settle in %d steps; rescale"
                             " the system" % (what, maxit))
 
-    P, it_p = picard(BBt, lambda X: _quadratic_source(sys, X), sys.A,
-                     "controllability")
-    Q, it_q = picard(CtC, lambda X: _observability_source(sys, P, X), sys.A.T,
-                     "observability")
+    P, it_p = picard(
+        BBt, lambda X: _quadratic_source(
+            sys, _psd_sqrt(X, "controllability iterate")),
+        False, "controllability")
+    L_P = _psd_sqrt(P, "controllability factor")
+    Q, it_q = picard(
+        CtC, lambda X: _observability_source(
+            sys, L_P, _psd_sqrt(X, "observability iterate")),
+        True, "observability")
     return P, Q, (it_p, it_q)
 
 
@@ -167,19 +186,13 @@ def h2_norm(sys, tol=1e-10, maxit=50, return_both=False):
     return float(np.sqrt(t_c))
 
 
-def _embed_pairs(h, n_total, row_offset, col_offset):
-    """Embed factor pairs of h into an n_total-dimensional selector block."""
-    out = []
-    for L, R in h.to_pairs().pairs:
-        Ld = L.toarray() if sp.issparse(L) else np.asarray(L)
-        Rd = R.toarray() if sp.issparse(R) else np.asarray(R)
-        nb = Ld.shape[0]
-        Le = sp.lil_array((n_total, n_total))
-        Re = sp.lil_array((n_total, n_total))
-        Le[row_offset:row_offset + nb, col_offset:col_offset + nb] = Ld
-        Re[row_offset:row_offset + nb, col_offset:col_offset + nb] = Rd
-        out.append((sp.csr_array(Le), sp.csr_array(Re)))
-    return out
+def _embed_pairs(h, lead, trail):
+    """Factor pairs of h as the diagonal block between `lead` and `trail`
+    zero rows and columns; every factor stays sparse."""
+    def embed(F):
+        return sp.csr_array(sp.block_diag(
+            [sp.csr_array((lead, lead)), F, sp.csr_array((trail, trail))]))
+    return [(embed(L), embed(R)) for L, R in h.to_pairs().pairs]
 
 
 def error_system(sys, red):
@@ -198,7 +211,7 @@ def error_system(sys, red):
     Be = np.vstack([sys.B, red.B])
     Ce = np.hstack([sys.C, -red.C])
     Ne = [sla.block_diag(Nk, Nhk) for Nk, Nhk in zip(sys.N, red.N)]
-    pairs = _embed_pairs(sys.H, ntot, 0, 0) + _embed_pairs(red.H, ntot, n, n)
+    pairs = _embed_pairs(sys.H, 0, r) + _embed_pairs(red.H, n, 0)
     He = Hessian.from_pairs(pairs, ntot,
                             symmetric=sys.H.symmetric and red.H.symmetric)
     return QBSystem(Ae, He, Ne, Be, Ce, label="error")

@@ -169,8 +169,9 @@ class Hessian:
             Ls = [L for L, _ in self._pairs]
             Rs = [R for _, R in self._pairs]
             if any(sp.issparse(M) for M in Ls + Rs):
-                self._stack = (sp.csr_array(sp.vstack(Ls)),
-                               sp.csr_array(sp.vstack(Rs)))
+                self._stack = tuple(
+                    sp.csr_array(sp.vstack([sp.csr_array(M) for M in Ms]))
+                    for Ms in (Ls, Rs))
             else:
                 self._stack = (np.vstack(Ls), np.vstack(Rs))
         return self._stack
@@ -301,15 +302,18 @@ class Hessian:
         return Hessian.dense(Hm, symmetric=self.symmetric)
 
     def to_pairs(self):
-        """Rewrite as factor pairs; pair s is (ones*e_s^T, T[:,s,:])."""
+        """Rewrite as factor pairs; pair s is (ones*e_s^T, T[:,s,:]).
+
+        The selector ones*e_s^T is a sparse n x n array with n nonzeros.
+        """
         if self.storage == "pairs":
             return self
         n = self.n
         T = self._Hm.reshape(n, n, n)
+        rows = np.arange(n)
         pairs = []
-        one = np.ones((n, 1))
         for s in range(n):
-            L = one @ np.eye(n)[s][None, :]
+            L = sp.csr_array((np.ones(n), (rows, np.full(n, s))), shape=(n, n))
             pairs.append((L, T[:, s, :].copy()))
         return Hessian.from_pairs(pairs, n, symmetric=self.symmetric)
 

@@ -1,6 +1,7 @@
 """Dense spectral, Lyapunov and shifted-Sylvester solvers.
 
-All solvers are dense and deterministic on a fixed machine. Sylvester
+All solvers are dense and deterministic on a fixed machine. Lyapunov
+solves against one coefficient share its real Schur form. Sylvester
 equations with a diagonal right coefficient are solved column by column;
 a full Kronecker system is never formed.
 """
@@ -75,18 +76,49 @@ def spectral_decompose(Ahat):
     return SpectralFactors(R=R, lam=lam, Rinv=Rinv)
 
 
-def solve_lyapunov(A, Q):
-    """Unique X with A X + X A^T + Q = 0 for Hurwitz A; X is symmetrized."""
+@dataclass
+class HurwitzSchur:
+    """Real Schur form A = Z T Z^T of a matrix with every Re(eig) < 0."""
+    T: np.ndarray
+    Z: np.ndarray
+
+
+def hurwitz_schur(A):
+    """Real Schur form of A, checked for stability.
+
+    In LAPACK's standardized real Schur form a 2x2 block carries the real
+    part of its conjugate pair on both diagonal entries, so diag(T) holds
+    the real part of every eigenvalue.
+    """
     A = np.asarray(A, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    ev = np.linalg.eigvals(A)
-    if np.max(ev.real) >= 0.0:
-        raise NotStable("coefficient matrix has eigenvalue with Re >= 0")
     try:
-        # scipy solves a x + x a^H = q
-        X = sla.solve_lyapunov(A, -Q)
+        T, Z = sla.schur(A, output="real")
     except (np.linalg.LinAlgError, sla.LinAlgError, ValueError) as exc:
-        raise SolverBreakdown("Lyapunov backend failed: %s" % exc) from exc
+        raise SolverBreakdown("Schur factorization failed: %s" % exc) from exc
+    if np.max(np.diag(T)) >= 0.0:
+        raise NotStable("coefficient matrix has eigenvalue with Re >= 0")
+    return HurwitzSchur(T=T, Z=Z)
+
+
+def solve_lyapunov(A, Q, transpose=False):
+    """Unique X with A X + X A^T + Q = 0 for Hurwitz A; X is symmetrized.
+
+    A is a matrix or its ``hurwitz_schur`` form; passing the form lets
+    several solves share one factorization. transpose=True solves
+    A^T X + X A + Q = 0 with the same form. The steps are Bartels-Stewart
+    as in scipy: F = Z^T (-Q) Z, T Y + Y T^T = F (or T^T Y + Y T = F) by
+    LAPACK trsyl, X = Z Y Z^T.
+    """
+    S = A if isinstance(A, HurwitzSchur) else hurwitz_schur(A)
+    Q = np.asarray(Q, dtype=float)
+    F = S.Z.T.dot((-Q).dot(S.Z))
+    trsyl = sla.get_lapack_funcs("trsyl", (S.T, F))
+    trana, tranb = ("T", "N") if transpose else ("N", "T")
+    Y, scale, info = trsyl(S.T, S.T, F, trana=trana, tranb=tranb)
+    if info != 0:
+        raise SolverBreakdown("Lyapunov backend trsyl returned info=%d" % info)
+    Y *= scale
+    X = S.Z.dot(Y).dot(S.Z.T)
     if not np.all(np.isfinite(X)):
         raise SolverBreakdown("Lyapunov solution contains non-finite entries")
     return 0.5 * (X + X.T)

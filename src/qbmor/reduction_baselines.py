@@ -10,9 +10,10 @@ from qbmor.qb_core import fold_mass_matrix, project, rescale
 def balanced_truncation(sys, r, gamma=1.0):
     """Square-root balancing of P_T and Q_T; returns (model, hsv).
 
-    hsv holds the full set of Hankel-type values so callers can pick an
-    order from the decay. Requested orders reaching into the numerical
-    null space raise RankDeficient.
+    hsv holds the full set of n Hankel-type values so callers can pick an
+    order from the decay. The Gramian factors are rank-truncated, so the
+    entries past their rank are exact zeros; requested orders reaching into
+    the numerical null space raise RankDeficient.
 
     gamma damps the quadratic and bilinear terms during basis
     construction only; the returned model always projects the original
@@ -28,9 +29,10 @@ def balanced_truncation(sys, r, gamma=1.0):
     g = truncated_gramians(src)
     L_P = _psd_sqrt(g.P_T, "reachability factor")
     L_Q = _psd_sqrt(g.Q_T, "observability factor")
-    U, s, Zt = np.linalg.svd(L_Q.T @ L_P)
-    hsv = s.copy()
-    if hsv.size == 0 or hsv[0] <= 0.0 or hsv[r - 1] <= 1e-14 * hsv[0]:
+    U, s, Zt = np.linalg.svd(L_Q.T @ L_P, full_matrices=False)
+    hsv = np.zeros(sys.n)
+    hsv[:s.size] = s
+    if hsv[r - 1] <= 1e-14 * hsv[0]:
         raise RankDeficient("requested order %d exceeds the numerical rank "
                             "of the Gramian product" % r)
     scale = 1.0 / np.sqrt(s[:r])

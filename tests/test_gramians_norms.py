@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qbmor.errors import NoConvergence, NotStable
 from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import QBSystem, project
+from qbmor.benchmarks import chafee_infante
 from qbmor.gramians_norms import (
     truncated_gramians, quadratic_gramians, truncated_h2_norm, h2_norm,
-    truncated_h2_error, error_system,
+    truncated_h2_error, error_system, _psd_sqrt, _quadratic_source,
+    _observability_source,
 )
 from conftest import random_stable_qb, rng_for, quadrature_h2_squared
 
@@ -87,6 +90,52 @@ def test_truncated_with_mass_matrix():
     g = truncated_gramians(base)
     assert np.allclose(gE.P_T, g.P_T, atol=1e-9)
     assert np.allclose(gE.Q_T, g.Q_T, atol=1e-9)
+
+
+def _full_width_factor(X):
+    w, U = np.linalg.eigh(X)
+    return U * np.sqrt(np.clip(w, 0.0, None))
+
+
+def test_psd_sqrt_truncates_to_numerical_rank():
+    sys = chafee_infante(30)
+    g = truncated_gramians(sys)
+    L = _psd_sqrt(g.P_l, "P_l")
+    assert L.shape[0] == sys.n and L.shape[1] < sys.n
+    assert np.linalg.norm(L @ L.T - g.P_l) <= 1e-13 * np.linalg.norm(g.P_l)
+
+
+def test_sources_from_truncated_factors_match_full_width():
+    sys = chafee_infante(30)
+    g = truncated_gramians(sys)
+    LP, LQ = _psd_sqrt(g.P_l, "P_l"), _psd_sqrt(g.Q_l, "Q_l")
+    FP, FQ = _full_width_factor(g.P_l), _full_width_factor(g.Q_l)
+
+    K = sys.H.apply_kron(FP, FP)
+    ref = K @ K.T + sum((Nk @ g.P_l) @ Nk.T for Nk in sys.N)
+    got = _quadratic_source(sys, LP)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    K = sys.H.apply_kron_mode2(FP, FQ)
+    ref = K @ K.T + sum((Nk.T @ g.Q_l) @ Nk for Nk in sys.N)
+    got = _observability_source(sys, LP, LQ)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_source_products_stay_rank_wide(monkeypatch):
+    # with full-width factors every H(L (x) L) block would be n x n^2
+    widths = []
+    apply_kron = Hessian.apply_kron
+
+    def recording(self, X, Y):
+        out = apply_kron(self, X, Y)
+        widths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(Hessian, "apply_kron", recording)
+    sys = chafee_infante(30)
+    assert truncated_h2_norm(sys) > 0
+    assert widths and max(widths) < (sys.n // 2) ** 2
 
 
 # ---------------------------------------------------------- quadratic gramians
@@ -232,3 +281,25 @@ def test_error_norm_swap_symmetry():
     e1 = truncated_h2_error(sys, red)
     e2 = truncated_h2_error(other, sys_as_red)
     assert np.isclose(e1, e2, rtol=1e-9)
+
+
+def test_error_system_embeds_sparse_factors():
+    rng = rng_for(15)
+    n, r = 12, 3
+    sys = random_stable_qb(n, 1, 1, rng)
+    assert sys.H.storage == "dense"
+    red = project(sys, rng.standard_normal((n, r)),
+                  rng.standard_normal((n, r)))
+    pairs = sys.H.to_pairs().pairs
+    assert len(pairs) == n
+    for L, _ in pairs:
+        assert sp.issparse(L) and L.nnz == n
+    err = error_system(sys, red)
+    assert all(sp.issparse(F) for pair in err.H.pairs for F in pair)
+    # the block tensor: full rows see the full state, reduced rows the
+    # reduced state
+    T = np.zeros((n + r,) * 3)
+    T[:n, :n, :n] = sys.H.tensor()
+    T[n:, n:, n:] = red.H.tensor()
+    ref = T.reshape(n + r, -1)
+    assert np.linalg.norm(err.H.mode1() - ref) <= 1e-14 * np.linalg.norm(ref)

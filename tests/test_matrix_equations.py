@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.linalg as sla
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,8 +7,8 @@ from qbmor.errors import (
     NonDiagonalizable, NotStable, SingularShift, PairingViolation,
 )
 from qbmor.matrix_equations import (
-    spectral_decompose, solve_lyapunov, solve_sylvester_shifted,
-    reflect_unstable, realify_basis,
+    hurwitz_schur, spectral_decompose, solve_lyapunov,
+    solve_sylvester_shifted, reflect_unstable, realify_basis,
 )
 from conftest import rng_for
 
@@ -111,6 +112,37 @@ def test_lyapunov_residual_and_symmetry():
 def test_lyapunov_rejects_unstable():
     with pytest.raises(NotStable):
         solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+
+
+def test_lyapunov_shared_schur_matches_scipy_both_ways():
+    rng = rng_for(4)
+    n = 30
+    A = random_stable(n, rng) + 0.3 * rng.standard_normal((n, n))
+    assert np.linalg.eigvals(A).real.max() < 0
+    B = rng.standard_normal((n, 3))
+    Q = B @ B.T
+    S = hurwitz_schur(A)
+    for transpose, coef in ((False, A), (True, A.T)):
+        X = solve_lyapunov(S, Q, transpose=transpose)
+        ref = sla.solve_continuous_lyapunov(coef, -Q)
+        assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the matrix and the factored form give the same solve
+        assert np.array_equal(solve_lyapunov(A, Q, transpose=transpose), X)
+
+
+def test_lyapunov_stability_read_from_schur_blocks():
+    # the 2x2 Schur block carries Re = 0.1 on its diagonal
+    rot = np.array([[0.1, 1.0], [-1.0, 0.1]])
+    A = sla.block_diag(rot, [[-1.0]])
+    for bad in (A, sla.block_diag([[0.0, 1.0], [-1.0, 0.0]], [[-1.0]])):
+        with pytest.raises(NotStable):
+            hurwitz_schur(bad)
+        with pytest.raises(NotStable):
+            solve_lyapunov(bad, np.eye(3))
+    # the same pair moved into the left half-plane passes
+    X = solve_lyapunov(sla.block_diag(rot - 0.2 * np.eye(2), [[-1.0]]),
+                       np.eye(3))
+    assert np.all(np.isfinite(X))
 
 
 # ------------------------------------------------------------------ sylvester
