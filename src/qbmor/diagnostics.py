@@ -17,11 +17,10 @@ from qbmor.errors import (
 )
 from qbmor.kron_tensor import Hessian, mode_matricize, perm_T, vec, unvec
 from qbmor.qb_core import (
-    ProjectionBases, QBSystem, fold_mass_matrix, orthonormalize,
+    _COND_LIMIT, ProjectionBases, QBSystem, fold_mass_matrix, orthonormalize,
 )
 from qbmor.tqb_irka import _solve_bases_core, solve_bases
 
-_COND_LIMIT = 1e13
 _FAMILIES = ("C", "B", "N", "H", "lambda")
 
 
@@ -125,9 +124,7 @@ def optimality_residuals(sys, red, bases):
     degraded = {name: False for name in _FAMILIES}
     try:
         raw_model, _ = _raw_realization(sys, bases.V, bases.W)
-        f = red.spectral
-        hat = _solve_bases_core(raw_model, f.lam, f.Btil, f.Ctil, f.Ntil,
-                                f.Htil, f.Htil2)
+        hat = _solve_bases_core(raw_model, red.spectral)
         hats = _phi_families(raw_model, *hat)
         eps = [phi - phih for phi, phih in zip(full, hats)]
     except SingularShift as exc:

@@ -17,7 +17,7 @@ from qbmor.errors import (
     PairingViolation,
 )
 
-_COND_LIMIT = 1e12
+_EIGVEC_COND_LIMIT = 1e12
 
 
 @dataclass
@@ -28,50 +28,40 @@ class SpectralFactors:
     Rinv: np.ndarray
 
 
-def _pair_cleanup(lam, R):
-    """Restore adjacency of conjugate pairs after a stable (re, im) sort."""
-    lam = lam.copy()
-    R = R.copy()
-    i = 0
-    r = lam.size
-    while i < r:
-        if abs(lam[i].imag) <= 0.0:
-            i += 1
-            continue
-        want = np.conj(lam[i])
-        tol = 1e-8 * (1.0 + abs(lam[i]))
-        j = None
-        for k in range(i + 1, r):
-            if abs(lam[k] - want) <= tol:
-                j = k
-                break
-        if j is None:
-            raise PairingViolation("eigenvalue %r has no conjugate partner" % (lam[i],))
-        if j != i + 1:
-            order = list(range(r))
-            order.insert(i + 1, order.pop(j))
-            lam = lam[order]
-            R = R[:, order]
-        i += 2
-    return lam, R
-
-
 def spectral_decompose(Ahat):
     """Diagonalize a real square matrix with a deterministic eigenvalue order.
 
-    Eigenvalues are sorted by (real part, imaginary part) ascending and
-    conjugate pairs are kept adjacent with the negative imaginary part first.
+    This is the one place that decides which eigenvalues are real. LAPACK
+    returns each non-real eigenvalue of a real matrix in an exact conjugate
+    pair (bit-equal real parts, bit-negated imaginary parts, conjugate
+    eigenvector columns), positive imaginary part first. Sorting by
+    (real part, |imaginary part|, LAPACK pair, imaginary part) keeps each
+    pair adjacent with its negative imaginary part first, also when pairs
+    share a real part or repeat. The rule every consumer reads: lam[i] is
+    real iff lam[i].imag == 0.0; otherwise lam[i+1] == conj(lam[i]) and
+    R[:, i+1] == conj(R[:, i]). PairingViolation is raised if the sorted
+    output breaks it.
     """
     Ahat = np.asarray(Ahat, dtype=float)
     lam, R = sla.eig(Ahat)
     cond = np.linalg.cond(R)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise NonDiagonalizable(
-            "eigenvector matrix condition %.3e exceeds %.1e" % (cond, _COND_LIMIT))
-    order = np.lexsort((lam.imag, lam.real))
+    if not np.isfinite(cond) or cond > _EIGVEC_COND_LIMIT:
+        raise NonDiagonalizable("eigenvector matrix condition %.3e exceeds "
+                                "%.1e" % (cond, _EIGVEC_COND_LIMIT))
+    # index of each pair's first (positive) member in LAPACK's order
+    pair = np.arange(lam.size) - (lam.imag < 0.0)
+    order = np.lexsort((lam.imag, pair, np.abs(lam.imag), lam.real))
     lam = lam[order]
     R = R[:, order]
-    lam, R = _pair_cleanup(lam, R)
+    i = 0
+    while i < lam.size:
+        if lam[i].imag == 0.0:
+            i += 1
+            continue
+        if i + 1 == lam.size or lam[i + 1] != np.conj(lam[i]):
+            raise PairingViolation("eigenvalue %r has no adjacent conjugate "
+                                   "partner" % (lam[i],))
+        i += 2
     Rinv = np.linalg.inv(R)
     return SpectralFactors(R=R, lam=lam, Rinv=Rinv)
 
@@ -127,9 +117,11 @@ def solve_lyapunov(A, Q, transpose=False):
 def solve_sylvester_shifted(A, lam, Rhs, E=None):
     """Solve -E V diag(lam) - A V = Rhs column by column.
 
-    Column i is -(A + lam_i E)^{-1} Rhs[:, i]. When lam[i], lam[i+1] and the
-    matching Rhs columns form a conjugate pair only one solve is done and the
-    partner column is its conjugate, which keeps realification exact.
+    Column i is -(A + lam_i E)^{-1} Rhs[:, i]. Shifts follow the pair rule
+    of ``spectral_decompose``: when lam[i].imag != 0.0, lam[i+1] is exactly
+    conj(lam[i]) and the matching Rhs columns are conjugate, only one solve
+    is done and the partner column is its exact conjugate, which keeps
+    realification exact.
     """
     A = np.asarray(A, dtype=float)
     lam = np.asarray(lam, dtype=complex)
@@ -145,8 +137,8 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None):
     while i < r:
         paired = (
             i + 1 < r
-            and abs(lam[i + 1] - np.conj(lam[i])) <= 1e-14 * (1.0 + abs(lam[i]))
             and lam[i].imag != 0.0
+            and lam[i + 1] == np.conj(lam[i])
             and np.allclose(Rhs[:, i + 1], np.conj(Rhs[:, i]),
                             rtol=1e-12, atol=1e-12 * (1.0 + np.abs(Rhs[:, i]).max()))
         )
@@ -169,7 +161,11 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None):
 
 
 def reflect_unstable(lam, eps_shift=1e-8):
-    """Mirror right-half-plane eigenvalues and nudge purely imaginary ones."""
+    """Mirror right-half-plane eigenvalues and nudge purely imaginary ones.
+
+    Both members of a conjugate pair get the same new real part, so the
+    exact pair rule of ``spectral_decompose`` still holds for the output.
+    """
     lam = np.asarray(lam, dtype=complex).copy()
     for i in range(lam.size):
         re = lam[i].real
@@ -181,18 +177,22 @@ def reflect_unstable(lam, eps_shift=1e-8):
 
 
 def realify_basis(Vc, lam):
-    """Real basis with the same real span: (Re v, Im v) per conjugate pair."""
+    """Real basis with the same real span: (Re v, Im v) per conjugate pair.
+
+    Reads the pair rule of ``spectral_decompose``: lam[i] is real iff
+    lam[i].imag == 0.0, and otherwise lam[i+1] must be exactly conj(lam[i]).
+    """
     Vc = np.asarray(Vc, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
     n, r = Vc.shape
     out = np.empty((n, r))
     i = 0
     while i < r:
-        if abs(lam[i].imag) <= 1e-14 * (1.0 + abs(lam[i])):
+        if lam[i].imag == 0.0:
             out[:, i] = Vc[:, i].real
             i += 1
             continue
-        if i + 1 >= r or abs(lam[i + 1] - np.conj(lam[i])) > 1e-8 * (1.0 + abs(lam[i])):
+        if i + 1 >= r or lam[i + 1] != np.conj(lam[i]):
             raise PairingViolation("conjugate pair not adjacent at index %d" % i)
         out[:, i] = Vc[:, i].real
         out[:, i + 1] = Vc[:, i].imag

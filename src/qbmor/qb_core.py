@@ -25,6 +25,7 @@ from qbmor.errors import QbmorWarning, SingularGram, NonPositiveGamma
 from qbmor.kron_tensor import Hessian
 from qbmor.matrix_equations import spectral_decompose
 
+# condition bound on projector Gram matrices W^T V, shared with diagnostics
 _COND_LIMIT = 1e13
 
 
@@ -98,14 +99,14 @@ class QBSystem:
 
 @dataclass
 class SpectralBundle:
-    """Eigendata of Ahat plus the matrices moved into the eigenbasis."""
+    """Eigendata plus a reduced model's matrices moved into that eigenbasis."""
     R: np.ndarray
     lam: np.ndarray
     Rinv: np.ndarray
     Btil: np.ndarray          # Rinv @ Bhat
     Ctil: np.ndarray          # Chat @ R
-    Ntil: list                # Rinv @ Nhat_k @ R
-    Htil: np.ndarray          # Rinv @ Hhat (R (x) R), r x r^2
+    Ntil: list                # gamma Rinv @ Nhat_k @ R
+    Htil: np.ndarray          # gamma Rinv @ Hhat (R (x) R), r x r^2
     Htil2: np.ndarray         # matching transposed-slice unfolding
 
 
@@ -152,20 +153,26 @@ class ReducedModel(QBSystem):
     @property
     def spectral(self):
         if self._spectral is None:
-            f = spectral_decompose(self.A)
-            R, lam, Rinv = f.R, f.lam, f.Rinv
-            r = self.r
-            Htil = Rinv @ self.H.apply_kron(R, R)
-            Ttil = Htil.reshape(r, r, r)
-            Htil2 = Ttil.transpose(2, 1, 0).reshape(r, r * r)
-            self._spectral = SpectralBundle(
-                R=R, lam=lam, Rinv=Rinv,
-                Btil=Rinv @ self.B,
-                Ctil=self.C @ R,
-                Ntil=[Rinv @ Nk @ R for Nk in self.N],
-                Htil=Htil, Htil2=Htil2,
-            )
+            self._spectral = self.eigenbasis(spectral_decompose(self.A))
         return self._spectral
+
+    def eigenbasis(self, f, lam=None, gamma=1.0):
+        """This model's B, C, gamma N_k and gamma H moved into the eigenbasis f.
+
+        f holds the spectral factors of a matrix (usually A itself); lam
+        replaces f.lam in the bundle when given, e.g. reflected shifts.
+        """
+        R, Rinv = f.R, f.Rinv
+        r = self.r
+        Htil = gamma * (Rinv @ self.H.apply_kron(R, R))
+        Htil2 = Htil.reshape(r, r, r).transpose(2, 1, 0).reshape(r, r * r)
+        return SpectralBundle(
+            R=R, lam=f.lam if lam is None else lam, Rinv=Rinv,
+            Btil=Rinv @ self.B,
+            Ctil=self.C @ R,
+            Ntil=[gamma * (Rinv @ Nk @ R) for Nk in self.N],
+            Htil=Htil, Htil2=Htil2,
+        )
 
     def rescaled(self, gamma):
         if gamma <= 0:
@@ -267,14 +274,6 @@ def fold_mass_matrix(sys):
     return QBSystem(Einv @ sys.A, sys.H.left_multiplied(Einv),
                     [Einv @ Nk for Nk in sys.N], Einv @ sys.B, sys.C,
                     label=sys.label)
-
-
-def rhs(sys, x, u, t=0.0):
-    return sys.rhs(x, u, t)
-
-
-def jacobian(sys, x, u):
-    return sys.jacobian(x, u)
 
 
 # --------------------------------------------------------------- serialization

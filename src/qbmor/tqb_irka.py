@@ -71,29 +71,19 @@ def _eig_change(old, new):
     return float((np.abs(new - old) / denom).max())
 
 
-def _transforms(f, red, gamma, lam):
-    """Reduced matrices moved into the eigenbasis of the used iterate."""
-    Btil = f.Rinv @ red.B
-    Ctil = red.C @ f.R
-    Ntil = [gamma * (f.Rinv @ Nk @ f.R) for Nk in red.N]
-    Htil = gamma * (f.Rinv @ red.H.apply_kron(f.R, f.R))
-    r = red.r
-    Htil2 = Htil.reshape(r, r, r).transpose(2, 1, 0).reshape(r, r * r)
-    return lam, Btil, Ctil, Ntil, Htil, Htil2
-
-
-def _solve_bases_core(sys, lam, Btil, Ctil, Ntil, Htil, Htil2):
+def _solve_bases_core(sys, bundle):
     """The four Sylvester solves; everything stays complex here."""
     A, E, H = sys.A, sys.E, sys.H
     Et = None if E is None else E.T
-    V1 = solve_sylvester_shifted(A, lam, sys.B @ Btil.T, E=E)
-    rhs_v2 = H.apply_kron(V1, V1) @ Htil.T
-    for Nk, Ntk in zip(sys.N, Ntil):
+    lam = bundle.lam
+    V1 = solve_sylvester_shifted(A, lam, sys.B @ bundle.Btil.T, E=E)
+    rhs_v2 = H.apply_kron(V1, V1) @ bundle.Htil.T
+    for Nk, Ntk in zip(sys.N, bundle.Ntil):
         rhs_v2 = rhs_v2 + Nk @ V1 @ Ntk.T
     V2 = solve_sylvester_shifted(A, lam, rhs_v2, E=E)
-    W1 = solve_sylvester_shifted(A.T, lam, sys.C.T @ Ctil, E=Et)
-    rhs_w2 = 2.0 * (H.apply_kron_mode2(V1, W1) @ Htil2.T)
-    for Nk, Ntk in zip(sys.N, Ntil):
+    W1 = solve_sylvester_shifted(A.T, lam, sys.C.T @ bundle.Ctil, E=Et)
+    rhs_w2 = 2.0 * (H.apply_kron_mode2(V1, W1) @ bundle.Htil2.T)
+    for Nk, Ntk in zip(sys.N, bundle.Ntil):
         rhs_w2 = rhs_w2 + Nk.T @ W1 @ Ntk
     W2 = solve_sylvester_shifted(A.T, lam, rhs_w2, E=Et)
     return V1, V2, W1, W2
@@ -118,21 +108,7 @@ def solve_bases(sys, red):
     caller's responsibility (pass an already-rescaled pair for scaled runs).
     """
     f = red.spectral
-    V1c, V2c, W1c, W2c = _solve_bases_core(
-        sys, f.lam, f.Btil, f.Ctil, f.Ntil, f.Htil, f.Htil2)
-    return _assemble_bases(V1c, V2c, W1c, W2c, f.lam)
-
-
-def reduced_hat_bases(red):
-    """Reduced-scale analogues of the projection bases, used by diagnostics.
-
-    Solves the same four equations with the reduced matrices standing in
-    for the full ones. Returns complex (Vhat, What, V1, V2, W1, W2).
-    """
-    f = red.spectral
-    V1, V2, W1, W2 = _solve_bases_core(
-        red, f.lam, f.Btil, f.Ctil, f.Ntil, f.Htil, f.Htil2)
-    return V1 + V2, W1 + W2, V1, V2, W1, W2
+    return _assemble_bases(*_solve_bases_core(sys, f), f.lam)
 
 
 def initial_guess(sys, r, kind="random", seed=0):
@@ -217,11 +193,8 @@ def tqb_irka(sys, cfg):
                          "sweep %d" % it)
             f = spectral_decompose(A_used)
         lam = reflect_unstable(f.lam) if cfg.reflect else f.lam
-        lam, Btil, Ctil, Ntil, Htil, Htil2 = _transforms(
-            f, red, cfg.gamma, lam)
-        V1c, V2c, W1c, W2c = _solve_bases_core(
-            basis_sys, lam, Btil, Ctil, Ntil, Htil, Htil2)
-        bases = _assemble_bases(V1c, V2c, W1c, W2c, lam)
+        bundle = red.eigenbasis(f, lam, cfg.gamma)
+        bases = _assemble_bases(*_solve_bases_core(basis_sys, bundle), lam)
         red_new = project(sys, bases.Vorth, bases.Worth,
                           converged=False, iterations=it, **meta)
         new_eigs = _sorted_eigs(red_new.A)

@@ -52,15 +52,28 @@ def test_spectral_reconstruction_up_to_40():
         assert np.linalg.norm(f.R @ f.Rinv - np.eye(r)) <= 1e-9 * np.linalg.cond(f.R)
 
 
+def permuted_shared_real_part(rng):
+    # pairs share one real part bit for bit, and some imaginary parts agree
+    # to 1e-10, closer than any pair-matching tolerance
+    a = -float(rng.integers(1, 3))
+    blocks = [[[a]]]
+    for j in range(4):
+        b = rng.uniform(0.5, 3.0) if rng.random() < 0.5 else 1.0 + 1e-10 * j
+        blocks.append([[a, b], [-b, a]])
+    p = rng.permutation(9)
+    return sla.block_diag(*blocks)[p][:, p]
+
+
 def test_spectral_pairs_adjacent_random():
     rng = rng_for(2)
-    for _ in range(20):
-        A = random_stable(9, rng)
+    for k in range(40):
+        A = random_stable(9, rng) if k < 20 else permuted_shared_real_part(rng)
         f = spectral_decompose(A)
         i = 0
         while i < 9:
-            if abs(f.lam[i].imag) > 0:
-                assert np.isclose(f.lam[i + 1], np.conj(f.lam[i]))
+            if f.lam[i].imag != 0.0:
+                assert f.lam[i + 1] == np.conj(f.lam[i])
+                assert np.array_equal(f.R[:, i + 1], np.conj(f.R[:, i]))
                 i += 2
             else:
                 i += 1
@@ -80,6 +93,35 @@ def test_spectral_pair_adjacency_with_tied_real_parts():
     assert np.isclose(f.lam[i + 1], np.conj(f.lam[i]))
     rec = (f.R * f.lam) @ f.Rinv
     assert np.allclose(rec, A, atol=1e-12)
+    # nested pairs on one real part: sorted by |Im|, negative Im first
+    a = -1.0
+    for b, c in ((3.0, 0.5), (1.0, 1.0 + 1e-10)):
+        A = sla.block_diag([[a, b], [-b, a]], [[a, c], [-c, a]], [[a]])
+        f = spectral_decompose(A)
+        lo, hi = sorted((b, c))
+        assert np.allclose(f.lam.imag, [0.0, -lo, lo, -hi, hi], rtol=1e-13,
+                           atol=0.0)
+        assert f.lam[2] == np.conj(f.lam[1]) and f.lam[4] == np.conj(f.lam[3])
+
+
+def test_spectral_repeated_pair_stays_paired():
+    # LAPACK returns the two copies of the pair with bit-equal values
+    rot = np.array([[-1.0, 2.0], [-2.0, -1.0]])
+    f = spectral_decompose(sla.block_diag(rot, rot))
+    assert np.allclose(f.lam, [-1 - 2j, -1 + 2j, -1 - 2j, -1 + 2j])
+    for i in (0, 2):
+        assert f.lam[i + 1] == np.conj(f.lam[i])
+        assert np.array_equal(f.R[:, i + 1], np.conj(f.R[:, i]))
+    assert np.allclose((f.R * f.lam) @ f.Rinv, sla.block_diag(rot, rot),
+                       atol=1e-12)
+
+
+def test_spectral_rejects_a_broken_pair(monkeypatch):
+    # LAPACK never returns this; the check guards the rule all consumers read
+    lam = np.array([-1 + 1j, -1 - (1 + 1e-15) * 1j])
+    monkeypatch.setattr(sla, "eig", lambda A: (lam, np.eye(2, dtype=complex)))
+    with pytest.raises(PairingViolation):
+        spectral_decompose(-np.eye(2))
 
 
 # ------------------------------------------------------------------- lyapunov
@@ -237,6 +279,16 @@ def test_realify_pair_columns():
     assert np.array_equal(out, np.column_stack([a, b]))
 
 
+def test_realify_tiny_imaginary_pair_gives_independent_columns():
+    # a real cluster that LAPACK splits into an exact pair with Im ~ 1e-11
+    rng = rng_for(11)
+    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    lam = np.array([-4e4 - 7e-12j, -4e4 + 7e-12j])
+    out = realify_basis(np.column_stack([v, np.conj(v)]), lam)
+    assert np.array_equal(out, np.column_stack([v.real, v.imag]))
+    assert np.linalg.matrix_rank(out) == 2
+
+
 def test_realify_preserves_real_span():
     rng = rng_for(8)
     n = 6
@@ -255,9 +307,9 @@ def test_realify_preserves_real_span():
 
 def test_realify_rejects_bad_pairing():
     Vc = np.ones((3, 2), dtype=complex)
-    lam = np.array([-1 + 1j, -2 - 1j])
-    with pytest.raises(PairingViolation):
-        realify_basis(Vc, lam)
+    for lam in ([-1 + 1j, -2 - 1j], [-1 - 1j, -1 + (1 + 1e-15) * 1j]):
+        with pytest.raises(PairingViolation):
+            realify_basis(Vc, np.array(lam))
 
 
 def test_sylvester_then_realify_conjugate_closed_data():
@@ -274,7 +326,7 @@ def test_sylvester_then_realify_conjugate_closed_data():
     V = solve_sylvester_shifted(A, lam, Rhs)
     i = 0
     while i < r:
-        if abs(lam[i].imag) > 1e-14:
+        if lam[i].imag != 0.0:
             assert np.array_equal(V[:, i + 1], np.conj(V[:, i]))
             i += 2
         else:

@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from qbmor.errors import QbmorWarning, SingularGram, NonPositiveGamma
 from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import (
-    QBSystem, ReducedModel, project, rescale, rhs, jacobian,
+    QBSystem, ReducedModel, project, rescale,
     orthonormalize, save_system, load_system, save_reduced, load_reduced,
 )
 from conftest import random_stable_qb, rng_for
@@ -48,7 +48,7 @@ def test_dims_and_sparse_inputs():
 
 def test_rhs_zero():
     sys = random_stable_qb(5, 2, 1, rng_for(1))
-    assert np.allclose(rhs(sys, np.zeros(5), np.zeros(2)), np.zeros(5))
+    assert np.allclose(sys.rhs(np.zeros(5), np.zeros(2)), np.zeros(5))
 
 
 def test_rhs_linear_case():
@@ -57,7 +57,7 @@ def test_rhs_linear_case():
     sys = QBSystem(sys.A, None, [np.zeros((5, 5))] * 2, sys.B, sys.C)
     x = rng.standard_normal(5)
     u = rng.standard_normal(2)
-    assert np.allclose(rhs(sys, x, u), sys.A @ x + sys.B @ u, atol=1e-14)
+    assert np.allclose(sys.rhs(x, u), sys.A @ x + sys.B @ u, atol=1e-14)
 
 
 def test_rhs_matches_explicit_kron():
@@ -67,9 +67,9 @@ def test_rhs_matches_explicit_kron():
     u = rng.standard_normal(2)
     expected = (sys.A @ x + sys.H.mode1() @ np.kron(x, x)
                 + u[0] * sys.N[0] @ x + u[1] * sys.N[1] @ x + sys.B @ u)
-    assert np.allclose(rhs(sys, x, u), expected, atol=1e-12)
+    assert np.allclose(sys.rhs(x, u), expected, atol=1e-12)
     with pytest.raises(ValueError):
-        rhs(sys, x[:-1], u)
+        sys.rhs(x[:-1], u)
 
 
 # -------------------------------------------------------------------- jacobian
@@ -81,9 +81,9 @@ def test_jacobian_trivial_cases():
     x = rng.standard_normal(4)
     u = rng.standard_normal(2)
     linear = QBSystem(sys.A, None, [np.zeros((4, 4))] * 2, sys.B, sys.C)
-    assert np.allclose(jacobian(linear, x, u), sys.A)
+    assert np.allclose(linear.jacobian(x, u), sys.A)
     expected = sys.A + u[0] * sys.N[0] + u[1] * sys.N[1]
-    assert np.allclose(jacobian(sys, np.zeros(4), u), expected)
+    assert np.allclose(sys.jacobian(np.zeros(4), u), expected)
 
 
 def test_jacobian_matches_finite_differences():
@@ -92,13 +92,13 @@ def test_jacobian_matches_finite_differences():
     for _ in range(50):
         x = rng.standard_normal(5)
         u = rng.standard_normal(2)
-        J = jacobian(sys, x, u)
+        J = sys.jacobian(x, u)
         eps = 1e-6
         Jfd = np.empty_like(J)
         for a in range(5):
             e = np.zeros(5)
             e[a] = eps
-            Jfd[:, a] = (rhs(sys, x + e, u) - rhs(sys, x - e, u)) / (2 * eps)
+            Jfd[:, a] = (sys.rhs(x + e, u) - sys.rhs(x - e, u)) / (2 * eps)
         assert np.linalg.norm(J - Jfd) <= 1e-6 * max(1.0, np.linalg.norm(J))
 
 
