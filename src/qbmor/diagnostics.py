@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from qbmor import matrix_equations
 from qbmor.errors import (
     DegradedDiagnostics, ProjectorSingular, SingularShift, TooLarge,
 )
@@ -154,19 +155,6 @@ def optimality_residuals(sys, red, bases):
         eps_lambda=eps[4], degraded=degraded)
 
 
-def _shifted_colsolve(M, lam, Rhs, what):
-    n = M.shape[0]
-    X = np.zeros((n, lam.size), dtype=complex)
-    Eye = np.eye(n)
-    for i, li in enumerate(lam):
-        try:
-            X[:, i] = np.linalg.solve(M + li * Eye, Rhs[:, i])
-        except np.linalg.LinAlgError as exc:
-            raise SingularShift("%s solve singular at shift %s"
-                                % (what, li)) from exc
-    return X
-
-
 def perturbation_solves(sys, red, bases):
     """The four perturbation quantities (eps_v, eps_w, Gamma_v, Gamma_w).
 
@@ -202,9 +190,10 @@ def perturbation_solves(sys, red, bases):
     Piw = W1c @ np.linalg.solve(M2, V.T)
 
     rhs_v = (Pi - Piv) @ (A @ V1c + B @ f.Btil.T)
-    eps_v = _shifted_colsolve(Pi @ A, lam, rhs_v, "eps_v")
+    solve = matrix_equations.solve_sylvester_shifted
+    eps_v = -solve(Pi @ A, lam, rhs_v)
     rhs_w = (Pi.T - Piw) @ (A.T @ W1c + C.T @ f.Ctil)
-    eps_w = _shifted_colsolve((A @ Pi).T, lam, rhs_w, "eps_w")
+    eps_w = -solve((A @ Pi).T, lam, rhs_w)
 
     Ahat = np.linalg.solve(G, W.T @ A @ V)
     bracket_v = (H.apply_kron(eps_v, V1c - eps_v)
@@ -215,10 +204,9 @@ def perturbation_solves(sys, red, bases):
     for Nk, Ntk in zip(sys.N, f.Ntil):
         bracket_v = bracket_v + Nk @ eps_v @ Ntk.T
         bracket_w = bracket_w + Nk.T @ eps_w @ Ntk
-    rhs_gv = np.linalg.solve(G, W.T @ bracket_v)
-    Gamma_v = _shifted_colsolve(Ahat, lam, rhs_gv, "Gamma_v")
-    rhs_gw = V.T @ bracket_w
-    Gamma_w = _shifted_colsolve(Ahat.T, lam, rhs_gw, "Gamma_w")
+    form = matrix_equations.shifted_lu(Ahat)
+    Gamma_v = -solve(form, lam, np.linalg.solve(G, W.T @ bracket_v))
+    Gamma_w = -solve(form.T, lam, V.T @ bracket_w)
     return eps_v, eps_w, Gamma_v, Gamma_w
 
 

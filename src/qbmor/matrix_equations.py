@@ -3,7 +3,10 @@
 All solvers are dense and deterministic on a fixed machine. Lyapunov
 solves against one coefficient share its real Schur form. Sylvester
 equations with a diagonal right coefficient are solved column by column;
-a full Kronecker system is never formed.
+a full Kronecker system is never formed. Shifted solves with one pencil
+share a ``shifted_lu`` form: one LU per distinct shift, used by the V
+solves with A + lam E and by the W solves with its transpose, a real LU
+for a real shift, and no factorization for a conjugate partner.
 """
 
 import warnings
@@ -114,46 +117,103 @@ def solve_lyapunov(A, Q, transpose=False):
     return 0.5 * (X + X.T)
 
 
+class ShiftedLU:
+    """LU factors of A + lam E, filled lazily, one per distinct shift.
+
+    Built empty by ``shifted_lu``; ``solve_sylvester_shifted`` factors a
+    shift on its first solve and reuses that factor for every later solve
+    with the shift or its conjugate. ``.T`` shares the factors and solves
+    with A^T + lam E^T, the plain transpose also for complex lam. A real
+    shift (lam.imag == 0.0) gets a real LU.
+    """
+
+    def __init__(self, A, E, factors, trans):
+        self.A = A
+        self.E = E
+        self._factors = factors
+        self._trans = trans
+
+    @property
+    def T(self):
+        return ShiftedLU(self.A, self.E, self._factors, 1 - self._trans)
+
+    def _lu(self, lam):
+        lu = self._factors.get(lam)
+        if lu is None:
+            real = lam.imag == 0.0
+            shift = lam.real if real else lam
+            if self.E is None:
+                M = self.A.astype(float if real else complex)
+                M.flat[::M.shape[0] + 1] += shift
+            else:
+                M = self.A + shift * self.E
+            lu = self._factors[lam] = sla.lu_factor(M, overwrite_a=True)
+        return lu
+
+    def solve(self, lam, b):
+        """x with (A + lam E) x = b, or (A^T + lam E^T) x = b on ``.T``."""
+        lu = self._lu(complex(lam))
+        if np.isrealobj(lu[0]):
+            x = sla.lu_solve(lu, np.column_stack([b.real, b.imag]),
+                             trans=self._trans, check_finite=False)
+            return x[:, 0] + 1j * x[:, 1]
+        return sla.lu_solve(lu, b, trans=self._trans, check_finite=False)
+
+
+def shifted_lu(A, E=None):
+    """Empty ``ShiftedLU`` form of A + lam E for ``solve_sylvester_shifted``."""
+    return ShiftedLU(np.asarray(A, dtype=float),
+                     None if E is None else np.asarray(E, dtype=float), {}, 0)
+
+
+def _shifted_column(form, lam, b):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sla.LinAlgWarning)
+            x = -form.solve(lam, b)
+    except (np.linalg.LinAlgError, sla.LinAlgError, sla.LinAlgWarning,
+            ValueError) as exc:
+        raise SingularShift("shift %r makes A + lam E singular" % (lam,)) from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularShift("shift %r gave a non-finite column" % (lam,))
+    return x
+
+
 def solve_sylvester_shifted(A, lam, Rhs, E=None):
     """Solve -E V diag(lam) - A V = Rhs column by column.
 
-    Column i is -(A + lam_i E)^{-1} Rhs[:, i]. Shifts follow the pair rule
-    of ``spectral_decompose``: when lam[i].imag != 0.0, lam[i+1] is exactly
-    conj(lam[i]) and the matching Rhs columns are conjugate, only one solve
-    is done and the partner column is its exact conjugate, which keeps
-    realification exact.
+    Column i is -(A + lam_i E)^{-1} Rhs[:, i]. A is a matrix or a
+    ``shifted_lu`` form (then E must be None); passing the form lets
+    several solves share one factorization per distinct shift, and its
+    ``.T`` solves -E^T W diag(lam) - A^T W = Rhs with the same factors.
+    A real shift is factored in real arithmetic. Shifts follow the pair
+    rule of ``spectral_decompose``: when lam[i].imag != 0.0 and lam[i+1]
+    is exactly conj(lam[i]), the partner is never factored. Its column is
+    the exact conjugate of column i when the matching Rhs columns are
+    conjugate, which keeps realification exact, and otherwise
+    conj(-(A + lam_i E)^{-1} conj(Rhs[:, i+1])).
     """
-    A = np.asarray(A, dtype=float)
+    if isinstance(A, ShiftedLU):
+        if E is not None:
+            raise ValueError("a shifted_lu form already carries E")
+        form = A
+    else:
+        form = shifted_lu(A, E)
     lam = np.asarray(lam, dtype=complex)
-    n = A.shape[0]
+    n = form.A.shape[0]
     r = lam.size
     Rhs = np.asarray(Rhs, dtype=complex).reshape(n, r)
-    if E is None:
-        E = np.eye(n)
-    else:
-        E = np.asarray(E, dtype=float)
     V = np.empty((n, r), dtype=complex)
     i = 0
     while i < r:
-        paired = (
-            i + 1 < r
-            and lam[i].imag != 0.0
-            and lam[i + 1] == np.conj(lam[i])
-            and np.allclose(Rhs[:, i + 1], np.conj(Rhs[:, i]),
-                            rtol=1e-12, atol=1e-12 * (1.0 + np.abs(Rhs[:, i]).max()))
-        )
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", sla.LinAlgWarning)
-                lu = sla.lu_factor(A + lam[i] * E)
-                V[:, i] = -sla.lu_solve(lu, Rhs[:, i])
-        except (np.linalg.LinAlgError, sla.LinAlgError, sla.LinAlgWarning,
-                ValueError) as exc:
-            raise SingularShift("shift %r makes A + lam E singular" % (lam[i],)) from exc
-        if not np.all(np.isfinite(V[:, i])):
-            raise SingularShift("shift %r gave a non-finite column" % (lam[i],))
-        if paired:
-            V[:, i + 1] = np.conj(V[:, i])
+        V[:, i] = _shifted_column(form, lam[i], Rhs[:, i])
+        if i + 1 < r and lam[i].imag != 0.0 and lam[i + 1] == np.conj(lam[i]):
+            b = Rhs[:, i + 1]
+            if np.allclose(b, np.conj(Rhs[:, i]), rtol=1e-12,
+                           atol=1e-12 * (1.0 + np.abs(Rhs[:, i]).max())):
+                V[:, i + 1] = np.conj(V[:, i])
+            else:
+                V[:, i + 1] = np.conj(_shifted_column(form, lam[i], np.conj(b)))
             i += 2
         else:
             i += 1

@@ -17,8 +17,8 @@ from scipy.optimize import linear_sum_assignment
 from qbmor.errors import MaxIterationsExceeded, NonDiagonalizable
 from qbmor.kron_tensor import Hessian
 from qbmor.matrix_equations import (
-    spectral_decompose, solve_sylvester_shifted, reflect_unstable,
-    realify_basis,
+    spectral_decompose, solve_sylvester_shifted, shifted_lu,
+    reflect_unstable, realify_basis,
 )
 from qbmor.qb_core import (
     QBSystem, ReducedModel, ProjectionBases, project, rescale, orthonormalize,
@@ -72,20 +72,24 @@ def _eig_change(old, new):
 
 
 def _solve_bases_core(sys, bundle):
-    """The four Sylvester solves; everything stays complex here."""
-    A, E, H = sys.A, sys.E, sys.H
-    Et = None if E is None else E.T
+    """The four Sylvester solves; everything stays complex here.
+
+    V1 and V2 solve with A + lam E, W1 and W2 with its transpose, all on
+    one shifted_lu form, so each distinct shift is factored once.
+    """
+    H = sys.H
     lam = bundle.lam
-    V1 = solve_sylvester_shifted(A, lam, sys.B @ bundle.Btil.T, E=E)
+    form = shifted_lu(sys.A, sys.E)
+    V1 = solve_sylvester_shifted(form, lam, sys.B @ bundle.Btil.T)
     rhs_v2 = H.apply_kron(V1, V1) @ bundle.Htil.T
     for Nk, Ntk in zip(sys.N, bundle.Ntil):
         rhs_v2 = rhs_v2 + Nk @ V1 @ Ntk.T
-    V2 = solve_sylvester_shifted(A, lam, rhs_v2, E=E)
-    W1 = solve_sylvester_shifted(A.T, lam, sys.C.T @ bundle.Ctil, E=Et)
+    V2 = solve_sylvester_shifted(form, lam, rhs_v2)
+    W1 = solve_sylvester_shifted(form.T, lam, sys.C.T @ bundle.Ctil)
     rhs_w2 = 2.0 * (H.apply_kron_mode2(V1, W1) @ bundle.Htil2.T)
     for Nk, Ntk in zip(sys.N, bundle.Ntil):
         rhs_w2 = rhs_w2 + Nk.T @ W1 @ Ntk
-    W2 = solve_sylvester_shifted(A.T, lam, rhs_w2, E=Et)
+    W2 = solve_sylvester_shifted(form.T, lam, rhs_w2)
     return V1, V2, W1, W2
 
 

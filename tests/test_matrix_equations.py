@@ -8,7 +8,7 @@ from qbmor.errors import (
 )
 from qbmor.matrix_equations import (
     hurwitz_schur, spectral_decompose, solve_lyapunov,
-    solve_sylvester_shifted, reflect_unstable, realify_basis,
+    solve_sylvester_shifted, shifted_lu, reflect_unstable, realify_basis,
 )
 from conftest import rng_for
 
@@ -246,6 +246,74 @@ def test_sylvester_singular_shift_detected():
     A = -np.eye(2)
     with pytest.raises(SingularShift):
         solve_sylvester_shifted(A, np.array([1.0 + 0.0j]), np.ones((2, 1)))
+
+
+# a real shift, a lone complex shift, and a conjugate pair whose right-hand
+# side columns are not conjugate, so the partner is solved on conj factors
+_MIXED_SHIFTS = np.array([0.7, 1.5 - 0.4j, 0.9 - 2.0j, 0.9 + 2.0j])
+
+
+@pytest.mark.parametrize("with_mass", [False, True])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_sylvester_shared_form_both_ways(with_mass, transposed):
+    rng = rng_for(12)
+    n = 9
+    A = random_stable(n, rng)
+    E = np.eye(n) + 0.2 * rng.standard_normal((n, n)) if with_mass else None
+    lam = _MIXED_SHIFTS
+    Rhs = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    form = shifted_lu(A, E)
+    Aop, Eop = (A.T, None if E is None else E.T) if transposed else (A, E)
+    V = solve_sylvester_shifted(form.T if transposed else form, lam, Rhs)
+    direct = solve_sylvester_shifted(Aop, lam, Rhs, E=Eop)
+    assert np.linalg.norm(V - direct) <= 1e-12 * np.linalg.norm(V)
+    Em = np.eye(n) if Eop is None else Eop
+    res = -Em @ V @ np.diag(lam) - Aop @ V - Rhs
+    scale = (np.linalg.norm(Aop) + np.linalg.norm(Em)) * np.linalg.norm(V)
+    assert np.linalg.norm(res) <= 1e-10 * (scale + np.linalg.norm(Rhs))
+    for i, li in enumerate(lam):
+        ref = np.linalg.solve(Aop + li * Em, -Rhs[:, i])
+        assert np.allclose(V[:, i], ref, rtol=1e-11, atol=1e-12)
+
+
+def test_sylvester_form_rejects_a_second_mass_matrix():
+    form = shifted_lu(-np.eye(2))
+    with pytest.raises(ValueError):
+        solve_sylvester_shifted(form, np.array([1.0]), np.ones((2, 1)),
+                                E=np.eye(2))
+
+
+def test_sylvester_factors_once_per_shift_real_in_real_arithmetic(monkeypatch):
+    rng = rng_for(13)
+    n = 7
+    A = random_stable(n, rng)
+    factored = []
+    factor = sla.lu_factor
+
+    def counting(M, *args, **kwargs):
+        factored.append(M.dtype)
+        return factor(M, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "lu_factor", counting)
+    lam = _MIXED_SHIFTS
+    form = shifted_lu(A)
+    for op in (form, form, form.T, form.T):
+        Rhs = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        solve_sylvester_shifted(op, lam, Rhs)
+    # the pair's partner is never factored
+    assert factored == [np.float64, np.complex128, np.complex128]
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_sylvester_form_singular_shift_and_non_finite_rhs(transposed):
+    A = np.array([[-1.0, 5.0], [0.0, -2.0]])  # A + 1 I has a zero column
+    form = shifted_lu(A).T if transposed else shifted_lu(A)
+    with pytest.raises(SingularShift):
+        solve_sylvester_shifted(form, np.array([1.0 + 0.0j]), np.ones((2, 1)))
+    bad = np.array([[1.0, 1.0], [np.nan, 1.0]])
+    for lam in ([3.0, 4.0], [3.0 - 1.0j, 3.0 + 1.0j]):
+        with pytest.raises(SingularShift):
+            solve_sylvester_shifted(form, np.array(lam), bad)
 
 
 # -------------------------------------------------------------------- reflect

@@ -6,11 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import qbmor
 from qbmor.benchmarks import chafee_infante
 from qbmor.errors import MaxIterationsExceeded, QbmorWarning
 from qbmor.kron_tensor import Hessian
+from qbmor.matrix_equations import reflect_unstable, spectral_decompose
 from qbmor.qb_core import QBSystem, ReducedModel, project, rescale
 from qbmor.gramians_norms import truncated_h2_error
 from qbmor.tqb_irka import (
@@ -109,6 +111,28 @@ def test_solve_bases_gamma_scales_second_terms():
     assert np.allclose(b2.W1, b1.W1, atol=1e-12)
     assert np.allclose(b2.V2, gamma ** 2 * b1.V2, atol=1e-10)
     assert np.allclose(b2.W2, gamma ** 2 * b1.W2, atol=1e-10)
+
+
+def test_solve_bases_factors_each_shift_once(monkeypatch):
+    flagship = chafee_infante(100)
+    red = initial_guess(flagship, 10, "random", 0)
+    f = spectral_decompose(red.A)
+    lam = reflect_unstable(f.lam)
+    bundle = red.eigenbasis(f, lam, 0.01)
+    n_real = int(np.sum(lam.imag == 0.0))
+    assert 0 < n_real < lam.size
+    calls = []
+    factor = scipy.linalg.lu_factor
+
+    def counting(M, *args, **kwargs):
+        calls.append(M.dtype)
+        return factor(M, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    _solve_bases_core(rescale(flagship, 0.01), bundle)
+    # the four solves share one factor per real shift and per conjugate pair
+    assert len(calls) == n_real + (lam.size - n_real) // 2
+    assert calls.count(np.float64) == n_real
 
 
 # ---------------------------------------------------------- reduced hat bases
