@@ -122,8 +122,9 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
             if not np.all(np.isfinite(Xn)):
                 raise NoConvergence("%s iteration produced non-finite values;"
                                     " rescale the system" % what)
-            delta = np.linalg.norm(Xn - X)
-            nrm = np.linalg.norm(Xn)
+            with np.errstate(over="ignore"):  # overflow is caught below
+                delta = np.linalg.norm(Xn - X)
+                nrm = np.linalg.norm(Xn)
             X = Xn
             if not (np.isfinite(delta) and np.isfinite(nrm)):
                 raise NoConvergence("%s iteration diverged (norm overflow); "

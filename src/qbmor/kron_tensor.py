@@ -335,15 +335,3 @@ def mode_matricize(h, mu):
     if mu == 2:
         return T.transpose(2, 1, 0).reshape(n, n * n)
     return T.transpose(1, 2, 0).reshape(n, n * n)
-
-
-def symmetrize(h):
-    return h.symmetrized()
-
-
-def hessian_apply(h, u, v):
-    return h.apply(u, v)
-
-
-def hessian_congruence(h, V, W):
-    return h.congruence(V, W)

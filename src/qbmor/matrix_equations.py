@@ -41,9 +41,10 @@ def spectral_decompose(Ahat):
     (real part, |imaginary part|, LAPACK pair, imaginary part) keeps each
     pair adjacent with its negative imaginary part first, also when pairs
     share a real part or repeat. The rule every consumer reads: lam[i] is
-    real iff lam[i].imag == 0.0; otherwise lam[i+1] == conj(lam[i]) and
-    R[:, i+1] == conj(R[:, i]). PairingViolation is raised if the sorted
-    output breaks it.
+    real iff lam[i].imag == 0.0; otherwise lam[i+1] == conj(lam[i]),
+    R[:, i+1] == conj(R[:, i]) and Rinv[i+1] == conj(Rinv[i]), the last
+    set exactly rather than left to the rounding of inv(R).
+    PairingViolation is raised if the sorted output breaks the rule.
     """
     Ahat = np.asarray(Ahat, dtype=float)
     lam, R = sla.eig(Ahat)
@@ -56,6 +57,7 @@ def spectral_decompose(Ahat):
     order = np.lexsort((lam.imag, pair, np.abs(lam.imag), lam.real))
     lam = lam[order]
     R = R[:, order]
+    Rinv = np.linalg.inv(R)
     i = 0
     while i < lam.size:
         if lam[i].imag == 0.0:
@@ -64,8 +66,8 @@ def spectral_decompose(Ahat):
         if i + 1 == lam.size or lam[i + 1] != np.conj(lam[i]):
             raise PairingViolation("eigenvalue %r has no adjacent conjugate "
                                    "partner" % (lam[i],))
+        Rinv[i + 1] = np.conj(Rinv[i])
         i += 2
-    Rinv = np.linalg.inv(R)
     return SpectralFactors(R=R, lam=lam, Rinv=Rinv)
 
 

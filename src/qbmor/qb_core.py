@@ -202,30 +202,24 @@ class ProjectionBases:
     W2c: np.ndarray = field(default=None, repr=False)
 
 
-def orthonormalize(X, seed=0):
-    """Orthonormal basis of range(X) padded to full width if rank deficient."""
+def orthonormalize(X):
+    """Orthonormal basis of range(X), completed from its QR factor.
+
+    The Q of a pivoted Householder QR is orthonormal at full width. When X
+    is numerically rank deficient, the leading columns of Q span range(X)
+    and the trailing ones are X's own near-dependent directions, so Q is
+    returned as it is, with a QbmorWarning; nothing random enters.
+    """
     X = np.asarray(X, dtype=float)
     n, r = X.shape
     Q, R, _ = sla.qr(X, mode="economic", pivoting=True)
-    if r == 0:
-        return Q
     diag = np.abs(np.diag(R))
-    tol = max(n, r) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    if rank < r:
-        warnings.warn("basis is rank deficient (%d < %d); padding randomly"
-                      % (rank, r), QbmorWarning)
-        rng = np.random.default_rng(seed)
-        Qr = Q[:, :rank]
-        while rank < r:
-            cand = rng.standard_normal(n)
-            cand -= Qr @ (Qr.T @ cand)
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-8:
-                Qr = np.column_stack([Qr, cand / nrm])
-                rank += 1
-        Q = Qr
-    return Q[:, :r]
+    if diag.size:
+        rank = int(np.sum(diag > max(n, r) * np.finfo(float).eps * diag[0]))
+        if rank < r:
+            warnings.warn("basis is rank deficient (%d < %d); padding from "
+                          "its QR factor" % (rank, r), QbmorWarning)
+    return Q
 
 
 def project(sys, V, W, **meta):

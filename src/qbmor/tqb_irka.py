@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from qbmor.errors import MaxIterationsExceeded, NonDiagonalizable
+from qbmor.errors import MaxIterationsExceeded
 from qbmor.kron_tensor import Hessian
 from qbmor.matrix_equations import (
     spectral_decompose, solve_sylvester_shifted, shifted_lu,
@@ -33,7 +33,6 @@ class IrkaConfig:
     gamma: float = 1.0
     init: object = "random"      # "random", "linear-irka", or a ReducedModel
     seed: int = 0
-    reflect: bool = True
     shift: float = 0.0           # spectral shift applied to A in the solves
 
 
@@ -93,15 +92,14 @@ def _solve_bases_core(sys, bundle):
     return V1, V2, W1, W2
 
 
-def _assemble_bases(V1c, V2c, W1c, W2c, lam, pad_seed=0):
+def _assemble_bases(V1c, V2c, W1c, W2c, lam):
     V = realify_basis(V1c + V2c, lam)
     W = realify_basis(W1c + W2c, lam)
     return ProjectionBases(
         V1=realify_basis(V1c, lam), V2=realify_basis(V2c, lam),
         W1=realify_basis(W1c, lam), W2=realify_basis(W2c, lam),
         V=V, W=W,
-        Vorth=orthonormalize(V, seed=pad_seed),
-        Worth=orthonormalize(W, seed=pad_seed + 1),
+        Vorth=orthonormalize(V), Worth=orthonormalize(W),
         V1c=V1c, V2c=V2c, W1c=W1c, W2c=W2c)
 
 
@@ -152,6 +150,11 @@ def initial_guess(sys, r, kind="random", seed=0):
 def tqb_irka(sys, cfg):
     """Run the fixed-point reduction; returns (model, bases, report).
 
+    Each sweep decomposes the previous sweep's reduced matrix as it is,
+    reflects unstable eigenvalues and projects onto the orthonormalized
+    bases; no update is damped. A rank-deficient basis is completed from
+    its own QR factor (see ``orthonormalize``), so the initial guess is the
+    only random draw. A defective iterate raises NonDiagonalizable.
     Non-convergence within cfg.maxit raises no exception: the best iterate
     is returned with converged=False and a MaxIterationsExceeded warning.
     """
@@ -160,7 +163,6 @@ def tqb_irka(sys, cfg):
         raise ValueError("tol must lie in (0, 1)")
     if not (1 <= cfg.r <= sys.n):
         raise ValueError("reduced order must satisfy 1 <= r <= n")
-    notes = []
 
     scaled = rescale(sys, cfg.gamma)
     if cfg.shift != 0.0:
@@ -176,66 +178,36 @@ def tqb_irka(sys, cfg):
     meta = dict(method="tqb-irka", gamma=cfg.gamma, seed=cfg.seed,
                 tol=cfg.tol, shift=cfg.shift)
 
-    perturb_rng = np.random.default_rng(
-        0 if cfg.seed is None else int(cfg.seed) + 1)
-    A_used = red.A.copy()
     prev_eigs = _sorted_eigs(red.A)
-    theta = 1.0
-    inc_streak = 0
-    prev_change = np.inf
     best = None
     history = []
     it = 0
     for it in range(1, cfg.maxit + 1):
-        try:
-            f = spectral_decompose(A_used)
-        except NonDiagonalizable:
-            scale = 1e-10 * max(np.linalg.norm(A_used), 1.0)
-            P = perturb_rng.standard_normal(A_used.shape)
-            A_used = A_used + scale * 0.5 * (P + P.T)
-            notes.append("perturbed a numerically defective iterate at "
-                         "sweep %d" % it)
-            f = spectral_decompose(A_used)
-        lam = reflect_unstable(f.lam) if cfg.reflect else f.lam
+        f = spectral_decompose(red.A)
+        lam = reflect_unstable(f.lam)
         bundle = red.eigenbasis(f, lam, cfg.gamma)
         bases = _assemble_bases(*_solve_bases_core(basis_sys, bundle), lam)
-        red_new = project(sys, bases.Vorth, bases.Worth,
-                          converged=False, iterations=it, **meta)
-        new_eigs = _sorted_eigs(red_new.A)
+        red = project(sys, bases.Vorth, bases.Worth,
+                      converged=False, iterations=it, **meta)
+        new_eigs = _sorted_eigs(red.A)
         change = _eig_change(prev_eigs, new_eigs)
         history.append(change)
         if best is None or change < best[0]:
-            best = (change, red_new, bases, it)
+            best = (change, red, bases, it)
         if change <= cfg.tol:
-            red_final = project(sys, bases.Vorth, bases.Worth,
-                                converged=True, iterations=it, **meta)
+            red.converged = True
             report = IrkaReport(iterations=it, eig_change_history=history,
                                 converged=True, final_eigs=new_eigs,
-                                wall_time=time.perf_counter() - t0,
-                                warnings=notes)
-            return red_final, bases, report
-        if change > prev_change:
-            inc_streak += 1
-            if inc_streak >= 10:
-                theta = max(theta / 2.0, 1.0 / 1024.0)
-                inc_streak = 0
-                notes.append("damping reduced matrix updates (theta=%g) at "
-                             "sweep %d" % (theta, it))
-        else:
-            inc_streak = 0
-            theta = 1.0
-        A_used = theta * red_new.A + (1.0 - theta) * A_used
-        red = red_new
+                                wall_time=time.perf_counter() - t0)
+            return red, bases, report
         prev_eigs = new_eigs
-        prev_change = change
 
     change, red_best, bases_best, best_it = best
     msg = ("no convergence in %d sweeps; returning the sweep-%d iterate "
            "(eigenvalue change %.3e)" % (cfg.maxit, best_it, change))
     warnings.warn(msg, MaxIterationsExceeded)
-    notes.append(msg)
     report = IrkaReport(iterations=it, eig_change_history=history,
                         converged=False,
                         final_eigs=_sorted_eigs(red_best.A),
-                        wall_time=time.perf_counter() - t0, warnings=notes)
+                        wall_time=time.perf_counter() - t0, warnings=[msg])
     return red_best, bases_best, report

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbmor.kron_tensor import (
     Hessian, commutation_matrix, perm_T, perm_M, mode_matricize,
-    symmetrize, hessian_apply, hessian_congruence, vec, unvec,
-    PermutationMatrix,
+    vec, unvec, PermutationMatrix,
 )
 from conftest import random_dense_hessian, random_pair_hessian, rng_for
 
@@ -163,7 +162,7 @@ def test_symmetrize_matches_matrix_formula():
     h = random_dense_hessian(n, rng)
     S = commutation_matrix(n, n)
     expected = 0.5 * (h.mode1() + h.mode1() @ S.to_dense())
-    hs = symmetrize(h)
+    hs = h.symmetrized()
     assert np.allclose(hs.mode1(), expected, rtol=0, atol=1e-15)
     assert hs.symmetric
 
@@ -172,7 +171,7 @@ def test_symmetrize_preserves_quadratic_form_and_swaps():
     rng = rng_for(4)
     n = 4
     h = random_dense_hessian(n, rng)
-    hs = symmetrize(h)
+    hs = h.symmetrized()
     for _ in range(20):
         x = rng.standard_normal(n)
         u = rng.standard_normal(n)
@@ -187,7 +186,7 @@ def test_symmetrize_single_entry_example():
     Hm = np.zeros((2, 4))
     Hm[0, 1] = 1.0  # coefficient of u_1 v_2
     h = Hessian.dense(Hm)
-    hs = symmetrize(h)
+    hs = h.symmetrized()
     expected = np.zeros((2, 4))
     expected[0, 1] = 0.5
     expected[0, 2] = 0.5
@@ -202,22 +201,22 @@ def test_symmetrize_idempotent_dense_and_pairs():
     hd = random_dense_hessian(3, rng)
     hp = random_pair_hessian(3, 2, rng)
     for h in (hd, hp):
-        hs = symmetrize(h)
-        assert symmetrize(hs) is hs
+        hs = h.symmetrized()
+        assert hs.symmetrized() is hs
 
 
 def test_symmetrize_pairs_matches_dense():
     rng = rng_for(6)
     hp = random_pair_hessian(4, 3, rng)
     hd = Hessian.dense(hp.mode1())
-    assert np.allclose(symmetrize(hp).mode1(), symmetrize(hd).mode1(), atol=1e-14)
+    assert np.allclose(hp.symmetrized().mode1(), hd.symmetrized().mode1(), atol=1e-14)
 
 
 # ---------------------------------------------------------------- products
 
 def test_hessian_apply_zero():
     h = Hessian.zero(3)
-    assert np.array_equal(hessian_apply(h, np.ones(3), np.ones(3)), np.zeros(3))
+    assert np.array_equal(h.apply(np.ones(3), np.ones(3)), np.zeros(3))
 
 
 def test_hessian_apply_matches_explicit_kron():
@@ -226,7 +225,7 @@ def test_hessian_apply_matches_explicit_kron():
         h = random_dense_hessian(n, rng)
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
-        assert np.allclose(hessian_apply(h, u, v), h.mode1() @ np.kron(u, v),
+        assert np.allclose(h.apply(u, v), h.mode1() @ np.kron(u, v),
                            atol=1e-13)
 
 
@@ -337,7 +336,7 @@ def test_congruence_identity_bases_returns_mode1():
     rng = rng_for(15)
     n = 3
     h = random_dense_hessian(n, rng)
-    assert np.allclose(hessian_congruence(h, np.eye(n), np.eye(n)), h.mode1(),
+    assert np.allclose(h.congruence(np.eye(n), np.eye(n)), h.mode1(),
                        atol=1e-15)
 
 
@@ -348,9 +347,9 @@ def test_congruence_matches_explicit_product():
     V = rng.standard_normal((n, r))
     W = rng.standard_normal((n, r))
     expected = W.T @ h.mode1() @ np.kron(V, V)
-    assert np.allclose(hessian_congruence(h, V, W), expected, rtol=1e-12)
+    assert np.allclose(h.congruence(V, W), expected, rtol=1e-12)
     hp = h.to_pairs()
-    assert np.allclose(hessian_congruence(hp, V, W), expected, rtol=1e-12)
+    assert np.allclose(hp.congruence(V, W), expected, rtol=1e-12)
 
 
 def test_congruence_rectangular_w():
@@ -360,7 +359,7 @@ def test_congruence_rectangular_w():
     V = rng.standard_normal((n, r))
     W = rng.standard_normal((n, rw))
     expected = W.T @ h.mode1() @ np.kron(V, V)
-    got = hessian_congruence(h, V, W)
+    got = h.congruence(V, W)
     assert got.shape == (rw, r * r)
     assert np.allclose(got, expected, rtol=1e-12)
 
@@ -372,7 +371,7 @@ def test_congruence_complex_bases():
     V = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     W = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     expected = W.T @ h.mode1() @ np.kron(V, V)
-    assert np.allclose(hessian_congruence(h, V, W), expected, rtol=1e-12)
+    assert np.allclose(h.congruence(V, W), expected, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- plumbing

@@ -79,6 +79,21 @@ def test_spectral_pairs_adjacent_random():
                 i += 1
 
 
+def test_spectral_inverse_pair_rows_exact_conjugates():
+    # inv(R) alone leaves a pair's rows conjugate only to rounding
+    rng = rng_for(3)
+    pairs = 0
+    for _ in range(50):
+        A = rng.standard_normal((10, 10))
+        f = spectral_decompose(A)
+        for i in np.flatnonzero(f.lam.imag < 0.0):
+            assert np.array_equal(f.Rinv[i + 1], np.conj(f.Rinv[i]))
+            pairs += 1
+        assert (np.linalg.norm(f.R @ f.Rinv - np.eye(10))
+                <= 1e-9 * np.linalg.cond(f.R))
+    assert pairs > 100
+
+
 def test_spectral_pair_adjacency_with_tied_real_parts():
     # a real eigenvalue whose real part ties the pair must not split it
     A = np.array([

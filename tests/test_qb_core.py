@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from qbmor.errors import QbmorWarning, SingularGram, NonPositiveGamma
@@ -264,11 +265,14 @@ def test_orthonormalize_rank_deficient_pads():
     rng = rng_for(17)
     X = rng.standard_normal((8, 2))
     X = np.column_stack([X, X[:, 0] + X[:, 1]])
-    with pytest.warns(QbmorWarning):
+    with pytest.warns(QbmorWarning, match="padding"):
         Q = orthonormalize(X)
     assert Q.shape == (8, 3)
     assert np.allclose(Q.T @ Q, np.eye(3), atol=1e-12)
     assert np.allclose(Q @ (Q.T @ X), X, atol=1e-12)
+    # completed from X's own QR factor, not from random columns
+    Qr, _, _ = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    assert np.array_equal(Q, Qr)
 
 
 # --------------------------------------------------------------- serialization

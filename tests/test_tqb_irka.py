@@ -469,7 +469,7 @@ def _flagship_runs():
     Its reduced spectrum has a real cluster near -4e4 that LAPACK may
     return as an exact conjugate pair with imaginary part about 1e-11;
     every consumer must then treat it as a pair, or the realified basis
-    repeats a column and gets padded randomly.
+    repeats a column and loses rank.
     """
     full = chafee_infante(100)
     runs = []
@@ -517,3 +517,31 @@ def test_flagship_clustered_spectrum_under_perturbed_solves(monkeypatch):
 
     monkeypatch.setattr(module, "solve_sylvester_shifted", perturbed)
     _assert_settled(_flagship_runs(), "solves perturbed by 1e-14")
+
+
+# ------------------------------------------------- rank-deficient bases
+
+def test_paper_scale_converges_with_rank_deficient_bases():
+    # at n = 1000 the W basis loses rank on most sweeps; completing it
+    # from its own QR factor lets init seed 2 settle (random columns
+    # kept it cycling past 100 sweeps)
+    full = chafee_infante(500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QbmorWarning)
+        _, _, rep = tqb_irka(full, IrkaConfig(r=10, gamma=0.01, seed=2,
+                                              maxit=30))
+    assert rep.converged, rep.eig_change_history
+
+
+def test_flagship_error_does_not_depend_on_a_rank_deficient_init():
+    # init seed 513 draws a numerically rank-deficient first W basis
+    full = chafee_infante(100)
+    errs = []
+    for seed in (0, 513):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QbmorWarning)
+            red, _, rep = tqb_irka(full, IrkaConfig(r=10, gamma=0.01,
+                                                    seed=seed))
+        assert rep.converged
+        errs.append(truncated_h2_error(full, red))
+    assert abs(errs[1] - errs[0]) <= 0.01 * errs[0], errs
