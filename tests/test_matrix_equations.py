@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from qbmor.errors import (
     NonDiagonalizable, NotStable, SingularShift, PairingViolation,
+    SolverBreakdown,
 )
 from qbmor.matrix_equations import (
-    hurwitz_schur, spectral_decompose, solve_lyapunov,
+    HurwitzSchur, hurwitz_schur, spectral_decompose, solve_lyapunov,
     solve_sylvester_shifted, shifted_lu, reflect_unstable, realify_basis,
 )
 from conftest import rng_for
@@ -200,6 +201,85 @@ def test_lyapunov_stability_read_from_schur_blocks():
     X = solve_lyapunov(sla.block_diag(rot - 0.2 * np.eye(2), [[-1.0]]),
                        np.eye(3))
     assert np.all(np.isfinite(X))
+
+
+def schur_form_split_pair(n, rng):
+    """Hurwitz Schur form whose T has a 2x2 block across the midpoint
+    split, rows n//2 - 1 and n//2, and more 2x2 blocks scattered."""
+    T = np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(n)
+    mid = n // 2
+    i = 0
+    while i < n:
+        pair = i + 1 < n and (i == mid - 1
+                              or (i + 1 != mid - 1 and rng.random() < 0.3))
+        if pair:
+            a = -rng.uniform(0.5, 2.0)
+            T[i, i] = T[i + 1, i + 1] = a
+            T[i, i + 1] = rng.uniform(0.5, 2.0)
+            T[i + 1, i] = -rng.uniform(0.5, 2.0)
+            i += 2
+        else:
+            T[i, i] = -rng.uniform(0.5, 2.0)
+            i += 1
+    Z = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return HurwitzSchur(T=T, Z=Z)
+
+
+def trsyl_route(S, Q, transpose):
+    """The unblocked route: one trsyl call on the whole of T."""
+    T, Z = S.T, S.Z
+    trsyl = sla.get_lapack_funcs("trsyl", (T,))
+    F = Z.T.dot((-Q).dot(Z))
+    trana, tranb = ("T", "N") if transpose else ("N", "T")
+    Y, scale, info = trsyl(T, T, F, trana=trana, tranb=tranb)
+    assert info == 0 and scale == 1.0
+    X = Z.dot(Y).dot(Z.T)
+    return 0.5 * (X + X.T)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+def test_lyapunov_blocked_matches_scipy_both_ways(n):
+    rng = rng_for(n)
+    S = schur_form_split_pair(n, rng)
+    if n > 1:
+        assert S.T[n // 2, n // 2 - 1] != 0.0
+    A = S.Z @ S.T @ S.Z.T
+    B = rng.standard_normal((n, 3))
+    Q = B @ B.T
+    for transpose, coef in ((False, A), (True, A.T)):
+        X = solve_lyapunov(S, Q, transpose=transpose)
+        ref = sla.solve_continuous_lyapunov(coef, -Q)
+        assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+        res = np.linalg.norm(coef @ X + X @ coef.T + Q)
+        assert res <= 1e-10 * (np.linalg.norm(A) * np.linalg.norm(X)
+                               + np.linalg.norm(Q))
+        if n <= 64:
+            # one block: bit-identical to a single trsyl call
+            assert np.array_equal(X, trsyl_route(S, Q, transpose))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_lyapunov_overflow_is_a_breakdown(transpose):
+    # X = -1e160 / (2 * -1e-160) overflows; trsyl rescales it and reports
+    # scale < 1, which must not pass as a finite answer
+    with pytest.raises(SolverBreakdown):
+        solve_lyapunov(np.array([[-1e-160]]), np.array([[1e160]]),
+                       transpose=transpose)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_lyapunov_breakdown_in_a_deep_block_is_typed(transpose):
+    # eigenvalues +1 and -1 in different halves make T Y + Y T^T singular;
+    # only the trsyl of one off-diagonal block of side 50 sees both
+    n = 200
+    rng = rng_for(6)
+    T = np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(n)
+    d = -np.linspace(2.0, 4.0, n)
+    d[10], d[150] = 1.0, -1.0
+    T[np.diag_indices(n)] = d
+    S = HurwitzSchur(T=T, Z=np.linalg.qr(rng.standard_normal((n, n)))[0])
+    with pytest.raises(SolverBreakdown):
+        solve_lyapunov(S, np.eye(n), transpose=transpose)
 
 
 # ------------------------------------------------------------------ sylvester
