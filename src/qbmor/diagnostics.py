@@ -2,24 +2,23 @@
 
 The five residual families compare quantities built from the full-order
 projection bases against their reduced-scale analogues. The reduced-scale
-side is evaluated on the raw-basis realization (projection with the
-unorthonormalized V, W), which is the realization for which the exact
+side is evaluated on the raw-basis realization (``qb_core.project`` with
+the unorthonormalized V, W), which is the realization for which the exact
 algebraic identities between the two sides hold.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from qbmor import matrix_equations
 from qbmor.errors import (
-    DegradedDiagnostics, ProjectorSingular, SingularShift, TooLarge,
+    DegradedDiagnostics, ProjectorSingular, SingularGram, SingularShift,
+    TooLarge,
 )
-from qbmor.kron_tensor import Hessian, mode_matricize, perm_T, vec, unvec
-from qbmor.qb_core import (
-    _COND_LIMIT, ProjectionBases, QBSystem, fold_mass_matrix, orthonormalize,
-)
+from qbmor.kron_tensor import mode_matricize, perm_T, vec, unvec
+from qbmor.qb_core import _COND_LIMIT, fold_mass_matrix, project
 from qbmor.tqb_irka import _solve_bases_core, solve_bases
 
 _FAMILIES = ("C", "B", "N", "H", "lambda")
@@ -73,35 +72,9 @@ def _standardized_pair(sys, bases):
     # mass matrices fold into A, H, N, B; adjoint-side bases pick up E^T
     if sys.E is None:
         return sys, bases
-    E = sys.E
-    W = E.T @ bases.W
-    return fold_mass_matrix(sys), ProjectionBases(
-        V1=bases.V1, V2=bases.V2,
-        W1=E.T @ bases.W1, W2=E.T @ bases.W2,
-        V=bases.V, W=W,
-        Vorth=bases.Vorth, Worth=orthonormalize(W),
-        V1c=bases.V1c, V2c=bases.V2c,
-        W1c=None if bases.W1c is None else E.T @ bases.W1c,
-        W2c=None if bases.W2c is None else E.T @ bases.W2c)
-
-
-def _complex_raws(bases):
-    if bases.V1c is None or bases.W1c is None:
-        raise ValueError("bases must carry the complex solution columns")
-    return bases.V1c, bases.V2c, bases.W1c, bases.W2c
-
-
-def _raw_realization(sys, V, W):
-    G = W.T @ V
-    if np.linalg.cond(G) > _COND_LIMIT:
-        raise SingularShift("raw projection pair is numerically singular")
-    A = np.linalg.solve(G, W.T @ sys.A @ V)
-    B = np.linalg.solve(G, W.T @ sys.B)
-    C = sys.C @ V
-    N = [np.linalg.solve(G, W.T @ Nk @ V) for Nk in sys.N]
-    Hm = np.linalg.solve(G, sys.H.congruence(V, W))
-    H = Hessian.dense(Hm, symmetric=sys.H.symmetric)
-    return QBSystem(A, H, N, B, C), G
+    Et = sys.E.T
+    return fold_mass_matrix(sys), replace(
+        bases, W=Et @ bases.W, W1c=Et @ bases.W1c, W2c=Et @ bases.W2c)
 
 
 def _phi_families(model, V1, V2, W1, W2):
@@ -119,16 +92,15 @@ def _phi_families(model, V1, V2, W1, W2):
 def optimality_residuals(sys, red, bases):
     """Both sides of the five optimality conditions and their gaps."""
     sys, bases = _standardized_pair(sys, bases)
-    V1c, V2c, W1c, W2c = _complex_raws(bases)
-    full = _phi_families(sys, V1c, V2c, W1c, W2c)
+    full = _phi_families(sys, bases.V1c, bases.V2c, bases.W1c, bases.W2c)
 
     degraded = {name: False for name in _FAMILIES}
     try:
-        raw_model, _ = _raw_realization(sys, bases.V, bases.W)
+        raw_model = project(sys, bases.V, bases.W)
         hat = _solve_bases_core(raw_model, red.spectral)
         hats = _phi_families(raw_model, *hat)
         eps = [phi - phih for phi, phih in zip(full, hats)]
-    except SingularShift as exc:
+    except (SingularGram, SingularShift) as exc:
         warnings.warn("reduced-scale bases unavailable (%s); residual "
                       "measures degraded to nan" % exc, DegradedDiagnostics)
         degraded = {name: True for name in _FAMILIES}
@@ -165,7 +137,7 @@ def perturbation_solves(sys, red, bases):
     raw-realization reduced matrix, respectively.
     """
     sys, bases = _standardized_pair(sys, bases)
-    V1c, V2c, W1c, W2c = _complex_raws(bases)
+    V1c, W1c = bases.V1c, bases.W1c
     V, W = bases.V, bases.W
     A, B, C, H = sys.A, sys.B, sys.C, sys.H
     f = red.spectral
@@ -195,7 +167,7 @@ def perturbation_solves(sys, red, bases):
     rhs_w = (Pi.T - Piw) @ (A.T @ W1c + C.T @ f.Ctil)
     eps_w = -solve((A @ Pi).T, lam, rhs_w)
 
-    Ahat = np.linalg.solve(G, W.T @ A @ V)
+    Ahat = project(sys, V, W).A
     bracket_v = (H.apply_kron(eps_v, V1c - eps_v)
                  + H.apply_kron(V1c, eps_v)) @ f.Htil.T
     bracket_w = 2.0 * ((H.apply_kron_mode2(eps_v, W1c)

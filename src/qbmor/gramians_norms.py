@@ -163,7 +163,7 @@ def _dual_traces(sys, P_like, Q_like, rel, what):
     return max(t_c, 0.0), max(t_o, 0.0)
 
 
-def truncated_h2_norm(sys, return_both=False):
+def truncated_h2_norm(sys):
     """H2-type norm from the first three Volterra kernels.
 
     The controllability and observability routes are both evaluated and must
@@ -171,19 +171,15 @@ def truncated_h2_norm(sys, return_both=False):
     """
     sys = fold_mass_matrix(sys)
     g = truncated_gramians(sys)
-    t_c, t_o = _dual_traces(sys, g.P_T, g.Q_T, 1e-7, "truncated")
-    if return_both:
-        return float(np.sqrt(t_c)), float(np.sqrt(t_o))
+    t_c, _ = _dual_traces(sys, g.P_T, g.Q_T, 1e-7, "truncated")
     return float(np.sqrt(t_c))
 
 
-def h2_norm(sys, tol=1e-10, maxit=50, return_both=False):
+def h2_norm(sys, tol=1e-10, maxit=50):
     """H2 norm through the converged quadratic Gramians."""
     sys = fold_mass_matrix(sys)
     P, Q, _ = quadratic_gramians(sys, tol=tol, maxit=maxit)
-    t_c, t_o = _dual_traces(sys, P, Q, 1e-6, "quadratic")
-    if return_both:
-        return float(np.sqrt(t_c)), float(np.sqrt(t_o))
+    t_c, _ = _dual_traces(sys, P, Q, 1e-6, "quadratic")
     return float(np.sqrt(t_c))
 
 

@@ -13,8 +13,6 @@ Conventions used everywhere in this package:
 import numpy as np
 import scipy.sparse as sp
 
-from qbmor.errors import QbmorError  # noqa: F401  (re-export convenience)
-
 
 def vec(X):
     """Column-major vectorization."""

@@ -26,6 +26,8 @@ from qbmor.errors import (
 _EIGVEC_COND_LIMIT = 1e12
 # largest block side handed to LAPACK trsyl by the blocked Lyapunov solve
 _TRSYL_LEAF = 64
+# real part given to a purely imaginary eigenvalue by reflect_unstable
+_EPS_SHIFT = 1e-8
 
 
 @dataclass
@@ -275,8 +277,9 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None):
     return V
 
 
-def reflect_unstable(lam, eps_shift=1e-8):
-    """Mirror right-half-plane eigenvalues and nudge purely imaginary ones.
+def reflect_unstable(lam):
+    """Mirror right-half-plane eigenvalues and nudge purely imaginary ones
+    to real part -_EPS_SHIFT.
 
     Both members of a conjugate pair get the same new real part, so the
     exact pair rule of ``spectral_decompose`` still holds for the output.
@@ -287,7 +290,7 @@ def reflect_unstable(lam, eps_shift=1e-8):
         if re > 0.0:
             lam[i] = complex(-re, lam[i].imag)
         elif re == 0.0:
-            lam[i] = complex(-eps_shift, lam[i].imag)
+            lam[i] = complex(-_EPS_SHIFT, lam[i].imag)
     return lam
 
 

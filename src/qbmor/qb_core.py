@@ -14,7 +14,7 @@ alternative of keeping a reduced E as W^T E V is deliberately not used.
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.io as sio
@@ -129,27 +129,6 @@ class ReducedModel(QBSystem):
     def r(self):
         return self.n
 
-    # hatted aliases so reduced-side formulas read like the math
-    @property
-    def Ahat(self):
-        return self.A
-
-    @property
-    def Bhat(self):
-        return self.B
-
-    @property
-    def Chat(self):
-        return self.C
-
-    @property
-    def Nhat(self):
-        return self.N
-
-    @property
-    def Hhat(self):
-        return self.H
-
     @property
     def spectral(self):
         if self._spectral is None:
@@ -186,20 +165,15 @@ class ReducedModel(QBSystem):
 
 @dataclass
 class ProjectionBases:
-    """The two-term projection bases and their orthonormalized versions."""
-    V1: np.ndarray
-    V2: np.ndarray
-    W1: np.ndarray
-    W2: np.ndarray
+    """The two-term projection bases: the complex Sylvester solutions and
+    the realified sums V = V1c + V2c, W = W1c + W2c (not orthonormalized).
+    """
+    V1c: np.ndarray
+    V2c: np.ndarray
+    W1c: np.ndarray
+    W2c: np.ndarray
     V: np.ndarray
     W: np.ndarray
-    Vorth: np.ndarray
-    Worth: np.ndarray
-    # raw complex solutions, kept for the optimality diagnostics
-    V1c: np.ndarray = field(default=None, repr=False)
-    V2c: np.ndarray = field(default=None, repr=False)
-    W1c: np.ndarray = field(default=None, repr=False)
-    W2c: np.ndarray = field(default=None, repr=False)
 
 
 def orthonormalize(X):
@@ -226,7 +200,8 @@ def project(sys, V, W, **meta):
     """Petrov-Galerkin reduction onto span(V) along span(W).
 
     With a mass matrix the (W^T E V)^{-1} factor is used and the reduced
-    system has identity mass.
+    system has identity mass. That factor is applied by linear solves with
+    the Gram matrix, never by its explicit inverse.
     """
     V = np.asarray(V, dtype=float)
     W = np.asarray(W, dtype=float)
@@ -234,12 +209,11 @@ def project(sys, V, W, **meta):
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularGram("projector Gram matrix condition %.3e" % cond)
-    Ginv = np.linalg.inv(G)
-    Ahat = Ginv @ (W.T @ (sys.A @ V))
-    Bhat = Ginv @ (W.T @ sys.B)
+    Ahat = np.linalg.solve(G, W.T @ (sys.A @ V))
+    Bhat = np.linalg.solve(G, W.T @ sys.B)
     Chat = sys.C @ V
-    Nhat = [Ginv @ (W.T @ (Nk @ V)) for Nk in sys.N]
-    Hm = Ginv @ sys.H.congruence(V, W)
+    Nhat = [np.linalg.solve(G, W.T @ (Nk @ V)) for Nk in sys.N]
+    Hm = np.linalg.solve(G, sys.H.congruence(V, W))
     Hhat = Hessian.dense(Hm)
     return ReducedModel(Ahat, Hhat, Nhat, Bhat, Chat, label=sys.label, **meta)
 

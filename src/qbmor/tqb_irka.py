@@ -93,14 +93,9 @@ def _solve_bases_core(sys, bundle):
 
 
 def _assemble_bases(V1c, V2c, W1c, W2c, lam):
-    V = realify_basis(V1c + V2c, lam)
-    W = realify_basis(W1c + W2c, lam)
-    return ProjectionBases(
-        V1=realify_basis(V1c, lam), V2=realify_basis(V2c, lam),
-        W1=realify_basis(W1c, lam), W2=realify_basis(W2c, lam),
-        V=V, W=W,
-        Vorth=orthonormalize(V), Worth=orthonormalize(W),
-        V1c=V1c, V2c=V2c, W1c=W1c, W2c=W2c)
+    return ProjectionBases(V1c=V1c, V2c=V2c, W1c=W1c, W2c=W2c,
+                           V=realify_basis(V1c + V2c, lam),
+                           W=realify_basis(W1c + W2c, lam))
 
 
 def solve_bases(sys, red):
@@ -187,7 +182,7 @@ def tqb_irka(sys, cfg):
         lam = reflect_unstable(f.lam)
         bundle = red.eigenbasis(f, lam, cfg.gamma)
         bases = _assemble_bases(*_solve_bases_core(basis_sys, bundle), lam)
-        red = project(sys, bases.Vorth, bases.Worth,
+        red = project(sys, orthonormalize(bases.V), orthonormalize(bases.W),
                       converged=False, iterations=it, **meta)
         new_eigs = _sorted_eigs(red.A)
         change = _eig_change(prev_eigs, new_eigs)

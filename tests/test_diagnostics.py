@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -149,14 +151,29 @@ def test_projector_singular_guard():
     V1c = Q[:, :r].astype(complex)
     W = Q[:, r:2 * r]
     V = Q[:, r:2 * r] + Q[:, :r]
-    zeros = np.zeros((n, r))
-    bases = ProjectionBases(V1=V1c.real, V2=zeros, W1=W, W2=zeros,
-                            V=V, W=W, Vorth=V, Worth=W,
-                            V1c=V1c, V2c=zeros.astype(complex),
-                            W1c=W.astype(complex),
-                            W2c=zeros.astype(complex))
+    zeros = np.zeros((n, r), dtype=complex)
+    bases = ProjectionBases(V1c=V1c, V2c=zeros, W1c=W.astype(complex),
+                            W2c=zeros, V=V, W=W)
     with pytest.raises(ProjectorSingular):
         perturbation_solves(sys, red, bases)
+
+
+def test_singular_raw_pair_degrades_residuals():
+    # W orthogonal to V, exactly (W^T V = 0): the raw realization does not
+    # exist, so project raises SingularGram and the measures degrade to nan
+    n, r = 5, 2
+    sys = random_stable_qb(n, 1, 1, rng_for(43))
+    red = initial_guess(sys, r, "random", seed=0)
+    V, W = np.eye(n)[:, :r], np.eye(n)[:, r:2 * r]
+    zeros = np.zeros((n, r), dtype=complex)
+    bases = ProjectionBases(V1c=V.astype(complex), V2c=zeros,
+                            W1c=W.astype(complex), W2c=zeros, V=V, W=W)
+    with pytest.warns(DegradedDiagnostics, match="projector Gram matrix"):
+        rep = optimality_residuals(sys, red, bases)
+    assert all(rep.degraded.values())
+    for _, val in rep.items():
+        assert np.isnan(val)
+    assert np.all(np.isfinite(rep.Phi_C))
 
 
 def test_degraded_report_on_hat_failure(monkeypatch, rough_pair):
@@ -262,8 +279,10 @@ def test_bruteforce_zero_output():
     base = random_stable_qb(6, 1, 1, rng)
     sys = QBSystem(base.A, base.H, base.N, base.B, np.zeros((1, 6)))
     red = initial_guess(sys, 2, "random", seed=2)
-    # with C = 0 the W bases vanish, and orthonormalize says so
-    with pytest.warns(QbmorWarning, match="rank deficient"):
+    # with C = 0 the W bases vanish; no diagnostic path orthonormalizes
+    # them, so nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QbmorWarning)
         chk = verify_against_bruteforce(sys, red)
     assert chk.rel_C == 0.0
     assert chk.agreed

@@ -186,8 +186,11 @@ def test_truncated_norm_dual_agreement():
     rng = rng_for(7)
     for seed in range(8):
         sys = random_stable_qb(int(rng.integers(3, 12)), 2, 2, rng_for(200 + seed))
-        nc, no = truncated_h2_norm(sys, return_both=True)
+        g = truncated_gramians(sys)
+        nc = np.sqrt(np.trace(sys.C @ g.P_T @ sys.C.T))
+        no = np.sqrt(np.trace(sys.B.T @ g.Q_T @ sys.B))
         assert abs(nc - no) <= 1e-7 * max(nc, no)
+        assert np.isclose(truncated_h2_norm(sys), nc, rtol=1e-12)
 
 
 def test_truncated_norm_matches_quadrature_oracle():
@@ -212,8 +215,11 @@ def test_h2_norm_dual_agreement():
     rng = rng_for(9)
     for seed in range(5):
         sys = random_stable_qb(5, 2, 1, rng_for(400 + seed))
-        nc, no = h2_norm(sys, return_both=True)
+        P, Q, _ = quadratic_gramians(sys)
+        nc = np.sqrt(np.trace(sys.C @ P @ sys.C.T))
+        no = np.sqrt(np.trace(sys.B.T @ Q @ sys.B))
         assert abs(nc - no) <= 1e-6 * max(nc, no)
+        assert np.isclose(h2_norm(sys), nc, rtol=1e-12)
 
 
 # ----------------------------------------------------------------- error norm

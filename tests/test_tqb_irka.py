@@ -12,8 +12,12 @@ import qbmor
 from qbmor.benchmarks import chafee_infante
 from qbmor.errors import MaxIterationsExceeded, QbmorWarning
 from qbmor.kron_tensor import Hessian
-from qbmor.matrix_equations import reflect_unstable, spectral_decompose
-from qbmor.qb_core import QBSystem, ReducedModel, project, rescale
+from qbmor.matrix_equations import (
+    realify_basis, reflect_unstable, spectral_decompose,
+)
+from qbmor.qb_core import (
+    QBSystem, ReducedModel, orthonormalize, project, rescale,
+)
 from qbmor.gramians_norms import truncated_h2_error
 from qbmor.tqb_irka import (
     IrkaConfig, IrkaReport, solve_bases, initial_guess, tqb_irka,
@@ -67,10 +71,11 @@ def test_solve_bases_linear_second_terms_vanish():
     sys = linear_system(7, 1, 1, rng)
     red = initial_guess(sys, 2, "random", seed=1)
     bases = solve_bases(sys, red)
-    assert np.all(bases.V2 == 0.0)
-    assert np.all(bases.W2 == 0.0)
-    assert np.allclose(bases.V, bases.V1)
-    assert np.allclose(bases.W, bases.W1)
+    lam = red.spectral.lam
+    assert np.all(bases.V2c == 0.0)
+    assert np.all(bases.W2c == 0.0)
+    assert np.allclose(bases.V, realify_basis(bases.V1c, lam))
+    assert np.allclose(bases.W, realify_basis(bases.W1c, lam))
 
 
 def test_solve_bases_rank_one_closed_form():
@@ -83,7 +88,7 @@ def test_solve_bases_rank_one_closed_form():
     red = ReducedModel(np.array([[2.0]]), None, [np.zeros((1, 1))],
                        np.array([[3.0]]), np.array([[1.0]]))
     bases = solve_bases(sys, red)
-    assert np.allclose(bases.V1, -B * 3.0, atol=1e-13)
+    assert np.allclose(bases.V1c, -B * 3.0, atol=1e-13)
 
 
 def test_solve_bases_realified_and_orthonormal():
@@ -91,12 +96,13 @@ def test_solve_bases_realified_and_orthonormal():
     sys = random_stable_qb(9, 2, 1, rng)
     red = initial_guess(sys, 4, "random", seed=2)
     bases = solve_bases(sys, red)
-    for X in (bases.V1, bases.V2, bases.W1, bases.W2, bases.V, bases.W):
+    for X in (bases.V, bases.W):
         assert X.dtype.kind == "f"
-    assert np.allclose(bases.Vorth.T @ bases.Vorth, np.eye(4), atol=1e-12)
-    assert np.allclose(bases.Worth.T @ bases.Worth, np.eye(4), atol=1e-12)
+    Vorth, Worth = orthonormalize(bases.V), orthonormalize(bases.W)
+    assert np.allclose(Vorth.T @ Vorth, np.eye(4), atol=1e-12)
+    assert np.allclose(Worth.T @ Worth, np.eye(4), atol=1e-12)
     # orthonormalization preserves the span
-    Pv = bases.Vorth @ bases.Vorth.T
+    Pv = Vorth @ Vorth.T
     assert np.allclose(Pv @ bases.V, bases.V, atol=1e-8)
 
 
@@ -107,10 +113,10 @@ def test_solve_bases_gamma_scales_second_terms():
     gamma = 0.37
     b1 = solve_bases(sys, red)
     b2 = solve_bases(rescale(sys, gamma), red.rescaled(gamma))
-    assert np.allclose(b2.V1, b1.V1, atol=1e-12)
-    assert np.allclose(b2.W1, b1.W1, atol=1e-12)
-    assert np.allclose(b2.V2, gamma ** 2 * b1.V2, atol=1e-10)
-    assert np.allclose(b2.W2, gamma ** 2 * b1.W2, atol=1e-10)
+    assert np.allclose(b2.V1c, b1.V1c, atol=1e-12)
+    assert np.allclose(b2.W1c, b1.W1c, atol=1e-12)
+    assert np.allclose(b2.V2c, gamma ** 2 * b1.V2c, atol=1e-10)
+    assert np.allclose(b2.W2c, gamma ** 2 * b1.W2c, atol=1e-10)
 
 
 def test_solve_bases_factors_each_shift_once(monkeypatch):
@@ -399,7 +405,7 @@ def test_report_fields_and_metadata():
     assert red.gamma == 0.8 and red.seed == 9 and red.tol == 1e-6
     assert red.converged and red.iterations == report.iterations
     assert red.method == "tqb-irka"
-    assert bases.V.shape == (7, 2) and bases.Worth.shape == (7, 2)
+    assert bases.V.shape == (7, 2) and bases.W.shape == (7, 2)
 
 
 def test_shift_is_applied_and_recorded():
