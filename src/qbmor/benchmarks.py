@@ -188,8 +188,13 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
 
     The integrator is scipy's Radau IIA (order 5, L-stable) on the
     system's own rhs and Jacobian, with a mass matrix folded in through one
-    LU factorization. Outputs are sampled on `samples` equidistant points
-    from each accepted step's collocation polynomial.
+    LU factorization. Both read the operator set the system builds once.
+    Without a mass matrix a sparse Jacobian pattern (see
+    `QBSystem.jacobian`) reaches Radau as a CSR array, and Radau factors
+    its iteration matrices with `scipy.sparse.linalg.splu`; otherwise the
+    Jacobian is dense and they are factored by dense LU. Outputs are
+    sampled on `samples` equidistant points from each accepted step's
+    collocation polynomial.
 
     `stats` holds integer counters:
 
@@ -199,7 +204,9 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     * newton_iters: simplified Newton iterations over all trial steps;
     * jacobian_factorizations, nlu: LU factorizations of the iteration
       matrices, one real and one complex per refresh;
-    * nfev, njev: rhs and Jacobian evaluations.
+    * nfev, njev: rhs and Jacobian evaluations;
+    * jacobian_nnz: entries stored in the Jacobian handed to Radau, n^2
+      when it is dense, so it tells which LU path the run took.
 
     Raises NewtonDivergence when the step size underflows and
     NonFiniteState when the state or the sampled outputs leave the
@@ -229,7 +236,7 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
         J = sys.jacobian(x, u(t))
         if lu_E is not None:
             J = sla.lu_solve(lu_E, J, check_finite=False)
-        if not np.all(np.isfinite(J)):
+        if not np.all(np.isfinite(J.data if sp.issparse(J) else J)):
             raise NonFiniteState("Jacobian became non-finite at t=%.6g" % t)
         return J
 
@@ -270,7 +277,9 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     stats = {"steps": steps, "rejected": rejected,
              "newton_iters": newton_iters,
              "jacobian_factorizations": solver.nlu,
-             "nfev": solver.nfev, "njev": solver.njev, "nlu": solver.nlu}
+             "nfev": solver.nfev, "njev": solver.njev, "nlu": solver.nlu,
+             "jacobian_nnz": int(solver.J.nnz if sp.issparse(solver.J)
+                                 else solver.J.size)}
     return Trajectory(times=tq, outputs=outputs,
                       states=states if store_states else None, stats=stats)
 

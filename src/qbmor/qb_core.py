@@ -27,6 +27,11 @@ from qbmor.matrix_equations import spectral_decompose
 
 # condition bound on projector Gram matrices W^T V, shared with diagnostics
 _COND_LIMIT = 1e13
+# a Jacobian pattern filling at most this share of n^2 is kept sparse: in
+# Radau, splu loses to dense LU on chafee_infante at n = 60 (fill 0.066),
+# is within 5 % on fitzhugh_nagumo there, and wins on both from n = 100
+# (fill 0.04) up
+_SPARSE_FILL = 1.0 / 20.0
 
 
 def _dense(M):
@@ -60,6 +65,7 @@ class QBSystem:
         if self.E is not None and self.E.shape != (n, n):
             raise ValueError("E must be n x n")
         self.label = label
+        self._field = None
 
     @property
     def n(self):
@@ -73,28 +79,98 @@ class QBSystem:
     def p(self):
         return self.C.shape[0]
 
+    def _vector_field(self):
+        if self._field is None:
+            self._field = _VectorField.build(self)
+        return self._field
+
     def rhs(self, x, u, t=0.0):
+        """A x + H(x (x) x) + sum_k u_k N_k x + B u.
+
+        Reads only the cached operator set (`_VectorField`): one matvec with
+        the stacked operator, then the pair product and the input terms.
+        """
         x = np.asarray(x)
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if x.shape != (self.n,) or u.shape != (self.m,):
             raise ValueError("state/input length mismatch")
-        out = self.A @ x + self.H.apply(x, x) + self.B @ u
-        for uk, Nk in zip(u, self.N):
-            if uk != 0.0:
-                out += uk * (Nk @ x)
-        return out
+        f = self._vector_field()
+        n, o, P = self.n, f.lin_rows, f.pair_rows
+        y = f.K @ x
+        quad = (y[o:o + P] * y[o + P:]).reshape(-1, n).sum(axis=0)
+        return y[:n] + u @ y[n:o].reshape(self.m, n) + quad + self.B @ u
 
     def jacobian(self, x, u):
+        """A + 2 H(I (x) x) + sum_k u_k N_k from the cached operator set.
+
+        A CSR array when E is absent and the pattern (the union of A, the
+        N_k and the entries the Hessian's left pair factors touch) fills at
+        most `_SPARSE_FILL` of n^2; a dense ndarray otherwise. A Hessian in
+        dense storage touches every entry.
+        """
         x = np.asarray(x)
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        J = self.A + 2.0 * self.H.kron_identity(x)
-        for uk, Nk in zip(u, self.N):
-            if uk != 0.0:
-                J = J + uk * Nk
-        return J
+        f = self._vector_field()
+        o, P = f.lin_rows, f.pair_rows
+        d = (f.K @ x)[o + P:]
+        data = f.scatter @ np.concatenate(([1.0], u, 2.0 * d))
+        if f.pattern is None:
+            return data.reshape(self.n, self.n)
+        return sp.csr_array((data, *f.pattern), shape=(self.n, self.n))
 
     def output(self, x):
         return self.C @ np.asarray(x)
+
+
+@dataclass(frozen=True)
+class _VectorField:
+    """The operators of one system's rhs and Jacobian, built once.
+
+    K stacks [A; N_1; ...; N_m; L_1; ...; L_P; R_1; ...; R_P] over the pair
+    factors of the symmetrized Hessian, so one matvec K x yields every
+    product the rhs needs: its first lin_rows = (m + 1) n rows are the
+    linear part, the next pair_rows the L_j x and the last pair_rows the
+    R_j x. Since H(I (x) x) = sum_j diag(R_j x) L_j, scatter maps
+    c = [1; u; 2 R_j x ...] to the Jacobian's stored entries; pattern is
+    its CSR (indices, indptr), or None when it is dense and the entries run
+    over the n x n grid row by row. K is CSR when the pattern is sparse.
+    """
+    K: object
+    lin_rows: int
+    pair_rows: int
+    scatter: sp.csr_array
+    pattern: object
+
+    @classmethod
+    def build(cls, sys):
+        n, m = sys.n, sys.m
+        lin = sp.csr_array(np.vstack([sys.A] + sys.N))
+        if sys.H.is_zero:
+            Ls = Rs = sp.csr_array((0, n))
+        else:
+            Ls, Rs = (sp.csr_array(M) for M in sys.H.to_pairs()._stacked())
+        # each Jacobian term: its cell row * n + col, value and index into c
+        terms = [lin.tocoo(), Ls.tocoo()]
+        cell = np.concatenate([(M.row.astype(np.int64) % n) * n + M.col
+                               for M in terms])
+        val = np.concatenate([M.data for M in terms])
+        coef = np.concatenate([terms[0].row // n, m + 1 + terms[1].row])
+        cells = np.unique(cell)
+        sparse = cells.size <= _SPARSE_FILL * n * n
+        K = sp.csr_array(sp.vstack([lin, Ls, Rs]))
+        if not sparse:
+            K = K.toarray()
+        if sparse and sys.E is None:
+            pos = np.searchsorted(cells, cell)
+            grid = sp.csr_array((np.ones(cells.size), (cells // n, cells % n)),
+                                shape=(n, n))
+            pattern = (grid.indices, grid.indptr)
+        else:
+            cells, pos, pattern = np.arange(n * n), cell, None
+        scatter = sp.csr_array((val, (pos, coef)),
+                               shape=(cells.size, m + 1 + Ls.shape[0]))
+        return cls(K=K, lin_rows=lin.shape[0], pair_rows=Ls.shape[0],
+                   scatter=scatter, pattern=pattern)
 
 
 @dataclass
@@ -234,14 +310,18 @@ def rescale(sys, gamma):
 def fold_mass_matrix(sys):
     """Same dynamics with an invertible mass matrix folded into A, H, N, B.
 
-    Forms E^{-1} explicitly, which densifies H; returns sys when E is absent.
+    E is factored once and applied to A, the N_k, B and the mode-1 Hessian
+    by LU solves, never inverted; H becomes dense. Returns sys when E is
+    absent.
     """
     if sys.E is None:
         return sys
-    Einv = np.linalg.inv(sys.E)
-    return QBSystem(Einv @ sys.A, sys.H.left_multiplied(Einv),
-                    [Einv @ Nk for Nk in sys.N], Einv @ sys.B, sys.C,
-                    label=sys.label)
+    lu = sla.lu_factor(sys.E)
+    H = Hessian.dense(sla.lu_solve(lu, sys.H.mode1()),
+                      symmetric=sys.H.symmetric)
+    return QBSystem(sla.lu_solve(lu, sys.A), H,
+                    [sla.lu_solve(lu, Nk) for Nk in sys.N],
+                    sla.lu_solve(lu, sys.B), sys.C, label=sys.label)
 
 
 # --------------------------------------------------------------- serialization

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from conftest import rng_for, random_stable_qb
@@ -375,8 +376,10 @@ def test_simulate_stats_contract(monkeypatch):
     tr = simulate(sys_, u, 2.0, 21, rtol=1e-6, atol=1e-8)
     stats = tr.stats
     assert set(stats) == {"steps", "rejected", "newton_iters",
-                          "jacobian_factorizations", "nfev", "njev", "nlu"}
+                          "jacobian_factorizations", "nfev", "njev", "nlu",
+                          "jacobian_nnz"}
     assert all(type(v) is int for v in stats.values())
+    assert stats["jacobian_nnz"] == sys_.n ** 2       # dense at n = 9
     assert stats["newton_iters"] >= stats["steps"] >= 1
     assert stats["jacobian_factorizations"] == stats["nlu"] >= 1
 
@@ -388,6 +391,45 @@ def test_simulate_stats_contract(monkeypatch):
     assert stats["rejected"] == len(trials) - steps >= 1
     assert stats["newton_iters"] == sum(n for _, n in calls)
     assert simulate(sys_, u, 2.0, 21, rtol=1e-6, atol=1e-8).stats == stats
+
+
+def _copy_as(cls, sys):
+    return cls(sys.A, sys.H, sys.N, sys.B, sys.C, E=sys.E, label=sys.label)
+
+
+class _DenseJacobian(QBSystem):
+    def jacobian(self, x, u):
+        J = super().jacobian(x, u)
+        return J.toarray() if sp.issparse(J) else J
+
+
+class _NaNJacobian(QBSystem):
+    def jacobian(self, x, u):
+        J = super().jacobian(x, u)
+        J.data[0] = np.nan
+        return J
+
+
+def test_sparse_jacobian_takes_the_dense_path_steps():
+    # splu and dense LU factor the same iteration matrices, so Radau
+    # takes the same steps on either path
+    sys_ = chafee_infante(100)
+    u = input_signal("ci_u1")
+    kw = dict(rtol=1e-5, atol=1e-7)
+    ys = simulate(sys_, u, 2.0, 41, **kw)
+    yd = simulate(_copy_as(_DenseJacobian, sys_), u, 2.0, 41, **kw)
+    for key in ("steps", "rejected", "newton_iters", "nlu"):
+        assert ys.stats[key] == yd.stats[key]
+    assert yd.stats["jacobian_nnz"] == sys_.n ** 2
+    assert ys.stats["jacobian_nnz"] <= sys_.n ** 2 // 20
+    err = np.linalg.norm(ys.outputs - yd.outputs)
+    assert err <= 1e-9 * np.linalg.norm(yd.outputs)
+
+
+def test_non_finite_sparse_jacobian_is_reported():
+    sys_ = _copy_as(_NaNJacobian, chafee_infante(100))
+    with pytest.raises(NonFiniteState):
+        simulate(sys_, input_signal("ci_u1"), 1.0, 11)
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -5,8 +5,10 @@ import scipy.sparse as sp
 
 from qbmor.errors import QbmorWarning, SingularGram, NonPositiveGamma
 from qbmor.kron_tensor import Hessian
+import qbmor.qb_core as qb_core
+from qbmor.benchmarks import chafee_infante, fitzhugh_nagumo
 from qbmor.qb_core import (
-    QBSystem, ReducedModel, project, rescale,
+    QBSystem, ReducedModel, project, rescale, fold_mass_matrix,
     orthonormalize, save_system, load_system, save_reduced, load_reduced,
 )
 from conftest import random_stable_qb, rng_for
@@ -101,6 +103,111 @@ def test_jacobian_matches_finite_differences():
             e[a] = eps
             Jfd[:, a] = (sys.rhs(x + e, u) - sys.rhs(x - e, u)) / (2 * eps)
         assert np.linalg.norm(J - Jfd) <= 1e-6 * max(1.0, np.linalg.norm(J))
+
+
+# ---------------------------------------------------------------- operator set
+
+def _random_reduced(rng):
+    red = project(random_stable_qb(8, 2, 1, rng), rng.standard_normal((8, 4)),
+                  rng.standard_normal((8, 4)))
+    assert isinstance(red, ReducedModel)
+    return red
+
+
+@pytest.mark.parametrize("make", [lambda: chafee_infante(100),
+                                  lambda: fitzhugh_nagumo(40)],
+                         ids=["chafee_infante_100", "fitzhugh_nagumo_40"])
+def test_sparse_jacobian_matches_explicit(make):
+    sys = make()
+    rng = rng_for(40)
+    for _ in range(5):
+        x = rng.standard_normal(sys.n)
+        u = rng.standard_normal(sys.m)
+        J = sys.jacobian(x, u)
+        assert isinstance(J, sp.csr_array)
+        expected = sys.A + 2.0 * sys.H.kron_identity(x)
+        for uk, Nk in zip(u, sys.N):
+            expected = expected + uk * Nk
+        err = np.linalg.norm(J.toarray() - expected)
+        assert err <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("make", [lambda rng: chafee_infante(100),
+                                  lambda rng: fitzhugh_nagumo(40),
+                                  _random_reduced],
+                         ids=["chafee_infante_100", "fitzhugh_nagumo_40",
+                              "reduced"])
+def test_rhs_matches_explicit_operators(make):
+    rng = rng_for(41)
+    sys = make(rng)
+    Hm = sys.H.mode1()
+    for _ in range(3):
+        x = rng.standard_normal(sys.n)
+        u = rng.standard_normal(sys.m)
+        expected = sys.A @ x + Hm @ np.kron(x, x) + sys.B @ u
+        for uk, Nk in zip(u, sys.N):
+            expected = expected + uk * (Nk @ x)
+        err = np.linalg.norm(sys.rhs(x, u) - expected)
+        assert err <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_jacobian_format_rule():
+    rng = rng_for(42)
+    ci = chafee_infante(100)
+    with_mass = QBSystem(ci.A, ci.H, ci.N, ci.B, ci.C, E=2.0 * np.eye(ci.n))
+    small = random_stable_qb(6, 1, 1, rng)
+    cases = [(ci, sp.csr_array), (fitzhugh_nagumo(5), np.ndarray),
+             (_random_reduced(rng), np.ndarray), (with_mass, np.ndarray),
+             (QBSystem(small.A, small.H, small.N, small.B, small.C,
+                       E=np.eye(6)), np.ndarray)]
+    for sys, kind in cases:
+        J = sys.jacobian(rng.standard_normal(sys.n), rng.standard_normal(sys.m))
+        assert type(J) is kind
+        assert J.shape == (sys.n, sys.n)
+
+
+def test_operator_set_is_built_once(monkeypatch):
+    sys = chafee_infante(100)
+    rng = rng_for(43)
+    x = rng.standard_normal(sys.n)
+    sys.rhs(x, [0.5])
+    field = sys._vector_field()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator rebuilt")
+
+    monkeypatch.setattr(qb_core._VectorField, "build", refuse)
+    monkeypatch.setattr(sp, "vstack", refuse)
+    monkeypatch.setattr(sp, "coo_array", refuse)
+    for _ in range(3):
+        sys.rhs(rng.standard_normal(sys.n), rng.standard_normal(1))
+        sys.jacobian(rng.standard_normal(sys.n), rng.standard_normal(1))
+    assert sys._vector_field() is field
+
+
+def test_fold_mass_matrix_solves_with_ill_conditioned_mass():
+    rng = rng_for(44)
+    n = 8
+    sys = random_stable_qb(n, 1, 1, rng)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    E = U @ np.diag(np.logspace(0, -10, n)) @ V.T
+    assert 1e9 < np.linalg.cond(E) < 1e11
+    gen = QBSystem(E @ sys.A, sys.H.left_multiplied(E), [E @ sys.N[0]],
+                   E @ sys.B, sys.C, E=E)
+    folded = fold_mass_matrix(gen)
+    Einv = np.linalg.inv(E)
+    pairs = [(folded.A, gen.A), (folded.N[0], gen.N[0]), (folded.B, gen.B),
+             (folded.H.mode1(), gen.H.mode1())]
+    for got, M in pairs:
+        ref = np.linalg.solve(E, M)
+        err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+        err_inv = np.linalg.norm(Einv @ M - ref) / np.linalg.norm(ref)
+        assert err < err_inv
+        # backward stable: the residual is at rounding level
+        res = np.linalg.norm(E @ got - M)
+        assert res <= 1e-14 * np.linalg.norm(E) * np.linalg.norm(got)
+    assert folded.E is None and folded.H.symmetric
 
 
 # ------------------------------------------------------------------ projection
