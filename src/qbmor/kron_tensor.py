@@ -292,13 +292,6 @@ class Hessian:
         pairs = [(gamma * L, R) for L, R in self._pairs]
         return Hessian.from_pairs(pairs, self.n, symmetric=self.symmetric)
 
-    def left_multiplied(self, Lmat):
-        """Hessian of the tensor L @ T (mixes mode-1 fibers); densifies."""
-        Lmat = np.asarray(Lmat)
-        Hm = Lmat @ self.mode1()
-        # left scaling preserves (a,b) symmetry
-        return Hessian.dense(Hm, symmetric=self.symmetric)
-
     def to_pairs(self):
         """Rewrite as factor pairs; pair s is (ones*e_s^T, T[:,s,:]).
 

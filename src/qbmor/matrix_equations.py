@@ -1,15 +1,17 @@
-"""Dense spectral, Lyapunov and shifted-Sylvester solvers.
+"""Spectral, Lyapunov and shifted-Sylvester solvers.
 
-All solvers are dense and deterministic on a fixed machine. Lyapunov
-solves against one coefficient share its real Schur form and run the
-recursive blocked Bartels-Stewart algorithm of Jonsson and Kagstrom
-(RECSY, ACM TOMS 2002): almost all of their flops are matrix-matrix
-products, and LAPACK trsyl solves only blocks of side at most 64. Sylvester
-equations with a diagonal right coefficient are solved column by column;
-a full Kronecker system is never formed. Shifted solves with one pencil
-share a ``shifted_lu`` form: one LU per distinct shift, used by the V
-solves with A + lam E and by the W solves with its transpose, a real LU
-for a real shift, and no factorization for a conjugate partner.
+All solvers are deterministic on a fixed machine, and all but the shifted
+solves of a sparse pencil are dense. Lyapunov solves against one
+coefficient share its real Schur form and run the recursive blocked
+Bartels-Stewart algorithm of Jonsson and Kagstrom (RECSY, ACM TOMS 2002):
+almost all of their flops are matrix-matrix products, and LAPACK trsyl
+solves only blocks of side at most 64. Sylvester equations with a diagonal
+right coefficient are solved column by column; a full Kronecker system is
+never formed. Shifted solves with one pencil share a ``shifted_lu`` form:
+one LU per distinct shift, used by the V solves with A + lam E and by the
+W solves with its transpose, a real LU for a real shift, and no
+factorization for a conjugate partner. The form factors a sparse pencil
+by SuperLU (``scipy.sparse.linalg.splu``) and a dense one by LAPACK.
 """
 
 import warnings
@@ -17,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from qbmor.errors import (
     NonDiagonalizable, NotStable, SolverBreakdown, SingularShift,
@@ -28,6 +32,14 @@ _EIGVEC_COND_LIMIT = 1e12
 _TRSYL_LEAF = 64
 # real part given to a purely imaginary eigenvalue by reflect_unstable
 _EPS_SHIFT = 1e-8
+# a pattern filling at most this share of n^2 is factored by splu, here and
+# in Radau's iteration matrix (qb_core). There splu loses to dense LU on
+# chafee_infante at n = 60 (fill 0.066), is within 5 % on fitzhugh_nagumo
+# there, and wins on both from n = 100 (fill 0.04) up. Per shift of A + lam I
+# on chafee_infante (one complex factorization, one solve and one transposed
+# solve, one BLAS thread) splu ties at n = 60 (fill 0.033; 181 against
+# 174 us) and wins 2x at n = 100 (fill 0.02) and 10x at n = 200 (fill 0.01).
+_SPARSE_FILL = 1.0 / 20.0
 
 
 @dataclass
@@ -181,7 +193,13 @@ class ShiftedLU:
     shift on its first solve and reuses that factor for every later solve
     with the shift or its conjugate. ``.T`` shares the factors and solves
     with A^T + lam E^T, the plain transpose also for complex lam. A real
-    shift (lam.imag == 0.0) gets a real LU.
+    shift (lam.imag == 0.0) gets a real factor, solved on [Re b, Im b].
+
+    A and E are dense ndarrays (E may be None, meaning the identity) and
+    each shift is factored by ``scipy.linalg.lu_factor``; or they are CSC
+    arrays on one shared pattern that includes the diagonal (E is then the
+    identity when the pencil has no mass matrix), and a shift costs one
+    data update and one ``scipy.sparse.linalg.splu``.
     """
 
     def __init__(self, A, E, factors, trans):
@@ -199,28 +217,73 @@ class ShiftedLU:
         if lu is None:
             real = lam.imag == 0.0
             shift = lam.real if real else lam
-            if self.E is None:
-                M = self.A.astype(float if real else complex)
-                M.flat[::M.shape[0] + 1] += shift
+            if sp.issparse(self.A):
+                M = sp.csc_array((self.A.data + shift * self.E.data,
+                                  self.A.indices, self.A.indptr),
+                                 shape=self.A.shape)
+                try:
+                    lu = spla.splu(M)
+                except RuntimeError as exc:  # "Factor is exactly singular"
+                    raise SingularShift("shift %r makes A + lam E singular"
+                                        % (lam,)) from exc
             else:
-                M = self.A + shift * self.E
-            lu = self._factors[lam] = sla.lu_factor(M, overwrite_a=True)
+                if self.E is None:
+                    M = self.A.astype(float if real else complex)
+                    M.flat[::M.shape[0] + 1] += shift
+                else:
+                    M = self.A + shift * self.E
+                lu = sla.lu_factor(M, overwrite_a=True)
+            self._factors[lam] = lu
         return lu
 
     def solve(self, lam, b):
         """x with (A + lam E) x = b, or (A^T + lam E^T) x = b on ``.T``."""
-        lu = self._lu(complex(lam))
-        if np.isrealobj(lu[0]):
-            x = sla.lu_solve(lu, np.column_stack([b.real, b.imag]),
-                             trans=self._trans, check_finite=False)
-            return x[:, 0] + 1j * x[:, 1]
-        return sla.lu_solve(lu, b, trans=self._trans, check_finite=False)
+        lam = complex(lam)
+        lu = self._lu(lam)
+        real = lam.imag == 0.0
+        rhs = np.column_stack([b.real, b.imag]) if real else b
+        if sp.issparse(self.A):
+            x = lu.solve(rhs, trans="T" if self._trans else "N")
+        else:
+            x = sla.lu_solve(lu, rhs, trans=self._trans, check_finite=False)
+        return x[:, 0] + 1j * x[:, 1] if real else x
 
 
 def shifted_lu(A, E=None):
-    """Empty ``ShiftedLU`` form of A + lam E for ``solve_sylvester_shifted``."""
-    return ShiftedLU(np.asarray(A, dtype=float),
-                     None if E is None else np.asarray(E, dtype=float), {}, 0)
+    """Empty ``ShiftedLU`` form of A + lam E for ``solve_sylvester_shifted``.
+
+    The format is decided once here. A or E given as a sparse array makes
+    the form sparse; dense input is sparse when the pattern of A, plus the
+    diagonal (or E's pattern), fills at most ``_SPARSE_FILL`` of n^2, and
+    dense otherwise.
+    """
+    if not (sp.issparse(A) or sp.issparse(E)):
+        A = np.asarray(A, dtype=float)
+        E = None if E is None else np.asarray(E, dtype=float)
+        cells = A != 0.0
+        if E is None:
+            cells.flat[::A.shape[0] + 1] = True
+        else:
+            cells |= E != 0.0
+        if np.count_nonzero(cells) > _SPARSE_FILL * cells.size:
+            return ShiftedLU(A, E, {}, 0)
+        # indexing by the flat pattern costs a tenth of coo_array(A)'s scan
+        idx = np.flatnonzero(cells)
+        ij = np.divmod(idx, A.shape[0])
+        A = sp.coo_array((A.ravel()[idx], ij), shape=A.shape)
+        if E is not None:
+            E = sp.coo_array((E.ravel()[idx], ij), shape=A.shape)
+    A = sp.coo_array(A, dtype=float)
+    E = (sp.eye_array(A.shape[0], format="coo") if E is None
+         else sp.coo_array(E, dtype=float))
+    # one conversion sums A into the real and E into the imaginary part of
+    # each cell of the union pattern, so neither can cancel the other out
+    P = sp.csc_array((np.concatenate([A.data, 1j * E.data]),
+                      (np.concatenate([A.row, E.row]),
+                       np.concatenate([A.col, E.col]))), shape=A.shape)
+    Ap = sp.csc_array((P.data.real.copy(), P.indices, P.indptr), shape=P.shape)
+    Ep = sp.csc_array((P.data.imag.copy(), P.indices, P.indptr), shape=P.shape)
+    return ShiftedLU(Ap, Ep, {}, 0)
 
 
 def _shifted_column(form, lam, b):
@@ -243,7 +306,9 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None):
     ``shifted_lu`` form (then E must be None); passing the form lets
     several solves share one factorization per distinct shift, and its
     ``.T`` solves -E^T W diag(lam) - A^T W = Rhs with the same factors.
-    A real shift is factored in real arithmetic. Shifts follow the pair
+    A and E may be dense or sparse arrays; ``shifted_lu`` decides whether
+    the pencil is factored by ``splu`` or by dense LU. A real shift is
+    factored in real arithmetic. Shifts follow the pair
     rule of ``spectral_decompose``: when lam[i].imag != 0.0 and lam[i+1]
     is exactly conj(lam[i]), the partner is never factored. Its column is
     the exact conjugate of column i when the matching Rhs columns are

@@ -23,15 +23,10 @@ import scipy.sparse as sp
 
 from qbmor.errors import QbmorWarning, SingularGram, NonPositiveGamma
 from qbmor.kron_tensor import Hessian
-from qbmor.matrix_equations import spectral_decompose
+from qbmor.matrix_equations import _SPARSE_FILL, spectral_decompose
 
 # condition bound on projector Gram matrices W^T V, shared with diagnostics
 _COND_LIMIT = 1e13
-# a Jacobian pattern filling at most this share of n^2 is kept sparse: in
-# Radau, splu loses to dense LU on chafee_infante at n = 60 (fill 0.066),
-# is within 5 % on fitzhugh_nagumo there, and wins on both from n = 100
-# (fill 0.04) up
-_SPARSE_FILL = 1.0 / 20.0
 
 
 def _dense(M):

@@ -325,7 +325,8 @@ def test_mass_matrix_consistency():
     sys = random_stable_qb(6, 1, 1, rng_for(95))
     rng = rng_for(96)
     E = np.eye(6) + 0.2 * rng.standard_normal((6, 6))
-    gen = QBSystem(A=E @ sys.A, H=sys.H.left_multiplied(E),
+    gen = QBSystem(A=E @ sys.A,
+                   H=Hessian.dense(E @ sys.H.mode1(), symmetric=True),
                    N=[E @ Nk for Nk in sys.N], B=E @ sys.B, C=sys.C, E=E)
     tab = (np.array([0.0, 10.0]), np.array([[1.0], [1.0]]))
     u = input_signal("custom", table=tab)

@@ -6,6 +6,7 @@ import pytest
 from qbmor.errors import (
     DegradedDiagnostics, ProjectorSingular, QbmorWarning, TooLarge,
 )
+from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import QBSystem, ReducedModel, ProjectionBases, project
 from qbmor.tqb_irka import IrkaConfig, tqb_irka, initial_guess, solve_bases
 from qbmor.diagnostics import (
@@ -234,7 +235,8 @@ def test_mass_matrix_pair_matches_standardized(rough_pair):
     sys, red, _ = rough_pair
     M = rng.standard_normal((n, n))
     E = np.eye(n) + 0.3 * (M @ M.T) / np.linalg.norm(M @ M.T)
-    sys_e = QBSystem(E @ sys.A, sys.H.left_multiplied(E),
+    sys_e = QBSystem(E @ sys.A,
+                     Hessian.dense(E @ sys.H.mode1(), symmetric=True),
                      [E @ Nk for Nk in sys.N], E @ sys.B, sys.C, E=E)
     bases_e = solve_bases(sys_e, red)
     rep_e = optimality_residuals(sys_e, red, bases_e)

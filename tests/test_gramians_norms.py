@@ -84,7 +84,9 @@ def test_truncated_with_mass_matrix():
     rng = rng_for(3)
     base = random_stable_qb(5, 1, 1, rng)
     E = np.eye(5) + 0.2 * rng.standard_normal((5, 5))
-    sysE = QBSystem(E @ base.A, base.H.left_multiplied(E), [E @ base.N[0]],
+    sysE = QBSystem(E @ base.A,
+                    Hessian.dense(E @ base.H.mode1(), symmetric=True),
+                    [E @ base.N[0]],
                     E @ base.B, base.C, E=E)
     gE = truncated_gramians(sysE)
     g = truncated_gramians(base)

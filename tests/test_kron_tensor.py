@@ -389,15 +389,11 @@ def test_to_pairs_roundtrip():
     assert np.allclose(h.to_pairs().mode1(), h.mode1(), atol=1e-14)
 
 
-def test_scaled_and_left_multiplied():
+def test_scaled():
     rng = rng_for(21)
     n = 3
     h = random_dense_hessian(n, rng, symmetric=True)
     assert np.allclose(h.scaled(2.5).mode1(), 2.5 * h.mode1(), atol=0)
-    L = rng.standard_normal((n, n))
-    hl = h.left_multiplied(L)
-    assert np.allclose(hl.mode1(), L @ h.mode1(), atol=0)
-    assert hl.symmetric
     hp = h.to_pairs()
     assert np.allclose(hp.scaled(2.5).mode1(), 2.5 * h.mode1(), atol=1e-13)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from qbmor.matrix_equations import (
     HurwitzSchur, hurwitz_schur, spectral_decompose, solve_lyapunov,
     solve_sylvester_shifted, shifted_lu, reflect_unstable, realify_basis,
 )
+from qbmor.benchmarks import chafee_infante
 from conftest import rng_for
 
 
@@ -378,37 +381,114 @@ def test_sylvester_form_rejects_a_second_mass_matrix():
                                 E=np.eye(2))
 
 
-def test_sylvester_factors_once_per_shift_real_in_real_arithmetic(monkeypatch):
-    rng = rng_for(13)
-    n = 7
-    A = random_stable(n, rng)
+def _record_factor_dtypes(monkeypatch, module, name):
     factored = []
-    factor = sla.lu_factor
+    factor = getattr(module, name)
 
     def counting(M, *args, **kwargs):
         factored.append(M.dtype)
         return factor(M, *args, **kwargs)
 
-    monkeypatch.setattr(sla, "lu_factor", counting)
-    lam = _MIXED_SHIFTS
-    form = shifted_lu(A)
+    monkeypatch.setattr(module, name, counting)
+    return factored
+
+
+def _four_solves(form, n, rng):
     for op in (form, form, form.T, form.T):
         Rhs = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
-        solve_sylvester_shifted(op, lam, Rhs)
+        solve_sylvester_shifted(op, _MIXED_SHIFTS, Rhs)
+
+
+def test_sylvester_factors_once_per_shift_real_in_real_arithmetic(monkeypatch):
+    rng = rng_for(13)
+    n = 7
+    A = random_stable(n, rng)
+    factored = _record_factor_dtypes(monkeypatch, sla, "lu_factor")
+    _four_solves(shifted_lu(A), n, rng)
     # the pair's partner is never factored
     assert factored == [np.float64, np.complex128, np.complex128]
 
 
-@pytest.mark.parametrize("transposed", [False, True])
-def test_sylvester_form_singular_shift_and_non_finite_rhs(transposed):
-    A = np.array([[-1.0, 5.0], [0.0, -2.0]])  # A + 1 I has a zero column
-    form = shifted_lu(A).T if transposed else shifted_lu(A)
+def test_sylvester_sparse_factors_once_per_shift(monkeypatch):
+    rng = rng_for(13)
+    n = 7
+    A = sp.csr_array(random_stable(n, rng))
+    factored = _record_factor_dtypes(monkeypatch, spla, "splu")
+    dense = _record_factor_dtypes(monkeypatch, sla, "lu_factor")
+    _four_solves(shifted_lu(A), n, rng)
+    assert factored == [np.float64, np.complex128, np.complex128]
+    assert dense == []
+
+
+def _sparse_pencil(n, with_mass, rng):
+    """A with a few zeros on its diagonal and E (None, or the identity plus
+    a few entries, one of which cancels an entry of A), filling less than
+    1/20 of n^2 together."""
+    A = (np.diag(-(1.0 + rng.uniform(0, 1, n)) * (rng.uniform(0, 1, n) < 0.8))
+         + rng.standard_normal((n, n)) * (rng.uniform(0, 1, (n, n)) < 0.02))
+    if not with_mass:
+        return A, None
+    E = np.eye(n) + 0.2 * rng.standard_normal((n, n)) * (
+        rng.uniform(0, 1, (n, n)) < 0.01)
+    i, j = np.argwhere(A - np.diag(np.diag(A)) != 0.0)[0]
+    E[i, j] = -A[i, j]  # A + 1 E has a zero where both patterns have entries
+    return A, E
+
+
+@pytest.mark.parametrize("with_mass", [False, True])
+def test_sylvester_sparse_form_matches_dense(with_mass):
+    rng = rng_for(14)
+    n = 80
+    A, E = _sparse_pencil(n, with_mass, rng)
+    # dense input made sparse by the fill rule, and sparse input
+    Es = None if E is None else sp.csr_array(E)
+    forms = [shifted_lu(A, E), shifted_lu(sp.csr_array(A), Es)]
+    assert all(sp.issparse(form.A) for form in forms)
+    Em = np.eye(n) if E is None else E
+    for transposed in (False, True):
+        Aop, Eop = (A.T, Em.T) if transposed else (A, Em)
+        Rhs = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        ref = np.column_stack([np.linalg.solve(Aop + lam * Eop, -Rhs[:, i])
+                               for i, lam in enumerate(_MIXED_SHIFTS)])
+        for form in forms:
+            V = solve_sylvester_shifted(form.T if transposed else form,
+                                        _MIXED_SHIFTS, Rhs)
+            assert np.linalg.norm(V - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _check_singular_shift_and_non_finite_rhs(form):
     with pytest.raises(SingularShift):
         solve_sylvester_shifted(form, np.array([1.0 + 0.0j]), np.ones((2, 1)))
     bad = np.array([[1.0, 1.0], [np.nan, 1.0]])
     for lam in ([3.0, 4.0], [3.0 - 1.0j, 3.0 + 1.0j]):
         with pytest.raises(SingularShift):
             solve_sylvester_shifted(form, np.array(lam), bad)
+
+
+# A + 1 I has a zero column
+_SINGULAR_AT_ONE = np.array([[-1.0, 5.0], [0.0, -2.0]])
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_sylvester_form_singular_shift_and_non_finite_rhs(transposed):
+    form = shifted_lu(_SINGULAR_AT_ONE)
+    _check_singular_shift_and_non_finite_rhs(form.T if transposed else form)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_sylvester_sparse_form_singular_shift_and_non_finite_rhs(transposed):
+    form = shifted_lu(sp.csc_array(_SINGULAR_AT_ONE))
+    _check_singular_shift_and_non_finite_rhs(form.T if transposed else form)
+
+
+def test_shifted_lu_format_rule():
+    # pattern of A plus the diagonal: 398 of 200^2 cells, 38 of 20^2
+    assert sp.issparse(shifted_lu(chafee_infante(100).A).A)
+    assert not sp.issparse(shifted_lu(chafee_infante(10).A).A)
+    assert not sp.issparse(shifted_lu(random_stable(50, rng_for(15))).A)
+    # a sparse array is factored sparse whatever its fill
+    assert sp.issparse(shifted_lu(sp.csr_array(-np.ones((3, 3)))).A)
+    assert sp.issparse(shifted_lu(-np.eye(3), sp.eye_array(3)).A)
 
 
 # -------------------------------------------------------------------- reflect

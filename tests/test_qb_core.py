@@ -193,7 +193,8 @@ def test_fold_mass_matrix_solves_with_ill_conditioned_mass():
     V, _ = np.linalg.qr(rng.standard_normal((n, n)))
     E = U @ np.diag(np.logspace(0, -10, n)) @ V.T
     assert 1e9 < np.linalg.cond(E) < 1e11
-    gen = QBSystem(E @ sys.A, sys.H.left_multiplied(E), [E @ sys.N[0]],
+    gen = QBSystem(E @ sys.A, Hessian.dense(E @ sys.H.mode1(), symmetric=True),
+                   [E @ sys.N[0]],
                    E @ sys.B, sys.C, E=E)
     folded = fold_mass_matrix(gen)
     Einv = np.linalg.inv(E)

@@ -118,7 +118,8 @@ def test_mass_matrix_matches_standardized():
     sys = random_stable_qb(8, 2, 1, rng_for(82))
     rng = rng_for(83)
     E = np.eye(8) + 0.2 * rng.standard_normal((8, 8))
-    gen = QBSystem(A=E @ sys.A, H=sys.H.left_multiplied(E),
+    gen = QBSystem(A=E @ sys.A,
+                   H=Hessian.dense(E @ sys.H.mode1(), symmetric=True),
                    N=[E @ Nk for Nk in sys.N], B=E @ sys.B, C=sys.C, E=E)
     red1, hsv1 = balanced_truncation(sys, 3)
     red2, hsv2 = balanced_truncation(gen, 3)
