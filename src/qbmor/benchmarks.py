@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from qbmor.errors import NewtonDivergence, NonFiniteState
@@ -187,8 +186,9 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     """Integrate a QB system driven by an input signal.
 
     The integrator is scipy's Radau IIA (order 5, L-stable) on the
-    system's own rhs and Jacobian, with a mass matrix folded in through one
-    LU factorization. Both read the operator set the system builds once.
+    system's own rhs and Jacobian, with a mass matrix applied to both by
+    `QBSystem.solve_mass`. Both read the operator set the system builds
+    once.
     Without a mass matrix a sparse Jacobian pattern (see
     `QBSystem.jacobian`) reaches Radau as a CSR array, and Radau factors
     its iteration matrices with `scipy.sparse.linalg.splu`; otherwise the
@@ -222,20 +222,14 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     from scipy.integrate import Radau
 
     x_init = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float)
-    # E^{-1} H would be n x n^2, so E is applied by solves, never inverted
-    lu_E = None if sys.E is None else sla.lu_factor(sys.E)
     evals = []                      # times f was evaluated at in one step
 
     def f(t, x):
         evals.append(t)
-        out = sys.rhs(x, u(t), t)
-        return out if lu_E is None else sla.lu_solve(lu_E, out,
-                                                      check_finite=False)
+        return sys.solve_mass(sys.rhs(x, u(t), t))
 
     def jac(t, x):
-        J = sys.jacobian(x, u(t))
-        if lu_E is not None:
-            J = sla.lu_solve(lu_E, J, check_finite=False)
+        J = sys.solve_mass(sys.jacobian(x, u(t)))
         if not np.all(np.isfinite(J.data if sp.issparse(J) else J)):
             raise NonFiniteState("Jacobian became non-finite at t=%.6g" % t)
         return J

@@ -4,21 +4,21 @@ The five residual families compare quantities built from the full-order
 projection bases against their reduced-scale analogues. The reduced-scale
 side is evaluated on the raw-basis realization (``qb_core.project`` with
 the unorthonormalized V, W), which is the realization for which the exact
-algebraic identities between the two sides hold.
+algebraic identities between the two sides hold. A mass matrix enters
+only where the conditions read it: Phi_lambda pairs W with E V, and
+``project`` forms W^T E V.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from qbmor import matrix_equations
 from qbmor.errors import (
-    DegradedDiagnostics, ProjectorSingular, SingularGram, SingularShift,
-    TooLarge,
+    DegradedDiagnostics, SingularGram, SingularShift, TooLarge,
 )
 from qbmor.kron_tensor import mode_matricize, perm_T, vec, unvec
-from qbmor.qb_core import _COND_LIMIT, fold_mass_matrix, project
+from qbmor.qb_core import project
 from qbmor.tqb_irka import _solve_bases_core, solve_bases
 
 _FAMILIES = ("C", "B", "N", "H", "lambda")
@@ -68,15 +68,6 @@ def _spec_norm(X):
     return float(np.linalg.norm(X, 2))
 
 
-def _standardized_pair(sys, bases):
-    # mass matrices fold into A, H, N, B; adjoint-side bases pick up E^T
-    if sys.E is None:
-        return sys, bases
-    Et = sys.E.T
-    return fold_mass_matrix(sys), replace(
-        bases, W=Et @ bases.W, W1c=Et @ bases.W1c, W2c=Et @ bases.W2c)
-
-
 def _phi_families(model, V1, V2, W1, W2):
     Vfull = V1 + V2
     Wfull = W1 + W2
@@ -85,13 +76,14 @@ def _phi_families(model, V1, V2, W1, W2):
     Phi_B = Wfull.T @ model.B
     Phi_N = np.stack([W1.T @ Nk @ V1 for Nk in model.N], axis=2)
     Phi_H = (W1.T @ model.H.apply_kron(V1, V1)).reshape(r, r, r)
-    Phi_lam = np.diag(W1.T @ Vfull) + np.diag(W2.T @ V1)
+    EV, EV1 = ((Vfull, V1) if model.E is None
+               else (model.E @ Vfull, model.E @ V1))
+    Phi_lam = np.diag(W1.T @ EV) + np.diag(W2.T @ EV1)
     return Phi_C, Phi_B, Phi_N, Phi_H, Phi_lam
 
 
 def optimality_residuals(sys, red, bases):
     """Both sides of the five optimality conditions and their gaps."""
-    sys, bases = _standardized_pair(sys, bases)
     full = _phi_families(sys, bases.V1c, bases.V2c, bases.W1c, bases.W2c)
 
     degraded = {name: False for name in _FAMILIES}
@@ -127,77 +119,21 @@ def optimality_residuals(sys, red, bases):
         eps_lambda=eps[4], degraded=degraded)
 
 
-def perturbation_solves(sys, red, bases):
-    """The four perturbation quantities (eps_v, eps_w, Gamma_v, Gamma_w).
-
-    eps_v and eps_w measure how far the first basis terms stray from the
-    lifted reduced-scale solutions; Gamma_v and Gamma_w do the same at
-    reduced scale. All four solve shifted Sylvester equations whose
-    coefficients are the oblique projector composed with A, and the
-    raw-realization reduced matrix, respectively.
-    """
-    sys, bases = _standardized_pair(sys, bases)
-    V1c, W1c = bases.V1c, bases.W1c
-    V, W = bases.V, bases.W
-    A, B, C, H = sys.A, sys.B, sys.C, sys.H
-    f = red.spectral
-    lam = f.lam
-
-    G = W.T @ V
-    M1 = W.T @ V1c
-    M2 = V.T @ W1c
-    # the scale check catches grazing subspaces, where the product is
-    # uniformly tiny and its condition number alone looks harmless
-    for name, M, left, right in (("W'V", G, W, V), ("W'V1", M1, W, V1c),
-                                 ("V'W1", M2, V, W1c)):
-        s = np.linalg.svd(M, compute_uv=False)
-        scale = np.linalg.norm(left, 2) * np.linalg.norm(right, 2)
-        if (not np.all(np.isfinite(s))
-                or s.min() <= max(s.max(), 1e-300) / _COND_LIMIT
-                or s.max() <= scale / _COND_LIMIT):
-            raise ProjectorSingular("projector factor %s is numerically "
-                                    "singular" % name)
-    Pi = V @ np.linalg.solve(G, W.T)
-    Piv = V1c @ np.linalg.solve(M1, W.T)
-    Piw = W1c @ np.linalg.solve(M2, V.T)
-
-    rhs_v = (Pi - Piv) @ (A @ V1c + B @ f.Btil.T)
-    solve = matrix_equations.solve_sylvester_shifted
-    eps_v = -solve(Pi @ A, lam, rhs_v)
-    rhs_w = (Pi.T - Piw) @ (A.T @ W1c + C.T @ f.Ctil)
-    eps_w = -solve((A @ Pi).T, lam, rhs_w)
-
-    Ahat = project(sys, V, W).A
-    bracket_v = (H.apply_kron(eps_v, V1c - eps_v)
-                 + H.apply_kron(V1c, eps_v)) @ f.Htil.T
-    bracket_w = 2.0 * ((H.apply_kron_mode2(eps_v, W1c)
-                        + H.apply_kron_mode2(V1c, eps_w)
-                        - H.apply_kron_mode2(eps_v, eps_w)) @ f.Htil2.T)
-    for Nk, Ntk in zip(sys.N, f.Ntil):
-        bracket_v = bracket_v + Nk @ eps_v @ Ntk.T
-        bracket_w = bracket_w + Nk.T @ eps_w @ Ntk
-    form = matrix_equations.shifted_lu(Ahat)
-    Gamma_v = -solve(form, lam, np.linalg.solve(G, W.T @ bracket_v))
-    Gamma_w = -solve(form.T, lam, V.T @ bracket_w)
-    return eps_v, eps_w, Gamma_v, Gamma_w
-
-
 def verify_against_bruteforce(sys, red, tol=1e-9):
     """Recompute the five residual families through vectorized Kronecker
     solves and compare with the Sylvester route.
     """
     if sys.n > 30:
         raise TooLarge("brute-force verification is limited to n <= 30")
-    sys = fold_mass_matrix(sys)
     n, r = sys.n, red.r
     f = red.spectral
     lam = f.lam
     A = sys.A
-    In = np.eye(n)
+    E = np.eye(n) if sys.E is None else sys.E
     Ir = np.eye(r)
 
-    K1 = -np.kron(np.diag(lam), In) - np.kron(Ir, A)
-    K2 = -np.kron(np.diag(lam), In) - np.kron(Ir, A.T)
+    K1 = -np.kron(np.diag(lam), E) - np.kron(Ir, A)
+    K2 = -np.kron(np.diag(lam), E.T) - np.kron(Ir, A.T)
     vecV1 = np.linalg.solve(K1, vec(sys.B @ f.Btil.T))
     vecW1 = np.linalg.solve(K2, vec(sys.C.T @ f.Ctil))
 
@@ -216,14 +152,11 @@ def verify_against_bruteforce(sys, red, tol=1e-9):
     V2 = unvec(vecV2, (n, r))
     W1 = unvec(vecW1, (n, r))
     W2 = unvec(vecW2, (n, r))
-    Phi_C = (sys.C @ (V1 + V2)).T
-    Phi_B = (W1 + W2).T @ sys.B
-    Phi_N = np.stack([W1.T @ Nk @ V1 for Nk in sys.N], axis=2)
+    Phi_C, Phi_B, Phi_N, _, Phi_lam = _phi_families(sys, V1, V2, W1, W2)
     Phi_H = np.zeros((r, r, r), dtype=complex)
     for j in range(r):
         for l in range(r):
             Phi_H[:, j, l] = W1.T @ (Hm @ np.kron(V1[:, j], V1[:, l]))
-    Phi_lam = np.diag(W1.T @ (V1 + V2)) + np.diag(W2.T @ V1)
     brute = (Phi_C, Phi_B, Phi_N, Phi_H, Phi_lam)
 
     bases = solve_bases(sys, red)

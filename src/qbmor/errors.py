@@ -1,4 +1,9 @@
-"""Exception and warning types shared by all qbmor modules."""
+"""Exception and warning types shared by all qbmor modules.
+
+Each exception section is headed by the module that raises its types. Every
+type here is raised or caught somewhere else in the package; one that no
+longer is gets deleted rather than kept for its tests.
+"""
 
 
 class QbmorError(Exception):
@@ -9,7 +14,7 @@ class NumericalError(QbmorError):
     """A numerical routine could not produce a trustworthy result."""
 
 
-# matrix_equations
+# raised by matrix_equations
 
 class NonDiagonalizable(NumericalError):
     """Eigenvector matrix too ill-conditioned to trust the spectral factors."""
@@ -31,7 +36,7 @@ class PairingViolation(NumericalError):
     """Complex data does not come in adjacent conjugate pairs."""
 
 
-# qb_core
+# raised by qb_core
 
 class SingularGram(NumericalError):
     """W^T V (or W^T E V) is too ill-conditioned to invert."""
@@ -41,29 +46,25 @@ class NonPositiveGamma(QbmorError):
     """Rescaling factor must be strictly positive."""
 
 
-# gramians_norms
+# raised by gramians_norms
 
 class NoConvergence(NumericalError):
     """Fixed-point iteration exhausted its iteration budget."""
 
 
-# diagnostics
-
-class ProjectorSingular(NumericalError):
-    """An oblique projector needed by the residual solves does not exist."""
-
+# raised by diagnostics
 
 class TooLarge(QbmorError):
     """Problem dimensions exceed a guard meant for dense cross-checks."""
 
 
-# reduction_baselines
+# raised by reduction_baselines
 
 class RankDeficient(NumericalError):
     """Requested order exceeds the numerical rank of the Gramian product."""
 
 
-# benchmarks
+# raised by benchmarks
 
 class NewtonDivergence(NumericalError):
     """The implicit solver's step size underflowed.

@@ -8,7 +8,9 @@ explicit n^2 x n^2 Kronecker product. The factors are rank-truncated: an
 eigenpair of X is kept only when its eigenvalue exceeds n * eps * max|w|,
 so a Gramian of numerical rank rho costs n x rho^2 in H(L (x) L), not
 n x n^2. All Lyapunov solves of one Gramian set share the real Schur form
-of A.
+of A. A mass matrix E is folded into A, B and the n x rho source factors
+through `QBSystem.solve_mass`, never into H: the equations are those of
+E^{-1}A, E^{-1}B, E^{-1}H and E^{-1}N_k.
 """
 
 import warnings
@@ -22,7 +24,7 @@ from qbmor.errors import (
     IndefiniteGramian, NoConvergence, NumericalError, SolverBreakdown,
 )
 from qbmor.kron_tensor import Hessian
-from qbmor.qb_core import QBSystem, fold_mass_matrix
+from qbmor.qb_core import QBSystem
 from qbmor.matrix_equations import hurwitz_schur, solve_lyapunov
 
 
@@ -51,18 +53,20 @@ def _psd_sqrt(X, what):
 
 
 def _quadratic_source(sys, L):
-    """H(P (x) P) H^T + sum_k N_k P N_k^T for P = L L^T, without P (x) P."""
-    K = sys.H.apply_kron(L, L)
+    """H(P (x) P) H^T + sum_k N_k P N_k^T for P = L L^T, without P (x) P;
+    with a mass matrix, the factors are E^{-1}[H(L (x) L), N_k L]."""
+    K = sys.solve_mass(sys.H.apply_kron(L, L))
     S = K @ K.T
     for Nk in sys.N:
-        NL = Nk @ L
+        NL = sys.solve_mass(Nk @ L)
         S += NL @ NL.T
     return S
 
 
 def _observability_source(sys, LP, LQ):
     """H2-mode source H^(2)(P (x) Q)(H^(2))^T + sum_k N_k^T Q N_k for
-    P = LP LP^T and Q = LQ LQ^T."""
+    P = LP LP^T and Q = LQ LQ^T; with a mass matrix, LQ is E^{-T} LQ."""
+    LQ = sys.solve_mass(LQ, transpose=True)
     K = sys.H.apply_kron_mode2(LP, LQ)
     S = K @ K.T
     for Nk in sys.N:
@@ -80,14 +84,14 @@ def _check_psd(X, what):
 
 def truncated_gramians(sys):
     """Linear and truncated Gramians of a stable QB system."""
-    sys = fold_mass_matrix(sys)
-    S = hurwitz_schur(sys.A)
-    P_l = solve_lyapunov(S, sys.B @ sys.B.T)
+    B = sys.solve_mass(sys.B)
+    S = hurwitz_schur(sys.solve_mass(sys.A))
+    P_l = solve_lyapunov(S, B @ B.T)
     Q_l = solve_lyapunov(S, sys.C.T @ sys.C, transpose=True)
     # factoring P_l and Q_l also checks them for indefiniteness
     L_P = _psd_sqrt(P_l, "P_l")
     L_Q = _psd_sqrt(Q_l, "Q_l")
-    P_T = solve_lyapunov(S, _quadratic_source(sys, L_P) + sys.B @ sys.B.T)
+    P_T = solve_lyapunov(S, _quadratic_source(sys, L_P) + B @ B.T)
     Q_T = solve_lyapunov(S, _observability_source(sys, L_P, L_Q)
                          + sys.C.T @ sys.C, transpose=True)
     for X, name in ((P_T, "P_T"), (Q_T, "Q_T")):
@@ -102,10 +106,10 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
     the quadratic and bilinear parts are too large; rescale the system first.
     Returns (P, Q, (iterations_P, iterations_Q)).
     """
-    sys = fold_mass_matrix(sys)
-    BBt = sys.B @ sys.B.T
+    B = sys.solve_mass(sys.B)
+    BBt = B @ B.T
     CtC = sys.C.T @ sys.C
-    S = hurwitz_schur(sys.A)
+    S = hurwitz_schur(sys.solve_mass(sys.A))
 
     def picard(seed_rhs, source, transpose, what):
         X = solve_lyapunov(S, seed_rhs, transpose=transpose)
@@ -147,15 +151,16 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
 
 
 def _dual_traces(sys, P_like, Q_like, rel, what):
+    B = sys.solve_mass(sys.B)
     t_c = float(np.trace(sys.C @ P_like @ sys.C.T))
-    t_o = float(np.trace(sys.B.T @ Q_like @ sys.B))
+    t_o = float(np.trace(B.T @ Q_like @ B))
     scale = max(abs(t_c), abs(t_o))
     # near-total cancellation (error system of an accurate reduced model)
     # leaves traces at rounding level; the duality check needs an absolute
     # floor proportional to that level or it would compare noise with noise
     floor = 1e-12 * max(
         np.linalg.norm(sys.C) ** 2 * np.linalg.norm(P_like),
-        np.linalg.norm(sys.B) ** 2 * np.linalg.norm(Q_like), 1e-300)
+        np.linalg.norm(B) ** 2 * np.linalg.norm(Q_like), 1e-300)
     if abs(t_c - t_o) > rel * scale + floor:
         raise NumericalError("%s trace duality violated: %.17g vs %.17g"
                              % (what, t_c, t_o))
@@ -169,7 +174,6 @@ def truncated_h2_norm(sys):
     The controllability and observability routes are both evaluated and must
     agree to 1e-7 relative; the controllability value is returned.
     """
-    sys = fold_mass_matrix(sys)
     g = truncated_gramians(sys)
     t_c, _ = _dual_traces(sys, g.P_T, g.Q_T, 1e-7, "truncated")
     return float(np.sqrt(t_c))
@@ -177,7 +181,6 @@ def truncated_h2_norm(sys):
 
 def h2_norm(sys, tol=1e-10, maxit=50):
     """H2 norm through the converged quadratic Gramians."""
-    sys = fold_mass_matrix(sys)
     P, Q, _ = quadratic_gramians(sys, tol=tol, maxit=maxit)
     t_c, _ = _dual_traces(sys, P, Q, 1e-6, "quadratic")
     return float(np.sqrt(t_c))
@@ -197,9 +200,9 @@ def error_system(sys, red):
 
     The quadratic map acts blockwise: rows in the full part see only the
     full state, rows in the reduced part only the reduced state, so it is
-    stored as structured factor pairs and never densified.
+    stored as structured factor pairs and never densified. Its mass matrix
+    is blkdiag(E, I_r), or absent when sys has none.
     """
-    sys = fold_mass_matrix(sys)
     n, r = sys.n, red.r
     if sys.m != red.m or sys.p != red.p:
         raise ValueError("input/output dimensions of the pair do not match")
@@ -208,10 +211,11 @@ def error_system(sys, red):
     Be = np.vstack([sys.B, red.B])
     Ce = np.hstack([sys.C, -red.C])
     Ne = [sla.block_diag(Nk, Nhk) for Nk, Nhk in zip(sys.N, red.N)]
+    Ee = None if sys.E is None else sla.block_diag(sys.E, np.eye(r))
     pairs = _embed_pairs(sys.H, 0, r) + _embed_pairs(red.H, n, 0)
     He = Hessian.from_pairs(pairs, ntot,
                             symmetric=sys.H.symmetric and red.H.symmetric)
-    return QBSystem(Ae, He, Ne, Be, Ce, label="error")
+    return QBSystem(Ae, He, Ne, Be, Ce, E=Ee, label="error")
 
 
 def truncated_h2_error(sys, red):

@@ -174,10 +174,6 @@ class Hessian:
                 self._stack = (np.vstack(Ls), np.vstack(Rs))
         return self._stack
 
-    def tensor(self):
-        """Dense (n, n, n) view T with T[i, a, b]."""
-        return self.mode1().reshape(self.n, self.n, self.n)
-
     def mode1(self):
         if self.storage == "dense":
             return self._Hm
@@ -236,21 +232,12 @@ class Hessian:
         return out
 
     def kron_identity(self, x):
-        """The n x n matrix H(I (x) x); column a is H(e_a (x) x)."""
-        x = np.asarray(x)
+        """The n x n matrix H(I (x) x); column a is H(e_a (x) x).
+
+        Read off the dense mode-1 unfolding, for either storage.
+        """
         n = self.n
-        if self.storage == "dense":
-            return (self._Hm.reshape(n * n, n) @ x).reshape(n, n)
-        if not self._pairs:
-            return np.zeros((n, n), dtype=np.result_type(x, float))
-        Ls, Rs = self._stacked()
-        # sum_j diag(R_j x) L_j: scale the stacked rows, then add the blocks
-        d = Rs @ x
-        if sp.issparse(Ls):
-            L = Ls.tocoo()
-            return sp.coo_array((L.data * d[L.row], (L.row % n, L.col)),
-                                shape=(n, n)).toarray()
-        return (d[:, None] * Ls).reshape(-1, n, n).sum(axis=0)
+        return (self.mode1().reshape(n * n, n) @ np.asarray(x)).reshape(n, n)
 
     def congruence(self, V, W):
         """W^T H (V (x) V) as an r x r^2 matrix.

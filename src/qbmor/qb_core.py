@@ -6,9 +6,11 @@ A QBSystem is
     y(t)    = C x(t)
 
 with E optional (absent means identity). The quadratic map H is a Hessian
-from kron_tensor and is symmetrized on construction. Reduction produces a
-ReducedModel whose mass matrix is always the identity: when E is present the
-projected (W^T E V)^{-1} factor is absorbed into the reduced matrices. The
+from kron_tensor and is symmetrized on construction. `QBSystem.solve_mass`
+is the one place E^{-1} is applied; every consumer folds E into the n x k
+factors it needs, never into H. Reduction produces a ReducedModel whose
+mass matrix is always the identity: when E is present the projected
+(W^T E V)^{-1} factor is absorbed into the reduced matrices. The
 alternative of keeping a reduced E as W^T E V is deliberately not used.
 """
 
@@ -25,7 +27,7 @@ from qbmor.errors import QbmorWarning, SingularGram, NonPositiveGamma
 from qbmor.kron_tensor import Hessian
 from qbmor.matrix_equations import _SPARSE_FILL, spectral_decompose
 
-# condition bound on projector Gram matrices W^T V, shared with diagnostics
+# condition bound on the projector Gram matrix W^T V (or W^T E V)
 _COND_LIMIT = 1e13
 
 
@@ -61,6 +63,7 @@ class QBSystem:
             raise ValueError("E must be n x n")
         self.label = label
         self._field = None
+        self._lu_E = None
 
     @property
     def n(self):
@@ -78,6 +81,20 @@ class QBSystem:
         if self._field is None:
             self._field = _VectorField.build(self)
         return self._field
+
+    def solve_mass(self, X, transpose=False):
+        """E^{-1} X, or E^{-T} X with transpose; X itself when E is absent.
+
+        The one place E^{-1} is applied: by solves with one LU factorization
+        of E, made on first use and cached, never by an explicit inverse.
+        Non-finite entries of X propagate instead of raising.
+        """
+        if self.E is None:
+            return X
+        if self._lu_E is None:
+            self._lu_E = sla.lu_factor(self.E)
+        return sla.lu_solve(self._lu_E, X, trans=int(transpose),
+                            check_finite=False)
 
     def rhs(self, x, u, t=0.0):
         """A x + H(x (x) x) + sum_k u_k N_k x + B u.
@@ -300,23 +317,6 @@ def rescale(sys, gamma):
         raise NonPositiveGamma("gamma must be positive")
     return QBSystem(sys.A, sys.H.scaled(gamma), [gamma * Nk for Nk in sys.N],
                     sys.B, sys.C, E=sys.E, label=sys.label)
-
-
-def fold_mass_matrix(sys):
-    """Same dynamics with an invertible mass matrix folded into A, H, N, B.
-
-    E is factored once and applied to A, the N_k, B and the mode-1 Hessian
-    by LU solves, never inverted; H becomes dense. Returns sys when E is
-    absent.
-    """
-    if sys.E is None:
-        return sys
-    lu = sla.lu_factor(sys.E)
-    H = Hessian.dense(sla.lu_solve(lu, sys.H.mode1()),
-                      symmetric=sys.H.symmetric)
-    return QBSystem(sla.lu_solve(lu, sys.A), H,
-                    [sla.lu_solve(lu, Nk) for Nk in sys.N],
-                    sla.lu_solve(lu, sys.B), sys.C, label=sys.label)
 
 
 # --------------------------------------------------------------- serialization

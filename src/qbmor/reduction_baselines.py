@@ -4,7 +4,7 @@ import numpy as np
 
 from qbmor.errors import RankDeficient
 from qbmor.gramians_norms import truncated_gramians, _psd_sqrt
-from qbmor.qb_core import fold_mass_matrix, project, rescale
+from qbmor.qb_core import project, rescale
 
 
 def balanced_truncation(sys, r, gamma=1.0):
@@ -20,10 +20,13 @@ def balanced_truncation(sys, r, gamma=1.0):
     operators. Useful when strong nonlinear sources would otherwise
     dominate the Gramians with directions the input-output map never
     excites.
+
+    With a mass matrix the Gramians are those of the E-folded system, so
+    the system is projected along E^{-T} W: that is projecting the folded
+    system along W.
     """
     if not (1 <= r <= sys.n):
         raise ValueError("reduced order must satisfy 1 <= r <= n")
-    sys = fold_mass_matrix(sys)
     # Gramians of the damped system, projection of the original one
     src = rescale(sys, gamma) if gamma != 1.0 else sys
     g = truncated_gramians(src)
@@ -38,6 +41,7 @@ def balanced_truncation(sys, r, gamma=1.0):
     scale = 1.0 / np.sqrt(s[:r])
     V = (L_P @ Zt[:r].T) * scale
     W = (L_Q @ U[:, :r]) * scale
-    red = project(sys, V, W, method="bt", gamma=gamma, seed=None,
-                  converged=True, iterations=0, tol=0.0, shift=0.0)
+    red = project(sys, V, sys.solve_mass(W, transpose=True), method="bt",
+                  gamma=gamma, seed=None, converged=True, iterations=0,
+                  tol=0.0, shift=0.0)
     return red, hsv

@@ -48,7 +48,7 @@ def test_chafee_k3_hand_values():
         for b in nbs:                  # w rows: (2/h^2) v_j v_nb, h^2 = 1/9
             T[3 + j, j, b] += 9.0
             T[3 + j, b, j] += 9.0
-    assert np.allclose(sys.H.tensor(), T, rtol=0, atol=1e-13)
+    assert np.allclose(sys.H.mode1().reshape(6, 6, 6), T, rtol=0, atol=1e-13)
 
 
 def test_chafee_lift_closure_is_algebraic():

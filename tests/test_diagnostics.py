@@ -3,15 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from qbmor.errors import (
-    DegradedDiagnostics, ProjectorSingular, QbmorWarning, TooLarge,
-)
+from qbmor.errors import DegradedDiagnostics, QbmorWarning, TooLarge
 from qbmor.kron_tensor import Hessian
+from qbmor.matrix_equations import shifted_lu, solve_sylvester_shifted
 from qbmor.qb_core import QBSystem, ReducedModel, ProjectionBases, project
 from qbmor.tqb_irka import IrkaConfig, tqb_irka, initial_guess, solve_bases
 from qbmor.diagnostics import (
-    optimality_residuals, perturbation_solves, verify_against_bruteforce,
-    ResidualReport,
+    optimality_residuals, verify_against_bruteforce, ResidualReport,
 )
 
 from conftest import rng_for, random_stable_qb
@@ -43,6 +41,46 @@ def rough_pair():
 
 def rel(err, scale):
     return np.linalg.norm(err) / max(np.linalg.norm(scale), 1e-300)
+
+
+def perturbation_solves(sys, red, bases):
+    """Oracle for the four perturbation quantities (eps_v, eps_w, Gamma_v,
+    Gamma_w) of a pair without mass matrix.
+
+    eps_v and eps_w measure how far the first basis terms stray from the
+    lifted reduced-scale solutions; Gamma_v and Gamma_w do the same at
+    reduced scale. All four solve shifted Sylvester equations whose
+    coefficients are the oblique projector composed with A, and the
+    raw-realization reduced matrix, respectively.
+    """
+    assert sys.E is None
+    V1c, W1c, V, W = bases.V1c, bases.W1c, bases.V, bases.W
+    A, B, C, H = sys.A, sys.B, sys.C, sys.H
+    f = red.spectral
+    lam = f.lam
+    G = W.T @ V
+    Pi = V @ np.linalg.solve(G, W.T)
+    Piv = V1c @ np.linalg.solve(W.T @ V1c, W.T)
+    Piw = W1c @ np.linalg.solve(V.T @ W1c, V.T)
+
+    rhs_v = (Pi - Piv) @ (A @ V1c + B @ f.Btil.T)
+    eps_v = -solve_sylvester_shifted(Pi @ A, lam, rhs_v)
+    rhs_w = (Pi.T - Piw) @ (A.T @ W1c + C.T @ f.Ctil)
+    eps_w = -solve_sylvester_shifted((A @ Pi).T, lam, rhs_w)
+
+    bracket_v = (H.apply_kron(eps_v, V1c - eps_v)
+                 + H.apply_kron(V1c, eps_v)) @ f.Htil.T
+    bracket_w = 2.0 * ((H.apply_kron_mode2(eps_v, W1c)
+                        + H.apply_kron_mode2(V1c, eps_w)
+                        - H.apply_kron_mode2(eps_v, eps_w)) @ f.Htil2.T)
+    for Nk, Ntk in zip(sys.N, f.Ntil):
+        bracket_v = bracket_v + Nk @ eps_v @ Ntk.T
+        bracket_w = bracket_w + Nk.T @ eps_w @ Ntk
+    form = shifted_lu(project(sys, V, W).A)
+    Gamma_v = -solve_sylvester_shifted(form, lam,
+                                       np.linalg.solve(G, W.T @ bracket_v))
+    Gamma_w = -solve_sylvester_shifted(form.T, lam, V.T @ bracket_w)
+    return eps_v, eps_w, Gamma_v, Gamma_w
 
 
 def test_identities_for_arbitrary_reduced_model(rough_pair):
@@ -143,22 +181,6 @@ def test_identities_at_smallest_sizes():
     assert rel(bases.V1c - (bases.V @ hatb.V1c + eps_v), bases.V1c) <= 1e-10
 
 
-def test_projector_singular_guard():
-    n, r = 4, 2
-    rng = rng_for(36)
-    sys = random_stable_qb(n, 1, 1, rng)
-    red = initial_guess(sys, r, "random", seed=0)
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    V1c = Q[:, :r].astype(complex)
-    W = Q[:, r:2 * r]
-    V = Q[:, r:2 * r] + Q[:, :r]
-    zeros = np.zeros((n, r), dtype=complex)
-    bases = ProjectionBases(V1c=V1c, V2c=zeros, W1c=W.astype(complex),
-                            W2c=zeros, V=V, W=W)
-    with pytest.raises(ProjectorSingular):
-        perturbation_solves(sys, red, bases)
-
-
 def test_singular_raw_pair_degrades_residuals():
     # W orthogonal to V, exactly (W^T V = 0): the raw realization does not
     # exist, so project raises SingularGram and the measures degrade to nan
@@ -229,15 +251,19 @@ def test_joint_scaling_approximately_invariant(converged_pair):
         assert v2 <= 2.0 * v1 + 1e-14 and v1 <= 2.0 * v2 + 1e-14
 
 
-def test_mass_matrix_pair_matches_standardized(rough_pair):
-    rng = rng_for(37)
-    n = 10
-    sys, red, _ = rough_pair
-    M = rng.standard_normal((n, n))
+def with_mass(sys, seed):
+    """sys written as E x' = E A x + E H(x (x) x) + ... for a random SPD E."""
+    n = sys.n
+    M = rng_for(seed).standard_normal((n, n))
     E = np.eye(n) + 0.3 * (M @ M.T) / np.linalg.norm(M @ M.T)
-    sys_e = QBSystem(E @ sys.A,
-                     Hessian.dense(E @ sys.H.mode1(), symmetric=True),
-                     [E @ Nk for Nk in sys.N], E @ sys.B, sys.C, E=E)
+    return QBSystem(E @ sys.A,
+                    Hessian.dense(E @ sys.H.mode1(), symmetric=True),
+                    [E @ Nk for Nk in sys.N], E @ sys.B, sys.C, E=E)
+
+
+def test_mass_matrix_pair_matches_standardized(rough_pair):
+    sys, red, _ = rough_pair
+    sys_e = with_mass(sys, 37)
     bases_e = solve_bases(sys_e, red)
     rep_e = optimality_residuals(sys_e, red, bases_e)
     bases0 = solve_bases(sys, red)
@@ -262,8 +288,8 @@ def test_bruteforce_agrees_on_converged_run():
 
 def test_bruteforce_agrees_on_arbitrary_model(rough_pair):
     sys, red, _ = rough_pair
-    chk = verify_against_bruteforce(sys, red)
-    assert chk.agreed
+    for case in (sys, with_mass(sys, 37)):
+        assert verify_against_bruteforce(case, red).agreed
 
 
 def test_bruteforce_linear_exact():

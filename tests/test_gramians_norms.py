@@ -307,7 +307,7 @@ def test_error_system_embeds_sparse_factors():
     # the block tensor: full rows see the full state, reduced rows the
     # reduced state
     T = np.zeros((n + r,) * 3)
-    T[:n, :n, :n] = sys.H.tensor()
-    T[n:, n:, n:] = red.H.tensor()
+    T[:n, :n, :n] = sys.H.mode1().reshape(n, n, n)
+    T[n:, n:, n:] = red.H.mode1().reshape(r, r, r)
     ref = T.reshape(n + r, -1)
     assert np.linalg.norm(err.H.mode1() - ref) <= 1e-14 * np.linalg.norm(ref)

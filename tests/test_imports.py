@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+type in qbmor.errors is used by some other library module.
 
 Walks the syntax tree of each module under src/qbmor (the package's
 __init__.py re-exports by design and is skipped); needs only the standard
@@ -30,9 +31,32 @@ def _used_names(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def _parse(module):
+    with open(os.path.join(SRC, module)) as fh:
+        return ast.parse(fh.read(), filename=module)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    with open(os.path.join(SRC, module)) as fh:
-        tree = ast.parse(fh.read(), filename=module)
+    tree = _parse(module)
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
     assert not unused, "%s imports unused names: %s" % (module, unused)
+
+
+
+def _referenced_names(tree):
+    return _used_names(tree) | {node.attr for node in ast.walk(tree)
+                                if isinstance(node, ast.Attribute)}
+
+
+ERROR_TYPES = [node.name for node in _parse("errors.py").body
+               if isinstance(node, ast.ClassDef)]
+
+
+@pytest.mark.parametrize("name", ERROR_TYPES)
+def test_error_type_is_used_outside_errors(name):
+    # a type that only tests raise or catch is dead code; subclassing it
+    # inside errors.py does not count as a use
+    users = [module for module in MODULES if module != "errors.py"
+             and name in _referenced_names(_parse(module))]
+    assert users, "%s is referenced by no module but errors.py" % name

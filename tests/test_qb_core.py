@@ -8,7 +8,7 @@ from qbmor.kron_tensor import Hessian
 import qbmor.qb_core as qb_core
 from qbmor.benchmarks import chafee_infante, fitzhugh_nagumo
 from qbmor.qb_core import (
-    QBSystem, ReducedModel, project, rescale, fold_mass_matrix,
+    QBSystem, ReducedModel, project, rescale,
     orthonormalize, save_system, load_system, save_reduced, load_reduced,
 )
 from conftest import random_stable_qb, rng_for
@@ -185,7 +185,7 @@ def test_operator_set_is_built_once(monkeypatch):
     assert sys._vector_field() is field
 
 
-def test_fold_mass_matrix_solves_with_ill_conditioned_mass():
+def test_solve_mass_with_ill_conditioned_mass(monkeypatch):
     rng = rng_for(44)
     n = 8
     sys = random_stable_qb(n, 1, 1, rng)
@@ -196,19 +196,31 @@ def test_fold_mass_matrix_solves_with_ill_conditioned_mass():
     gen = QBSystem(E @ sys.A, Hessian.dense(E @ sys.H.mode1(), symmetric=True),
                    [E @ sys.N[0]],
                    E @ sys.B, sys.C, E=E)
-    folded = fold_mass_matrix(gen)
+    factored = []
+    lu_factor = scipy.linalg.lu_factor
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        lambda M: factored.append(M) or lu_factor(M))
+    cases = [(gen.A, False), (gen.N[0], False), (gen.B, False),
+             (gen.H.mode1(), False), (gen.C.T, True), (E.T @ sys.A, True)]
     Einv = np.linalg.inv(E)
-    pairs = [(folded.A, gen.A), (folded.N[0], gen.N[0]), (folded.B, gen.B),
-             (folded.H.mode1(), gen.H.mode1())]
-    for got, M in pairs:
-        ref = np.linalg.solve(E, M)
-        err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
-        err_inv = np.linalg.norm(Einv @ M - ref) / np.linalg.norm(ref)
-        assert err < err_inv
+    for M, transpose in cases:
+        Es = E.T if transpose else E
+        got = gen.solve_mass(M, transpose=transpose)
+        if not transpose:
+            # a transposed solve reuses the LU of E, not of E^T, so its
+            # forward error is comparable only with that of E's own LU
+            ref = np.linalg.solve(E, M)
+            err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+            err_inv = np.linalg.norm(Einv @ M - ref) / np.linalg.norm(ref)
+            assert err < err_inv
         # backward stable: the residual is at rounding level
-        res = np.linalg.norm(E @ got - M)
+        res = np.linalg.norm(Es @ got - M)
         assert res <= 1e-14 * np.linalg.norm(E) * np.linalg.norm(got)
-    assert folded.E is None and folded.H.symmetric
+    # one factorization of E serves every solve, in both directions
+    assert len(factored) == 1 and factored[0] is gen.E
+    X = rng.standard_normal((n, 2))
+    assert sys.solve_mass(X) is X and sys.solve_mass(X, transpose=True) is X
+    assert factored == [gen.E]
 
 
 # ------------------------------------------------------------------ projection
