@@ -80,32 +80,30 @@ def chafee_infante(k):
     main = np.full(k, -2.0 * inv_h2)
     main[-1] = -inv_h2           # reflecting right end via ghost elimination
     off = np.full(k - 1, inv_h2)
-    A_vv = np.diag(main) + np.diag(off, 1) + np.diag(off, -1) + np.eye(k)
-    A = np.zeros((n, n))
-    A[:k, :k] = A_vv
+    A_vv = sp.diags_array([off, main + 1.0, off], offsets=[-1, 0, 1])
     # d(v_j^2)/dt picks twice the diagonal linear coefficient
-    A[k:, k:] = np.diag(2.0 * np.diag(A_vv))
+    A = sp.block_diag([A_vv, sp.diags_array(2.0 * (main + 1.0))],
+                      format="csr")
 
     rows = np.arange(k)
     ones = np.ones(k)
     # v rows: -v_j * w_j closes the cubic term
-    P1 = sp.csr_matrix((ones, (rows, rows)), shape=(n, n))
-    Q1 = sp.csr_matrix((-ones, (rows, k + rows)), shape=(n, n))
+    P1 = sp.csr_array((ones, (rows, rows)), shape=(n, n))
+    Q1 = sp.csr_array((-ones, (rows, k + rows)), shape=(n, n))
     # w rows: -2 w_j^2
-    P2 = sp.csr_matrix((ones, (k + rows, k + rows)), shape=(n, n))
-    Q2 = sp.csr_matrix((-2.0 * ones, (k + rows, k + rows)), shape=(n, n))
+    P2 = sp.csr_array((ones, (k + rows, k + rows)), shape=(n, n))
+    Q2 = sp.csr_array((-2.0 * ones, (k + rows, k + rows)), shape=(n, n))
     # w rows: neighbor products from the diffusion stencil
-    P3 = sp.csr_matrix((ones, (k + rows, rows)), shape=(n, n))
+    P3 = sp.csr_array((ones, (k + rows, rows)), shape=(n, n))
     adj_r = np.concatenate([rows[:-1], rows[1:]])
     adj_c = np.concatenate([rows[1:], rows[:-1]])
-    Q3 = sp.csr_matrix((np.full(adj_r.size, 2.0 * inv_h2),
-                        (k + adj_r, adj_c)), shape=(n, n))
+    Q3 = sp.csr_array((np.full(adj_r.size, 2.0 * inv_h2),
+                       (k + adj_r, adj_c)), shape=(n, n))
     H = Hessian.from_pairs([(P1, Q1), (P2, Q2), (P3, Q3)], n)
 
     B = np.zeros((n, 1))
     B[0, 0] = inv_h2
-    N1 = np.zeros((n, n))
-    N1[k, 0] = 2.0 * inv_h2
+    N1 = sp.csr_array(([2.0 * inv_h2], ([k], [0])), shape=(n, n))
     C = np.zeros((1, n))
     C[0, k - 1] = 1.0
     return QBSystem(A=A, H=H, N=[N1], B=B, C=C, label="chafee_infante_k%d" % k)
@@ -126,45 +124,43 @@ def fitzhugh_nagumo(k):
     inv_h2 = 1.0 / (hg * hg)
     n = 3 * k
 
-    D2 = np.diag(np.full(k, -2.0 * inv_h2))
-    D2 += np.diag(np.full(k - 1, inv_h2), 1) + np.diag(np.full(k - 1, inv_h2), -1)
-    D2[0, 1] = 2.0 * inv_h2      # zero-flux ghosts at both ends
-    D2[k - 1, k - 2] = 2.0 * inv_h2
+    up = np.full(k - 1, inv_h2)
+    low = np.full(k - 1, inv_h2)
+    up[0] = low[-1] = 2.0 * inv_h2    # zero-flux ghosts at both ends
+    D2 = sp.diags_array([low, np.full(k, -2.0 * inv_h2), up],
+                        offsets=[-1, 0, 1])
 
-    Ik = np.eye(k)
-    A = np.zeros((n, n))
-    A[:k, :k] = eps * D2 - (0.1 / eps) * Ik
-    A[:k, k:2 * k] = -(1.0 / eps) * Ik
-    A[:k, 2 * k:] = (1.1 / eps) * Ik
-    A[k:2 * k, :k] = h_par * Ik
-    A[k:2 * k, k:2 * k] = -gam * Ik
-    A[2 * k:, 2 * k:] = np.diag(2.0 * (eps * np.diag(D2) - 0.1 / eps))
+    Ik = sp.eye_array(k)
+    A_zz = sp.diags_array(2.0 * (eps * D2.diagonal() - 0.1 / eps))
+    A = sp.block_array(
+        [[eps * D2 - (0.1 / eps) * Ik, -(1.0 / eps) * Ik, (1.1 / eps) * Ik],
+         [h_par * Ik, -gam * Ik, None],
+         [None, None, A_zz]], format="csr")
 
     rows = np.arange(k)
     ones = np.ones(k)
     # v rows: -(1/eps) v_j z_j closes the cubic term
-    P1 = sp.csr_matrix((ones, (rows, rows)), shape=(n, n))
-    Q1 = sp.csr_matrix((-ones / eps, (rows, 2 * k + rows)), shape=(n, n))
+    P1 = sp.csr_array((ones, (rows, rows)), shape=(n, n))
+    Q1 = sp.csr_array((-ones / eps, (rows, 2 * k + rows)), shape=(n, n))
     # z rows: 2 v_j times the off-diagonal linear velocity of v_j
-    Avrow = np.zeros((n, n))
-    Avrow[2 * k + rows] = 2.0 * A[rows]
-    Avrow[2 * k + rows, rows] = 0.0
-    P2 = sp.csr_matrix((ones, (2 * k + rows, rows)), shape=(n, n))
-    Q2 = sp.csr_matrix(Avrow)
+    Av = A[:k].tocoo()
+    off = Av.row != Av.col
+    P2 = sp.csr_array((ones, (2 * k + rows, rows)), shape=(n, n))
+    Q2 = sp.csr_array((2.0 * Av.data[off], (2 * k + Av.row[off], Av.col[off])),
+                      shape=(n, n))
     # z rows: -(2/eps) z_j^2
-    P3 = sp.csr_matrix((ones, (2 * k + rows, 2 * k + rows)), shape=(n, n))
-    Q3 = sp.csr_matrix((-2.0 * ones / eps, (2 * k + rows, 2 * k + rows)),
-                       shape=(n, n))
+    P3 = sp.csr_array((ones, (2 * k + rows, 2 * k + rows)), shape=(n, n))
+    Q3 = sp.csr_array((-2.0 * ones / eps, (2 * k + rows, 2 * k + rows)),
+                      shape=(n, n))
     H = Hessian.from_pairs([(P1, Q1), (P2, Q2), (P3, Q3)], n)
 
     B = np.zeros((n, 2))
     B[0, 0] = -2.0 * eps / hg    # Neumann current enters the first v row
     B[rows, 1] = q / eps
     B[k + rows, 1] = q
-    N1 = np.zeros((n, n))
-    N1[2 * k, 0] = -4.0 * eps / hg
-    N2 = np.zeros((n, n))
-    N2[2 * k + rows, rows] = 2.0 * q / eps
+    N1 = sp.csr_array(([-4.0 * eps / hg], ([2 * k], [0])), shape=(n, n))
+    N2 = sp.csr_array((np.full(k, 2.0 * q / eps), (2 * k + rows, rows)),
+                      shape=(n, n))
     C = np.zeros((2, n))
     C[0, 0] = 1.0
     C[1, k] = 1.0

@@ -18,7 +18,7 @@ from qbmor.errors import (
     DegradedDiagnostics, SingularGram, SingularShift, TooLarge,
 )
 from qbmor.kron_tensor import mode_matricize, perm_T, vec, unvec
-from qbmor.qb_core import project
+from qbmor.qb_core import _dense, project
 from qbmor.tqb_irka import _solve_bases_core, solve_bases
 
 _FAMILIES = ("C", "B", "N", "H", "lambda")
@@ -74,7 +74,7 @@ def _phi_families(model, V1, V2, W1, W2):
     r = V1.shape[1]
     Phi_C = (model.C @ Vfull).T
     Phi_B = Wfull.T @ model.B
-    Phi_N = np.stack([W1.T @ Nk @ V1 for Nk in model.N], axis=2)
+    Phi_N = np.stack([W1.T @ (Nk @ V1) for Nk in model.N], axis=2)
     Phi_H = (W1.T @ model.H.apply_kron(V1, V1)).reshape(r, r, r)
     EV, EV1 = ((Vfull, V1) if model.E is None
                else (model.E @ Vfull, model.E @ V1))
@@ -128,8 +128,9 @@ def verify_against_bruteforce(sys, red, tol=1e-9):
     n, r = sys.n, red.r
     f = red.spectral
     lam = f.lam
-    A = sys.A
-    E = np.eye(n) if sys.E is None else sys.E
+    A = _dense(sys.A)
+    E = np.eye(n) if sys.E is None else _dense(sys.E)
+    N = [_dense(Nk) for Nk in sys.N]
     Ir = np.eye(r)
 
     K1 = -np.kron(np.diag(lam), E) - np.kron(Ir, A)
@@ -142,7 +143,7 @@ def verify_against_bruteforce(sys, red, tol=1e-9):
     H2 = mode_matricize(sys.H, 2)
     src_v2 = np.kron(f.Htil, Hm) @ T.apply(np.kron(vecV1, vecV1))
     src_w2 = 2.0 * (np.kron(f.Htil2, H2) @ T.apply(np.kron(vecV1, vecW1)))
-    for Nk, Ntk in zip(sys.N, f.Ntil):
+    for Nk, Ntk in zip(N, f.Ntil):
         src_v2 = src_v2 + np.kron(Ntk, Nk) @ vecV1
         src_w2 = src_w2 + np.kron(Ntk.T, Nk.T) @ vecW1
     vecV2 = np.linalg.solve(K1, src_v2)

@@ -24,7 +24,7 @@ from qbmor.errors import (
     IndefiniteGramian, NoConvergence, NumericalError, SolverBreakdown,
 )
 from qbmor.kron_tensor import Hessian
-from qbmor.qb_core import QBSystem
+from qbmor.qb_core import QBSystem, _dense
 from qbmor.matrix_equations import hurwitz_schur, solve_lyapunov
 
 
@@ -200,18 +200,19 @@ def error_system(sys, red):
 
     The quadratic map acts blockwise: rows in the full part see only the
     full state, rows in the reduced part only the reduced state, so it is
-    stored as structured factor pairs and never densified. Its mass matrix
-    is blkdiag(E, I_r), or absent when sys has none.
+    stored as structured factor pairs and never densified. A, the N_k and
+    the mass matrix blkdiag(E, I_r) (absent when sys has none) are dense,
+    as the Gramian path that reads them is.
     """
     n, r = sys.n, red.r
     if sys.m != red.m or sys.p != red.p:
         raise ValueError("input/output dimensions of the pair do not match")
     ntot = n + r
-    Ae = sla.block_diag(sys.A, red.A)
+    Ae = sla.block_diag(_dense(sys.A), red.A)
     Be = np.vstack([sys.B, red.B])
     Ce = np.hstack([sys.C, -red.C])
-    Ne = [sla.block_diag(Nk, Nhk) for Nk, Nhk in zip(sys.N, red.N)]
-    Ee = None if sys.E is None else sla.block_diag(sys.E, np.eye(r))
+    Ne = [sla.block_diag(_dense(Nk), Nhk) for Nk, Nhk in zip(sys.N, red.N)]
+    Ee = None if sys.E is None else sla.block_diag(_dense(sys.E), np.eye(r))
     pairs = _embed_pairs(sys.H, 0, r) + _embed_pairs(red.H, n, 0)
     He = Hessian.from_pairs(pairs, ntot,
                             symmetric=sys.H.symmetric and red.H.symmetric)

@@ -99,6 +99,17 @@ def _dense_factor(M):
     return np.asarray(M)
 
 
+# entries of one row-Kronecker block of the active-row products; a larger
+# product is taken in blocks of this size, or of n rows (one factor pair)
+_KRON_BLOCK = 1 << 17
+
+
+def _nonzero_rows(M):
+    if sp.issparse(M):
+        return np.diff(M.indptr) > 0
+    return np.any(M != 0.0, axis=1)
+
+
 def _row_kron(X, Y):
     # row i of the result is X[i,:] (x) Y[i,:]
     n, a = X.shape
@@ -133,6 +144,7 @@ class Hessian:
         else:
             raise ValueError("unknown storage %r" % (storage,))
         self._stack = None
+        self._active = None
 
     @classmethod
     def dense(cls, Hm, symmetric=False):
@@ -174,6 +186,39 @@ class Hessian:
                 self._stack = (np.vstack(Ls), np.vstack(Rs))
         return self._stack
 
+    def _active_rows(self):
+        """The rows of the stacked pairs where both factors are nonzero.
+
+        Returns (L, R, RT, S, dest): those rows of the two stacks, R
+        transposed, the CSR summation matrix S (n x rows) that adds each
+        row into output row dest = its row within its pair, and dest
+        itself. Built once. Only these rows contribute to
+        H(X (x) Y) = S row_kron(L X, R Y), so the products skip the others
+        and need no loop over the pairs.
+        """
+        if self._active is None:
+            Ls, Rs = self._stacked()
+            rows = np.flatnonzero(_nonzero_rows(Ls) & _nonzero_rows(Rs))
+            dest = rows % self.n
+            S = sp.csr_array((np.ones(rows.size),
+                              (dest, np.arange(rows.size))),
+                             shape=(self.n, rows.size))
+            L, R = Ls[rows], Rs[rows]
+            RT = sp.csr_array(R.T) if sp.issparse(R) else R.T
+            self._active = (L, R, RT, S, dest)
+        return self._active
+
+    def _active_blocks(self, width):
+        """``_active_rows`` in blocks whose row-Kronecker product with
+        `width` columns has at most ``_KRON_BLOCK`` entries or n rows."""
+        L, R, RT, S, dest = self._active_rows()
+        step = max(self.n, _KRON_BLOCK // max(width, 1))
+        if dest.size <= step:
+            return [(L, R, RT, S, dest)]
+        starts = range(0, dest.size, step)
+        return [(L[a:a + step], R[a:a + step], R[a:a + step].T,
+                 S[:, a:a + step], dest[a:a + step]) for a in starts]
+
     def mode1(self):
         if self.storage == "dense":
             return self._Hm
@@ -209,9 +254,11 @@ class Hessian:
             M = np.tensordot(T, X, axes=([1], [0]))       # (i, b, q)
             M = np.tensordot(M, Y, axes=([1], [0]))       # (i, q, s)
             return M.reshape(self.n, q * s)
-        out = np.zeros((self.n, q * s), dtype=np.result_type(X, Y, float))
-        for L, R in self._pairs:
-            out += _row_kron(L @ X, R @ Y)
+        if not self._pairs:
+            return np.zeros((self.n, q * s), dtype=np.result_type(X, Y, float))
+        out = 0.0  # the first block's sum replaces it, the others add to it
+        for L, R, _, S, _ in self._active_blocks(q * s):
+            out += S @ _row_kron(L @ X, R @ Y)
         return out
 
     def apply_kron_mode2(self, X, Y):
@@ -226,9 +273,11 @@ class Hessian:
             M = np.tensordot(T, X, axes=([1], [0]))       # (i, b, q)
             M = np.tensordot(M, Y, axes=([0], [0]))       # (b, q, s)
             return M.reshape(self.n, q * s)
-        out = np.zeros((self.n, q * s), dtype=np.result_type(X, Y, float))
-        for L, R in self._pairs:
-            out += R.T @ _row_kron(L @ X, Y)
+        if not self._pairs:
+            return np.zeros((self.n, q * s), dtype=np.result_type(X, Y, float))
+        out = 0.0
+        for L, _, RT, _, dest in self._active_blocks(q * s):
+            out += RT @ _row_kron(L @ X, Y[dest])
         return out
 
     def kron_identity(self, x):
@@ -243,7 +292,7 @@ class Hessian:
         """W^T H (V (x) V) as an r x r^2 matrix.
 
         Dense storage follows the three-step unfolding route (one GEMM per
-        mode); pair storage contracts each factor pair row-wise.
+        mode); pair storage takes ``apply_kron`` on its active rows.
         """
         V = np.asarray(V)
         W = np.asarray(W)

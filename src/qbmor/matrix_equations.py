@@ -3,15 +3,19 @@
 All solvers are deterministic on a fixed machine, and all but the shifted
 solves of a sparse pencil are dense. Lyapunov solves against one
 coefficient share its real Schur form and run the recursive blocked
-Bartels-Stewart algorithm of Jonsson and Kagstrom (RECSY, ACM TOMS 2002):
-almost all of their flops are matrix-matrix products, and LAPACK trsyl
-solves only blocks of side at most 64. Sylvester equations with a diagonal
-right coefficient are solved column by column; a full Kronecker system is
-never formed. Shifted solves with one pencil share a ``shifted_lu`` form:
-one LU per distinct shift, used by the V solves with A + lam E and by the
-W solves with its transpose, a real LU for a real shift, and no
-factorization for a conjugate partner. The form factors a sparse pencil
-by SuperLU (``scipy.sparse.linalg.splu``) and a dense one by LAPACK.
+Lyapunov recursion of Jonsson and Kagstrom (RECSY, ACM TOMS 2002), which
+solves only the upper off-diagonal blocks of the symmetric solution by the
+blocked Bartels-Stewart Sylvester recursion: almost all of their flops are
+matrix-matrix products, and LAPACK trsyl solves only blocks of side at
+most 64. Sylvester equations with a diagonal right coefficient are solved
+on a ``shifted_lu`` form of the pencil A + lam E; a full Kronecker system
+is never formed. All shifts of one shift vector are factored at once: one
+factorization over the distinct real shifts, in real arithmetic, and one
+over the distinct complex shifts that lead a conjugate pair, none for a
+partner. The factors serve the V solves with A + lam E and the W solves
+with its transpose. A sparse pencil's shifts are factored as one
+block-diagonal matrix by SuperLU (``scipy.sparse.linalg.splu``), a dense
+one's as one batch by LAPACK.
 """
 
 import warnings
@@ -98,13 +102,13 @@ class HurwitzSchur:
 
 
 def hurwitz_schur(A):
-    """Real Schur form of A, checked for stability.
+    """Real Schur form of A, checked for stability; a sparse A is densified.
 
     In LAPACK's standardized real Schur form a 2x2 block carries the real
     part of its conjugate pair on both diagonal entries, so diag(T) holds
     the real part of every eigenvalue.
     """
-    A = np.asarray(A, dtype=float)
+    A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
     try:
         T, Z = sla.schur(A, output="real")
     except (np.linalg.LinAlgError, sla.LinAlgError, ValueError) as exc:
@@ -167,19 +171,55 @@ def _solve_quasi_triangular(TA, TB, F, transpose):
             _solve_quasi_triangular(TA, B11, F[:, :k], transpose)
 
 
+def _solve_lyapunov_quasi_triangular(T, F, transpose):
+    """Overwrite symmetric F with the symmetric Y of
+    op(T) Y + Y op(T)^T = F, T upper quasi-triangular, op as above.
+
+    RECSY's Lyapunov recursion: T is split, the diagonal block of Y that
+    does not depend on the others is solved first (Y22, or Y11 with
+    transpose), then the off-diagonal block Y12 by one
+    ``_solve_quasi_triangular``, then the other diagonal block after a
+    symmetric update. Only the upper block Y12 is solved, so the work is
+    about half that of the Sylvester recursion on the same F.
+    """
+    n = F.shape[0]
+    if n <= _TRSYL_LEAF:
+        _solve_quasi_triangular(T, T, F, transpose)
+        return
+    k = _split(T)
+    T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
+    Y11, Y12, Y22 = F[:k, :k], F[:k, k:], F[k:, k:]
+    if transpose:
+        _solve_lyapunov_quasi_triangular(T11, Y11, transpose)
+        Y12 -= Y11 @ T12
+        _solve_quasi_triangular(T11, T22, Y12, transpose)
+        U = T12.T @ Y12
+        Y22 -= U + U.T
+        _solve_lyapunov_quasi_triangular(T22, Y22, transpose)
+    else:
+        _solve_lyapunov_quasi_triangular(T22, Y22, transpose)
+        Y12 -= T12 @ Y22
+        _solve_quasi_triangular(T11, T22, Y12, transpose)
+        U = T12 @ Y12.T
+        Y11 -= U + U.T
+        _solve_lyapunov_quasi_triangular(T11, Y11, transpose)
+    F[k:, :k] = Y12.T
+
+
 def solve_lyapunov(A, Q, transpose=False):
-    """Unique X with A X + X A^T + Q = 0 for Hurwitz A; X is symmetrized.
+    """Unique X with A X + X A^T + Q = 0 for Hurwitz A and symmetric Q;
+    X is symmetrized.
 
     A is a matrix or its ``hurwitz_schur`` form; passing the form lets
     several solves share one factorization. transpose=True solves
     A^T X + X A + Q = 0 with the same form. The steps are Bartels-Stewart:
-    F = Z^T (-Q) Z, T Y + Y T^T = F (or T^T Y + Y T = F) by a recursive
-    blocked solve on F in place, X = Z Y Z^T.
+    F = Z^T (-Q) Z, T Y + Y T^T = F (or T^T Y + Y T = F) by the recursive
+    blocked Lyapunov solve on F in place, X = Z Y Z^T.
     """
     S = A if isinstance(A, HurwitzSchur) else hurwitz_schur(A)
     Q = np.asarray(Q, dtype=float)
     F = S.Z.T.dot((-Q).dot(S.Z))
-    _solve_quasi_triangular(S.T, S.T, F, transpose)
+    _solve_lyapunov_quasi_triangular(S.T, F, transpose)
     X = S.Z.dot(F).dot(S.Z.T)
     if not np.all(np.isfinite(X)):
         raise SolverBreakdown("Lyapunov solution contains non-finite entries")
@@ -187,75 +227,148 @@ def solve_lyapunov(A, Q, transpose=False):
 
 
 class ShiftedLU:
-    """LU factors of A + lam E, filled lazily, one per distinct shift.
+    """The pencil A + lam E in the form its shifted solves factor.
 
-    Built empty by ``shifted_lu``; ``solve_sylvester_shifted`` factors a
-    shift on its first solve and reuses that factor for every later solve
-    with the shift or its conjugate. ``.T`` shares the factors and solves
-    with A^T + lam E^T, the plain transpose also for complex lam. A real
-    shift (lam.imag == 0.0) gets a real factor, solved on [Re b, Im b].
-
-    A and E are dense ndarrays (E may be None, meaning the identity) and
-    each shift is factored by ``scipy.linalg.lu_factor``; or they are CSC
-    arrays on one shared pattern that includes the diagonal (E is then the
-    identity when the pencil has no mass matrix), and a shift costs one
-    data update and one ``scipy.sparse.linalg.splu``.
+    Built by ``shifted_lu``. A and E are CSC arrays on one shared pattern
+    that includes the diagonal (E is the identity when the pencil has no
+    mass matrix), or dense ndarrays (E may be None, meaning the identity).
+    ``solve_sylvester_shifted`` factors every shift of a shift vector at
+    once: one factorization of the real blocks A + lam_j E over its distinct
+    real shifts and one of the complex blocks over its distinct complex
+    shifts that lead a conjugate pair (or stand alone). A sparse pencil's
+    blocks form one block-diagonal CSC matrix for one
+    ``scipy.sparse.linalg.splu``; a dense pencil's form one batch for one
+    ``scipy.linalg.lu_factor``. The factors of the last shift vector are
+    kept, so the solves of one sweep share them; ``.T`` shares them too and
+    solves with A^T + lam E^T, the plain transpose also for complex lam.
     """
 
-    def __init__(self, A, E, factors, trans):
+    def __init__(self, A, E, cache, trans):
         self.A = A
         self.E = E
-        self._factors = factors
+        self._cache = cache    # [lam.tobytes(), _ShiftFactors] or empty
         self._trans = trans
 
     @property
     def T(self):
-        return ShiftedLU(self.A, self.E, self._factors, 1 - self._trans)
+        return ShiftedLU(self.A, self.E, self._cache, 1 - self._trans)
 
-    def _lu(self, lam):
-        lu = self._factors.get(lam)
-        if lu is None:
-            real = lam.imag == 0.0
-            shift = lam.real if real else lam
-            if sp.issparse(self.A):
-                M = sp.csc_array((self.A.data + shift * self.E.data,
-                                  self.A.indices, self.A.indptr),
-                                 shape=self.A.shape)
-                try:
-                    lu = spla.splu(M)
-                except RuntimeError as exc:  # "Factor is exactly singular"
-                    raise SingularShift("shift %r makes A + lam E singular"
-                                        % (lam,)) from exc
-            else:
-                if self.E is None:
-                    M = self.A.astype(float if real else complex)
-                    M.flat[::M.shape[0] + 1] += shift
-                else:
-                    M = self.A + shift * self.E
-                lu = sla.lu_factor(M, overwrite_a=True)
-            self._factors[lam] = lu
-        return lu
+    def factors(self, lam):
+        """The ``_ShiftFactors`` of the shift vector lam, made on first use."""
+        key = lam.tobytes()
+        if not self._cache or self._cache[0] != key:
+            self._cache[:] = [key, _ShiftFactors(self, lam)]
+        return self._cache[1]
 
-    def solve(self, lam, b):
-        """x with (A + lam E) x = b, or (A^T + lam E^T) x = b on ``.T``."""
-        lam = complex(lam)
-        lu = self._lu(lam)
-        real = lam.imag == 0.0
-        rhs = np.column_stack([b.real, b.imag]) if real else b
-        if sp.issparse(self.A):
-            x = lu.solve(rhs, trans="T" if self._trans else "N")
+
+class _Blocks:
+    """Factors of A + s_j E for the distinct shifts s of one group, made by
+    one factorization call; ``solve`` puts column q of B through block
+    blk[q] by one solve call (one per block for a dense pencil)."""
+
+    def __init__(self, form, shifts):
+        self.count = shifts.size
+        A, E = form.A, form.E
+        n = A.shape[0]
+        if sp.issparse(A):
+            # the blocks share the CSC pattern, offset by n rows per block
+            nnz = A.indptr[-1]
+            off = np.arange(self.count)[:, None]
+            M = sp.csc_array(
+                ((A.data + shifts[:, None] * E.data).ravel(),
+                 (A.indices + n * off).ravel(),
+                 np.append((A.indptr[:-1] + nnz * off).ravel(),
+                           nnz * self.count)),
+                shape=(n * self.count, n * self.count))
+            # panels of one column: the generators' pencils have supernodes
+            # of a column or two, and SuperLU's default of ten columns
+            # costs a dense workspace of ten columns of M and, measured on
+            # chafee_infante and fitzhugh_nagumo at n = 1000 and eight
+            # shifts, twice the time
+            try:
+                self._lu = spla.splu(M, panel_size=1)
+            except RuntimeError as exc:  # "Factor is exactly singular"
+                raise SingularShift("a shift of %r makes A + lam E singular"
+                                    % (shifts,)) from exc
         else:
-            x = sla.lu_solve(lu, rhs, trans=self._trans, check_finite=False)
-        return x[:, 0] + 1j * x[:, 1] if real else x
+            I = np.eye(n) if E is None else E
+            M = A + shifts[:, None, None] * I
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", sla.LinAlgWarning)
+                    self._lu = sla.lu_factor(M, overwrite_a=True,
+                                             check_finite=False)
+            except sla.LinAlgWarning as exc:  # an exactly zero pivot
+                raise SingularShift("a shift of %r makes A + lam E singular"
+                                    % (shifts,)) from exc
+
+    def solve(self, blk, B, trans):
+        n = B.shape[0]
+        if isinstance(self._lu, spla.SuperLU):
+            # column q of B goes to block blk[q], at the next free column
+            # of that block's share of the stacked right-hand side
+            order = np.argsort(blk, kind="stable")
+            first = np.searchsorted(blk[order], blk[order])
+            pos = np.empty_like(blk)
+            pos[order] = np.arange(blk.size) - first
+            R = np.zeros((self.count, n, pos.max() + 1), dtype=B.dtype)
+            R[blk, :, pos] = B.T
+            X = self._lu.solve(R.reshape(self.count * n, -1),
+                               trans="T" if trans else "N")
+            return X.reshape(R.shape)[blk, :, pos].T
+        lu, piv = self._lu
+        X = np.empty_like(B)
+        for j in range(self.count):
+            cols = blk == j
+            X[:, cols] = sla.lu_solve((lu[j], piv[j]), B[:, cols],
+                                      trans=trans, check_finite=False)
+        return X
+
+
+class _ShiftFactors:
+    """How the columns of one shift vector are solved, and their factors.
+
+    Reads the pair rule of ``spectral_decompose``: when lam[i].imag != 0.0
+    and lam[i+1] is exactly conj(lam[i]), column i + 1 is the partner of
+    the lead column i and its shift is never factored. A real shift is
+    factored in real arithmetic.
+    """
+
+    def __init__(self, form, lam):
+        lead = np.zeros(lam.size, dtype=bool)
+        partner = np.zeros(lam.size, dtype=bool)
+        i = 0
+        while i < lam.size:
+            if lam[i].imag == 0.0:
+                i += 1
+                continue
+            lead[i] = True
+            if i + 1 < lam.size and lam[i + 1] == np.conj(lam[i]):
+                partner[i + 1] = True
+                i += 1
+            i += 1
+        self.real = np.flatnonzero(lam.imag == 0.0)
+        self.lead = np.flatnonzero(lead)
+        self.partner = np.flatnonzero(partner)
+        self.real_blocks = self.cplx_blocks = None
+        if self.real.size:
+            shifts, self.real_blk = np.unique(lam[self.real].real,
+                                              return_inverse=True)
+            self.real_blocks = _Blocks(form, shifts)
+        if self.lead.size:
+            shifts, self.lead_blk = np.unique(lam[self.lead],
+                                              return_inverse=True)
+            self.cplx_blocks = _Blocks(form, shifts)
 
 
 def shifted_lu(A, E=None):
-    """Empty ``ShiftedLU`` form of A + lam E for ``solve_sylvester_shifted``.
+    """``ShiftedLU`` form of A + lam E for ``solve_sylvester_shifted``.
 
-    The format is decided once here. A or E given as a sparse array makes
-    the form sparse; dense input is sparse when the pattern of A, plus the
-    diagonal (or E's pattern), fills at most ``_SPARSE_FILL`` of n^2, and
-    dense otherwise.
+    The format is decided once here, by one rule for dense and sparse
+    input: the pencil is sparse when the pattern of A, plus the diagonal
+    (or E's pattern), fills at most ``_SPARSE_FILL`` of n^2, and dense
+    otherwise. Sparse input is read from its stored entries, dense input
+    by one scan of its n^2 cells.
     """
     if not (sp.issparse(A) or sp.issparse(E)):
         A = np.asarray(A, dtype=float)
@@ -266,7 +379,7 @@ def shifted_lu(A, E=None):
         else:
             cells |= E != 0.0
         if np.count_nonzero(cells) > _SPARSE_FILL * cells.size:
-            return ShiftedLU(A, E, {}, 0)
+            return ShiftedLU(A, E, [], 0)
         # indexing by the flat pattern costs a tenth of coo_array(A)'s scan
         idx = np.flatnonzero(cells)
         ij = np.divmod(idx, A.shape[0])
@@ -274,46 +387,40 @@ def shifted_lu(A, E=None):
         if E is not None:
             E = sp.coo_array((E.ravel()[idx], ij), shape=A.shape)
     A = sp.coo_array(A, dtype=float)
-    E = (sp.eye_array(A.shape[0], format="coo") if E is None
-         else sp.coo_array(E, dtype=float))
+    n = A.shape[0]
+    Ec = (sp.eye_array(n, format="coo") if E is None
+          else sp.coo_array(E, dtype=float))
     # one conversion sums A into the real and E into the imaginary part of
     # each cell of the union pattern, so neither can cancel the other out
-    P = sp.csc_array((np.concatenate([A.data, 1j * E.data]),
-                      (np.concatenate([A.row, E.row]),
-                       np.concatenate([A.col, E.col]))), shape=A.shape)
+    P = sp.csc_array((np.concatenate([A.data, 1j * Ec.data]),
+                      (np.concatenate([A.row, Ec.row]),
+                       np.concatenate([A.col, Ec.col]))), shape=A.shape)
+    if P.nnz > _SPARSE_FILL * n * n:
+        return ShiftedLU(A.toarray(), None if E is None else Ec.toarray(),
+                         [], 0)
     Ap = sp.csc_array((P.data.real.copy(), P.indices, P.indptr), shape=P.shape)
     Ep = sp.csc_array((P.data.imag.copy(), P.indices, P.indptr), shape=P.shape)
-    return ShiftedLU(Ap, Ep, {}, 0)
-
-
-def _shifted_column(form, lam, b):
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", sla.LinAlgWarning)
-            x = -form.solve(lam, b)
-    except (np.linalg.LinAlgError, sla.LinAlgError, sla.LinAlgWarning,
-            ValueError) as exc:
-        raise SingularShift("shift %r makes A + lam E singular" % (lam,)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularShift("shift %r gave a non-finite column" % (lam,))
-    return x
+    return ShiftedLU(Ap, Ep, [], 0)
 
 
 def solve_sylvester_shifted(A, lam, Rhs, E=None):
-    """Solve -E V diag(lam) - A V = Rhs column by column.
+    """Solve -E V diag(lam) - A V = Rhs.
 
     Column i is -(A + lam_i E)^{-1} Rhs[:, i]. A is a matrix or a
     ``shifted_lu`` form (then E must be None); passing the form lets
-    several solves share one factorization per distinct shift, and its
+    several solves with one lam share its factors (see ``ShiftedLU``:
+    at most one real and one complex factorization per lam), and its
     ``.T`` solves -E^T W diag(lam) - A^T W = Rhs with the same factors.
     A and E may be dense or sparse arrays; ``shifted_lu`` decides whether
     the pencil is factored by ``splu`` or by dense LU. A real shift is
-    factored in real arithmetic. Shifts follow the pair
+    solved in real arithmetic, on [Re Rhs, Im Rhs]. Shifts follow the pair
     rule of ``spectral_decompose``: when lam[i].imag != 0.0 and lam[i+1]
     is exactly conj(lam[i]), the partner is never factored. Its column is
     the exact conjugate of column i when the matching Rhs columns are
-    conjugate, which keeps realification exact, and otherwise
-    conj(-(A + lam_i E)^{-1} conj(Rhs[:, i+1])).
+    conjugate to 1e-12, which keeps realification exact, and otherwise
+    conj(-(A + lam_i E)^{-1} conj(Rhs[:, i+1])). SingularShift is raised
+    when a shift makes the pencil exactly singular or a column comes out
+    non-finite.
     """
     if isinstance(A, ShiftedLU):
         if E is not None:
@@ -321,24 +428,34 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None):
         form = A
     else:
         form = shifted_lu(A, E)
-    lam = np.asarray(lam, dtype=complex)
+    lam = np.asarray(lam, dtype=complex).ravel()
     n = form.A.shape[0]
-    r = lam.size
-    Rhs = np.asarray(Rhs, dtype=complex).reshape(n, r)
-    V = np.empty((n, r), dtype=complex)
-    i = 0
-    while i < r:
-        V[:, i] = _shifted_column(form, lam[i], Rhs[:, i])
-        if i + 1 < r and lam[i].imag != 0.0 and lam[i + 1] == np.conj(lam[i]):
-            b = Rhs[:, i + 1]
-            if np.allclose(b, np.conj(Rhs[:, i]), rtol=1e-12,
-                           atol=1e-12 * (1.0 + np.abs(Rhs[:, i]).max())):
-                V[:, i + 1] = np.conj(V[:, i])
-            else:
-                V[:, i + 1] = np.conj(_shifted_column(form, lam[i], np.conj(b)))
-            i += 2
-        else:
-            i += 1
+    Rhs = np.asarray(Rhs, dtype=complex).reshape(n, lam.size)
+    f = form.factors(lam)
+    trans = form._trans
+    V = np.empty((n, lam.size), dtype=complex)
+    if f.real.size:
+        b = Rhs[:, f.real]
+        X = f.real_blocks.solve(np.tile(f.real_blk, 2),
+                                np.hstack([b.real, b.imag]), trans)
+        V[:, f.real] = -(X[:, :f.real.size] + 1j * X[:, f.real.size:])
+    if f.lead.size:
+        b = Rhs[:, f.partner - 1]
+        conj = np.all(np.abs(Rhs[:, f.partner] - b.conj())
+                      <= 1e-12 * (1.0 + np.abs(b).max(axis=0, initial=0.0)
+                                  + np.abs(b)), axis=0)
+        own = f.partner[~conj]
+        blk = np.concatenate([f.lead_blk,
+                              f.lead_blk[np.searchsorted(f.lead, own - 1)]])
+        X = -f.cplx_blocks.solve(blk, np.hstack([Rhs[:, f.lead],
+                                                 Rhs[:, own].conj()]), trans)
+        V[:, f.lead] = X[:, :f.lead.size]
+        V[:, own] = X[:, f.lead.size:].conj()
+        V[:, f.partner[conj]] = V[:, f.partner[conj] - 1].conj()
+    bad = ~np.all(np.isfinite(V), axis=0)
+    if bad.any():
+        raise SingularShift("shift %r gave a non-finite column"
+                            % (lam[np.argmax(bad)],))
     return V
 
 

@@ -22,10 +22,13 @@ import numpy as np
 import scipy.io as sio
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from qbmor.errors import QbmorWarning, SingularGram, NonPositiveGamma
 from qbmor.kron_tensor import Hessian
-from qbmor.matrix_equations import _SPARSE_FILL, spectral_decompose
+from qbmor.matrix_equations import (
+    _SPARSE_FILL, shifted_lu, spectral_decompose,
+)
 
 # condition bound on the projector Gram matrix W^T V (or W^T E V)
 _COND_LIMIT = 1e13
@@ -37,17 +40,32 @@ def _dense(M):
     return np.asarray(M, dtype=float)
 
 
+def _operator(M):
+    """A sparse operator as a CSR array, any other as a dense float array."""
+    if sp.issparse(M):
+        return sp.csr_array(M, dtype=float)
+    return np.asarray(M, dtype=float)
+
+
 class QBSystem:
-    """Immutable-by-convention container for one QB system."""
+    """Immutable-by-convention container for one QB system.
+
+    A, the N_k and E are kept as given: sparse ones as CSR arrays, dense
+    ones as float ndarrays; B and C are dense. Every consumer works on
+    either form, and only the dense Gramian path (``hurwitz_schur`` and
+    ``error_system``) and the brute-force diagnostics densify. The
+    operator set of ``rhs`` and ``jacobian``, the ``shifted_lu`` form of
+    A + lam E and the LU of E are built on first use and cached.
+    """
 
     def __init__(self, A, H, N, B, C, E=None, label=""):
-        self.A = _dense(A)
+        self.A = _operator(A)
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
         self.B = _dense(B).reshape(n, -1)
         self.C = _dense(C).reshape(-1, n)
-        self.N = [_dense(Nk) for Nk in (N if N is not None else [])]
+        self.N = [_operator(Nk) for Nk in (N if N is not None else [])]
         if len(self.N) != self.B.shape[1]:
             raise ValueError("need one bilinear matrix per input channel")
         for Nk in self.N:
@@ -58,11 +76,12 @@ class QBSystem:
         if H.n != n:
             raise ValueError("Hessian dimension mismatch")
         self.H = H.symmetrized()
-        self.E = None if E is None else _dense(E)
+        self.E = None if E is None else _operator(E)
         if self.E is not None and self.E.shape != (n, n):
             raise ValueError("E must be n x n")
         self.label = label
         self._field = None
+        self._pencil = None
         self._lu_E = None
 
     @property
@@ -82,15 +101,29 @@ class QBSystem:
             self._field = _VectorField.build(self)
         return self._field
 
+    def pencil(self):
+        """The ``shifted_lu`` form of A + lam E, built once per system."""
+        if self._pencil is None:
+            self._pencil = shifted_lu(self.A, self.E)
+        return self._pencil
+
     def solve_mass(self, X, transpose=False):
         """E^{-1} X, or E^{-T} X with transpose; X itself when E is absent.
 
         The one place E^{-1} is applied: by solves with one LU factorization
-        of E, made on first use and cached, never by an explicit inverse.
-        Non-finite entries of X propagate instead of raising.
+        of E (``splu`` when E is sparse), made on first use and cached,
+        never by an explicit inverse. The result is dense; X must be real
+        when E is sparse. Non-finite entries of X propagate instead of
+        raising.
         """
         if self.E is None:
             return X
+        if sp.issparse(X):
+            X = X.toarray()
+        if sp.issparse(self.E):
+            if self._lu_E is None:
+                self._lu_E = spla.splu(sp.csc_array(self.E))
+            return self._lu_E.solve(X, trans="T" if transpose else "N")
         if self._lu_E is None:
             self._lu_E = sla.lu_factor(self.E)
         return sla.lu_solve(self._lu_E, X, trans=int(transpose),
@@ -156,7 +189,8 @@ class _VectorField:
     @classmethod
     def build(cls, sys):
         n, m = sys.n, sys.m
-        lin = sp.csr_array(np.vstack([sys.A] + sys.N))
+        lin = sp.csr_array(sp.vstack([sp.csr_array(M)
+                                      for M in [sys.A] + sys.N]))
         if sys.H.is_zero:
             Ls = Rs = sp.csr_array((0, n))
         else:

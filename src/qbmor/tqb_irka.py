@@ -12,13 +12,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
 from qbmor.errors import MaxIterationsExceeded
 from qbmor.kron_tensor import Hessian
 from qbmor.matrix_equations import (
-    spectral_decompose, solve_sylvester_shifted, shifted_lu,
-    reflect_unstable, realify_basis,
+    spectral_decompose, solve_sylvester_shifted, reflect_unstable,
+    realify_basis,
 )
 from qbmor.qb_core import (
     QBSystem, ReducedModel, ProjectionBases, project, rescale, orthonormalize,
@@ -74,11 +75,12 @@ def _solve_bases_core(sys, bundle):
     """The four Sylvester solves; everything stays complex here.
 
     V1 and V2 solve with A + lam E, W1 and W2 with its transpose, all on
-    one shifted_lu form, so each distinct shift is factored once.
+    the system's cached shifted_lu form, so the four solves share one real
+    and one complex factorization.
     """
     H = sys.H
     lam = bundle.lam
-    form = shifted_lu(sys.A, sys.E)
+    form = sys.pencil()
     V1 = solve_sylvester_shifted(form, lam, sys.B @ bundle.Btil.T)
     rhs_v2 = H.apply_kron(V1, V1) @ bundle.Htil.T
     for Nk, Ntk in zip(sys.N, bundle.Ntil):
@@ -133,7 +135,7 @@ def initial_guess(sys, r, kind="random", seed=0):
         C = rng.standard_normal((sys.p, r))
         return ReducedModel(A, H, N, B, C, method="init-random", seed=seed)
     if kind == "linear-irka":
-        lin = QBSystem(sys.A, None, [np.zeros((sys.n, sys.n))] * sys.m,
+        lin = QBSystem(sys.A, None, [sp.csr_array((sys.n, sys.n))] * sys.m,
                        sys.B, sys.C, E=sys.E)
         cfg = IrkaConfig(r=r, tol=1e-7, maxit=100, init="random", seed=seed)
         red, _, _ = tqb_irka(lin, cfg)
@@ -161,7 +163,7 @@ def tqb_irka(sys, cfg):
 
     scaled = rescale(sys, cfg.gamma)
     if cfg.shift != 0.0:
-        Eeff = np.eye(sys.n) if sys.E is None else sys.E
+        Eeff = sp.eye_array(sys.n) if sys.E is None else sys.E
         basis_sys = QBSystem(scaled.A - cfg.shift * Eeff, scaled.H, scaled.N,
                              scaled.B, scaled.C, E=sys.E)
     else:

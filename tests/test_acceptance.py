@@ -6,6 +6,7 @@ fixtures are module scoped and shared, so the file stays inside its
 time budgets on a single CPU.
 """
 
+import os
 import subprocess
 import sys as _sys
 import time
@@ -16,6 +17,7 @@ import pytest
 
 from conftest import (quadrature_h2_squared, random_dense_hessian,
                       random_pair_hessian, random_stable_qb, rng_for)
+import qbmor
 from qbmor import (IrkaConfig, balanced_truncation, chafee_infante,
                    fitzhugh_nagumo, input_signal, output_errors, project,
                    rescale, simulate, solve_bases, tqb_irka,
@@ -336,8 +338,11 @@ def test_09_balancing_comparison_and_order_sweep(chafee100, irka100):
 
 
 def _run_cli(args):
+    # the subprocess imports the same qbmor as this test, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qbmor.__file__)))
     proc = subprocess.run([_sys.executable, "-m", "qbmor.cli"] + args,
-                          capture_output=True)
+                          capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 

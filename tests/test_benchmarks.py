@@ -31,11 +31,12 @@ def test_chafee_k3_hand_values():
     sys = chafee_infante(3)
     assert sys.n == 6 and sys.m == 1 and sys.C.shape == (1, 6)
     A_vv = np.array([[-17.0, 9.0, 0.0], [9.0, -17.0, 9.0], [0.0, 9.0, -8.0]])
-    assert np.array_equal(sys.A[:3, :3], A_vv)
-    assert np.array_equal(sys.A[3:, 3:], np.diag([-34.0, -34.0, -16.0]))
-    assert np.all(sys.A[:3, 3:] == 0) and np.all(sys.A[3:, :3] == 0)
+    A, N0 = sys.A.toarray(), sys.N[0].toarray()
+    assert np.array_equal(A[:3, :3], A_vv)
+    assert np.array_equal(A[3:, 3:], np.diag([-34.0, -34.0, -16.0]))
+    assert np.all(A[:3, 3:] == 0) and np.all(A[3:, :3] == 0)
     assert sys.B[0, 0] == 9.0 and np.count_nonzero(sys.B) == 1
-    assert sys.N[0][3, 0] == 18.0 and np.count_nonzero(sys.N[0]) == 1
+    assert N0[3, 0] == 18.0 and np.count_nonzero(N0) == 1
     assert sys.C[0, 2] == 1.0 and np.count_nonzero(sys.C) == 1
 
     # hand-expanded symmetrized tensor
@@ -83,8 +84,15 @@ def test_chafee_v_rows_match_stencil():
 
 def test_chafee_hurwitz_scan():
     for k in (10, 60, 150):
-        ev = np.linalg.eigvals(chafee_infante(k).A)
+        ev = np.linalg.eigvals(chafee_infante(k).A.toarray())
         assert ev.real.max() < 0
+
+
+@pytest.mark.parametrize("make", [chafee_infante, fitzhugh_nagumo])
+def test_generators_build_sparse_operators(make):
+    sys = make(20)
+    ops = [sys.A] + sys.N + [F for pair in sys.H.pairs for F in pair]
+    assert all(isinstance(M, sp.csr_array) for M in ops)
 
 
 def test_chafee_small_k_rejected():
@@ -99,15 +107,16 @@ def test_fhn_dimensions_and_structure():
     sys = fitzhugh_nagumo(k)
     eps, h_par, gam, q = 0.015, 0.5, 2.0, 0.05
     hg = 0.3 / (k - 1)
+    A, N0, N1 = (M.toarray() for M in [sys.A] + sys.N)
     assert sys.B[0, 0] == pytest.approx(-2.0 * eps / hg)
     assert np.allclose(sys.B[:k, 1], q / eps)
     assert np.allclose(sys.B[k:2 * k, 1], q)
-    assert sys.N[0][2 * k, 0] == pytest.approx(-4.0 * eps / hg)
-    assert np.allclose(np.diag(sys.N[1][2 * k:, :k]), 2.0 * q / eps)
-    assert np.allclose(sys.A[k:2 * k, :k], h_par * np.eye(k))
-    assert np.allclose(sys.A[k:2 * k, k:2 * k], -gam * np.eye(k))
+    assert N0[2 * k, 0] == pytest.approx(-4.0 * eps / hg)
+    assert np.allclose(np.diag(N1[2 * k:, :k]), 2.0 * q / eps)
+    assert np.allclose(A[k:2 * k, :k], h_par * np.eye(k))
+    assert np.allclose(A[k:2 * k, k:2 * k], -gam * np.eye(k))
     assert sys.C[0, 0] == 1.0 and sys.C[1, k] == 1.0
-    assert np.linalg.eigvals(sys.A).real.max() < 0
+    assert np.linalg.eigvals(A).real.max() < 0
 
 
 def test_fhn_lift_closure_is_algebraic():

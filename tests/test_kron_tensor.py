@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from qbmor import kron_tensor
 from qbmor.kron_tensor import (
     Hessian, commutation_matrix, perm_T, perm_M, mode_matricize,
     vec, unvec, PermutationMatrix,
@@ -271,6 +272,70 @@ def test_apply_kron_complex_inputs():
     assert np.allclose(h.apply_kron(X, Y), h.mode1() @ np.kron(X, Y), atol=1e-13)
     assert np.allclose(h.apply_kron_mode2(X, Y),
                        mode_matricize(h, 2) @ np.kron(X, Y), atol=1e-13)
+
+
+def _pair_loop(h, X, Y, mode2):
+    """The per-pair reference of apply_kron and apply_kron_mode2, with
+    every factor sparse when one is, as the products stack them."""
+    out = np.zeros((h.n, X.shape[1] * Y.shape[1]),
+                   dtype=np.result_type(X, Y, float))
+    pairs = h.pairs
+    if any(sp.issparse(M) for pair in pairs for M in pair):
+        pairs = [(sp.csr_array(L), sp.csr_array(R)) for L, R in pairs]
+    for L, R in pairs:
+        LX = L @ X
+        if mode2:
+            out += R.T @ (LX[:, :, None] * Y[:, None, :]).reshape(h.n, -1)
+        else:
+            RY = R @ Y
+            out += (LX[:, :, None] * RY[:, None, :]).reshape(h.n, -1)
+    return out
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_active_row_products_match_mode1(blocked, monkeypatch):
+    if blocked:
+        # blocks of n rows, so the mixed Hessian's n + 2 active rows split
+        monkeypatch.setattr(kron_tensor, "_KRON_BLOCK", 1)
+    rng = rng_for(15)
+    n = 6
+    some = np.zeros((n, 1))
+    some[[1, 4]] = 1.0
+    more = np.zeros((n, 1))
+    more[[1, 2, 4]] = 1.0
+    mixed = Hessian.from_pairs([
+        # rows 1 and 4 are active; rows 2 of R and 0, 3, 5 of both are not
+        (sp.csr_array(rng.standard_normal((n, n)) * some),
+         sp.csr_array(rng.standard_normal((n, n)) * more)),
+        # an all-zero factor: no active row
+        (sp.csr_array((n, n)), sp.csr_array(rng.standard_normal((n, n)))),
+        (rng.standard_normal((n, n)),
+         sp.csr_array(rng.standard_normal((n, n)))),
+    ], n)
+    # no active row at all
+    inactive = Hessian.from_pairs([mixed.pairs[1]], n)
+    hessians = [Hessian.zero(n), random_dense_hessian(n, rng), mixed,
+                mixed.symmetrized(), inactive, random_pair_hessian(n, 2, rng)]
+    X = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    Y = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    W = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    for h in hessians:
+        Hm = h.mode1()
+        scale = np.linalg.norm(Hm) * np.linalg.norm(X) * np.linalg.norm(Y)
+        got = h.apply_kron(X, Y)
+        assert np.linalg.norm(got - Hm @ np.kron(X, Y)) <= 1e-14 * scale
+        got2 = h.apply_kron_mode2(X, Y)
+        assert np.linalg.norm(got2 - mode_matricize(h, 2) @ np.kron(X, Y)) \
+            <= 1e-14 * scale
+        cong = W.T @ Hm @ np.kron(X, X)
+        assert np.allclose(h.congruence(X, W), cong, rtol=0,
+                           atol=1e-14 * np.linalg.norm(W) * scale)
+        if h.storage == "pairs":
+            # the same sums in the same order as the loop over the pairs
+            if not blocked:
+                assert np.array_equal(got, _pair_loop(h, X, Y, False))
+            assert np.allclose(got2, _pair_loop(h, X, Y, True), rtol=0,
+                               atol=1e-14 * scale)
 
 
 def test_kron_identity_jacobian_columns():

@@ -12,6 +12,7 @@ from qbmor.errors import (
 from qbmor.matrix_equations import (
     HurwitzSchur, hurwitz_schur, spectral_decompose, solve_lyapunov,
     solve_sylvester_shifted, shifted_lu, reflect_unstable, realify_basis,
+    _solve_lyapunov_quasi_triangular, _solve_quasi_triangular,
 )
 from qbmor.benchmarks import chafee_infante
 from conftest import rng_for
@@ -262,6 +263,23 @@ def test_lyapunov_blocked_matches_scipy_both_ways(n):
 
 
 @pytest.mark.parametrize("transpose", [False, True])
+def test_lyapunov_recursion_matches_sylvester_recursion(transpose):
+    # n > 64 recurses; T has a 2x2 block across its first split
+    n = 150
+    rng = rng_for(17)
+    T = schur_form_split_pair(n, rng).T
+    assert T[n // 2, n // 2 - 1] != 0.0
+    B = rng.standard_normal((n, 4))
+    F = B @ B.T
+    Y = F.copy()
+    _solve_lyapunov_quasi_triangular(T, Y, transpose)
+    ref = F.copy()
+    _solve_quasi_triangular(T, T, ref, transpose)
+    assert np.linalg.norm(Y - Y.T) <= 1e-13 * np.linalg.norm(ref)
+    assert np.linalg.norm(Y - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
 def test_lyapunov_overflow_is_a_breakdown(transpose):
     # X = -1e160 / (2 * -1e-160) overflows; trsyl rescales it and reports
     # scale < 1, which must not pass as a finite answer
@@ -374,6 +392,48 @@ def test_sylvester_shared_form_both_ways(with_mass, transposed):
         assert np.allclose(V[:, i], ref, rtol=1e-11, atol=1e-12)
 
 
+# repeated real, lone complex and paired shifts: the first pair's partner
+# right-hand side is the conjugate of its lead's, the second's is not
+_REPEATED_SHIFTS = np.array([0.7, 1.5 - 0.4j, 0.9 - 2.0j, 0.9 + 2.0j, 0.7,
+                             0.9 - 2.0j, 0.9 + 2.0j, 1.5 - 0.4j])
+
+
+@pytest.mark.parametrize("with_mass", [False, True])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_sylvester_block_solve_matches_per_column(sparse, with_mass,
+                                                  monkeypatch):
+    rng = rng_for(16)
+    if sparse:
+        n = 80
+        A, E = _sparse_pencil(n, with_mass, rng)
+        Ain, Ein = sp.csr_array(A), None if E is None else sp.csr_array(E)
+    else:
+        n = 9
+        A = random_stable(n, rng)
+        E = (np.eye(n) + 0.2 * rng.standard_normal((n, n)) if with_mass
+             else None)
+        Ain, Ein = A, E
+    form = shifted_lu(Ain, Ein)
+    assert sp.issparse(form.A) == sparse
+    sparse_lu = _record_factor_dtypes(monkeypatch, spla, "splu")
+    dense_lu = _record_factor_dtypes(monkeypatch, sla, "lu_factor")
+    lam = _REPEATED_SHIFTS
+    Em = np.eye(n) if E is None else E
+    for transposed in (False, True):
+        Aop, Eop = (A.T, Em.T) if transposed else (A, Em)
+        Rhs = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+        Rhs[:, 3] = np.conj(Rhs[:, 2])
+        V = solve_sylvester_shifted(form.T if transposed else form, lam, Rhs)
+        ref = np.column_stack([np.linalg.solve(Aop + li * Eop, -Rhs[:, i])
+                               for i, li in enumerate(lam)])
+        assert np.linalg.norm(V - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(V[:, 3], np.conj(V[:, 2]))
+        assert np.abs(V[:, 6] - np.conj(V[:, 5])).max() > 1e-3
+    # both directions share one real and one complex factorization
+    assert (sparse_lu if sparse else dense_lu) == [np.float64, np.complex128]
+    assert (dense_lu if sparse else sparse_lu) == []
+
+
 def test_sylvester_form_rejects_a_second_mass_matrix():
     form = shifted_lu(-np.eye(2))
     with pytest.raises(ValueError):
@@ -381,12 +441,14 @@ def test_sylvester_form_rejects_a_second_mass_matrix():
                                 E=np.eye(2))
 
 
-def _record_factor_dtypes(monkeypatch, module, name):
+def _record_factor_dtypes(monkeypatch, module, name, shapes=None):
     factored = []
     factor = getattr(module, name)
 
     def counting(M, *args, **kwargs):
         factored.append(M.dtype)
+        if shapes is not None:
+            shapes.append(M.shape)
         return factor(M, *args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
@@ -403,20 +465,27 @@ def test_sylvester_factors_once_per_shift_real_in_real_arithmetic(monkeypatch):
     rng = rng_for(13)
     n = 7
     A = random_stable(n, rng)
-    factored = _record_factor_dtypes(monkeypatch, sla, "lu_factor")
+    shapes = []
+    factored = _record_factor_dtypes(monkeypatch, sla, "lu_factor", shapes)
     _four_solves(shifted_lu(A), n, rng)
-    # the pair's partner is never factored
-    assert factored == [np.float64, np.complex128, np.complex128]
+    # one batch over the real shift, one over the lone complex shift and
+    # the pair's lead; the pair's partner is never factored
+    assert factored == [np.float64, np.complex128]
+    assert shapes == [(1, n, n), (2, n, n)]
 
 
 def test_sylvester_sparse_factors_once_per_shift(monkeypatch):
     rng = rng_for(13)
-    n = 7
-    A = sp.csr_array(random_stable(n, rng))
-    factored = _record_factor_dtypes(monkeypatch, spla, "splu")
+    n = 80
+    A = sp.csr_array(_sparse_pencil(n, False, rng)[0])
+    shapes = []
+    factored = _record_factor_dtypes(monkeypatch, spla, "splu", shapes)
     dense = _record_factor_dtypes(monkeypatch, sla, "lu_factor")
     _four_solves(shifted_lu(A), n, rng)
-    assert factored == [np.float64, np.complex128, np.complex128]
+    # one block-diagonal matrix over the real shift, one over the two
+    # complex shifts that are factored
+    assert factored == [np.float64, np.complex128]
+    assert shapes == [(n, n), (2 * n, 2 * n)]
     assert dense == []
 
 
@@ -482,13 +551,22 @@ def test_sylvester_sparse_form_singular_shift_and_non_finite_rhs(transposed):
 
 
 def test_shifted_lu_format_rule():
-    # pattern of A plus the diagonal: 398 of 200^2 cells, 38 of 20^2
-    assert sp.issparse(shifted_lu(chafee_infante(100).A).A)
-    assert not sp.issparse(shifted_lu(chafee_infante(10).A).A)
+    # pattern of A plus the diagonal: 398 of 200^2 cells, 38 of 20^2; the
+    # rule reads sparse and dense input alike
+    for A in (chafee_infante(100).A, chafee_infante(100).A.toarray()):
+        assert sp.issparse(shifted_lu(A).A)
+    for A in (chafee_infante(10).A, chafee_infante(10).A.toarray()):
+        assert isinstance(shifted_lu(A).A, np.ndarray)
     assert not sp.issparse(shifted_lu(random_stable(50, rng_for(15))).A)
-    # a sparse array is factored sparse whatever its fill
-    assert sp.issparse(shifted_lu(sp.csr_array(-np.ones((3, 3)))).A)
-    assert sp.issparse(shifted_lu(-np.eye(3), sp.eye_array(3)).A)
+    # a sparse array that fills more than 1/20 of n^2 is factored dense
+    form = shifted_lu(sp.csr_array(-np.ones((3, 3))))
+    assert isinstance(form.A, np.ndarray) and form.E is None
+    form = shifted_lu(-np.eye(3), sp.eye_array(3))
+    assert isinstance(form.A, np.ndarray)
+    assert np.array_equal(form.E, np.eye(3))
+    # a sparse mass matrix with a sparse pencil stays on the shared pattern
+    form = shifted_lu(-np.eye(100), sp.eye_array(100))
+    assert sp.issparse(form.A) and sp.issparse(form.E)
 
 
 # -------------------------------------------------------------------- reflect

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from qbmor.errors import QbmorWarning, SingularGram, NonPositiveGamma
 from qbmor.kron_tensor import Hessian
@@ -40,11 +41,14 @@ def test_constructor_validates_dimensions():
 
 
 def test_dims_and_sparse_inputs():
-    A = sp.csr_array(-np.eye(4))
+    A = sp.csr_matrix(-np.eye(4))
     sys = QBSystem(A, None, [np.zeros((4, 4))] * 2, np.ones((4, 2)),
                    np.ones((3, 4)))
     assert (sys.n, sys.m, sys.p) == (4, 2, 3)
-    assert isinstance(sys.A, np.ndarray)
+    # a sparse operator stays sparse, as an array; a dense one stays dense
+    assert isinstance(sys.A, sp.csr_array)
+    assert np.array_equal(sys.A.toarray(), -np.eye(4))
+    assert all(isinstance(Nk, np.ndarray) for Nk in sys.N)
 
 
 # ------------------------------------------------------------------------- rhs
@@ -221,6 +225,29 @@ def test_solve_mass_with_ill_conditioned_mass(monkeypatch):
     X = rng.standard_normal((n, 2))
     assert sys.solve_mass(X) is X and sys.solve_mass(X, transpose=True) is X
     assert factored == [gen.E]
+
+
+def test_solve_mass_with_sparse_mass(monkeypatch):
+    base = chafee_infante(20)
+    n = base.n
+    E = sp.diags_array([np.full(n - 1, 0.1), np.linspace(1.0, 2.0, n),
+                        np.full(n - 1, -0.2)], offsets=[-1, 0, 1])
+    sys = QBSystem(base.A, base.H, base.N, base.B, base.C, E=E)
+    assert sp.issparse(sys.E)
+    factored = []
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda M: factored.append(M) or splu(M))
+    Ed = E.toarray()
+    for M, transpose in ((sys.A, False), (sys.B, False), (sys.C.T, True),
+                         (sys.N[0], True)):
+        got = sys.solve_mass(M, transpose=transpose)
+        assert isinstance(got, np.ndarray)
+        Md = M.toarray() if sp.issparse(M) else M
+        ref = np.linalg.solve(Ed.T if transpose else Ed, Md)
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    # one sparse factorization of E serves every solve, in both directions
+    assert len(factored) == 1
 
 
 # ------------------------------------------------------------------ projection

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse.linalg
 
 import qbmor
+import qbmor.qb_core as qb_core
 from qbmor.benchmarks import chafee_infante
 from qbmor.errors import MaxIterationsExceeded, QbmorWarning
 from qbmor.kron_tensor import Hessian
@@ -131,15 +132,39 @@ def test_solve_bases_factors_each_shift_once(monkeypatch):
     factor = scipy.sparse.linalg.splu
 
     def counting(M, *args, **kwargs):
-        calls.append(M.dtype)
+        calls.append((M.dtype, M.shape))
         return factor(M, *args, **kwargs)
 
     # A of the flagship fills 1 % of n^2, so its shifts are factored sparse
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
     _solve_bases_core(rescale(flagship, 0.01), bundle)
-    # the four solves share one factor per real shift and per conjugate pair
-    assert len(calls) == n_real + (lam.size - n_real) // 2
-    assert calls.count(np.float64) == n_real
+    # the four solves share one block-diagonal factor over the real shifts
+    # and one over the leads of the conjugate pairs
+    n = flagship.n
+    assert calls == [(np.float64, (n * n_real, n * n_real)),
+                     (np.complex128, ((lam.size - n_real) // 2 * n,) * 2)]
+
+
+def test_tqb_irka_builds_one_pencil_and_two_factors_per_sweep(monkeypatch):
+    built, factored = [], []
+    build, factor = qb_core.shifted_lu, scipy.sparse.linalg.splu
+
+    def counting_build(*args, **kwargs):
+        built.append(1)
+        return build(*args, **kwargs)
+
+    def counting_factor(M, *args, **kwargs):
+        factored.append(M.dtype)
+        return factor(M, *args, **kwargs)
+
+    monkeypatch.setattr(qb_core, "shifted_lu", counting_build)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_factor)
+    # A of chafee_infante(30) fills 1/30 of n^2, so it is factored sparse
+    _, _, report = tqb_irka(chafee_infante(30),
+                            IrkaConfig(r=4, gamma=0.01, seed=0))
+    assert report.iterations > 1
+    assert len(built) == 1
+    assert 0 < len(factored) <= 2 * report.iterations
 
 
 # ---------------------------------------------------------- reduced hat bases
