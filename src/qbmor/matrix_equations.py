@@ -208,7 +208,8 @@ def _solve_lyapunov_quasi_triangular(T, F, transpose):
 
 def solve_lyapunov(A, Q, transpose=False):
     """Unique X with A X + X A^T + Q = 0 for Hurwitz A and symmetric Q;
-    X is symmetrized.
+    X is symmetrized. A nonsymmetric Q is replaced by its symmetric part
+    (Q + Q^T)/2, whose solution is the symmetric part of the exact one.
 
     A is a matrix or its ``hurwitz_schur`` form; passing the form lets
     several solves share one factorization. transpose=True solves
@@ -218,6 +219,9 @@ def solve_lyapunov(A, Q, transpose=False):
     """
     S = A if isinstance(A, HurwitzSchur) else hurwitz_schur(A)
     Q = np.asarray(Q, dtype=float)
+    # the recursion reads only the upper triangle of F; halving the sum
+    # leaves a symmetric Q bit-identical
+    Q = 0.5 * (Q + Q.T)
     F = S.Z.T.dot((-Q).dot(S.Z))
     _solve_lyapunov_quasi_triangular(S.T, F, transpose)
     X = S.Z.dot(F).dot(S.Z.T)

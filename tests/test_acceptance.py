@@ -340,9 +340,10 @@ def test_09_balancing_comparison_and_order_sweep(chafee100, irka100):
 def _run_cli(args):
     # the subprocess imports the same qbmor as this test, installed or not
     src = os.path.dirname(os.path.dirname(os.path.abspath(qbmor.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([_sys.executable, "-m", "qbmor.cli"] + args,
                           capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=src))
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 

@@ -273,10 +273,11 @@ def test_console_script_entry_point(tmp_path):
     out = tmp_path / "model"
     # the subprocess imports the same qbmor as this test, installed or not
     src = os.path.dirname(os.path.dirname(os.path.abspath(qbmor.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [_sys.executable, "-m", "qbmor.cli", "generate", "chafee",
          "--k", "4", "--out-dir", str(out)],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "model=chafee k=4 n=8 m=1 p=1"
     assert "wall_time" not in proc.stdout

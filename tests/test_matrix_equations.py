@@ -171,6 +171,18 @@ def test_lyapunov_residual_and_symmetry():
         assert np.min(np.linalg.eigvalsh(X)) >= -1e-10 * np.linalg.norm(X, 2)
 
 
+@pytest.mark.parametrize("n", [5, 150])
+def test_lyapunov_nonsymmetric_q_solves_its_symmetric_part(n):
+    rng = rng_for(17)
+    A = random_stable(n, rng)
+    Q = rng.standard_normal((n, n))
+    for transpose, coef in ((False, A), (True, A.T)):
+        X = solve_lyapunov(A, Q, transpose=transpose)
+        ref = sla.solve_continuous_lyapunov(coef, -Q)
+        ref = 0.5 * (ref + ref.T)
+        assert np.linalg.norm(X - ref) <= 1e-11 * np.linalg.norm(ref)
+
+
 def test_lyapunov_rejects_unstable():
     with pytest.raises(NotStable):
         solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
@@ -525,10 +537,13 @@ def test_sylvester_sparse_form_matches_dense(with_mass):
             assert np.linalg.norm(V - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def _check_singular_shift_and_non_finite_rhs(form):
-    with pytest.raises(SingularShift):
-        solve_sylvester_shifted(form, np.array([1.0 + 0.0j]), np.ones((2, 1)))
-    bad = np.array([[1.0, 1.0], [np.nan, 1.0]])
+def _check_singular_shift_and_non_finite_rhs(form, singular):
+    n = form.A.shape[0]
+    for lam in singular:
+        with pytest.raises(SingularShift):
+            solve_sylvester_shifted(form, np.array(lam), np.ones((n, len(lam))))
+    bad = np.ones((n, 2))
+    bad[1, 0] = np.nan
     for lam in ([3.0, 4.0], [3.0 - 1.0j, 3.0 + 1.0j]):
         with pytest.raises(SingularShift):
             solve_sylvester_shifted(form, np.array(lam), bad)
@@ -541,13 +556,41 @@ _SINGULAR_AT_ONE = np.array([[-1.0, 5.0], [0.0, -2.0]])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_sylvester_form_singular_shift_and_non_finite_rhs(transposed):
     form = shifted_lu(_SINGULAR_AT_ONE)
-    _check_singular_shift_and_non_finite_rhs(form.T if transposed else form)
+    assert isinstance(form.A, np.ndarray)
+    _check_singular_shift_and_non_finite_rhs(
+        form.T if transposed else form, ([1.0 + 0.0j], [3.0, 1.0]))
+
+
+def _sparse_singular_pencil(n):
+    """diag(-1, -2, ..., -2) with a 5 above the -1, so A + 1 I has a zero
+    column, and a block [[-1, 1], [-1, -1]] with eigenvalues -1 +- i, so
+    A + (1 -+ i) I is exactly singular; 105 of n^2 entries."""
+    A = sp.lil_array((n, n))
+    A.setdiag(-2.0)
+    A[0, 0], A[0, 1] = -1.0, 5.0
+    A[2, 2], A[2, 3], A[3, 2], A[3, 3] = -1.0, 1.0, -1.0, -1.0
+    return sp.csc_array(A)
 
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_sylvester_sparse_form_singular_shift_and_non_finite_rhs(transposed):
-    form = shifted_lu(sp.csc_array(_SINGULAR_AT_ONE))
-    _check_singular_shift_and_non_finite_rhs(form.T if transposed else form)
+    form = shifted_lu(_sparse_singular_pencil(100))
+    assert sp.issparse(form.A)
+    # one singular block among real blocks, and among complex blocks (a
+    # pair lead, beside a lone complex shift)
+    singular = ([1.0 + 0.0j], [3.0, 1.0, 4.0], [3.0, 1.0 + 1.0j, 1.0 - 1.0j],
+                [2.5 - 0.5j, 1.0 - 1.0j, 1.0 + 1.0j])
+    _check_singular_shift_and_non_finite_rhs(
+        form.T if transposed else form, singular)
+    # the same form solves nonsingular shift vectors exactly
+    A = form.A.toarray()
+    lam = np.array([3.0, 2.5 - 0.5j, 1.0 + 2.0j, 1.0 - 2.0j])
+    Rhs = np.ones((100, 4), dtype=complex)
+    V = solve_sylvester_shifted(form.T if transposed else form, lam, Rhs)
+    Aop = A.T if transposed else A
+    ref = np.column_stack([np.linalg.solve(Aop + s * np.eye(100), -Rhs[:, i])
+                           for i, s in enumerate(lam)])
+    assert np.linalg.norm(V - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_shifted_lu_format_rule():
