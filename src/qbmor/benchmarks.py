@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from qbmor.errors import NewtonDivergence, NonFiniteState
 from qbmor.kron_tensor import Hessian
@@ -181,18 +183,19 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
              store_states=False):
     """Integrate a QB system driven by an input signal.
 
-    The integrator is scipy's Radau IIA (order 5, L-stable) on the
-    system's own rhs and Jacobian, with a mass matrix applied to both by
+    The integrator is Radau IIA (order 5, L-stable), a port of scipy's
+    `Radau` that takes the same steps (`_Radau`), on the system's own rhs
+    and Jacobian with a mass matrix applied to both by
     `QBSystem.solve_mass`. Both read the operator set the system builds
-    once.
-    Without a mass matrix a sparse Jacobian pattern (see
-    `QBSystem.jacobian`) reaches Radau as a CSR array, and Radau factors
-    its iteration matrices with `scipy.sparse.linalg.splu`; otherwise the
-    Jacobian is dense and they are factored by dense LU. Outputs are
-    sampled on `samples` equidistant points from each accepted step's
-    collocation polynomial.
+    once, and each simplified Newton iteration evaluates its three stages
+    in one block call of `QBSystem.rhs`. Without a mass matrix a sparse
+    Jacobian pattern (see `QBSystem.jacobian`) is kept as a CSC array and
+    the iteration matrices are factored by `scipy.sparse.linalg.splu`;
+    otherwise the Jacobian is dense and they are factored and solved by
+    LAPACK getrf/getrs. Outputs are sampled on `samples` equidistant
+    points from each accepted step's collocation polynomial.
 
-    `stats` holds integer counters:
+    `stats` holds integer counters, kept by the stepper:
 
     * steps: accepted steps;
     * rejected: trial steps thrown away, by the error test or by a
@@ -200,12 +203,15 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     * newton_iters: simplified Newton iterations over all trial steps;
     * jacobian_factorizations, nlu: LU factorizations of the iteration
       matrices, one real and one complex per refresh;
-    * nfev, njev: rhs and Jacobian evaluations;
-    * jacobian_nnz: entries stored in the Jacobian handed to Radau, n^2
-      when it is dense, so it tells which LU path the run took.
+    * nfev, njev: rhs evaluations (one per state, three per Newton
+      iteration) and Jacobian evaluations;
+    * jacobian_nnz: entries stored in the last Jacobian, n^2 when it is
+      dense, so it tells which LU path the run took.
 
-    Raises NewtonDivergence when the step size underflows and
-    NonFiniteState when the state or the sampled outputs leave the
+    Raises ValueError for a bad horizon, sample count, input width,
+    tolerance or initial state (x0 must be finite and of length n),
+    NewtonDivergence when the step size underflows and NonFiniteState when
+    the initial rhs, a Jacobian, the state or the sampled outputs leave the
     representable range.
     """
     if T <= 0:
@@ -215,14 +221,15 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     if u.m != sys.m:
         raise ValueError("signal has %d channels, system expects %d"
                          % (u.m, sys.m))
-    from scipy.integrate import Radau
-
+    if not rtol >= 100 * _EPS or not atol >= 0:
+        raise ValueError("need rtol >= 100 eps and atol >= 0")
     x_init = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float)
-    evals = []                      # times f was evaluated at in one step
+    if x_init.shape != (sys.n,) or not np.all(np.isfinite(x_init)):
+        raise ValueError("x0 must be a finite state of length %d" % sys.n)
 
-    def f(t, x):
-        evals.append(t)
-        return sys.solve_mass(sys.rhs(x, u(t), t))
+    def f(ts, X):
+        U = np.array([u(t) for t in ts]).T
+        return sys.solve_mass(sys.rhs(X, U))
 
     def jac(t, x):
         J = sys.solve_mass(sys.jacobian(x, u(t)))
@@ -234,44 +241,287 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     states = np.empty((sys.n, samples))
     states[:, 0] = x_init
     done = 1
-    steps = rejected = newton_iters = 0
     with np.errstate(all="ignore"):
-        solver = Radau(f, 0.0, x_init, T, rtol=rtol, atol=atol, jac=jac)
-        if not np.all(np.isfinite(solver.f)):
-            raise NonFiniteState("rhs is non-finite at the initial state")
-        while solver.status == "running":
+        solver = _Radau(f, jac, x_init, float(T), rtol, atol)
+        while solver.t < T:
             t0 = solver.t
-            evals.clear()
-            message = solver.step()
-            if solver.status == "failed":
-                raise NewtonDivergence("step size underflow at t=%.6g: %s"
-                                       % (t0, message))
-            if not np.all(np.isfinite(solver.y)):
+            if not solver.step():
+                raise NewtonDivergence("step size underflow at t=%.6g" % t0)
+            if not np.isfinite(solver.y).all():
                 raise NonFiniteState("state became non-finite at t=%.6g"
                                      % solver.t)
-            # Each Newton iteration evaluates f at the collocation nodes
-            # t0 + c h, the last (c = 1) at its trial's end; a rejection may
-            # add one error re-estimate at t0; the accepted end comes last.
-            nodes = [tv for tv in evals[:-1] if tv != t0]
-            ends = nodes[2::3]
-            steps += 1
-            newton_iters += len(ends)
-            rejected += sum(bool(a != b) for a, b in zip(ends, ends[1:]))
             stop = int(np.searchsorted(tq, solver.t, side="right"))
             if stop > done:
-                states[:, done:stop] = solver.dense_output()(tq[done:stop])
+                states[:, done:stop] = solver.dense(tq[done:stop])
                 done = stop
     outputs = sys.C @ states
     if not np.all(np.isfinite(outputs)):
         raise NonFiniteState("sampled outputs are non-finite")
-    stats = {"steps": steps, "rejected": rejected,
-             "newton_iters": newton_iters,
+    stats = {"steps": solver.steps, "rejected": solver.rejected,
+             "newton_iters": solver.newton_iters,
              "jacobian_factorizations": solver.nlu,
              "nfev": solver.nfev, "njev": solver.njev, "nlu": solver.nlu,
              "jacobian_nnz": int(solver.J.nnz if sp.issparse(solver.J)
                                  else solver.J.size)}
     return Trajectory(times=tq, outputs=outputs,
                       states=states if store_states else None, stats=stats)
+
+
+# Radau IIA of order 5 (Hairer and Wanner, Solving Ordinary Differential
+# Equations II, Sec. IV.8), ported step for step from scipy 1.17.1,
+# scipy/integrate/_ivp/radau.py and common.py (BSD-3-Clause; Copyright (c)
+# 2001-2002 Enthought, Inc., 2003 SciPy Developers): the same
+# tableau, T/TI transforms, simplified Newton iteration, error estimate,
+# step predictor, Jacobian reuse rule, initial step and dense output, so it
+# takes the steps scipy's Radau takes. It differs in four ways: the three
+# stages of a Newton iteration are one block rhs call; dense iteration
+# matrices are factored and solved by LAPACK getrf/getrs without scipy's
+# finiteness checks, so a NaN error estimate, where scipy raises ValueError,
+# rejects the step; and the stepper counts its own steps, rejections and
+# Newton iterations. Integration runs forward from t = 0 with no step bound.
+
+_S6 = 6 ** 0.5
+_C = np.array([(4 - _S6) / 10, (4 + _S6) / 10, 1])
+_E = np.array([-13 - 7 * _S6, -13 + 7 * _S6, -1]) / 3
+# A = T diag(MU_REAL, MU_COMPLEX, conj(MU_COMPLEX)) T^{-1}, with inverse
+# eigenvalues folded in: the iteration matrices are MU / h I - J
+_MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
+_MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
+               - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6)))
+_T = np.array([
+    [0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
+    [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
+    [1, 1, 0]])
+_TI = np.array([
+    [4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
+    [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
+    [0.50287263494578682, -2.57192694985560522, 0.59603920482822492]])
+_TI_REAL = _TI[0]
+_TI_COMPLEX = _TI[1] + 1j * _TI[2]
+# dense output: y(t_old + x h) = y_old + Q (x, x^2, x^3), Q = Z^T P
+_P = np.array([
+    [13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6],
+    [13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6],
+    [1 / 3, -8 / 3, 10 / 3]])
+_NEWTON_MAXITER = 6
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_EPS = float(np.finfo(float).eps)
+_GETRF_GETRS = {dt: sla.get_lapack_funcs(("getrf", "getrs"), dtype=dt)
+                for dt in (np.float64, np.complex128)}
+
+
+def _rms(x):
+    # a numpy scalar, as in scipy: the step-size arithmetic that reads it
+    # turns a zero divisor into inf or nan instead of raising
+    x = x.ravel()
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
+    """Step-size factor of Hairer and Wanner's predictive controller."""
+    if error_norm == 0:
+        return math.inf
+    if error_norm_old is None or h_abs_old is None:
+        multiplier = 1
+    else:
+        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
+    return min(1, multiplier) * error_norm ** -0.25
+
+
+class _Radau:
+    """Radau IIA on a block rhs fun(ts, X) -> n x q and a Jacobian jac(t, y).
+
+    jac returns a dense array or a sparse one; sparse Jacobians are kept
+    in CSC and factored by splu. `step` takes one accepted step and returns
+    False when the step size underflows; `dense` evaluates the last step's
+    collocation polynomial.
+    """
+
+    def __init__(self, fun, jac, y0, t_bound, rtol, atol):
+        self._fun, self._jac = fun, jac
+        self.t, self.y, self.t_bound = 0.0, y0, t_bound
+        self.rtol, self.atol = rtol, atol
+        self.steps = self.rejected = self.newton_iters = 0
+        self.nfev = self.njev = self.nlu = 0
+        self.f = self._fun1(0.0, y0)
+        if not np.all(np.isfinite(self.f)):
+            raise NonFiniteState("rhs is non-finite at the initial state")
+        self.h_abs = self._initial_step()
+        self.h_abs_old = self.error_norm_old = None
+        self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+        self.J = self._jacobian(0.0, y0)
+        n = y0.size
+        self._I = (sp.eye_array(n, format="csc") if sp.issparse(self.J)
+                   else np.identity(n))
+        self.current_jac = True
+        self.LU_real = self.LU_complex = None
+        self.t_old = self.y_old = self.Q = None
+
+    def _fun1(self, t, y):
+        return self._block((t,), y[:, None])[:, 0]
+
+    def _block(self, ts, X):
+        self.nfev += X.shape[1]
+        return self._fun(ts, X)
+
+    def _jacobian(self, t, y):
+        self.njev += 1
+        J = self._jac(t, y)
+        return sp.csc_array(J, dtype=float) if sp.issparse(J) else J
+
+    def _lu(self, mu, J):
+        """A solver b -> (mu I - J)^{-1} b from one LU factorization."""
+        self.nlu += 1
+        M = mu * self._I - J
+        if sp.issparse(M):
+            return spla.splu(M).solve
+        getrf, getrs = _GETRF_GETRS[M.dtype.type]
+        lu, piv, _ = getrf(M, overwrite_a=True)
+        return lambda b: getrs(lu, piv, b, overwrite_b=True)[0]
+
+    def _initial_step(self):
+        # scipy's select_initial_step for an error of order 3
+        y0, f0, T = self.y, self.f, self.t_bound
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, T)
+        f1 = self._fun1(h0, y0 + h0 * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 4)
+        return min(100 * h0, h1, T)
+
+    def dense(self, ts):
+        """The last accepted step's collocation polynomial at times ts."""
+        x = (ts - self.t_old) / (self.t - self.t_old)
+        x2 = x * x
+        p = np.array([x, x2, x2 * x])
+        return self.Q.dot(p) + self.y_old[:, None]
+
+    def _newton(self, t, y, h, Z0, scale, LU_real, LU_complex):
+        """Simplified Newton on the collocation system, stages in blocks.
+
+        Returns (converged, iterations, Z, rate) like scipy's
+        solve_collocation_system; Z holds the stage increments as rows.
+        """
+        M_real, M_complex = _MU_REAL / h, _MU_COMPLEX / h
+        ts = t + h * _C
+        W = _TI.dot(Z0)
+        Z = Z0
+        dW = np.empty_like(W)
+        dW_norm_old = rate = None
+        converged = False
+        for k in range(_NEWTON_MAXITER):
+            # stages as rows, laid out as scipy's F, so the products below
+            # round as scipy's do
+            F = self._block(ts, y[:, None] + Z.T).T
+            if not np.isfinite(F).all():
+                break
+            f_real = F.T.dot(_TI_REAL) - M_real * W[0]
+            f_complex = F.T.dot(_TI_COMPLEX) - M_complex * (W[1] + 1j * W[2])
+            dW_complex = LU_complex(f_complex)
+            dW[0] = LU_real(f_real)
+            dW[1] = dW_complex.real
+            dW[2] = dW_complex.imag
+            dW_norm = _rms(dW / scale)
+            if dW_norm_old is not None:
+                rate = dW_norm / dW_norm_old
+            if rate is not None and (
+                    rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate)
+                    * dW_norm > self.newton_tol):
+                break
+            W += dW
+            Z = _T.dot(W)
+            if dW_norm == 0 or (rate is not None and rate / (1 - rate)
+                                * dW_norm < self.newton_tol):
+                converged = True
+                break
+            dW_norm_old = dW_norm
+        self.newton_iters += k + 1
+        return converged, k + 1, Z, rate
+
+    def step(self):
+        """One accepted step; False when the step size underflows."""
+        t, y, f = self.t, self.y, self.f
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if self.h_abs < min_step:
+            h_abs, h_abs_old, error_norm_old = min_step, None, None
+        else:
+            h_abs, h_abs_old = self.h_abs, self.h_abs_old
+            error_norm_old = self.error_norm_old
+        J, LU_real, LU_complex = self.J, self.LU_real, self.LU_complex
+        current_jac = self.current_jac
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False
+            t_new = min(t + h_abs, self.t_bound)
+            h = h_abs = t_new - t
+            if self.Q is None:
+                Z0 = np.zeros((3, y.size))
+            else:
+                Z0 = self.dense(t + h * _C).T - y
+            scale = self.atol + np.abs(y) * self.rtol
+            while True:
+                if LU_real is None or LU_complex is None:
+                    LU_real = self._lu(_MU_REAL / h, J)
+                    LU_complex = self._lu(_MU_COMPLEX / h, J)
+                converged, n_iter, Z, rate = self._newton(
+                    t, y, h, Z0, scale, LU_real, LU_complex)
+                if converged or current_jac:
+                    break
+                J = self._jacobian(t, y)
+                current_jac = True
+                LU_real = LU_complex = None
+            if not converged:
+                h_abs *= 0.5
+                LU_real = LU_complex = None
+                self.rejected += 1
+                continue
+            y_new = y + Z[-1]
+            ZE = Z.T.dot(_E) / h
+            error = LU_real(f + ZE)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = _rms(error / scale)
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER
+                                                        + n_iter)
+            if rejected and error_norm > 1:
+                error = LU_real(self._fun1(t, y + error) + ZE)
+                error_norm = _rms(error / scale)
+            if error_norm <= 1:
+                break
+            factor = _predict_factor(h_abs, h_abs_old, error_norm,
+                                     error_norm_old)
+            h_abs *= max(_MIN_FACTOR, safety * factor)
+            LU_real = LU_complex = None
+            rejected = True
+            self.rejected += 1
+
+        recompute_jac = n_iter > 2 and rate > 1e-3
+        factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+        factor = min(_MAX_FACTOR, safety * factor)
+        if not recompute_jac and factor < 1.2:
+            factor = 1
+        else:
+            LU_real = LU_complex = None
+        f_new = self._fun1(t_new, y_new)
+        if recompute_jac:
+            J = self._jacobian(t_new, y_new)
+        current_jac = recompute_jac
+
+        self.h_abs_old, self.error_norm_old = self.h_abs, error_norm
+        self.h_abs = h_abs * factor
+        self.t_old, self.y_old = t, y
+        self.t, self.y, self.f = t_new, y_new, f_new
+        self.J, self.LU_real, self.LU_complex = J, LU_real, LU_complex
+        self.current_jac = current_jac
+        self.Q = Z.T.dot(_P)
+        self.steps += 1
+        return True
 
 
 def output_errors(y, yhat):

@@ -130,20 +130,38 @@ class QBSystem:
                             check_finite=False)
 
     def rhs(self, x, u, t=0.0):
-        """A x + H(x (x) x) + sum_k u_k N_k x + B u.
+        """A x + H(x (x) x) + sum_k u_k N_k x + B u, for a state or a block.
 
-        Reads only the cached operator set (`_VectorField`): one matvec with
-        the stacked operator, then the pair product and the input terms.
+        x is one state (length n) with its input u (length m), or an n x q
+        block of states with the m x q block of their inputs; column j of
+        the result is then the rhs at (x[:, j], u[:, j]). Reads only the
+        cached operator set (`_VectorField`): one product of the stacked
+        operator with the block, then the pair products and the input
+        terms. A single state is the block with q = 1, and every column is
+        computed with the same arithmetic as a single state: the products
+        run column by column inside one call (matrix-vector BLAS for a
+        dense K, CSR for a sparse one), so a block and q single calls agree
+        to the last bit.
         """
         x = np.asarray(x)
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if x.shape != (self.n,) or u.shape != (self.m,):
-            raise ValueError("state/input length mismatch")
+        u = np.asarray(u, dtype=float)
+        single = x.ndim == 1
+        if single:
+            x, u = x[:, None], np.atleast_1d(u)[:, None]
+        n, m = self.n, self.m
+        if x.ndim != 2 or x.shape[0] != n or u.shape != (m, x.shape[1]):
+            raise ValueError("state/input shape mismatch")
         f = self._vector_field()
-        n, o, P = self.n, f.lin_rows, f.pair_rows
-        y = f.K @ x
-        quad = (y[o:o + P] * y[o + P:]).reshape(-1, n).sum(axis=0)
-        return y[:n] + u @ y[n:o].reshape(self.m, n) + quad + self.B @ u
+        o, P, q = f.lin_rows, f.pair_rows, x.shape[1]
+        # row j of Y is K x[:, j]
+        if sp.issparse(f.K):
+            Y = (f.K @ x).T
+        else:
+            Y = (f.K @ x.T[:, :, None])[:, :, 0]
+        quad = (Y[:, o:o + P] * Y[:, o + P:]).reshape(q, -1, n).sum(axis=1)
+        bilinear = (u.T[:, None, :] @ Y[:, n:o].reshape(q, m, n))[:, 0]
+        out = Y[:, :n] + bilinear + quad + (self.B @ u.T[:, :, None])[:, :, 0]
+        return out[0] if single else out.T
 
     def jacobian(self, x, u):
         """A + 2 H(I (x) x) + sum_k u_k N_k from the cached operator set.

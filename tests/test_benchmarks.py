@@ -330,13 +330,18 @@ def test_twin_simulation_against_unlifted_cubic():
     assert mean_rel <= 1e-5
 
 
-def test_mass_matrix_consistency():
+def _mass_pair():
+    """A random system and the same system written with a mass matrix E."""
     sys = random_stable_qb(6, 1, 1, rng_for(95))
-    rng = rng_for(96)
-    E = np.eye(6) + 0.2 * rng.standard_normal((6, 6))
+    E = np.eye(6) + 0.2 * rng_for(96).standard_normal((6, 6))
     gen = QBSystem(A=E @ sys.A,
                    H=Hessian.dense(E @ sys.H.mode1(), symmetric=True),
                    N=[E @ Nk for Nk in sys.N], B=E @ sys.B, C=sys.C, E=E)
+    return sys, gen
+
+
+def test_mass_matrix_consistency():
+    sys, gen = _mass_pair()
     tab = (np.array([0.0, 10.0]), np.array([[1.0], [1.0]]))
     u = input_signal("custom", table=tab)
     y1 = simulate(sys, u, 4.0, 81, rtol=1e-9, atol=1e-11)
@@ -359,6 +364,20 @@ def test_blowup_is_reported():
                          rtol=1e-5, atol=1e-7)
 
 
+def test_overflow_in_the_first_steps_is_typed():
+    # from x0 = 1e150 the stages of x' = x^2 overflow while t is still 0;
+    # the step-size arithmetic must turn that into a typed error, not a
+    # ZeroDivisionError or a ValueError from a finiteness check
+    h = Hessian.dense(np.array([[1.0]]))
+    sys = QBSystem(A=[[0.0]], H=h, N=[np.zeros((1, 1))],
+                   B=[[0.0]], C=[[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonDivergence):
+            simulate(sys, constant_input(1, [0.0]), 2.0, 21, x0=[1e150],
+                     rtol=1e-5, atol=1e-7)
+
+
 def test_simulate_deterministic():
     sys = chafee_infante(5)
     u = input_signal("ci_u1")
@@ -368,9 +387,14 @@ def test_simulate_deterministic():
     assert y1.stats == y2.stats
 
 
-def test_simulate_stats_contract(monkeypatch):
-    # count Radau's trial steps and Newton iterations independently, at
-    # the collocation solve: one call per trial step and Jacobian state
+def _scipy_radau(monkeypatch, sys_, u, T, samples, rtol, atol):
+    """Counts and sampled states of scipy's Radau on simulate's f and
+    Jacobian: the oracle the ported stepper must match step for step.
+
+    Trial steps and Newton iterations are counted at scipy's collocation
+    solve, one call per trial step and Jacobian state.
+    """
+    from scipy.integrate import Radau
     from scipy.integrate._ivp import radau
     solve = radau.solve_collocation_system
     calls = []
@@ -381,6 +405,37 @@ def test_simulate_stats_contract(monkeypatch):
         return out
 
     monkeypatch.setattr(radau, "solve_collocation_system", counted)
+
+    def f(t, x):
+        return sys_.solve_mass(sys_.rhs(x, u(t)))
+
+    def jac(t, x):
+        return sys_.solve_mass(sys_.jacobian(x, u(t)))
+
+    tq = np.linspace(0.0, T, samples)
+    states = np.zeros((sys_.n, samples))
+    done = 1
+    with np.errstate(all="ignore"):
+        solver = Radau(f, 0.0, np.zeros(sys_.n), T, rtol=rtol, atol=atol,
+                       jac=jac)
+        while solver.status == "running":
+            solver.step()
+            stop = int(np.searchsorted(tq, solver.t, side="right"))
+            if stop > done:
+                states[:, done:stop] = solver.dense_output()(tq[done:stop])
+                done = stop
+    assert solver.status == "finished"
+    keys = [key for key, _ in calls]
+    # a retry after a Jacobian refresh repeats its trial's (t, h)
+    trials = [k for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
+    steps = len({t for t, _ in trials})
+    stats = {"steps": steps, "rejected": len(trials) - steps,
+             "newton_iters": sum(n for _, n in calls), "nlu": solver.nlu,
+             "njev": solver.njev, "nfev": solver.nfev}
+    return stats, states
+
+
+def test_simulate_stats_contract(monkeypatch):
     sys_ = fitzhugh_nagumo(3)
     u = input_signal("fhn_i0_sin")
     tr = simulate(sys_, u, 2.0, 21, rtol=1e-6, atol=1e-8)
@@ -392,15 +447,63 @@ def test_simulate_stats_contract(monkeypatch):
     assert stats["jacobian_nnz"] == sys_.n ** 2       # dense at n = 9
     assert stats["newton_iters"] >= stats["steps"] >= 1
     assert stats["jacobian_factorizations"] == stats["nlu"] >= 1
+    assert stats["rejected"] >= 1
 
-    keys = [key for key, _ in calls]
-    # a retry after a Jacobian refresh repeats its trial's (t, h)
-    trials = [k for i, k in enumerate(keys) if i == 0 or k != keys[i - 1]]
-    steps = len({t for t, _ in trials})
-    assert stats["steps"] == steps
-    assert stats["rejected"] == len(trials) - steps >= 1
-    assert stats["newton_iters"] == sum(n for _, n in calls)
+    oracle, _ = _scipy_radau(monkeypatch, sys_, u, 2.0, 21, 1e-6, 1e-8)
+    for key in ("steps", "rejected", "newton_iters", "nlu", "njev"):
+        assert stats[key] == oracle[key], key
     assert simulate(sys_, u, 2.0, 21, rtol=1e-6, atol=1e-8).stats == stats
+
+
+# (system, input, horizon, rtol): the dense LAPACK path on the benchmark's
+# FitzHugh-Nagumo case, a loose tolerance at which Newton fails three times
+# with a fresh Jacobian and the step is halved, the splu path, and the
+# mass-matrix path
+_ORACLE_CASES = {
+    "fhn_dense": (lambda: fitzhugh_nagumo(5), "fhn_i0_sin", 10.0, 1e-7),
+    "fhn_newton_halving": (lambda: fitzhugh_nagumo(3), "fhn_i0_sin", 2.0,
+                           1e-3),
+    "chafee_splu": (lambda: chafee_infante(100), "ci_u1", 10.0, 1e-5),
+    "mass_matrix": (lambda: _mass_pair()[1], "ci_u1", 4.0, 1e-9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_stepper_takes_scipy_radau_steps(monkeypatch, case):
+    make, signal, T, rtol = _ORACLE_CASES[case]
+    sys_ = make()
+    u = input_signal(signal)
+    atol = rtol / 100.0
+    tr = simulate(sys_, u, T, 201, rtol=rtol, atol=atol, store_states=True)
+    oracle, states = _scipy_radau(monkeypatch, sys_, u, T, 201, rtol, atol)
+    for key in oracle:
+        assert tr.stats[key] == oracle[key], key
+    sparse_path = tr.stats["jacobian_nnz"] < sys_.n ** 2
+    assert sparse_path == (case == "chafee_splu")
+    err = np.linalg.norm(tr.states - states)
+    assert err <= 1e-10 * np.linalg.norm(states)
+    if case != "mass_matrix":
+        # the same arithmetic in the same order; only the mass-matrix solve
+        # differs, E^{-1} on three stage columns at once instead of one
+        assert np.array_equal(tr.states, states)
+
+
+def test_bad_initial_state_or_tolerance_rejected_before_stepping(
+        monkeypatch):
+    sys_ = chafee_infante(4)
+    u = input_signal("ci_u1")
+
+    def refuse(*args):
+        raise AssertionError("rhs evaluated before the arguments were checked")
+
+    monkeypatch.setattr(QBSystem, "rhs", refuse)
+    for x0 in (np.zeros(sys_.n - 1), np.zeros((sys_.n, 1)),
+               np.full(sys_.n, np.nan)):
+        with pytest.raises(ValueError):
+            simulate(sys_, u, 1.0, 11, x0=x0)
+    for tol in (dict(rtol=1e-16), dict(rtol=np.nan), dict(atol=-1e-10)):
+        with pytest.raises(ValueError):
+            simulate(sys_, u, 1.0, 11, **tol)
 
 
 def _copy_as(cls, sys):
@@ -443,9 +546,12 @@ def test_non_finite_sparse_jacobian_is_reported():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # simulate imports it lazily, so no other workload pays for it
+    # the stepper is qbmor's own, so not even simulate loads scipy.integrate
     src = os.path.dirname(os.path.dirname(os.path.abspath(qbmor.__file__)))
-    code = "import sys, qbmor; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, qbmor\n"
+            "qbmor.simulate(qbmor.chafee_infante(4), qbmor.input_signal("
+            "'ci_u1'), 1.0, 11)\n"
+            "print('scipy.integrate' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-type in qbmor.errors is used by some other library module.
+"""Every name a library module imports is used in that module, no library
+module imports scipy.integrate, and every type in qbmor.errors is used by
+some other library module.
 
 Walks the syntax tree of each module under src/qbmor (the package's
 __init__.py re-exports by design and is skipped); needs only the standard
@@ -42,6 +43,26 @@ def test_no_unused_imports(module):
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
     assert not unused, "%s imports unused names: %s" % (module, unused)
 
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            for alias in node.names:
+                yield node.module + "." + alias.name
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_scipy_integrate(module):
+    # simulate steps with qbmor's own Radau port; scipy's solvers are only
+    # an oracle for the tests
+    found = sorted(name for name in _imported_modules(_parse(module))
+                   if name == "scipy.integrate"
+                   or name.startswith("scipy.integrate."))
+    assert not found, "%s imports %s" % (module, found)
 
 
 def _referenced_names(tree):

@@ -79,6 +79,44 @@ def test_rhs_matches_explicit_kron():
         sys.rhs(x[:-1], u)
 
 
+_BLOCK_CASES = {
+    "chafee_infante": lambda rng: chafee_infante(100),    # sparse operators
+    "fitzhugh_nagumo": lambda rng: fitzhugh_nagumo(5),    # two inputs
+    "dense_hessian": lambda rng: random_stable_qb(6, 2, 1, rng),
+    "zero_hessian": lambda rng: random_stable_qb(6, 1, 1, rng,
+                                                 with_hessian=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
+def test_rhs_block_matches_vector_calls(name):
+    sys = _BLOCK_CASES[name](rng_for(44))
+    if name == "zero_hessian":
+        assert sys.H.is_zero
+    if name == "dense_hessian":
+        assert sys.H.storage == "dense"
+    rng = rng_for(45)
+    q = 3
+    X = rng.standard_normal((sys.n, q))
+    U = rng.standard_normal((sys.m, q))
+    block = sys.rhs(X, U)
+    cols = np.column_stack([sys.rhs(X[:, j], U[:, j]) for j in range(q)])
+    assert block.shape == (sys.n, q)
+    # each column is computed with a single state's arithmetic
+    assert np.array_equal(block, cols)
+
+
+def test_rhs_rejects_bad_block_shapes():
+    sys = fitzhugh_nagumo(5)
+    X = np.zeros((sys.n, 3))
+    U = np.zeros((sys.m, 3))
+    bad = [(X, U[:, 0]), (X[:, 0], U), (X[:-1], U), (X, U[:, :2]),
+           (X, U[:1]), (X[None], U), (X[:, 0], U[:1, 0])]
+    for x, u in bad:
+        with pytest.raises(ValueError):
+            sys.rhs(x, u)
+
+
 # -------------------------------------------------------------------- jacobian
 
 def test_jacobian_trivial_cases():
