@@ -6,15 +6,19 @@ the Picard iteration on the full quadratic-type Lyapunov equations. Source
 terms are always evaluated through factored square roots, never through an
 explicit n^2 x n^2 Kronecker product. The factors are rank-truncated: an
 eigenpair of X is kept only when its eigenvalue exceeds n * eps * max|w|,
-so a Gramian of numerical rank rho costs n x rho^2 in H(L (x) L), not
-n x n^2. All Lyapunov solves of one Gramian set share the real Schur form
-of A. A mass matrix E is folded into A, B and the n x rho source factors
-through `QBSystem.solve_mass`, never into H: the equations are those of
-E^{-1}A, E^{-1}B, E^{-1}H and E^{-1}N_k.
+so a Gramian of numerical rank rho costs n x rho(rho+1)/2 in the distinct
+columns of H(L (x) L), not n x n^2. All Lyapunov solves of one Gramian set
+share the Schur form A = Z T Z^T (the eigenbasis of a symmetric A) and
+work in its basis: the seeds enter as Z^T B and C Z, the sources as
+Z^T S Z, the Gramians are held as Z^T X Z and factored there, and one
+n x rho product with Z lifts a factor back for the source terms. Only the
+Gramians a caller reads are moved back to the original coordinates. A
+mass matrix E is folded into A, B and the n x rho source factors through
+`QBSystem.solve_mass`, never into H: the equations are those of E^{-1}A,
+E^{-1}B, E^{-1}H and E^{-1}N_k.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,12 +32,35 @@ from qbmor.qb_core import QBSystem, _dense
 from qbmor.matrix_equations import hurwitz_schur, solve_lyapunov
 
 
-@dataclass
+def _lift(Z, X):
+    """Z X Z^T, symmetrized: a Schur-basis Gramian in original coordinates."""
+    X = Z @ X @ Z.T
+    return 0.5 * (X + X.T)
+
+
 class GramianBundle:
-    P_l: np.ndarray
-    Q_l: np.ndarray
-    P_T: np.ndarray
-    Q_T: np.ndarray
+    """Linear (P_l, Q_l) and truncated (P_T, Q_T) Gramians of a QB system.
+
+    Held in the Schur basis Z of A (of E^{-1}A with a mass matrix):
+    ``schur[name]`` is Z^T X Z. Reading the attribute P_l, Q_l, P_T or Q_T
+    gives X = Z (Z^T X Z) Z^T in the original coordinates, formed on the
+    first read.
+    """
+
+    def __init__(self, Z, P_l, Q_l, P_T, Q_T):
+        self.Z = Z
+        self.schur = {"P_l": P_l, "Q_l": Q_l, "P_T": P_T, "Q_T": Q_T}
+        self._original = {}
+
+    def _get(self, name):
+        if name not in self._original:
+            self._original[name] = _lift(self.Z, self.schur[name])
+        return self._original[name]
+
+    P_l = property(lambda self: self._get("P_l"))
+    Q_l = property(lambda self: self._get("Q_l"))
+    P_T = property(lambda self: self._get("P_T"))
+    Q_T = property(lambda self: self._get("Q_T"))
 
 
 def _psd_sqrt(X, what):
@@ -52,27 +79,47 @@ def _psd_sqrt(X, what):
     return U[:, keep] * np.sqrt(w[keep])
 
 
-def _quadratic_source(sys, L):
+def _gram(factors, Z):
+    """The sum of F F^T over the factors, or of Z^T F F^T Z given a basis Z.
+
+    A factor narrower than 2n is moved into the basis (3 n^2 k flops),
+    a wider one's product is (n^2 k + 4 n^3).
+    """
+    S = None
+    for F in factors:
+        if Z is None:
+            part = F @ F.T
+        elif F.shape[1] < 2 * F.shape[0]:
+            G = Z.T @ F
+            part = G @ G.T
+        else:
+            part = Z.T @ (F @ F.T) @ Z
+        if S is None:
+            S = part
+        else:
+            S += part
+    return S
+
+
+def _quadratic_source(sys, L, Z=None, seed=None):
     """H(P (x) P) H^T + sum_k N_k P N_k^T for P = L L^T, without P (x) P;
-    with a mass matrix, the factors are E^{-1}[H(L (x) L), N_k L]."""
-    K = sys.solve_mass(sys.H.apply_kron(L, L))
-    S = K @ K.T
-    for Nk in sys.N:
-        NL = sys.solve_mass(Nk @ L)
-        S += NL @ NL.T
-    return S
+    with a mass matrix, the factors are E^{-1}[H(L (x) L), N_k L]. H(L (x) L)
+    is read through its distinct columns. Given the seed factor E^{-1}B,
+    B B^T is added; given a basis Z, the sum is Z^T S Z."""
+    K = sys.solve_mass(sys.H.apply_kron_distinct(L))
+    factors = [K] + [sys.solve_mass(Nk @ L) for Nk in sys.N]
+    return _gram(factors + ([] if seed is None else [seed]), Z)
 
 
-def _observability_source(sys, LP, LQ):
+def _observability_source(sys, LP, LQ, Z=None, seed=None):
     """H2-mode source H^(2)(P (x) Q)(H^(2))^T + sum_k N_k^T Q N_k for
-    P = LP LP^T and Q = LQ LQ^T; with a mass matrix, LQ is E^{-T} LQ."""
+    P = LP LP^T and Q = LQ LQ^T; with a mass matrix, LQ is E^{-T} LQ.
+    Given the seed factor C^T, C^T C is added; given a basis Z, the sum is
+    Z^T S Z."""
     LQ = sys.solve_mass(LQ, transpose=True)
-    K = sys.H.apply_kron_mode2(LP, LQ)
-    S = K @ K.T
-    for Nk in sys.N:
-        NL = Nk.T @ LQ
-        S += NL @ NL.T
-    return S
+    factors = ([sys.H.apply_kron_mode2(LP, LQ)]
+               + [Nk.T @ LQ for Nk in sys.N])
+    return _gram(factors + ([] if seed is None else [seed]), Z)
 
 
 def _check_psd(X, what):
@@ -82,50 +129,56 @@ def _check_psd(X, what):
                       IndefiniteGramian)
 
 
-def truncated_gramians(sys):
-    """Linear and truncated Gramians of a stable QB system."""
-    B = sys.solve_mass(sys.B)
+def _linear_gramians(sys):
+    """Z, the form of its basis, E^{-1}B, and Z^T P_l Z and Z^T Q_l Z.
+
+    Z is the Schur basis of E^{-1}A; the seeds enter as the factors
+    Z^T E^{-1}B and C Z.
+    """
     S = hurwitz_schur(sys.solve_mass(sys.A))
-    P_l = solve_lyapunov(S, B @ B.T)
-    Q_l = solve_lyapunov(S, sys.C.T @ sys.C, transpose=True)
+    Z, S = S.Z, S.in_schur_basis()
+    B = sys.solve_mass(sys.B)
+    Bs, Cs = Z.T @ B, sys.C @ Z
+    return (Z, S, B, solve_lyapunov(S, Bs @ Bs.T),
+            solve_lyapunov(S, Cs.T @ Cs, transpose=True))
+
+
+def truncated_gramians(sys):
+    """Linear and truncated Gramians of a stable QB system, in the Schur
+    basis of A (see ``GramianBundle``)."""
+    Z, S, B, P_l, Q_l = _linear_gramians(sys)
     # factoring P_l and Q_l also checks them for indefiniteness
-    L_P = _psd_sqrt(P_l, "P_l")
-    L_Q = _psd_sqrt(Q_l, "Q_l")
-    P_T = solve_lyapunov(S, _quadratic_source(sys, L_P) + B @ B.T)
-    Q_T = solve_lyapunov(S, _observability_source(sys, L_P, L_Q)
-                         + sys.C.T @ sys.C, transpose=True)
+    L_P = Z @ _psd_sqrt(P_l, "P_l")
+    L_Q = Z @ _psd_sqrt(Q_l, "Q_l")
+    P_T = solve_lyapunov(S, _quadratic_source(sys, L_P, Z, B))
+    Q_T = solve_lyapunov(S, _observability_source(sys, L_P, L_Q, Z, sys.C.T),
+                         transpose=True)
     for X, name in ((P_T, "P_T"), (Q_T, "Q_T")):
         _check_psd(X, name)
-    return GramianBundle(P_l=P_l, Q_l=Q_l, P_T=P_T, Q_T=Q_T)
+    return GramianBundle(Z, P_l, Q_l, P_T, Q_T)
 
 
 def quadratic_gramians(sys, tol=1e-10, maxit=50):
     """Fixed points of the quadratic-type Lyapunov equations.
 
-    Picard iteration seeded at the linear Gramians. Divergence usually means
-    the quadratic and bilinear parts are too large; rescale the system first.
-    Returns (P, Q, (iterations_P, iterations_Q)).
+    Picard iteration seeded at the linear Gramians, run in the Schur basis
+    of A. Divergence usually means the quadratic and bilinear parts are
+    too large; rescale the system first. Returns (P, Q, (iterations_P,
+    iterations_Q)), P and Q in the original coordinates.
     """
-    B = sys.solve_mass(sys.B)
-    BBt = B @ B.T
-    CtC = sys.C.T @ sys.C
-    S = hurwitz_schur(sys.solve_mass(sys.A))
+    Z, S, B, P_l, Q_l = _linear_gramians(sys)
 
-    def picard(seed_rhs, source, transpose, what):
-        X = solve_lyapunov(S, seed_rhs, transpose=transpose)
+    def picard(X, rhs, transpose, what):
         for it in range(1, maxit + 1):
-            src = source(X)
-            if not np.all(np.isfinite(src)):
+            F = rhs(X)
+            if not np.all(np.isfinite(F)):
                 raise NoConvergence("%s iteration diverged (non-finite source);"
                                     " rescale the system" % what)
             try:
-                Xn = solve_lyapunov(S, src + seed_rhs, transpose=transpose)
+                Xn = solve_lyapunov(S, F, transpose=transpose)
             except SolverBreakdown as exc:
                 raise NoConvergence("%s iteration broke the solver; rescale "
                                     "the system" % what) from exc
-            if not np.all(np.isfinite(Xn)):
-                raise NoConvergence("%s iteration produced non-finite values;"
-                                    " rescale the system" % what)
             with np.errstate(over="ignore"):  # overflow is caught below
                 delta = np.linalg.norm(Xn - X)
                 nrm = np.linalg.norm(Xn)
@@ -139,27 +192,30 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
                             " the system" % (what, maxit))
 
     P, it_p = picard(
-        BBt, lambda X: _quadratic_source(
-            sys, _psd_sqrt(X, "controllability iterate")),
+        P_l, lambda X: _quadratic_source(
+            sys, Z @ _psd_sqrt(X, "controllability iterate"), Z, B),
         False, "controllability")
-    L_P = _psd_sqrt(P, "controllability factor")
+    L_P = Z @ _psd_sqrt(P, "controllability factor")
     Q, it_q = picard(
-        CtC, lambda X: _observability_source(
-            sys, L_P, _psd_sqrt(X, "observability iterate")),
+        Q_l, lambda X: _observability_source(
+            sys, L_P, Z @ _psd_sqrt(X, "observability iterate"), Z,
+            sys.C.T),
         True, "observability")
-    return P, Q, (it_p, it_q)
+    return _lift(Z, P), _lift(Z, Q), (it_p, it_q)
 
 
-def _dual_traces(sys, P_like, Q_like, rel, what):
-    B = sys.solve_mass(sys.B)
-    t_c = float(np.trace(sys.C @ P_like @ sys.C.T))
+def _dual_traces(B, C, P_like, Q_like, rel, what):
+    """tr(C P C^T) and tr(B^T Q B), checked to agree; B is E^{-1}B. Both
+    traces and the floor's Frobenius norms are the same in any orthonormal
+    basis, so Schur-basis Gramians are read with C Z and Z^T B."""
+    t_c = float(np.trace(C @ P_like @ C.T))
     t_o = float(np.trace(B.T @ Q_like @ B))
     scale = max(abs(t_c), abs(t_o))
     # near-total cancellation (error system of an accurate reduced model)
     # leaves traces at rounding level; the duality check needs an absolute
     # floor proportional to that level or it would compare noise with noise
     floor = 1e-12 * max(
-        np.linalg.norm(sys.C) ** 2 * np.linalg.norm(P_like),
+        np.linalg.norm(C) ** 2 * np.linalg.norm(P_like),
         np.linalg.norm(B) ** 2 * np.linalg.norm(Q_like), 1e-300)
     if abs(t_c - t_o) > rel * scale + floor:
         raise NumericalError("%s trace duality violated: %.17g vs %.17g"
@@ -172,17 +228,20 @@ def truncated_h2_norm(sys):
     """H2-type norm from the first three Volterra kernels.
 
     The controllability and observability routes are both evaluated and must
-    agree to 1e-7 relative; the controllability value is returned.
+    agree to 1e-7 relative; the controllability value is returned. The
+    traces are read in the Schur basis of the Gramians.
     """
     g = truncated_gramians(sys)
-    t_c, _ = _dual_traces(sys, g.P_T, g.Q_T, 1e-7, "truncated")
+    t_c, _ = _dual_traces(g.Z.T @ sys.solve_mass(sys.B), sys.C @ g.Z,
+                          g.schur["P_T"], g.schur["Q_T"], 1e-7, "truncated")
     return float(np.sqrt(t_c))
 
 
 def h2_norm(sys, tol=1e-10, maxit=50):
     """H2 norm through the converged quadratic Gramians."""
     P, Q, _ = quadratic_gramians(sys, tol=tol, maxit=maxit)
-    t_c, _ = _dual_traces(sys, P, Q, 1e-6, "quadratic")
+    t_c, _ = _dual_traces(sys.solve_mass(sys.B), sys.C, P, Q, 1e-6,
+                          "quadratic")
     return float(np.sqrt(t_c))
 
 

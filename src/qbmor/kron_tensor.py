@@ -123,6 +123,17 @@ def _row_kron(X, Y):
     return (X[:, :, None] * Y[:, None, :]).reshape(n, a * b)
 
 
+def _row_kron_distinct(X, Y):
+    # row i holds X[i, a] Y[i, b] for a <= b, in np.triu_indices order
+    n, q = X.shape
+    out = np.empty((n, q * (q + 1) // 2), dtype=np.result_type(X, Y))
+    col = 0
+    for a in range(q):
+        np.multiply(X[:, a, None], Y[:, a:], out=out[:, col:col + q - a])
+        col += q - a
+    return out
+
+
 class Hessian:
     """Order-3 tensor accessed through its mode-1 unfolding.
 
@@ -266,6 +277,32 @@ class Hessian:
         for L, R, _, S, _ in self._active_blocks(q * s):
             out += S @ _row_kron(L @ X, R @ Y)
         return out
+
+    def apply_kron_distinct(self, X):
+        """The q(q+1)/2 distinct columns of H(X (x) X) for a symmetric H.
+
+        Column (a, b), a <= b in ``np.triu_indices(q)`` order, is
+        H(x_a (x) x_b), scaled by sqrt(2) when a < b. Symmetry makes
+        H(x_a (x) x_b) = H(x_b (x) x_a), so K K^T equals
+        H(X (x) X) H(X (x) X)^T with about half the columns.
+        """
+        if not self.symmetric:
+            raise ValueError("distinct Kronecker columns need a symmetric H")
+        X = np.asarray(X)
+        if X.shape[0] != self.n:
+            raise ValueError("row dimension mismatch")
+        a, b = np.triu_indices(X.shape[1])
+        w = np.where(a == b, 1.0, np.sqrt(2.0))
+        if self.storage == "dense":
+            T = self._Hm.reshape(self.n, self.n, self.n)
+            M = np.tensordot(T, X, axes=([1], [0]))       # (i, c, q)
+            return np.einsum("icj,cj->ij", M[:, :, a], X[:, b]) * w
+        if not self._pairs:
+            return np.zeros((self.n, a.size), dtype=np.result_type(X, float))
+        out = 0.0
+        for L, R, _, S, _ in self._active_blocks(a.size):
+            out += S @ _row_kron_distinct(L @ X, R @ X)
+        return out * w
 
     def apply_kron_mode2(self, X, Y):
         """Mode-2 product: row b, column (q,s) is sum_{a,i} T[i,a,b] X[a,q] Y[i,s]."""

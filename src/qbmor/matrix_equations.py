@@ -2,12 +2,16 @@
 
 All solvers are deterministic on a fixed machine, and all but the shifted
 solves of a sparse pencil are dense. Lyapunov solves against one
-coefficient share its real Schur form and run the recursive blocked
-Lyapunov recursion of Jonsson and Kagstrom (RECSY, ACM TOMS 2002), which
-solves only the upper off-diagonal blocks of the symmetric solution by the
-blocked Bartels-Stewart Sylvester recursion: almost all of their flops are
-matrix-matrix products, and LAPACK trsyl solves only blocks of side at
-most 64. Sylvester equations with a diagonal right coefficient are solved
+coefficient share its real Schur form. A nonsymmetric coefficient runs
+the recursive blocked Lyapunov recursion of Jonsson and Kagstrom (RECSY,
+ACM TOMS 2002), which solves only the upper off-diagonal blocks of the
+symmetric solution by the blocked Bartels-Stewart Sylvester recursion:
+almost all of their flops are matrix-matrix products, and LAPACK trsyl
+solves only blocks of side at most 64. An exactly symmetric coefficient
+takes its eigenbasis, where T is diagonal and a Lyapunov solve is one
+elementwise division. A caller that keeps its matrices in the Schur basis
+passes the form's ``in_schur_basis`` and skips both basis changes.
+Sylvester equations with a diagonal right coefficient are solved
 on a ``shifted_lu`` form of the pencil A + lam E; a full Kronecker system
 is never formed. All shifts of one shift vector are factored at once: one
 factorization over the distinct real shifts, in real arithmetic, and one
@@ -96,26 +100,45 @@ def spectral_decompose(Ahat):
 
 @dataclass
 class HurwitzSchur:
-    """Real Schur form A = Z T Z^T of a matrix with every Re(eig) < 0."""
+    """Real Schur form A = Z T Z^T of a matrix with every Re(eig) < 0.
+
+    diagonal is set when T is diagonal (A was exactly symmetric and Z is
+    its eigenbasis), so solves divide instead of running the recursion. Z
+    is None in the form of the Schur basis itself (``in_schur_basis``),
+    whose right-hand sides and solutions are already Z^T Q Z and Z^T X Z.
+    """
     T: np.ndarray
     Z: np.ndarray
+    diagonal: bool = False
+
+    def in_schur_basis(self):
+        """This form acting on Schur coordinates: A becomes T, Z the identity."""
+        return HurwitzSchur(T=self.T, Z=None, diagonal=self.diagonal)
 
 
 def hurwitz_schur(A):
     """Real Schur form of A, checked for stability; a sparse A is densified.
 
-    In LAPACK's standardized real Schur form a 2x2 block carries the real
-    part of its conjugate pair on both diagonal entries, so diag(T) holds
-    the real part of every eigenvalue.
+    An A equal to A^T entry for entry is factored by ``eigh``: T is the
+    diagonal of its ascending eigenvalues and the form is marked diagonal.
+    Any other A is factored by ``schur``; in LAPACK's standardized real
+    Schur form a 2x2 block carries the real part of its conjugate pair on
+    both diagonal entries, so diag(T) holds the real part of every
+    eigenvalue either way.
     """
     A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
+    symmetric = np.array_equal(A, A.T)
     try:
-        T, Z = sla.schur(A, output="real")
+        if symmetric:
+            d, Z = sla.eigh(A)
+            T = np.diag(d)
+        else:
+            T, Z = sla.schur(A, output="real")
     except (np.linalg.LinAlgError, sla.LinAlgError, ValueError) as exc:
         raise SolverBreakdown("Schur factorization failed: %s" % exc) from exc
     if np.max(np.diag(T)) >= 0.0:
         raise NotStable("coefficient matrix has eigenvalue with Re >= 0")
-    return HurwitzSchur(T=T, Z=Z)
+    return HurwitzSchur(T=T, Z=Z, diagonal=symmetric)
 
 
 def _split(T):
@@ -214,20 +237,33 @@ def solve_lyapunov(A, Q, transpose=False):
     A is a matrix or its ``hurwitz_schur`` form; passing the form lets
     several solves share one factorization. transpose=True solves
     A^T X + X A + Q = 0 with the same form. The steps are Bartels-Stewart:
-    F = Z^T (-Q) Z, T Y + Y T^T = F (or T^T Y + Y T = F) by the recursive
-    blocked Lyapunov solve on F in place, X = Z Y Z^T.
+    F = Z^T (-Q) Z, T Y + Y T^T = F (or T^T Y + Y T = F) on F in place,
+    X = Z Y Z^T. The middle step is the recursive blocked Lyapunov solve,
+    or Y = F / (d_i + d_j) when the form is diagonal with d = diag(T).
+    Given the form's ``in_schur_basis``, Q and X are Schur coordinates and
+    both basis changes are skipped. SolverBreakdown is raised when the
+    solve fails or X comes out non-finite.
     """
     S = A if isinstance(A, HurwitzSchur) else hurwitz_schur(A)
     Q = np.asarray(Q, dtype=float)
     # the recursion reads only the upper triangle of F; halving the sum
     # leaves a symmetric Q bit-identical
-    Q = 0.5 * (Q + Q.T)
-    F = S.Z.T.dot((-Q).dot(S.Z))
-    _solve_lyapunov_quasi_triangular(S.T, F, transpose)
-    X = S.Z.dot(F).dot(S.Z.T)
-    if not np.all(np.isfinite(X)):
+    F = Q + Q.T
+    F *= -0.5
+    if S.Z is not None:
+        F = S.Z.T.dot(F.dot(S.Z))
+    # an overflow or a non-finite Q shows as a non-finite X, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if S.diagonal:
+            d = np.diag(S.T)
+            F /= d[:, None] + d     # every d_i + d_j < 0
+        else:
+            _solve_lyapunov_quasi_triangular(S.T, F, transpose)
+        if S.Z is not None:
+            F = S.Z.dot(F).dot(S.Z.T)
+    if not np.all(np.isfinite(F)):
         raise SolverBreakdown("Lyapunov solution contains non-finite entries")
-    return 0.5 * (X + X.T)
+    return 0.5 * (F + F.T)
 
 
 class ShiftedLU:

@@ -30,8 +30,10 @@ def balanced_truncation(sys, r, gamma=1.0):
     # Gramians of the damped system, projection of the original one
     src = rescale(sys, gamma) if gamma != 1.0 else sys
     g = truncated_gramians(src)
-    L_P = _psd_sqrt(g.P_T, "reachability factor")
-    L_Q = _psd_sqrt(g.Q_T, "observability factor")
+    # factors in the Schur basis Z of the Gramians: Z is orthogonal, so
+    # (Z L_Q)^T (Z L_P) = L_Q^T L_P and only the bases are lifted
+    L_P = _psd_sqrt(g.schur["P_T"], "reachability factor")
+    L_Q = _psd_sqrt(g.schur["Q_T"], "observability factor")
     U, s, Zt = np.linalg.svd(L_Q.T @ L_P, full_matrices=False)
     hsv = np.zeros(sys.n)
     hsv[:s.size] = s
@@ -39,8 +41,8 @@ def balanced_truncation(sys, r, gamma=1.0):
         raise RankDeficient("requested order %d exceeds the numerical rank "
                             "of the Gramian product" % r)
     scale = 1.0 / np.sqrt(s[:r])
-    V = (L_P @ Zt[:r].T) * scale
-    W = (L_Q @ U[:, :r]) * scale
+    V = g.Z @ ((L_P @ Zt[:r].T) * scale)
+    W = g.Z @ ((L_Q @ U[:, :r]) * scale)
     red = project(sys, V, sys.solve_mass(W, transpose=True), method="bt",
                   gamma=gamma, seed=None, converged=True, iterations=0,
                   tol=0.0, shift=0.0)

@@ -6,6 +6,7 @@ from qbmor.errors import NoConvergence, NotStable
 from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import QBSystem, project
 from qbmor.benchmarks import chafee_infante
+from qbmor.matrix_equations import hurwitz_schur
 from qbmor.gramians_norms import (
     truncated_gramians, quadratic_gramians, truncated_h2_norm, h2_norm,
     truncated_h2_error, error_system, _psd_sqrt, _quadratic_source,
@@ -39,12 +40,26 @@ def test_truncated_scalar_example():
 
 
 def test_truncated_residuals_random():
-    rng = rng_for(1)
-    sys = random_stable_qb(8, 2, 2, rng)
+    sys = random_stable_qb(8, 2, 2, rng_for(1))
+    assert not hurwitz_schur(sys.A).diagonal
+    _check_truncated_residuals(sys)
+
+
+def test_truncated_residuals_symmetric_a():
+    # an exactly symmetric A takes the eigenbasis path
+    sys = chafee_infante(4)
+    assert hurwitz_schur(sys.A).diagonal
+    _check_truncated_residuals(sys)
+
+
+def _check_truncated_residuals(sys):
     g = truncated_gramians(sys)
-    A, B, C = sys.A, sys.B, sys.C
+    A = sys.A.toarray() if sp.issparse(sys.A) else sys.A
+    B, C = sys.B, sys.C
+    n = sys.n
+    Nd = [Nk.toarray() if sp.issparse(Nk) else Nk for Nk in sys.N]
     Hm = sys.H.mode1()
-    H2 = sys.H.apply_kron_mode2(np.eye(8), np.eye(8))
+    H2 = sys.H.apply_kron_mode2(np.eye(n), np.eye(n))
 
     def resnorm(R, *scales):
         return np.linalg.norm(R) / max(sum(np.linalg.norm(s) for s in scales), 1.0)
@@ -54,12 +69,12 @@ def test_truncated_residuals_random():
     r2 = A.T @ g.Q_l + g.Q_l @ A + C.T @ C
     assert resnorm(r2, A @ g.Q_l, C.T @ C) <= 1e-9
     src_p = Hm @ np.kron(g.P_l, g.P_l) @ Hm.T + B @ B.T
-    for Nk in sys.N:
+    for Nk in Nd:
         src_p += Nk @ g.P_l @ Nk.T
     r3 = A @ g.P_T + g.P_T @ A.T + src_p
     assert resnorm(r3, A @ g.P_T, src_p) <= 1e-9
     src_q = H2 @ np.kron(g.P_l, g.Q_l) @ H2.T + C.T @ C
-    for Nk in sys.N:
+    for Nk in Nd:
         src_q += Nk.T @ g.Q_l @ Nk
     r4 = A.T @ g.Q_T + g.Q_T @ A + src_q
     assert resnorm(r4, A @ g.Q_T, src_q) <= 1e-9
@@ -125,19 +140,24 @@ def test_sources_from_truncated_factors_match_full_width():
 
 
 def test_source_products_stay_rank_wide(monkeypatch):
-    # with full-width factors every H(L (x) L) block would be n x n^2
+    # with full-width factors every H(L (x) L) block would be n x n^2; the
+    # source reads only its rho(rho + 1)/2 distinct columns
     widths = []
-    apply_kron = Hessian.apply_kron
+    distinct = Hessian.apply_kron_distinct
 
-    def recording(self, X, Y):
-        out = apply_kron(self, X, Y)
-        widths.append(out.shape[1])
+    def recording(self, X):
+        out = distinct(self, X)
+        rho = X.shape[1]
+        widths.append((rho, out.shape[1]))
         return out
 
-    monkeypatch.setattr(Hessian, "apply_kron", recording)
+    monkeypatch.setattr(Hessian, "apply_kron_distinct", recording)
     sys = chafee_infante(30)
     assert truncated_h2_norm(sys) > 0
-    assert widths and max(widths) < (sys.n // 2) ** 2
+    assert widths
+    for rho, width in widths:
+        assert width == rho * (rho + 1) // 2
+        assert width < (sys.n // 2) ** 2
 
 
 # ---------------------------------------------------------- quadratic gramians

@@ -274,6 +274,31 @@ def test_apply_kron_complex_inputs():
                        mode_matricize(h, 2) @ np.kron(X, Y), atol=1e-13)
 
 
+@pytest.mark.parametrize("blocked", [False, True])
+def test_apply_kron_distinct_keeps_the_gram_matrix(blocked, monkeypatch):
+    if blocked:
+        monkeypatch.setattr(kron_tensor, "_KRON_BLOCK", 1)
+    rng = rng_for(13)
+    n, q = 6, 4
+    X = rng.standard_normal((n, q))
+    a, b = np.triu_indices(q)
+    for h in (random_dense_hessian(n, rng), random_pair_hessian(n, 2, rng),
+              Hessian.zero(n)):
+        h = h.symmetrized()
+        K = h.apply_kron(X, X)
+        Kd = h.apply_kron_distinct(X)
+        assert Kd.shape == (n, q * (q + 1) // 2)
+        # column (a, b) is H(x_a (x) x_b), sqrt(2) times when a < b
+        full = K.reshape(n, q, q)[:, a, b]
+        scale = np.where(a == b, 1.0, np.sqrt(2.0))
+        assert np.allclose(Kd, full * scale, rtol=0,
+                           atol=1e-13 * max(np.abs(K).max(), 1.0))
+        assert np.allclose(Kd @ Kd.T, K @ K.T, rtol=0,
+                           atol=1e-13 * max(np.linalg.norm(K) ** 2, 1.0))
+    with pytest.raises(ValueError):
+        random_dense_hessian(n, rng).apply_kron_distinct(X)
+
+
 def _pair_loop(h, X, Y, mode2):
     """The per-pair reference of apply_kron and apply_kron_mode2, with
     every factor sparse when one is, as the products stack them."""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -291,13 +293,73 @@ def test_lyapunov_recursion_matches_sylvester_recursion(transpose):
     assert np.linalg.norm(Y - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("transpose", [False, True])
-def test_lyapunov_overflow_is_a_breakdown(transpose):
-    # X = -1e160 / (2 * -1e-160) overflows; trsyl rescales it and reports
-    # scale < 1, which must not pass as a finite answer
+# symmetric: the eigenbasis path divides, -1e160 / (2 * -1e-160)
+_DIVISION = (np.array([[-1e-160]]), np.array([[1e160]]), "non-finite")
+# nonsymmetric: X11 = 1e300 / (2e-10) overflows; trsyl rescales it and
+# reports scale < 1, which must not pass as a finite answer
+_TRSYL = (np.array([[-1e-10, 1.0], [0.0, -1.0]]), np.diag([1e300, 1.0]),
+          "trsyl scale")
+
+
+@pytest.mark.parametrize("A, Q, match, transpose", [
+    _DIVISION + (False,), _DIVISION + (True,),
+    _TRSYL + (False,), _TRSYL + (True,),
+], ids=["False", "True", "trsyl-False", "trsyl-True"])
+def test_lyapunov_overflow_is_a_breakdown(A, Q, match, transpose):
+    assert hurwitz_schur(A).diagonal == np.array_equal(A, A.T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverBreakdown, match=match):
+            solve_lyapunov(A, Q, transpose=transpose)
+
+
+def test_symmetric_coefficient_errors_are_typed():
+    nan = np.array([[-1.0, np.nan], [np.nan, -1.0]])
     with pytest.raises(SolverBreakdown):
-        solve_lyapunov(np.array([[-1e-160]]), np.array([[1e160]]),
-                       transpose=transpose)
+        hurwitz_schur(nan)
+    with pytest.raises(SolverBreakdown):
+        solve_lyapunov(nan, np.eye(2))
+    # eigenvalues -1 and 0, then -1 and 1
+    for bad in (np.array([[-0.5, 0.5], [0.5, -0.5]]),
+                np.array([[0.0, 1.0], [1.0, 0.0]])):
+        with pytest.raises(NotStable):
+            hurwitz_schur(bad)
+        with pytest.raises(NotStable):
+            solve_lyapunov(bad, np.eye(2))
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_symmetric_coefficient_solves_in_its_eigenbasis(transpose):
+    # n > _TRSYL_LEAF, so a nonsymmetric A of this size would recurse
+    n = 150
+    rng = rng_for(19)
+    A = random_stable(n, rng)
+    A = 0.5 * (A + A.T)
+    S = hurwitz_schur(sp.csr_array(A))
+    assert S.diagonal
+    assert np.array_equal(S.T, np.diag(np.diag(S.T)))
+    B = rng.standard_normal((n, 3))
+    Q = B @ B.T
+    X = solve_lyapunov(S, Q, transpose=transpose)
+    ref = sla.solve_continuous_lyapunov(A, -Q)
+    assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+    # in the form's own basis the same solve skips both basis changes
+    Xs = solve_lyapunov(S.in_schur_basis(), S.Z.T @ Q @ S.Z,
+                        transpose=transpose)
+    assert np.linalg.norm(S.Z @ Xs @ S.Z.T - ref) \
+        <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_nonsymmetric_coefficient_keeps_the_schur_form():
+    rng = rng_for(20)
+    A = random_stable(80, rng)
+    S = hurwitz_schur(A)
+    assert not S.diagonal
+    Q = np.eye(80)
+    ref = sla.solve_continuous_lyapunov(A, -Q)
+    Xs = solve_lyapunov(S.in_schur_basis(), S.Z.T @ Q @ S.Z)
+    assert np.linalg.norm(S.Z @ Xs @ S.Z.T - ref) \
+        <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("transpose", [False, True])
