@@ -188,7 +188,8 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     and Jacobian with a mass matrix applied to both by
     `QBSystem.solve_mass`. Both read the operator set the system builds
     once, and each simplified Newton iteration evaluates its three stages
-    in one block call of `QBSystem.rhs`. Without a mass matrix a sparse
+    in one block call of `QBSystem.rhs`, on stage inputs u(t + c_i h)
+    evaluated once per trial step. Without a mass matrix a sparse
     Jacobian pattern (see `QBSystem.jacobian`) is kept as a CSC array and
     the iteration matrices are factored by `scipy.sparse.linalg.splu`;
     otherwise the Jacobian is dense and they are factored and solved by
@@ -227,8 +228,10 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     if x_init.shape != (sys.n,) or not np.all(np.isfinite(x_init)):
         raise ValueError("x0 must be a finite state of length %d" % sys.n)
 
-    def f(ts, X):
-        U = np.array([u(t) for t in ts]).T
+    def inputs(ts):
+        return np.array([u(t) for t in ts]).T
+
+    def f(X, U):
         return sys.solve_mass(sys.rhs(X, U))
 
     def jac(t, x):
@@ -242,7 +245,7 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     states[:, 0] = x_init
     done = 1
     with np.errstate(all="ignore"):
-        solver = _Radau(f, jac, x_init, float(T), rtol, atol)
+        solver = _Radau(f, inputs, jac, x_init, float(T), rtol, atol)
         while solver.t < T:
             t0 = solver.t
             if not solver.step():
@@ -330,16 +333,18 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
 
 
 class _Radau:
-    """Radau IIA on a block rhs fun(ts, X) -> n x q and a Jacobian jac(t, y).
+    """Radau IIA on a block rhs fun(X, U) -> n x q and a Jacobian jac(t, y).
 
+    inputs(ts) gives the m x q inputs U at the times ts; a simplified
+    Newton iteration's stage times are fixed, so it evaluates them once.
     jac returns a dense array or a sparse one; sparse Jacobians are kept
     in CSC and factored by splu. `step` takes one accepted step and returns
     False when the step size underflows; `dense` evaluates the last step's
     collocation polynomial.
     """
 
-    def __init__(self, fun, jac, y0, t_bound, rtol, atol):
-        self._fun, self._jac = fun, jac
+    def __init__(self, fun, inputs, jac, y0, t_bound, rtol, atol):
+        self._fun, self._inputs, self._jac = fun, inputs, jac
         self.t, self.y, self.t_bound = 0.0, y0, t_bound
         self.rtol, self.atol = rtol, atol
         self.steps = self.rejected = self.newton_iters = 0
@@ -359,11 +364,11 @@ class _Radau:
         self.t_old = self.y_old = self.Q = None
 
     def _fun1(self, t, y):
-        return self._block((t,), y[:, None])[:, 0]
+        return self._block(y[:, None], self._inputs((t,)))[:, 0]
 
-    def _block(self, ts, X):
+    def _block(self, X, U):
         self.nfev += X.shape[1]
-        return self._fun(ts, X)
+        return self._fun(X, U)
 
     def _jacobian(self, t, y):
         self.njev += 1
@@ -409,7 +414,7 @@ class _Radau:
         solve_collocation_system; Z holds the stage increments as rows.
         """
         M_real, M_complex = _MU_REAL / h, _MU_COMPLEX / h
-        ts = t + h * _C
+        U = self._inputs(t + h * _C)
         W = _TI.dot(Z0)
         Z = Z0
         dW = np.empty_like(W)
@@ -418,7 +423,7 @@ class _Radau:
         for k in range(_NEWTON_MAXITER):
             # stages as rows, laid out as scipy's F, so the products below
             # round as scipy's do
-            F = self._block(ts, y[:, None] + Z.T).T
+            F = self._block(y[:, None] + Z.T, U).T
             if not np.isfinite(F).all():
                 break
             f_real = F.T.dot(_TI_REAL) - M_real * W[0]

@@ -85,7 +85,9 @@ class QbmorWarning(UserWarning):
 
 
 class IndefiniteGramian(QbmorWarning):
-    """A Gramian violated its positive semidefinite floor and was clipped."""
+    """A Gramian has an eigenvalue below its positive semidefinite floor,
+    -1e-10 times its largest magnitude. The Gramian is left as solved; its
+    square-root factor keeps only the positive part."""
 
 
 class MaxIterationsExceeded(QbmorWarning):

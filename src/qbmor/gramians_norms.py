@@ -4,18 +4,20 @@ The truncated pair (P_T, Q_T) extends the linear Gramians by the quadratic
 and bilinear source terms; the quadratic pair (P, Q) is the fixed point of
 the Picard iteration on the full quadratic-type Lyapunov equations. Source
 terms are always evaluated through factored square roots, never through an
-explicit n^2 x n^2 Kronecker product. The factors are rank-truncated: an
-eigenpair of X is kept only when its eigenvalue exceeds n * eps * max|w|,
-so a Gramian of numerical rank rho costs n x rho(rho+1)/2 in the distinct
-columns of H(L (x) L), not n x n^2. All Lyapunov solves of one Gramian set
-share the Schur form A = Z T Z^T (the eigenbasis of a symmetric A) and
-work in its basis: the seeds enter as Z^T B and C Z, the sources as
-Z^T S Z, the Gramians are held as Z^T X Z and factored there, and one
-n x rho product with Z lifts a factor back for the source terms. Only the
-Gramians a caller reads are moved back to the original coordinates. A
-mass matrix E is folded into A, B and the n x rho source factors through
-`QBSystem.solve_mass`, never into H: the equations are those of E^{-1}A,
-E^{-1}B, E^{-1}H and E^{-1}N_k.
+explicit n^2 x n^2 Kronecker product. The factors come from LAPACK's
+pivoted Cholesky in O(n^2 rho), not from an O(n^3) eigendecomposition, and
+are rank-truncated: a direction of X is kept only when its eigenvalue
+exceeds n * eps * max|w|, so a Gramian of numerical rank rho costs
+n x rho(rho+1)/2 in the distinct columns of H(L (x) L), not n x n^2.
+Factoring a Gramian also checks it against its PSD floor. All Lyapunov
+solves of one Gramian set share the Schur form A = Z T Z^T (the eigenbasis
+of a symmetric A) and work in its basis: the seeds enter as Z^T B and
+C Z, the sources as Z^T S Z, the Gramians are held as Z^T X Z and
+factored there, and one n x rho product with Z lifts a factor back for the
+source terms. Only the Gramians a caller reads are moved back to the
+original coordinates. A mass matrix E is folded into A, B and the n x rho
+source factors through `QBSystem.solve_mass`, never into H: the equations
+are those of E^{-1}A, E^{-1}B, E^{-1}H and E^{-1}N_k.
 """
 
 import warnings
@@ -44,12 +46,15 @@ class GramianBundle:
     Held in the Schur basis Z of A (of E^{-1}A with a mass matrix):
     ``schur[name]`` is Z^T X Z. Reading the attribute P_l, Q_l, P_T or Q_T
     gives X = Z (Z^T X Z) Z^T in the original coordinates, formed on the
-    first read.
+    first read. ``factors["P_T"]`` and ``factors["Q_T"]`` are the
+    rank-truncated factors L of Z^T P_T Z and Z^T Q_T Z (see `_psd_sqrt`),
+    taken once when the bundle is built.
     """
 
-    def __init__(self, Z, P_l, Q_l, P_T, Q_T):
+    def __init__(self, Z, P_l, Q_l, P_T, Q_T, L_P, L_Q):
         self.Z = Z
         self.schur = {"P_l": P_l, "Q_l": Q_l, "P_T": P_T, "Q_T": Q_T}
+        self.factors = {"P_T": L_P, "Q_T": L_Q}
         self._original = {}
 
     def _get(self, name):
@@ -63,20 +68,50 @@ class GramianBundle:
     Q_T = property(lambda self: self._get("Q_T"))
 
 
-def _psd_sqrt(X, what):
-    """Rank-truncated factor L with L L^T ~= X, by eigendecomposition.
+_PSTRF = sla.get_lapack_funcs("pstrf", dtype=np.float64)
+_EPS = np.finfo(float).eps
 
-    Only eigenpairs with w > n * eps * max|w| are kept, so L has as many
-    columns as X has numerical rank; a negative eigenvalue beyond the PSD
-    floor warns.
-    """
+
+def _eig_sqrt(X, what):
+    """_psd_sqrt by eigendecomposition, for an X its residual cannot clear."""
     w, U = np.linalg.eigh(X)
     top = max(np.abs(w).max(), 1e-300)
     if w.min() < -1e-10 * top:
         warnings.warn("%s has negative eigenvalue %.3e beyond the PSD floor"
                       % (what, w.min()), IndefiniteGramian)
-    keep = w > w.size * np.finfo(float).eps * top
+    keep = w > w.size * _EPS * top
     return U[:, keep] * np.sqrt(w[keep])
+
+
+def _psd_sqrt(X, what):
+    """Rank-truncated factor L with L L^T ~= X, checked against the PSD
+    floor: an eigenvalue below -1e-10 * max|w| warns IndefiniteGramian.
+
+    Pivoted Cholesky (LAPACK pstrf) gives X ~= F F^T, stopping once every
+    diagonal entry of the Schur complement left is below eps/10 * max
+    diag(X): for a PSD X that complement is PSD, so what it drops sums to
+    at most a tenth of the truncation threshold below. F is rotated onto
+    the eigenvectors of the rho x rho matrix F^T F, and a direction is kept
+    only when its eigenvalue w exceeds n * eps * max|w|, so L has as many
+    columns as X has numerical rank. Weyl's inequality bounds the smallest
+    eigenvalue of X below by -||X - F F^T||_F, about n * eps * max|w| for
+    a PSD X, far above the floor; only when that bound cannot clear the
+    floor is X eigendecomposed, so the warning fires exactly when an
+    eigendecomposition would have it.
+    """
+    n = X.shape[0]
+    tol = 0.1 * _EPS * np.diag(X).max(initial=0.0)
+    C, piv, rank, _ = _PSTRF(X, tol=tol, lower=1)
+    F = np.empty((n, rank))
+    F[piv - 1] = np.tril(C[:, :rank])
+    w, V = np.linalg.eigh(F.T @ F)
+    top = w.max(initial=0.0)
+    res = np.linalg.norm(X - F @ F.T)
+    # top - res bounds the largest eigenvalue of X from below
+    if res > 1e-10 * (top - res):
+        return _eig_sqrt(X, what)
+    keep = w > n * _EPS * max(top, 1e-300)
+    return F @ V[:, keep]
 
 
 def _gram(factors, Z):
@@ -122,13 +157,6 @@ def _observability_source(sys, LP, LQ, Z=None, seed=None):
     return _gram(factors + ([] if seed is None else [seed]), Z)
 
 
-def _check_psd(X, what):
-    w = np.linalg.eigvalsh(X)
-    if w.min() < -1e-10 * max(np.abs(w).max(), 1e-300):
-        warnings.warn("%s is indefinite: min eigenvalue %.3e" % (what, w.min()),
-                      IndefiniteGramian)
-
-
 def _linear_gramians(sys):
     """Z, the form of its basis, E^{-1}B, and Z^T P_l Z and Z^T Q_l Z.
 
@@ -147,15 +175,14 @@ def truncated_gramians(sys):
     """Linear and truncated Gramians of a stable QB system, in the Schur
     basis of A (see ``GramianBundle``)."""
     Z, S, B, P_l, Q_l = _linear_gramians(sys)
-    # factoring P_l and Q_l also checks them for indefiniteness
+    # factoring a Gramian also checks it for indefiniteness
     L_P = Z @ _psd_sqrt(P_l, "P_l")
     L_Q = Z @ _psd_sqrt(Q_l, "Q_l")
     P_T = solve_lyapunov(S, _quadratic_source(sys, L_P, Z, B))
     Q_T = solve_lyapunov(S, _observability_source(sys, L_P, L_Q, Z, sys.C.T),
                          transpose=True)
-    for X, name in ((P_T, "P_T"), (Q_T, "Q_T")):
-        _check_psd(X, name)
-    return GramianBundle(Z, P_l, Q_l, P_T, Q_T)
+    return GramianBundle(Z, P_l, Q_l, P_T, Q_T, _psd_sqrt(P_T, "P_T"),
+                         _psd_sqrt(Q_T, "Q_T"))
 
 
 def quadratic_gramians(sys, tol=1e-10, maxit=50):

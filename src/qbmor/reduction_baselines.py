@@ -3,7 +3,7 @@
 import numpy as np
 
 from qbmor.errors import RankDeficient
-from qbmor.gramians_norms import truncated_gramians, _psd_sqrt
+from qbmor.gramians_norms import truncated_gramians
 from qbmor.qb_core import project, rescale
 
 
@@ -30,10 +30,10 @@ def balanced_truncation(sys, r, gamma=1.0):
     # Gramians of the damped system, projection of the original one
     src = rescale(sys, gamma) if gamma != 1.0 else sys
     g = truncated_gramians(src)
-    # factors in the Schur basis Z of the Gramians: Z is orthogonal, so
-    # (Z L_Q)^T (Z L_P) = L_Q^T L_P and only the bases are lifted
-    L_P = _psd_sqrt(g.schur["P_T"], "reachability factor")
-    L_Q = _psd_sqrt(g.schur["Q_T"], "observability factor")
+    # the bundle's factors live in the Schur basis Z of the Gramians: Z is
+    # orthogonal, so (Z L_Q)^T (Z L_P) = L_Q^T L_P and only the bases are
+    # lifted
+    L_P, L_Q = g.factors["P_T"], g.factors["Q_T"]
     U, s, Zt = np.linalg.svd(L_Q.T @ L_P, full_matrices=False)
     hsv = np.zeros(sys.n)
     hsv[:s.size] = s

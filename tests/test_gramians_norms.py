@@ -1,10 +1,15 @@
+import sys as _sys
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qbmor.errors import NoConvergence, NotStable
+from qbmor import gramians_norms
+from qbmor.errors import IndefiniteGramian, NoConvergence, NotStable
 from qbmor.kron_tensor import Hessian
-from qbmor.qb_core import QBSystem, project
+from qbmor.qb_core import QBSystem, project, rescale
+from qbmor.reduction_baselines import balanced_truncation
 from qbmor.benchmarks import chafee_infante
 from qbmor.matrix_equations import hurwitz_schur
 from qbmor.gramians_norms import (
@@ -137,6 +142,97 @@ def test_sources_from_truncated_factors_match_full_width():
     ref = K @ K.T + sum((Nk.T @ g.Q_l) @ Nk for Nk in sys.N)
     got = _observability_source(sys, LP, LQ)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("k", [100, 250, 500])
+def test_psd_sqrt_keeps_the_eigh_rank(k):
+    # the pivoted-Cholesky factor has as many columns as an eigendecomposition
+    # keeps (eigenvalues above n eps max|w|), in the Schur basis where it is
+    # taken and in the original coordinates; dropping the eigenvalues below
+    # that threshold leaves an error of about n eps ||X||, as the
+    # eigendecomposition's own factor does
+    g = truncated_gramians(chafee_infante(k))
+    eps = np.finfo(float).eps
+    for name in ("P_l", "Q_l", "P_T", "Q_T"):
+        for X in (g.schur[name], getattr(g, name)):
+            n = X.shape[0]
+            w = np.linalg.eigh(X)[0]
+            rank = int((w > n * eps * np.abs(w).max()).sum())
+            L = _psd_sqrt(X, name)
+            assert L.shape == (n, rank), name
+            assert (np.linalg.norm(L @ L.T - X)
+                    <= 2 * n * eps * np.linalg.norm(X)), name
+
+
+def _with_spectrum(n, head, seed=0):
+    Q = np.linalg.qr(rng_for(seed).standard_normal((n, n)))[0]
+    w = np.zeros(n)
+    w[:len(head)] = head
+    X = (Q * w) @ Q.T
+    return 0.5 * (X + X.T)
+
+
+def _indefinite_warnings(X):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        L = _psd_sqrt(X, "X")
+    return L, [c for c in caught if issubclass(c.category, IndefiniteGramian)]
+
+
+def test_psd_sqrt_of_zero_is_empty_and_silent():
+    L, caught = _indefinite_warnings(np.zeros((7, 7)))
+    assert L.shape == (7, 0) and not caught
+
+
+def test_psd_sqrt_warns_once_on_an_indefinite_matrix():
+    L, caught = _indefinite_warnings(_with_spectrum(40, [1.0, 0.3, -1e-3]))
+    assert len(caught) == 1
+    # the factor keeps the positive part
+    assert L.shape == (40, 2)
+    assert np.allclose(np.linalg.svd(L, compute_uv=False) ** 2, [1.0, 0.3])
+
+
+@pytest.mark.parametrize("negative, count, warns", [
+    (-1e-14, 2, False),     # noise level: cleared by the residual bound
+    (-0.9e-10, 5, False),   # too large for the bound, above the floor
+    (-1.1e-10, 1, True),    # just below the floor
+])
+def test_psd_sqrt_warns_exactly_below_the_floor(negative, count, warns):
+    X = _with_spectrum(40, [1.0, 0.3, 0.01] + [negative] * count, seed=1)
+    L, caught = _indefinite_warnings(X)
+    assert len(caught) == int(warns)
+    assert L.shape == (40, 3)
+
+
+def test_factor_path_runs_no_dense_eigendecomposition(monkeypatch):
+    # the Gramian factors come from pivoted Cholesky and a rho x rho
+    # eigenproblem; no n x n eigh or eigvalsh runs in the Gramian or
+    # balancing code, and balanced truncation reads the bundle's factors
+    sys = chafee_infante(100)
+    big = []
+    for name in ("eigh", "eigvalsh"):
+        def recording(X, *args, _f=getattr(np.linalg, name), **kw):
+            caller = _sys._getframe(1).f_globals["__name__"]
+            if (caller in ("qbmor.gramians_norms", "qbmor.reduction_baselines")
+                    and X.shape[0] >= sys.n):
+                big.append((caller, X.shape))
+            return _f(X, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, recording)
+    factored = []
+    psd_sqrt = gramians_norms._psd_sqrt
+
+    def counting(X, what):
+        factored.append(what)
+        return psd_sqrt(X, what)
+
+    monkeypatch.setattr(gramians_norms, "_psd_sqrt", counting)
+    assert truncated_h2_norm(sys) > 0
+    assert len(factored) == 4
+    del factored[:]
+    balanced_truncation(sys, 10, gamma=0.01)
+    assert factored == ["P_l", "Q_l", "P_T", "Q_T"]
+    assert h2_norm(rescale(sys, 0.01)) > 0
+    assert not big
 
 
 def test_source_products_stay_rank_wide(monkeypatch):
