@@ -202,7 +202,7 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     * rejected: trial steps thrown away, by the error test or by a
       simplified Newton iteration that would not converge;
     * newton_iters: simplified Newton iterations over all trial steps;
-    * jacobian_factorizations, nlu: LU factorizations of the iteration
+    * jacobian_factorizations: LU factorizations of the iteration
       matrices, one real and one complex per refresh;
     * nfev, njev: rhs evaluations (one per state, three per Newton
       iteration) and Jacobian evaluations;
@@ -263,7 +263,7 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     stats = {"steps": solver.steps, "rejected": solver.rejected,
              "newton_iters": solver.newton_iters,
              "jacobian_factorizations": solver.nlu,
-             "nfev": solver.nfev, "njev": solver.njev, "nlu": solver.nlu,
+             "nfev": solver.nfev, "njev": solver.njev,
              "jacobian_nnz": int(solver.J.nnz if sp.issparse(solver.J)
                                  else solver.J.size)}
     return Trajectory(times=tq, outputs=outputs,
@@ -551,8 +551,5 @@ def to_csv(traj, path):
     """Write (t, y_1..y_p) rows with 17 significant digits."""
     p = traj.outputs.shape[0]
     header = "t," + ",".join("y_%d" % (j + 1) for j in range(p))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i, t in enumerate(traj.times):
-            row = [t] + [traj.outputs[j, i] for j in range(p)]
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    np.savetxt(path, np.column_stack([traj.times, traj.outputs.T]),
+               fmt="%.17g", delimiter=",", header=header, comments="")

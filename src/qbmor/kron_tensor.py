@@ -190,7 +190,7 @@ class Hessian:
     def _stacked(self):
         """The pairs stacked once into two (npairs*n) x n operators.
 
-        CSR when any factor is sparse, so H(u (x) v) costs two matvecs.
+        CSR when any factor is sparse; ``_active_rows`` selects its rows.
         """
         if self._stack is None:
             Ls = [L for L, _ in self._pairs]
@@ -252,12 +252,7 @@ class Hessian:
         v = np.asarray(v)
         if u.shape != (self.n,) or v.shape != (self.n,):
             raise ValueError("vector length mismatch")
-        if self.storage == "dense":
-            return self.kron_identity(v) @ u
-        if not self._pairs:
-            return np.zeros(self.n, dtype=np.result_type(u, v, float))
-        Ls, Rs = self._stacked()
-        return ((Ls @ u) * (Rs @ v)).reshape(-1, self.n).sum(axis=0)
+        return self.apply_kron(u[:, None], v[:, None])[:, 0]
 
     def apply_kron(self, X, Y):
         """H(X (x) Y), an n x (cols(X)*cols(Y)) matrix."""
@@ -322,14 +317,6 @@ class Hessian:
         for L, _, RT, _, dest in self._active_blocks(q * s):
             out += RT @ _row_kron(L @ X, Y[dest])
         return out
-
-    def kron_identity(self, x):
-        """The n x n matrix H(I (x) x); column a is H(e_a (x) x).
-
-        Read off the dense mode-1 unfolding, for either storage.
-        """
-        n = self.n
-        return (self.mode1().reshape(n * n, n) @ np.asarray(x)).reshape(n, n)
 
     def congruence(self, V, W):
         """W^T H (V (x) V) as an r x r^2 matrix.

@@ -58,6 +58,32 @@ class SpectralFactors:
     Rinv: np.ndarray
 
 
+def conjugate_pairs(lam, strict=True):
+    """Index arrays (real, lead, partner): the one walk of the pair rule.
+
+    From i = 0, lam[i] is real iff lam[i].imag == 0.0; otherwise i leads,
+    and i + 1 is its partner, skipped past, iff lam[i + 1] == conj(lam[i]).
+    Greedy, so [a, conj(a), a, conj(a)] pairs (0, 1) and (2, 3), not 1 with
+    2. A lead without a partner raises PairingViolation when strict and
+    otherwise stands alone.
+    """
+    real, lead, partner = [], [], []
+    i = 0
+    while i < lam.size:
+        if lam[i].imag == 0.0:
+            real.append(i)
+        else:
+            lead.append(i)
+            if i + 1 < lam.size and lam[i + 1] == np.conj(lam[i]):
+                partner.append(i + 1)
+                i += 1
+            elif strict:
+                raise PairingViolation("lam[%d] = %r has no adjacent "
+                                       "conjugate partner" % (i, lam[i]))
+        i += 1
+    return tuple(np.array(ix, dtype=np.intp) for ix in (real, lead, partner))
+
+
 def spectral_decompose(Ahat):
     """Diagonalize a real square matrix with a deterministic eigenvalue order.
 
@@ -85,16 +111,8 @@ def spectral_decompose(Ahat):
     lam = lam[order]
     R = R[:, order]
     Rinv = np.linalg.inv(R)
-    i = 0
-    while i < lam.size:
-        if lam[i].imag == 0.0:
-            i += 1
-            continue
-        if i + 1 == lam.size or lam[i + 1] != np.conj(lam[i]):
-            raise PairingViolation("eigenvalue %r has no adjacent conjugate "
-                                   "partner" % (lam[i],))
-        Rinv[i + 1] = np.conj(Rinv[i])
-        i += 2
+    _, lead, partner = conjugate_pairs(lam)
+    Rinv[partner] = Rinv[lead].conj()
     return SpectralFactors(R=R, lam=lam, Rinv=Rinv)
 
 
@@ -368,28 +386,14 @@ class _Blocks:
 class _ShiftFactors:
     """How the columns of one shift vector are solved, and their factors.
 
-    Reads the pair rule of ``spectral_decompose``: when lam[i].imag != 0.0
-    and lam[i+1] is exactly conj(lam[i]), column i + 1 is the partner of
-    the lead column i and its shift is never factored. A real shift is
-    factored in real arithmetic.
+    Reads the pair rule by ``conjugate_pairs``, not strict: a partner's
+    shift is never factored, and a lead without a partner stands alone. A
+    real shift is factored in real arithmetic.
     """
 
     def __init__(self, form, lam):
-        lead = np.zeros(lam.size, dtype=bool)
-        partner = np.zeros(lam.size, dtype=bool)
-        i = 0
-        while i < lam.size:
-            if lam[i].imag == 0.0:
-                i += 1
-                continue
-            lead[i] = True
-            if i + 1 < lam.size and lam[i + 1] == np.conj(lam[i]):
-                partner[i + 1] = True
-                i += 1
-            i += 1
-        self.real = np.flatnonzero(lam.imag == 0.0)
-        self.lead = np.flatnonzero(lead)
-        self.partner = np.flatnonzero(partner)
+        self.real, self.lead, self.partner = conjugate_pairs(lam,
+                                                             strict=False)
         self.real_blocks = self.cplx_blocks = None
         if self.real.size:
             shifts, self.real_blk = np.unique(lam[self.real].real,
@@ -453,14 +457,13 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None):
     ``.T`` solves -E^T W diag(lam) - A^T W = Rhs with the same factors.
     A and E may be dense or sparse arrays; ``shifted_lu`` decides whether
     the pencil is factored by ``splu`` or by dense LU. A real shift is
-    solved in real arithmetic, on [Re Rhs, Im Rhs]. Shifts follow the pair
-    rule of ``spectral_decompose``: when lam[i].imag != 0.0 and lam[i+1]
-    is exactly conj(lam[i]), the partner is never factored. Its column is
-    the exact conjugate of column i when the matching Rhs columns are
-    conjugate to 1e-12, which keeps realification exact, and otherwise
-    conj(-(A + lam_i E)^{-1} conj(Rhs[:, i+1])). SingularShift is raised
-    when a shift makes the pencil exactly singular or a column comes out
-    non-finite.
+    solved in real arithmetic, on [Re Rhs, Im Rhs]. Shifts are paired by
+    ``conjugate_pairs``, not strict; the partner i + 1 of a lead i is never
+    factored. Its column is the exact conjugate of column i when the
+    matching Rhs columns are conjugate to 1e-12, which keeps realification
+    exact, and otherwise conj(-(A + lam_i E)^{-1} conj(Rhs[:, i+1])).
+    SingularShift is raised when a shift makes the pencil exactly singular
+    or a column comes out non-finite.
     """
     if isinstance(A, ShiftedLU):
         if E is not None:
@@ -507,34 +510,22 @@ def reflect_unstable(lam):
     exact pair rule of ``spectral_decompose`` still holds for the output.
     """
     lam = np.asarray(lam, dtype=complex).copy()
-    for i in range(lam.size):
-        re = lam[i].real
-        if re > 0.0:
-            lam[i] = complex(-re, lam[i].imag)
-        elif re == 0.0:
-            lam[i] = complex(-_EPS_SHIFT, lam[i].imag)
+    re = lam.real
+    lam.real = np.where(re > 0.0, -re, np.where(re == 0.0, -_EPS_SHIFT, re))
     return lam
 
 
 def realify_basis(Vc, lam):
     """Real basis with the same real span: (Re v, Im v) per conjugate pair.
 
-    Reads the pair rule of ``spectral_decompose``: lam[i] is real iff
-    lam[i].imag == 0.0, and otherwise lam[i+1] must be exactly conj(lam[i]).
+    Reads the pair rule by ``conjugate_pairs``, strict: a complex lam[i]
+    without an exact conj(lam[i]) at i + 1 raises PairingViolation.
     """
     Vc = np.asarray(Vc, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
-    n, r = Vc.shape
-    out = np.empty((n, r))
-    i = 0
-    while i < r:
-        if lam[i].imag == 0.0:
-            out[:, i] = Vc[:, i].real
-            i += 1
-            continue
-        if i + 1 >= r or lam[i + 1] != np.conj(lam[i]):
-            raise PairingViolation("conjugate pair not adjacent at index %d" % i)
-        out[:, i] = Vc[:, i].real
-        out[:, i + 1] = Vc[:, i].imag
-        i += 2
+    real, lead, partner = conjugate_pairs(lam)
+    out = np.empty(Vc.shape)
+    out[:, real] = Vc[:, real].real
+    out[:, lead] = Vc[:, lead].real
+    out[:, partner] = Vc[:, lead].imag
     return out

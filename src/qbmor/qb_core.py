@@ -181,9 +181,6 @@ class QBSystem:
             return data.reshape(self.n, self.n)
         return sp.csr_array((data, *f.pattern), shape=(self.n, self.n))
 
-    def output(self, x):
-        return self.C @ np.asarray(x)
-
 
 @dataclass(frozen=True)
 class _VectorField:

@@ -47,11 +47,6 @@ class IrkaReport:
     warnings: list = field(default_factory=list)
 
 
-def _sorted_eigs(A):
-    lam = np.linalg.eigvals(A)
-    return lam[np.lexsort((lam.imag, lam.real))]
-
-
 def _eig_change(old, new):
     """Largest relative eigenvalue movement under sorted pairing.
 
@@ -151,7 +146,10 @@ def tqb_irka(sys, cfg):
     reflects unstable eigenvalues and projects onto the orthonormalized
     bases; no update is damped. A rank-deficient basis is completed from
     its own QR factor (see ``orthonormalize``), so the initial guess is the
-    only random draw. A defective iterate raises NonDiagonalizable.
+    only random draw. One ``spectral_decompose`` per iterate gives, in its
+    order, the stop test's spectrum, the next sweep's shifts and
+    report.final_eigs; it raises NonDiagonalizable on any iterate, the last
+    included, whose eigenvectors have condition above 1e12.
     Non-convergence within cfg.maxit raises no exception: the best iterate
     is returned with converged=False and a MaxIterationsExceeded warning.
     """
@@ -175,36 +173,35 @@ def tqb_irka(sys, cfg):
     meta = dict(method="tqb-irka", gamma=cfg.gamma, seed=cfg.seed,
                 tol=cfg.tol, shift=cfg.shift)
 
-    prev_eigs = _sorted_eigs(red.A)
+    f = spectral_decompose(red.A)
     best = None
     history = []
     it = 0
     for it in range(1, cfg.maxit + 1):
-        f = spectral_decompose(red.A)
         lam = reflect_unstable(f.lam)
         bundle = red.eigenbasis(f, lam, cfg.gamma)
         bases = _assemble_bases(*_solve_bases_core(basis_sys, bundle), lam)
         red = project(sys, orthonormalize(bases.V), orthonormalize(bases.W),
                       converged=False, iterations=it, **meta)
-        new_eigs = _sorted_eigs(red.A)
-        change = _eig_change(prev_eigs, new_eigs)
+        prev_eigs = f.lam
+        f = spectral_decompose(red.A)
+        change = _eig_change(prev_eigs, f.lam)
         history.append(change)
         if best is None or change < best[0]:
-            best = (change, red, bases, it)
+            best = (change, red, bases, it, f.lam)
         if change <= cfg.tol:
             red.converged = True
             report = IrkaReport(iterations=it, eig_change_history=history,
-                                converged=True, final_eigs=new_eigs,
+                                converged=True, final_eigs=f.lam,
                                 wall_time=time.perf_counter() - t0)
             return red, bases, report
-        prev_eigs = new_eigs
 
-    change, red_best, bases_best, best_it = best
+    change, red_best, bases_best, best_it, best_eigs = best
     msg = ("no convergence in %d sweeps; returning the sweep-%d iterate "
            "(eigenvalue change %.3e)" % (cfg.maxit, best_it, change))
     warnings.warn(msg, MaxIterationsExceeded)
     report = IrkaReport(iterations=it, eig_change_history=history,
                         converged=False,
-                        final_eigs=_sorted_eigs(red_best.A),
+                        final_eigs=best_eigs,
                         wall_time=time.perf_counter() - t0, warnings=[msg])
     return red_best, bases_best, report

@@ -12,7 +12,8 @@ from qbmor.errors import (
     SolverBreakdown,
 )
 from qbmor.matrix_equations import (
-    HurwitzSchur, hurwitz_schur, spectral_decompose, solve_lyapunov,
+    HurwitzSchur, conjugate_pairs, hurwitz_schur, spectral_decompose,
+    solve_lyapunov,
     solve_sylvester_shifted, shifted_lu, reflect_unstable, realify_basis,
     _solve_lyapunov_quasi_triangular, _solve_quasi_triangular,
 )
@@ -674,6 +675,38 @@ def test_shifted_lu_format_rule():
     assert sp.issparse(form.A) and sp.issparse(form.E)
 
 
+# -------------------------------------------------------------- pair rule
+
+def _pairs(lam, strict=True):
+    return [ix.tolist() for ix in conjugate_pairs(np.array(lam, dtype=complex),
+                                                  strict)]
+
+
+def test_conjugate_pairs_empty():
+    assert _pairs([]) == [[], [], []]
+    assert all(ix.dtype == np.intp for ix in conjugate_pairs(np.array([])))
+
+
+def test_conjugate_pairs_repeated_pair_is_walked_greedily():
+    # entry 1 equals conj(entry 2) too; the walk must not pair them
+    a = -1.0 + 2.0j
+    assert _pairs([a, a.conjugate(), a, a.conjugate()]) == [[], [0, 2], [1, 3]]
+    assert _pairs([-3.0, a, a.conjugate(), -0.5]) == [[0, 3], [1], [2]]
+
+
+def test_conjugate_pairs_trailing_lone_entry():
+    lam = [-1.0 + 1j, -1.0 - 1j, -2.0 + 1j]
+    with pytest.raises(PairingViolation):
+        conjugate_pairs(np.array(lam))
+    assert _pairs(lam, strict=False) == [[], [0, 2], [1]]
+
+
+def test_conjugate_pairs_negative_zero_imaginary_is_real():
+    lam = np.array([complex(-1.0, -0.0), complex(-2.0, 0.0)])
+    assert np.signbit(lam[0].imag)
+    assert _pairs(lam) == [[0, 1], [], []]
+
+
 # -------------------------------------------------------------------- reflect
 
 def test_reflect_examples():
@@ -683,6 +716,20 @@ def test_reflect_examples():
     assert np.array_equal(out, np.array([-1 + 2j, -1 - 2j]))
     out = reflect_unstable(np.array([1j]))
     assert out[0] == complex(-1e-8, 1.0)
+
+
+def test_reflect_keeps_imaginary_parts_bit_exact():
+    lam = np.array([complex(2.0, 3.0), complex(2.0, -3.0), complex(0.0, -0.0),
+                    complex(-0.0, 0.0), complex(-1.0, -0.0),
+                    complex(0.0, 1.5), complex(0.0, -1.5), complex(4.0, -0.0)])
+    out = reflect_unstable(lam)
+    assert np.array_equal(out.imag.view(np.int64), lam.imag.view(np.int64))
+    assert np.array_equal(out.real, [-2.0, -2.0, -1e-8, -1e-8, -1.0,
+                                     -1e-8, -1e-8, -4.0])
+    # both members of each pair share their new real part
+    _, lead, partner = conjugate_pairs(out)
+    assert lead.size == 2
+    assert np.array_equal(out[partner], out[lead].conj())
 
 
 # -------------------------------------------------------------------- realify

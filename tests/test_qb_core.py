@@ -167,7 +167,10 @@ def test_sparse_jacobian_matches_explicit(make):
         u = rng.standard_normal(sys.m)
         J = sys.jacobian(x, u)
         assert isinstance(J, sp.csr_array)
-        expected = sys.A + 2.0 * sys.H.kron_identity(x)
+        n = sys.n
+        # H(I (x) x), read off the mode-1 unfolding
+        Hx = (sys.H.mode1().reshape(n * n, n) @ x).reshape(n, n)
+        expected = sys.A + 2.0 * Hx
         for uk, Nk in zip(u, sys.N):
             expected = expected + uk * Nk
         err = np.linalg.norm(J.toarray() - expected)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -26,6 +27,9 @@ from qbmor.tqb_irka import (
 )
 
 from conftest import rng_for, random_stable_qb
+
+# the package re-exports the function tqb_irka under the module's name
+tqb_irka_module = importlib.import_module("qbmor.tqb_irka")
 
 
 def linear_system(n, m, p, rng):
@@ -165,6 +169,39 @@ def test_tqb_irka_builds_one_pencil_and_two_factors_per_sweep(monkeypatch):
     assert report.iterations > 1
     assert len(built) == 1
     assert 0 < len(factored) <= 2 * report.iterations
+
+
+@pytest.mark.parametrize("tol, maxit, converged",
+                         [(1e-6, 300, True), (1e-14, 3, False)],
+                         ids=["converged", "maxit"])
+def test_tqb_irka_decomposes_each_iterate_once(monkeypatch, tol, maxit,
+                                               converged):
+    # the decomposition of an iterate gives both the stop test's spectrum
+    # and the next sweep's shifts; nothing else computes eigenvalues
+    calls = []
+    decompose = tqb_irka_module.spectral_decompose
+
+    def counting(A):
+        calls.append(1)
+        return decompose(A)
+
+    def forbidden(A):
+        raise AssertionError("eigvals called during tqb_irka")
+
+    sys = random_stable_qb(10, 2, 2, rng_for(26))
+    monkeypatch.setattr(tqb_irka_module, "spectral_decompose", counting)
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MaxIterationsExceeded)
+        red, _, report = tqb_irka(sys, IrkaConfig(r=3, tol=tol, maxit=maxit,
+                                                  seed=0))
+    assert report.converged is converged
+    assert report.iterations > 1
+    assert len(calls) == report.iterations + 1
+    monkeypatch.undo()
+    # the reported spectrum is the returned iterate's, in the order of its
+    # own decomposition
+    assert np.array_equal(report.final_eigs, spectral_decompose(red.A).lam)
 
 
 # ---------------------------------------------------------- reduced hat bases
