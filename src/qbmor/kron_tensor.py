@@ -319,23 +319,11 @@ class Hessian:
         return out
 
     def congruence(self, V, W):
-        """W^T H (V (x) V) as an r x r^2 matrix.
-
-        Dense storage follows the three-step unfolding route (one GEMM per
-        mode); pair storage takes ``apply_kron`` on its active rows.
-        """
+        """W^T H (V (x) V) as an r x r^2 matrix, by ``apply_kron``."""
         V = np.asarray(V)
         W = np.asarray(W)
         if V.shape[0] != self.n or W.shape[0] != self.n:
             raise ValueError("basis row dimension mismatch")
-        r = V.shape[1]
-        rw = W.shape[1]
-        if self.storage == "dense":
-            n = self.n
-            Y = (W.T @ self._Hm).reshape(rw, n, n)   # mode-1 product with W^T
-            Z = Y @ V                                # mode-3 contraction
-            Xt = np.einsum("ras,aq->rqs", Z, V)      # mode-2 contraction
-            return Xt.reshape(rw, r * r)
         return W.T @ self.apply_kron(V, V)
 
     def symmetrized(self):

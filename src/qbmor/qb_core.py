@@ -129,7 +129,7 @@ class QBSystem:
         return sla.lu_solve(self._lu_E, X, trans=int(transpose),
                             check_finite=False)
 
-    def rhs(self, x, u, t=0.0):
+    def rhs(self, x, u):
         """A x + H(x (x) x) + sum_k u_k N_k x + B u, for a state or a block.
 
         x is one state (length n) with its input u (length m), or an n x q

@@ -4,7 +4,8 @@ Each sweep diagonalizes the current reduced matrix, solves four shifted
 Sylvester equations for the two-term bases V = V1 + V2, W = W1 + W2 on the
 gamma-rescaled system, and projects the original system onto the
 orthonormalized bases. Convergence is measured by the relative change of
-the reduced spectrum under a deterministic eigenvalue pairing.
+the reduced spectrum, old and new eigenvalues paired by their position in
+the order ``spectral_decompose`` gives both.
 """
 
 import time
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
 
 from qbmor.errors import MaxIterationsExceeded
 from qbmor.kron_tensor import Hessian
@@ -48,21 +48,12 @@ class IrkaReport:
 
 
 def _eig_change(old, new):
-    """Largest relative eigenvalue movement under sorted pairing.
+    """Largest relative eigenvalue movement, max |new - old| / |old|.
 
-    Falls back to optimal assignment when sorted neighbors nearly collide,
-    where plain sorting may pair the wrong partners.
+    Entry i of old is paired with entry i of new: both come in the order
+    ``spectral_decompose`` gives, so no matching step is needed.
     """
     denom = np.maximum(np.abs(old), 1e-300)
-    collide = False
-    for arr in (old, new):
-        gaps = np.abs(np.diff(arr))
-        if gaps.size and gaps.min() <= 1e-10 * (1.0 + np.abs(arr[:-1]).max()):
-            collide = True
-    if collide:
-        cost = np.abs(new[None, :] - old[:, None]) / denom[:, None]
-        rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].max())
     return float((np.abs(new - old) / denom).max())
 
 
@@ -158,6 +149,8 @@ def tqb_irka(sys, cfg):
         raise ValueError("tol must lie in (0, 1)")
     if not (1 <= cfg.r <= sys.n):
         raise ValueError("reduced order must satisfy 1 <= r <= n")
+    if cfg.maxit < 1:
+        raise ValueError("maxit must be at least 1")
 
     scaled = rescale(sys, cfg.gamma)
     if cfg.shift != 0.0:

@@ -175,6 +175,14 @@ def test_reduce_invalid_requests_exit_1(chafee_dir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reduce_maxit_zero_exits_1(chafee_dir, tmp_path, capsys):
+    rc = main(["reduce", str(chafee_dir), "--r", "2", "--maxit", "0",
+               "--out-dir", str(tmp_path / "m0")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "invalid request" in err and "maxit" in err
+
+
 def test_reduce_numerical_failure_exits_3(tmp_path, capsys):
     n = 3
     unstable = QBSystem(np.eye(n) * 0.5, None, [np.zeros((n, n))],

@@ -1,14 +1,17 @@
 """Every name a library module imports is used in that module, no library
-module imports scipy.integrate, and every type in qbmor.errors is used by
-some other library module.
+module imports scipy.integrate, ``import qbmor`` loads neither
+scipy.integrate nor scipy.optimize, and every type in qbmor.errors is used
+by some other library module.
 
 Walks the syntax tree of each module under src/qbmor (the package's
-__init__.py re-exports by design and is skipped); needs only the standard
-library.
+__init__.py re-exports by design and is skipped), and imports the package
+once in a fresh interpreter; needs only the standard library.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -63,6 +66,19 @@ def test_no_scipy_integrate(module):
                    if name == "scipy.integrate"
                    or name.startswith("scipy.integrate."))
     assert not found, "%s imports %s" % (module, found)
+
+
+def test_import_loads_no_scipy_solver_packages():
+    # a fresh interpreter, so that no other test's imports count
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.abspath(SRC)),
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("import sys, qbmor; print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'integrate'], "
+            "['scipy', 'optimize']))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def _referenced_names(tree):

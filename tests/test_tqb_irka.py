@@ -298,6 +298,9 @@ def test_config_validation():
         tqb_irka(sys, IrkaConfig(r=0))
     with pytest.raises(ValueError):
         tqb_irka(sys, IrkaConfig(r=6))
+    # with no sweep there is no iterate to return
+    with pytest.raises(ValueError, match="maxit"):
+        tqb_irka(sys, IrkaConfig(r=2, maxit=0))
 
 
 def test_full_order_init_is_fixed_point():
@@ -524,7 +527,14 @@ def test_eig_change_sorted_pairing():
     assert np.isclose(_eig_change(old, new), 0.1 / 2.0)
 
 
-def test_eig_change_collision_uses_assignment():
+def test_eig_change_pairs_by_position():
+    # no matching step: a reordered spectrum counts as moved, even where
+    # two eigenvalues nearly collide
+    assert _eig_change(np.array([-1.0, -1.0 - 1e-12, -5.0]),
+                       np.array([-5.0, -1.0, -1.0])) == 4.0
+
+
+def test_eig_change_near_collision_pairs_by_position():
     old = np.array([-1.0 + 0.0j, -1.0 + 1e-13j])
     new = np.array([-1.2 + 0.0j, -1.0 + 0.0j])
     change = _eig_change(old, new)
