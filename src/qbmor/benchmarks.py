@@ -231,8 +231,10 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     def inputs(ts):
         return np.array([u(t) for t in ts]).T
 
+    field = sys._vector_field()
+
     def f(X, U):
-        return sys.solve_mass(sys.rhs(X, U))
+        return sys.solve_mass(field.rhs(X, U))
 
     def jac(t, x):
         J = sys.solve_mass(sys.jacobian(x, u(t)))

@@ -87,7 +87,9 @@ class QbmorWarning(UserWarning):
 class IndefiniteGramian(QbmorWarning):
     """A Gramian has an eigenvalue below its positive semidefinite floor,
     -1e-10 times its largest magnitude. The Gramian is left as solved; its
-    square-root factor keeps only the positive part."""
+    square-root factor keeps only the positive part. Only factored Gramians
+    are checked: the linear and truncated ones; the Picard iterates of the
+    quadratic Gramians are not factored."""
 
 
 class MaxIterationsExceeded(QbmorWarning):

@@ -2,22 +2,25 @@
 
 The truncated pair (P_T, Q_T) extends the linear Gramians by the quadratic
 and bilinear source terms; the quadratic pair (P, Q) is the fixed point of
-the Picard iteration on the full quadratic-type Lyapunov equations. Source
-terms are always evaluated through factored square roots, never through an
-explicit n^2 x n^2 Kronecker product. The factors come from LAPACK's
-pivoted Cholesky in O(n^2 rho), not from an O(n^3) eigendecomposition, and
-are rank-truncated: a direction of X is kept only when its eigenvalue
-exceeds n * eps * max|w|, so a Gramian of numerical rank rho costs
-n x rho(rho+1)/2 in the distinct columns of H(L (x) L), not n x n^2.
-Factoring a Gramian also checks it against its PSD floor. All Lyapunov
-solves of one Gramian set share the Schur form A = Z T Z^T (the eigenbasis
-of a symmetric A) and work in its basis: the seeds enter as Z^T B and
-C Z, the sources as Z^T S Z, the Gramians are held as Z^T X Z and
-factored there, and one n x rho product with Z lifts a factor back for the
-source terms. Only the Gramians a caller reads are moved back to the
-original coordinates. A mass matrix E is folded into A, B and the n x rho
-source factors through `QBSystem.solve_mass`, never into H: the equations
-are those of E^{-1}A, E^{-1}B, E^{-1}H and E^{-1}N_k.
+the Picard iteration on the full quadratic-type Lyapunov equations. No
+source term forms an explicit n^2 x n^2 Kronecker product. The truncated
+sources are evaluated through factored square roots: the factors come from
+LAPACK's pivoted Cholesky in O(n^2 rho), not from an O(n^3)
+eigendecomposition, and are rank-truncated: a direction of X is kept only
+when its eigenvalue exceeds n * eps * max|w|, so a Gramian of numerical
+rank rho costs n x rho(rho+1)/2 in the distinct columns of H(L (x) L),
+not n x n^2. Factoring a Gramian also checks it against its PSD floor.
+The Picard sources are formed from each iterate itself, with no factor
+(``Hessian.kron_gram`` and ``Hessian.mode2_gram``), so no truncation
+enters the fixed point. All Lyapunov solves of one Gramian set share the
+Schur form A = Z T Z^T (the eigenbasis of a symmetric A), cached on the
+system (``QBSystem.schur``), and work in its basis: the seeds enter as
+Z^T B and C Z, the sources as Z^T S Z, the Gramians are held as Z^T X Z,
+and they are lifted back by Z for the source terms. Only the Gramians a
+caller reads are moved back to the original coordinates. A mass matrix E
+is folded into A, B and the sources through `QBSystem.solve_mass`, never
+into H: the equations are those of E^{-1}A, E^{-1}B, E^{-1}H and
+E^{-1}N_k.
 """
 
 import warnings
@@ -31,7 +34,7 @@ from qbmor.errors import (
 )
 from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import QBSystem, _dense
-from qbmor.matrix_equations import hurwitz_schur, solve_lyapunov
+from qbmor.matrix_equations import solve_lyapunov
 
 
 def _lift(Z, X):
@@ -163,7 +166,7 @@ def _linear_gramians(sys):
     Z is the Schur basis of E^{-1}A; the seeds enter as the factors
     Z^T E^{-1}B and C Z.
     """
-    S = hurwitz_schur(sys.solve_mass(sys.A))
+    S = sys.schur()
     Z, S = S.Z, S.in_schur_basis()
     B = sys.solve_mass(sys.B)
     Bs, Cs = Z.T @ B, sys.C @ Z
@@ -185,19 +188,44 @@ def truncated_gramians(sys):
                          _psd_sqrt(Q_T, "Q_T"))
 
 
+def _controllability_gram(sys, P):
+    """E^{-1}[H(P (x) P)H^T + sum_k N_k P N_k^T]E^{-T} for a symmetric P,
+    formed from P itself (``Hessian.kron_gram``)."""
+    F = sys.H.kron_gram(P)
+    for Nk in sys.N:
+        F += Nk @ (Nk @ P).T
+    return sys.solve_mass(sys.solve_mass(F).T).T
+
+
+def _observability_gram(sys, gram2, Q):
+    """H^(2)(P (x) Q')(H^(2))^T + sum_k N_k^T Q' N_k for a symmetric Q and
+    Q' = E^{-T} Q E^{-1}, where gram2 = ``sys.H.mode2_gram(P)``."""
+    Q = sys.solve_mass(sys.solve_mass(Q, transpose=True).T, transpose=True).T
+    F = gram2(Q)
+    for Nk in sys.N:
+        F += Nk.T @ (Nk.T @ Q).T
+    return F
+
+
 def quadratic_gramians(sys, tol=1e-10, maxit=50):
     """Fixed points of the quadratic-type Lyapunov equations.
 
     Picard iteration seeded at the linear Gramians, run in the Schur basis
-    of A. Divergence usually means the quadratic and bilinear parts are
-    too large; rescale the system first. Returns (P, Q, (iterations_P,
-    iterations_Q)), P and Q in the original coordinates.
+    of A. Each iterate's source is formed from the iterate itself, lifted
+    to the original coordinates, with no factor and no Kronecker product:
+    H(P (x) P)H^T by ``Hessian.kron_gram`` and H^(2)(P (x) Q)(H^(2))^T by
+    ``Hessian.mode2_gram`` of the converged P; with a mass matrix Q enters
+    as E^{-T} Q E^{-1}. Divergence usually means the quadratic and
+    bilinear parts are too large; rescale the system first. Returns (P, Q,
+    (iterations_P, iterations_Q)), P and Q in the original coordinates.
     """
     Z, S, B, P_l, Q_l = _linear_gramians(sys)
+    Bs, Cs = Z.T @ B, sys.C @ Z
+    seed_p, seed_q = Bs @ Bs.T, Cs.T @ Cs
 
-    def picard(X, rhs, transpose, what):
+    def picard(X, source, seed, transpose, what):
         for it in range(1, maxit + 1):
-            F = rhs(X)
+            F = Z.T @ source(_lift(Z, X)) @ Z + seed
             if not np.all(np.isfinite(F)):
                 raise NoConvergence("%s iteration diverged (non-finite source);"
                                     " rescale the system" % what)
@@ -218,17 +246,13 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
         raise NoConvergence("%s iteration did not settle in %d steps; rescale"
                             " the system" % (what, maxit))
 
-    P, it_p = picard(
-        P_l, lambda X: _quadratic_source(
-            sys, Z @ _psd_sqrt(X, "controllability iterate"), Z, B),
-        False, "controllability")
-    L_P = Z @ _psd_sqrt(P, "controllability factor")
-    Q, it_q = picard(
-        Q_l, lambda X: _observability_source(
-            sys, L_P, Z @ _psd_sqrt(X, "observability iterate"), Z,
-            sys.C.T),
-        True, "observability")
-    return _lift(Z, P), _lift(Z, Q), (it_p, it_q)
+    P, it_p = picard(P_l, lambda P: _controllability_gram(sys, P), seed_p,
+                     False, "controllability")
+    P = _lift(Z, P)
+    gram2 = sys.H.mode2_gram(P)
+    Q, it_q = picard(Q_l, lambda Q: _observability_gram(sys, gram2, Q),
+                     seed_q, True, "observability")
+    return P, _lift(Z, Q), (it_p, it_q)
 
 
 def _dual_traces(B, C, P_like, Q_like, rel, what):

@@ -162,6 +162,10 @@ class Hessian:
             raise ValueError("unknown storage %r" % (storage,))
         self._stack = None
         self._active = None
+        # the pair list this Hessian is the symmetrization of (``symmetrized``)
+        self._half = None
+        # (source, gamma) when this is gamma times source (``scaled``)
+        self._scaled_from = None
 
     @classmethod
     def dense(cls, Hm, symmetric=False):
@@ -209,10 +213,14 @@ class Hessian:
         Returns (L, R, RT, S, dest): those rows of the two stacks, R
         transposed, the CSR summation matrix S (n x rows) that adds each
         row into output row dest = its row within its pair, and dest
-        itself. Built once. Only these rows contribute to
-        H(X (x) Y) = S row_kron(L X, R Y), so the products skip the others
-        and need no loop over the pairs.
+        itself. Built once, and a ``scaled`` copy scales its source's L.
+        Only these rows contribute to H(X (x) Y) = S row_kron(L X, R Y), so
+        the products skip the others and need no loop over the pairs.
         """
+        if self._active is None and self._scaled_from is not None:
+            source, gamma = self._scaled_from
+            L, R, RT, S, dest = source._active_rows()
+            self._active = (gamma * L, R, RT, S, dest)
         if self._active is None:
             Ls, Rs = self._stacked()
             rows = np.flatnonzero(_nonzero_rows(Ls) & _nonzero_rows(Rs))
@@ -318,6 +326,72 @@ class Hessian:
             out += RT @ _row_kron(L @ X, Y[dest])
         return out
 
+    def kron_gram(self, P):
+        """H(P (x) P)H^T for a symmetric H and a symmetric n x n P.
+
+        No Kronecker product is formed. Dense storage contracts the tensor:
+        entry (i, k) is <T_i, P T_k P> with T_i = T[i, :, :]. Pair storage
+        works over the active rows L, R and the summation S of the pair list
+        the Hessian was symmetrized from, or of its own list when none is
+        known: with Y = R P L^T,
+
+            H(P (x) P)H^T = S[(L P L^T) o (R P R^T) + Y o Y^T]S^T / 2,
+
+        which holds for the symmetrization of any pair list. The half list
+        has half the rows of the symmetrized one, so each of its a x a
+        products is a quarter the size.
+        """
+        if not self.symmetric:
+            raise ValueError("kron_gram needs a symmetric H")
+        P = np.asarray(P)
+        if P.shape != (self.n, self.n):
+            raise ValueError("P must be n x n")
+        n = self.n
+        if self.storage == "dense":
+            T = self._Hm.reshape(n, n, n)
+            PTP = np.matmul(np.matmul(P, T), P)
+            return self._Hm @ PTP.reshape(n, n * n).T
+        pairs = self if self._half is None else self._half
+        if not pairs._pairs:
+            return np.zeros((n, n))
+        L, R, _, S, _ = pairs._active_rows()
+        LP, RP = L @ P, R @ P
+        Y = R @ LP.T
+        M = L @ LP.T
+        M *= R @ RP.T
+        M += Y * Y.T
+        return 0.5 * (S @ (S @ M).T)
+
+    def mode2_gram(self, P):
+        """The map Q -> H^(2)(P (x) Q)(H^(2))^T for symmetric P and Q, where
+        H^(2) is the mode-2 unfolding (``apply_kron_mode2``).
+
+        What depends on P alone is formed once. Dense storage contracts the
+        tensor: the image is sum_i T_i^T P W_i with W_i = sum_k Q_ik T_k.
+        Pair storage works over the active rows L, R, dest of its own list:
+        the image is R^T[(L P L^T) o Q[dest, dest]]R.
+        """
+        P = np.asarray(P)
+        if P.shape != (self.n, self.n):
+            raise ValueError("P must be n x n")
+        n = self.n
+        if self.storage == "dense":
+            T = self._Hm.reshape(n, n, n)
+            # row b, column (i, a) holds (T_i^T P)[b, a]
+            G = np.matmul(T.transpose(0, 2, 1), P).transpose(1, 0, 2)
+            G = G.reshape(n, n * n)
+            return lambda Q: G @ np.tensordot(Q, T, axes=(1, 0)).reshape(
+                n * n, n)
+        if not self._pairs:
+            return lambda Q: np.zeros((n, n))
+        L, _, RT, _, dest = self._active_rows()
+        LPL = L @ (L @ P).T
+
+        def image(Q):
+            M = LPL * Q.take(dest, axis=0).take(dest, axis=1)
+            return RT @ (RT @ M).T
+        return image
+
     def congruence(self, V, W):
         """W^T H (V (x) V) as an r x r^2 matrix, by ``apply_kron``."""
         V = np.asarray(V)
@@ -338,13 +412,21 @@ class Hessian:
         for L, R in self._pairs:
             pairs.append((0.5 * L, R))
             pairs.append((0.5 * R, L))
-        return Hessian.from_pairs(pairs, self.n, symmetric=True)
+        h = Hessian.from_pairs(pairs, self.n, symmetric=True)
+        h._half = self    # for ``kron_gram``
+        return h
 
     def scaled(self, gamma):
+        """gamma times this Hessian; a pair copy keeps the list it was
+        symmetrized from, scaled, and shares the active rows."""
         if self.storage == "dense":
             return Hessian.dense(gamma * self._Hm, symmetric=self.symmetric)
         pairs = [(gamma * L, R) for L, R in self._pairs]
-        return Hessian.from_pairs(pairs, self.n, symmetric=self.symmetric)
+        h = Hessian.from_pairs(pairs, self.n, symmetric=self.symmetric)
+        h._scaled_from = (self, gamma)
+        if self._half is not None:
+            h._half = self._half.scaled(gamma)
+        return h
 
     def to_pairs(self):
         """Rewrite as factor pairs; pair s is (ones*e_s^T, T[:,s,:]).

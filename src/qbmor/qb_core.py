@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 from qbmor.errors import QbmorWarning, SingularGram, NonPositiveGamma
 from qbmor.kron_tensor import Hessian
 from qbmor.matrix_equations import (
-    _SPARSE_FILL, shifted_lu, spectral_decompose,
+    _SPARSE_FILL, ShiftedLU, hurwitz_schur, shifted_lu, spectral_decompose,
 )
 
 # condition bound on the projector Gram matrix W^T V (or W^T E V)
@@ -55,7 +55,9 @@ class QBSystem:
     either form, and only the dense Gramian path (``hurwitz_schur`` and
     ``error_system``) and the brute-force diagnostics densify. The
     operator set of ``rhs`` and ``jacobian``, the ``shifted_lu`` form of
-    A + lam E and the LU of E are built on first use and cached.
+    A + lam E, the ``hurwitz_schur`` form of E^{-1}A and the LU of E are
+    built on first use and cached. The last three depend on A and E alone,
+    so a ``rescale`` copy shares them with its source.
     """
 
     def __init__(self, A, H, N, B, C, E=None, label=""):
@@ -82,7 +84,8 @@ class QBSystem:
         self.label = label
         self._field = None
         self._pencil = None
-        self._lu_E = None
+        # "pencil", "schur" and "lu_E", shared by rescale with its copies
+        self._fixed = {}
 
     @property
     def n(self):
@@ -102,10 +105,25 @@ class QBSystem:
         return self._field
 
     def pencil(self):
-        """The ``shifted_lu`` form of A + lam E, built once per system."""
+        """The ``shifted_lu`` form of A + lam E, built once per system.
+
+        A ``rescale`` copy shares the form but keeps its own factors: a
+        source's last factors would otherwise outlive the copy's reduction
+        (3.5 MB at n = 200).
+        """
         if self._pencil is None:
-            self._pencil = shifted_lu(self.A, self.E)
+            if "pencil" not in self._fixed:
+                self._fixed["pencil"] = shifted_lu(self.A, self.E)
+            form = self._fixed["pencil"]
+            self._pencil = ShiftedLU(form.A, form.E, [], 0)
         return self._pencil
+
+    def schur(self):
+        """``hurwitz_schur`` of E^{-1}A, built once per system: the Schur
+        basis every Gramian solve of the system works in."""
+        if "schur" not in self._fixed:
+            self._fixed["schur"] = hurwitz_schur(self.solve_mass(self.A))
+        return self._fixed["schur"]
 
     def solve_mass(self, X, transpose=False):
         """E^{-1} X, or E^{-T} X with transpose; X itself when E is absent.
@@ -120,14 +138,14 @@ class QBSystem:
             return X
         if sp.issparse(X):
             X = X.toarray()
+        lu = self._fixed.get("lu_E")
         if sp.issparse(self.E):
-            if self._lu_E is None:
-                self._lu_E = spla.splu(sp.csc_array(self.E))
-            return self._lu_E.solve(X, trans="T" if transpose else "N")
-        if self._lu_E is None:
-            self._lu_E = sla.lu_factor(self.E)
-        return sla.lu_solve(self._lu_E, X, trans=int(transpose),
-                            check_finite=False)
+            if lu is None:
+                lu = self._fixed["lu_E"] = spla.splu(sp.csc_array(self.E))
+            return lu.solve(X, trans="T" if transpose else "N")
+        if lu is None:
+            lu = self._fixed["lu_E"] = sla.lu_factor(self.E)
+        return sla.lu_solve(lu, X, trans=int(transpose), check_finite=False)
 
     def rhs(self, x, u):
         """A x + H(x (x) x) + sum_k u_k N_k x + B u, for a state or a block.
@@ -148,20 +166,11 @@ class QBSystem:
         single = x.ndim == 1
         if single:
             x, u = x[:, None], np.atleast_1d(u)[:, None]
-        n, m = self.n, self.m
-        if x.ndim != 2 or x.shape[0] != n or u.shape != (m, x.shape[1]):
+        if x.ndim != 2 or x.shape[0] != self.n or u.shape != (self.m,
+                                                              x.shape[1]):
             raise ValueError("state/input shape mismatch")
-        f = self._vector_field()
-        o, P, q = f.lin_rows, f.pair_rows, x.shape[1]
-        # row j of Y is K x[:, j]
-        if sp.issparse(f.K):
-            Y = (f.K @ x).T
-        else:
-            Y = (f.K @ x.T[:, :, None])[:, :, 0]
-        quad = (Y[:, o:o + P] * Y[:, o + P:]).reshape(q, -1, n).sum(axis=1)
-        bilinear = (u.T[:, None, :] @ Y[:, n:o].reshape(q, m, n))[:, 0]
-        out = Y[:, :n] + bilinear + quad + (self.B @ u.T[:, :, None])[:, :, 0]
-        return out[0] if single else out.T
+        out = self._vector_field().rhs(x, u)
+        return out[:, 0] if single else out
 
     def jacobian(self, x, u):
         """A + 2 H(I (x) x) + sum_k u_k N_k from the cached operator set.
@@ -194,12 +203,29 @@ class _VectorField:
     c = [1; u; 2 R_j x ...] to the Jacobian's stored entries; pattern is
     its CSR (indices, indptr), or None when it is dense and the entries run
     over the n x n grid row by row. K is CSR when the pattern is sparse.
+    B is the system's input matrix, so ``rhs`` needs nothing else.
     """
     K: object
     lin_rows: int
     pair_rows: int
     scatter: sp.csr_array
     pattern: object
+    B: np.ndarray
+
+    def rhs(self, x, u):
+        """``QBSystem.rhs`` of an n x q state block and its m x q inputs,
+        unchecked."""
+        n, m = self.B.shape
+        o, P, q = self.lin_rows, self.pair_rows, x.shape[1]
+        # row j of Y is K x[:, j]
+        if sp.issparse(self.K):
+            Y = (self.K @ x).T
+        else:
+            Y = (self.K @ x.T[:, :, None])[:, :, 0]
+        quad = (Y[:, o:o + P] * Y[:, o + P:]).reshape(q, -1, n).sum(axis=1)
+        bilinear = (u.T[:, None, :] @ Y[:, n:o].reshape(q, m, n))[:, 0]
+        out = Y[:, :n] + bilinear + quad + (self.B @ u.T[:, :, None])[:, :, 0]
+        return out.T
 
     @classmethod
     def build(cls, sys):
@@ -231,7 +257,7 @@ class _VectorField:
         scatter = sp.csr_array((val, (pos, coef)),
                                shape=(cells.size, m + 1 + Ls.shape[0]))
         return cls(K=K, lin_rows=lin.shape[0], pair_rows=Ls.shape[0],
-                   scatter=scatter, pattern=pattern)
+                   scatter=scatter, pattern=pattern, B=sys.B)
 
 
 @dataclass
@@ -364,8 +390,10 @@ def rescale(sys, gamma):
     """
     if gamma <= 0:
         raise NonPositiveGamma("gamma must be positive")
-    return QBSystem(sys.A, sys.H.scaled(gamma), [gamma * Nk for Nk in sys.N],
-                    sys.B, sys.C, E=sys.E, label=sys.label)
+    out = QBSystem(sys.A, sys.H.scaled(gamma), [gamma * Nk for Nk in sys.N],
+                   sys.B, sys.C, E=sys.E, label=sys.label)
+    out._fixed = sys._fixed     # A and E are unchanged
+    return out
 
 
 # --------------------------------------------------------------- serialization

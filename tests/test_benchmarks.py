@@ -457,6 +457,22 @@ def test_simulate_stats_contract(monkeypatch):
     assert simulate(sys_, u, 2.0, 21, rtol=1e-6, atol=1e-8).stats == stats
 
 
+def test_simulate_skips_the_argument_checks(monkeypatch):
+    # the stepper evaluates the system's operator set directly; only
+    # outside callers go through the checked QBSystem.rhs
+    sys_ = fitzhugh_nagumo(3)
+    u = input_signal("fhn_i0_sin")
+    ref = simulate(sys_, u, 1.0, 11, rtol=1e-6, atol=1e-8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("checked rhs called by the stepper")
+
+    monkeypatch.setattr(QBSystem, "rhs", refuse)
+    tr = simulate(sys_, u, 1.0, 11, rtol=1e-6, atol=1e-8)
+    assert np.array_equal(tr.outputs, ref.outputs)
+    assert tr.stats == ref.stats
+
+
 # (system, input, horizon, rtol): the dense LAPACK path on the benchmark's
 # FitzHugh-Nagumo case, a loose tolerance at which Newton fails three times
 # with a fresh Jacobian and the step is halved, the splu path, and the

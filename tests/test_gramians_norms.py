@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qbmor import gramians_norms
+from qbmor import gramians_norms, qb_core
 from qbmor.errors import IndefiniteGramian, NoConvergence, NotStable
 from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import QBSystem, project, rescale
@@ -15,7 +15,7 @@ from qbmor.matrix_equations import hurwitz_schur
 from qbmor.gramians_norms import (
     truncated_gramians, quadratic_gramians, truncated_h2_norm, h2_norm,
     truncated_h2_error, error_system, _psd_sqrt, _quadratic_source,
-    _observability_source,
+    _observability_source, _controllability_gram, _observability_gram,
 )
 from conftest import random_stable_qb, rng_for, quadrature_h2_squared
 
@@ -235,6 +235,24 @@ def test_factor_path_runs_no_dense_eigendecomposition(monkeypatch):
     assert not big
 
 
+def test_one_schur_form_per_system(monkeypatch):
+    # balanced truncation of a rescaled copy, the truncated norm and the
+    # H2 norm of another rescaled copy share the system's Schur form
+    calls = []
+    schur = qb_core.hurwitz_schur
+
+    def counting(A):
+        calls.append(A.shape)
+        return schur(A)
+
+    monkeypatch.setattr(qb_core, "hurwitz_schur", counting)
+    sys = chafee_infante(30)
+    balanced_truncation(sys, 4, gamma=0.01)
+    truncated_h2_norm(sys)
+    h2_norm(rescale(sys, 0.01))
+    assert calls == [(sys.n, sys.n)]
+
+
 def test_source_products_stay_rank_wide(monkeypatch):
     # with full-width factors every H(L (x) L) block would be n x n^2; the
     # source reads only its rho(rho + 1)/2 distinct columns
@@ -257,6 +275,97 @@ def test_source_products_stay_rank_wide(monkeypatch):
 
 
 # ---------------------------------------------------------- quadratic gramians
+
+def _random_psd(n, rng):
+    X = rng.standard_normal((n, n))
+    return X @ X.T
+
+
+def _kron_sources(sys, P, Q):
+    """Both Picard sources by explicit Kronecker products, E inverted."""
+    n = sys.n
+    Hm = sys.H.mode1()
+    H2 = sys.H.apply_kron_mode2(np.eye(n), np.eye(n))
+    Nd = [Nk.toarray() if sp.issparse(Nk) else Nk for Nk in sys.N]
+    Einv = np.eye(n) if sys.E is None else np.linalg.inv(sys.E)
+    F = Hm @ np.kron(P, P) @ Hm.T + sum(Nk @ P @ Nk.T for Nk in Nd)
+    Qe = Einv.T @ Q @ Einv
+    G = H2 @ np.kron(P, Qe) @ H2.T + sum(Nk.T @ Qe @ Nk for Nk in Nd)
+    return Einv @ F @ Einv.T, G
+
+
+def _gram_case(storage, rng):
+    base = chafee_infante(6)            # n = 12
+    n = base.n
+    if storage == "half list":          # symmetrized from the generator's
+        H = base.H
+        assert H._half is not None
+    elif storage == "rescaled half list":
+        H = rescale(base, 0.3).H
+    elif storage == "full list":        # symmetric, no known half
+        H = Hessian.from_pairs(base.H.pairs, n, symmetric=True)
+    elif storage == "non-mirrored pairs":
+        # test_mass_matrix's D^{-1} L pairs: symmetric, not mirrored
+        Dinv = sp.diags_array(1.0 / np.linspace(1.0, 2.0, n))
+        H = Hessian.from_pairs([(sp.csr_array(Dinv @ L), R)
+                                for L, R in base.H.pairs], n, symmetric=True)
+    elif storage == "random pairs":
+        pairs = [(sp.csr_array(sp.random_array((n, n), density=0.3, rng=rng)),
+                  rng.standard_normal((n, n))) for _ in range(3)]
+        H = Hessian.from_pairs(pairs, n)
+    else:
+        H = random_stable_qb(n, 1, 1, rng).H
+        assert H.storage == "dense"
+    E = (np.eye(n) + 0.2 * rng.standard_normal((n, n))
+         if storage == "with E" else None)
+    return QBSystem(base.A, H, base.N, base.B, base.C, E=E)
+
+
+@pytest.mark.parametrize("storage", [
+    "half list", "rescaled half list", "full list", "non-mirrored pairs",
+    "random pairs", "dense", "with E"])
+def test_gram_sources_match_explicit_kronecker(storage):
+    rng = rng_for(31)
+    sys = _gram_case(storage, rng)
+    P, Q = _random_psd(sys.n, rng), _random_psd(sys.n, rng)
+    ref_p, ref_q = _kron_sources(sys, P, Q)
+    got_p = _controllability_gram(sys, P)
+    got_q = _observability_gram(sys, sys.H.mode2_gram(P), Q)
+    assert np.linalg.norm(got_p - ref_p) <= 1e-14 * np.linalg.norm(ref_p)
+    assert np.linalg.norm(got_q - ref_q) <= 1e-14 * np.linalg.norm(ref_q)
+
+
+def test_kron_gram_needs_a_symmetric_hessian():
+    pairs = chafee_infante(6).H._half.pairs
+    with pytest.raises(ValueError):
+        Hessian.from_pairs(pairs, 12).kron_gram(np.eye(12))
+
+
+def test_quadratic_gramians_factor_nothing(monkeypatch):
+    # the Picard sources come from the iterates themselves: no factor, no
+    # Kronecker factor product
+    def forbidden(*args, **kwargs):
+        raise AssertionError("factor path used by quadratic_gramians")
+
+    monkeypatch.setattr(gramians_norms, "_psd_sqrt", forbidden)
+    for meth in ("apply_kron_distinct", "apply_kron_mode2"):
+        monkeypatch.setattr(Hessian, meth, forbidden)
+    for sys in (rescale(chafee_infante(30), 0.01),
+                random_stable_qb(6, 2, 1, rng_for(32))):
+        P, Q, its = quadratic_gramians(sys)
+        assert min(its) >= 2 and np.all(np.isfinite(P))
+
+
+def test_h2_norm_at_paper_scale():
+    # n = 500: the rank-truncated Picard factors broke the 1e-6 trace
+    # duality check here (gap 1.8e-5)
+    sys = rescale(chafee_infante(250), 1e-3)
+    P, Q, _ = quadratic_gramians(sys)
+    t_c = np.trace(sys.C @ P @ sys.C.T)
+    t_o = np.trace(sys.B.T @ Q @ sys.B)
+    assert abs(t_c - t_o) <= 1e-8 * t_c
+    assert np.isclose(h2_norm(sys), np.sqrt(t_c), rtol=1e-15)
+
 
 def test_quadratic_linear_case_one_iteration():
     rng = rng_for(4)

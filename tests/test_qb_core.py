@@ -391,6 +391,28 @@ def test_rescale_identity_and_scaling():
         rescale(sys, -2.0)
 
 
+def test_rescale_shares_what_it_does_not_change():
+    sys = chafee_infante(10)
+    scaled = rescale(rescale(sys, 0.5), 0.02)
+    # built lazily by either side, seen by the source and every copy; the
+    # shifted factors stay each system's own
+    other = rescale(sys, 3.0)
+    assert scaled.pencil().A is sys.pencil().A is other.pencil().A
+    assert scaled.pencil()._cache is not sys.pencil()._cache
+    assert sys.schur() is scaled.schur()
+    # the active rows are the source's, with L scaled by gamma, and equal
+    # to the rows a fresh Hessian of the scaled pairs builds
+    got = scaled.H._active_rows()
+    L, R, RT, S, dest = sys.H._active_rows()
+    assert got[1] is R and got[2] is RT and got[3] is S and got[4] is dest
+    fresh = Hessian.from_pairs(scaled.H.pairs, sys.n)._active_rows()
+    assert (got[0] != fresh[0]).nnz == 0
+    assert (got[0] != 0.01 * L).nnz == 0
+    # and the list it was symmetrized from follows the scaling
+    assert (scaled.H._half._active_rows()[0]
+            != 0.01 * sys.H._half._active_rows()[0]).nnz == 0
+
+
 def test_rescale_commutes_with_projection():
     rng = rng_for(13)
     sys = random_stable_qb(6, 1, 1, rng)
