@@ -13,14 +13,15 @@ not n x n^2. Factoring a Gramian also checks it against its PSD floor.
 The Picard sources are formed from each iterate itself, with no factor
 (``Hessian.kron_gram`` and ``Hessian.mode2_gram``), so no truncation
 enters the fixed point. All Lyapunov solves of one Gramian set share the
-Schur form A = Z T Z^T (the eigenbasis of a symmetric A), cached on the
-system (``QBSystem.schur``), and work in its basis: the seeds enter as
-Z^T B and C Z, the sources as Z^T S Z, the Gramians are held as Z^T X Z,
-and they are lifted back by Z for the source terms. Only the Gramians a
-caller reads are moved back to the original coordinates. A mass matrix E
-is folded into A, B and the sources through `QBSystem.solve_mass`, never
-into H: the equations are those of E^{-1}A, E^{-1}B, E^{-1}H and
-E^{-1}N_k.
+Schur form A = Z T Z^T, cached on the system (``QBSystem.schur``), and
+work in its basis: the seeds enter as Z^T B and C Z, the sources as
+Z^T S Z, the Gramians are held as Z^T X Z, and they are lifted back by Z
+for the source terms. Z is block diagonal over the decoupled blocks of A
+(``hurwitz_schur``), and every one of these basis changes goes through
+the form's methods, block by block. Only the Gramians a caller reads are
+moved back to the original coordinates. A mass matrix E is folded into
+A, B and the sources through `QBSystem.solve_mass`, never into H: the
+equations are those of E^{-1}A, E^{-1}B, E^{-1}H and E^{-1}N_k.
 """
 
 import warnings
@@ -33,36 +34,37 @@ from qbmor.errors import (
     IndefiniteGramian, NoConvergence, NumericalError, SolverBreakdown,
 )
 from qbmor.kron_tensor import Hessian
-from qbmor.qb_core import QBSystem, _dense
+from qbmor.qb_core import QBSystem
 from qbmor.matrix_equations import solve_lyapunov
 
 
-def _lift(Z, X):
-    """Z X Z^T, symmetrized: a Schur-basis Gramian in original coordinates."""
-    X = Z @ X @ Z.T
+def _lift(S, X):
+    """Z X Z^T of the form S, symmetrized: a Schur-basis Gramian in the
+    original coordinates."""
+    X = S.lift(X)
     return 0.5 * (X + X.T)
 
 
 class GramianBundle:
     """Linear (P_l, Q_l) and truncated (P_T, Q_T) Gramians of a QB system.
 
-    Held in the Schur basis Z of A (of E^{-1}A with a mass matrix):
-    ``schur[name]`` is Z^T X Z. Reading the attribute P_l, Q_l, P_T or Q_T
-    gives X = Z (Z^T X Z) Z^T in the original coordinates, formed on the
-    first read. ``factors["P_T"]`` and ``factors["Q_T"]`` are the
-    rank-truncated factors L of Z^T P_T Z and Z^T Q_T Z (see `_psd_sqrt`),
-    taken once when the bundle is built.
+    Held in the Schur basis Z of A (of E^{-1}A with a mass matrix), whose
+    ``hurwitz_schur`` form is ``basis``: ``schur[name]`` is Z^T X Z.
+    Reading the attribute P_l, Q_l, P_T or Q_T gives X = Z (Z^T X Z) Z^T in
+    the original coordinates, formed on the first read. ``factors["P_T"]``
+    and ``factors["Q_T"]`` are the rank-truncated factors L of Z^T P_T Z
+    and Z^T Q_T Z (see `_psd_sqrt`), taken once when the bundle is built.
     """
 
-    def __init__(self, Z, P_l, Q_l, P_T, Q_T, L_P, L_Q):
-        self.Z = Z
+    def __init__(self, basis, P_l, Q_l, P_T, Q_T, L_P, L_Q):
+        self.basis = basis
         self.schur = {"P_l": P_l, "Q_l": Q_l, "P_T": P_T, "Q_T": Q_T}
         self.factors = {"P_T": L_P, "Q_T": L_Q}
         self._original = {}
 
     def _get(self, name):
         if name not in self._original:
-            self._original[name] = _lift(self.Z, self.schur[name])
+            self._original[name] = _lift(self.basis, self.schur[name])
         return self._original[name]
 
     P_l = property(lambda self: self._get("P_l"))
@@ -117,21 +119,23 @@ def _psd_sqrt(X, what):
     return F @ V[:, keep]
 
 
-def _gram(factors, Z):
-    """The sum of F F^T over the factors, or of Z^T F F^T Z given a basis Z.
+def _gram(factors, form):
+    """The sum of F F^T over the factors, or of Z^T F F^T Z given the
+    ``hurwitz_schur`` form of a basis Z.
 
-    A factor narrower than 2n is moved into the basis (3 n^2 k flops),
-    a wider one's product is (n^2 k + 4 n^3).
+    A factor narrower than 2n is moved into the basis (3 n^2 k flops with
+    a dense Z), a wider one's product is (n^2 k + 4 n^3); a block-diagonal
+    Z costs its blocks' share.
     """
     S = None
     for F in factors:
-        if Z is None:
+        if form is None:
             part = F @ F.T
         elif F.shape[1] < 2 * F.shape[0]:
-            G = Z.T @ F
+            G = form.left(F, transpose=True)
             part = G @ G.T
         else:
-            part = Z.T @ (F @ F.T) @ Z
+            part = form.congruence(F @ F.T)
         if S is None:
             S = part
         else:
@@ -139,52 +143,52 @@ def _gram(factors, Z):
     return S
 
 
-def _quadratic_source(sys, L, Z=None, seed=None):
+def _quadratic_source(sys, L, form=None, seed=None):
     """H(P (x) P) H^T + sum_k N_k P N_k^T for P = L L^T, without P (x) P;
     with a mass matrix, the factors are E^{-1}[H(L (x) L), N_k L]. H(L (x) L)
     is read through its distinct columns. Given the seed factor E^{-1}B,
-    B B^T is added; given a basis Z, the sum is Z^T S Z."""
+    B B^T is added; given the form of a basis Z, the sum is Z^T S Z."""
     K = sys.solve_mass(sys.H.apply_kron_distinct(L))
     factors = [K] + [sys.solve_mass(Nk @ L) for Nk in sys.N]
-    return _gram(factors + ([] if seed is None else [seed]), Z)
+    return _gram(factors + ([] if seed is None else [seed]), form)
 
 
-def _observability_source(sys, LP, LQ, Z=None, seed=None):
+def _observability_source(sys, LP, LQ, form=None, seed=None):
     """H2-mode source H^(2)(P (x) Q)(H^(2))^T + sum_k N_k^T Q N_k for
     P = LP LP^T and Q = LQ LQ^T; with a mass matrix, LQ is E^{-T} LQ.
-    Given the seed factor C^T, C^T C is added; given a basis Z, the sum is
-    Z^T S Z."""
+    Given the seed factor C^T, C^T C is added; given the form of a basis Z,
+    the sum is Z^T S Z."""
     LQ = sys.solve_mass(LQ, transpose=True)
     factors = ([sys.H.apply_kron_mode2(LP, LQ)]
                + [Nk.T @ LQ for Nk in sys.N])
-    return _gram(factors + ([] if seed is None else [seed]), Z)
+    return _gram(factors + ([] if seed is None else [seed]), form)
 
 
 def _linear_gramians(sys):
-    """Z, the form of its basis, E^{-1}B, and Z^T P_l Z and Z^T Q_l Z.
-
-    Z is the Schur basis of E^{-1}A; the seeds enter as the factors
-    Z^T E^{-1}B and C Z.
-    """
+    """The Schur form S of E^{-1}A, E^{-1}B, the seeds Z^T E^{-1}B B^T
+    E^{-T} Z and Z^T C^T C Z, and Z^T P_l Z and Z^T Q_l Z, where Z is the
+    basis of S."""
     S = sys.schur()
-    Z, S = S.Z, S.in_schur_basis()
     B = sys.solve_mass(sys.B)
-    Bs, Cs = Z.T @ B, sys.C @ Z
-    return (Z, S, B, solve_lyapunov(S, Bs @ Bs.T),
-            solve_lyapunov(S, Cs.T @ Cs, transpose=True))
+    Bs, Cs = S.left(B, transpose=True), S.right(sys.C)
+    seed_p, seed_q = Bs @ Bs.T, Cs.T @ Cs
+    Sb = S.in_schur_basis()
+    return (S, B, seed_p, seed_q, solve_lyapunov(Sb, seed_p),
+            solve_lyapunov(Sb, seed_q, transpose=True))
 
 
 def truncated_gramians(sys):
     """Linear and truncated Gramians of a stable QB system, in the Schur
     basis of A (see ``GramianBundle``)."""
-    Z, S, B, P_l, Q_l = _linear_gramians(sys)
+    S, B, _, _, P_l, Q_l = _linear_gramians(sys)
+    Sb = S.in_schur_basis()
     # factoring a Gramian also checks it for indefiniteness
-    L_P = Z @ _psd_sqrt(P_l, "P_l")
-    L_Q = Z @ _psd_sqrt(Q_l, "Q_l")
-    P_T = solve_lyapunov(S, _quadratic_source(sys, L_P, Z, B))
-    Q_T = solve_lyapunov(S, _observability_source(sys, L_P, L_Q, Z, sys.C.T),
-                         transpose=True)
-    return GramianBundle(Z, P_l, Q_l, P_T, Q_T, _psd_sqrt(P_T, "P_T"),
+    L_P = S.left(_psd_sqrt(P_l, "P_l"))
+    L_Q = S.left(_psd_sqrt(Q_l, "Q_l"))
+    P_T = solve_lyapunov(Sb, _quadratic_source(sys, L_P, S, B))
+    Q_T = solve_lyapunov(Sb, _observability_source(sys, L_P, L_Q, S,
+                                                   sys.C.T), transpose=True)
+    return GramianBundle(S, P_l, Q_l, P_T, Q_T, _psd_sqrt(P_T, "P_T"),
                          _psd_sqrt(Q_T, "Q_T"))
 
 
@@ -219,18 +223,17 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
     bilinear parts are too large; rescale the system first. Returns (P, Q,
     (iterations_P, iterations_Q)), P and Q in the original coordinates.
     """
-    Z, S, B, P_l, Q_l = _linear_gramians(sys)
-    Bs, Cs = Z.T @ B, sys.C @ Z
-    seed_p, seed_q = Bs @ Bs.T, Cs.T @ Cs
+    S, _, seed_p, seed_q, P_l, Q_l = _linear_gramians(sys)
+    Sb = S.in_schur_basis()
 
     def picard(X, source, seed, transpose, what):
         for it in range(1, maxit + 1):
-            F = Z.T @ source(_lift(Z, X)) @ Z + seed
+            F = S.congruence(source(_lift(S, X))) + seed
             if not np.all(np.isfinite(F)):
                 raise NoConvergence("%s iteration diverged (non-finite source);"
                                     " rescale the system" % what)
             try:
-                Xn = solve_lyapunov(S, F, transpose=transpose)
+                Xn = solve_lyapunov(Sb, F, transpose=transpose)
             except SolverBreakdown as exc:
                 raise NoConvergence("%s iteration broke the solver; rescale "
                                     "the system" % what) from exc
@@ -248,11 +251,11 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
 
     P, it_p = picard(P_l, lambda P: _controllability_gram(sys, P), seed_p,
                      False, "controllability")
-    P = _lift(Z, P)
+    P = _lift(S, P)
     gram2 = sys.H.mode2_gram(P)
     Q, it_q = picard(Q_l, lambda Q: _observability_gram(sys, gram2, Q),
                      seed_q, True, "observability")
-    return P, _lift(Z, Q), (it_p, it_q)
+    return P, _lift(S, Q), (it_p, it_q)
 
 
 def _dual_traces(B, C, P_like, Q_like, rel, what):
@@ -283,8 +286,10 @@ def truncated_h2_norm(sys):
     traces are read in the Schur basis of the Gramians.
     """
     g = truncated_gramians(sys)
-    t_c, _ = _dual_traces(g.Z.T @ sys.solve_mass(sys.B), sys.C @ g.Z,
-                          g.schur["P_T"], g.schur["Q_T"], 1e-7, "truncated")
+    S = g.basis
+    t_c, _ = _dual_traces(S.left(sys.solve_mass(sys.B), transpose=True),
+                          S.right(sys.C), g.schur["P_T"], g.schur["Q_T"],
+                          1e-7, "truncated")
     return float(np.sqrt(t_c))
 
 
@@ -298,11 +303,25 @@ def h2_norm(sys, tol=1e-10, maxit=50):
 
 def _embed_pairs(h, lead, trail):
     """Factor pairs of h as the diagonal block between `lead` and `trail`
-    zero rows and columns; every factor stays sparse."""
+    zero rows and columns; every factor stays sparse. A factor's CSR
+    arrays are reused: its column indices shifted by `lead`, its row
+    pointers padded by `lead` zero and `trail` full rows."""
     def embed(F):
-        return sp.csr_array(sp.block_diag(
-            [sp.csr_array((lead, lead)), F, sp.csr_array((trail, trail))]))
+        F = sp.csr_array(F)
+        ptr = F.indptr
+        indptr = np.concatenate([np.zeros(lead, ptr.dtype), ptr,
+                                 np.full(trail, ptr[-1], ptr.dtype)])
+        size = lead + F.shape[0] + trail
+        return sp.csr_array((F.data, F.indices + lead, indptr),
+                            shape=(size, size))
     return [(embed(L), embed(R)) for L, R in h.to_pairs().pairs]
+
+
+def _block_diag(M, Mr):
+    """blkdiag(M, Mr), a CSR array when M is sparse."""
+    if sp.issparse(M):
+        return sp.block_diag([M, Mr], format="csr")
+    return sla.block_diag(M, Mr)
 
 
 def error_system(sys, red):
@@ -311,18 +330,19 @@ def error_system(sys, red):
     The quadratic map acts blockwise: rows in the full part see only the
     full state, rows in the reduced part only the reduced state, so it is
     stored as structured factor pairs and never densified. A, the N_k and
-    the mass matrix blkdiag(E, I_r) (absent when sys has none) are dense,
-    as the Gramian path that reads them is.
+    the mass matrix blkdiag(E, I_r) (absent when sys has none) are sparse
+    when the full system's are, so that ``hurwitz_schur`` reads the blocks
+    of A from its pattern.
     """
     n, r = sys.n, red.r
     if sys.m != red.m or sys.p != red.p:
         raise ValueError("input/output dimensions of the pair do not match")
     ntot = n + r
-    Ae = sla.block_diag(_dense(sys.A), red.A)
+    Ae = _block_diag(sys.A, red.A)
     Be = np.vstack([sys.B, red.B])
     Ce = np.hstack([sys.C, -red.C])
-    Ne = [sla.block_diag(_dense(Nk), Nhk) for Nk, Nhk in zip(sys.N, red.N)]
-    Ee = None if sys.E is None else sla.block_diag(_dense(sys.E), np.eye(r))
+    Ne = [_block_diag(Nk, Nhk) for Nk, Nhk in zip(sys.N, red.N)]
+    Ee = None if sys.E is None else _block_diag(sys.E, np.eye(r))
     pairs = _embed_pairs(sys.H, 0, r) + _embed_pairs(red.H, n, 0)
     He = Hessian.from_pairs(pairs, ntot,
                             symmetric=sys.H.symmetric and red.H.symmetric)

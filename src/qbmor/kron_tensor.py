@@ -110,6 +110,13 @@ def _dense_factor(M):
 _KRON_BLOCK = 1 << 17
 
 
+def _same_entries(X, Y):
+    """Whether two dense or sparse matrices are equal entry for entry."""
+    if sp.issparse(X) or sp.issparse(Y):
+        return (sp.csr_array(X) != sp.csr_array(Y)).nnz == 0
+    return np.array_equal(X, Y)
+
+
 def _nonzero_rows(M):
     if sp.issparse(M):
         return np.diff(M.indptr) > 0
@@ -176,6 +183,24 @@ class Hessian:
     @classmethod
     def from_pairs(cls, pairs, n, symmetric=False):
         return cls(n, "pairs", pairs, symmetric=symmetric)
+
+    @classmethod
+    def from_symmetric_pairs(cls, pairs, n):
+        """A symmetric Hessian of the given pairs. When they lie as
+        ``symmetrized`` leaves them, (L_j/2, R_j) and (R_j/2, L_j) as pairs
+        2j and 2j + 1, the list (L_j, R_j) they came from is read back from
+        the second factors for ``kron_gram``; it is kept only when every
+        first factor is half of its partner's second factor entry for
+        entry."""
+        h = cls(n, "pairs", pairs, symmetric=True)
+        half = [(L, R) for (_, R), (_, L) in zip(h._pairs[::2],
+                                                 h._pairs[1::2])]
+        firsts = [F for F, _ in h._pairs]
+        halves = [0.5 * F for pair in half for F in pair]
+        if len(firsts) % 2 == 0 and all(
+                _same_entries(F, G) for F, G in zip(firsts, halves)):
+            h._half = cls.from_pairs(half, n)
+        return h
 
     @classmethod
     def zero(cls, n):

@@ -1,16 +1,23 @@
 """Spectral, Lyapunov and shifted-Sylvester solvers.
 
 All solvers are deterministic on a fixed machine, and all but the shifted
-solves of a sparse pencil are dense. Lyapunov solves against one
-coefficient share its real Schur form. A nonsymmetric coefficient runs
+solves of a sparse pencil and the block split of a Lyapunov coefficient
+are dense. Lyapunov solves against one coefficient share its real Schur
+form, taken block by block: the coefficient is split into the connected
+components of its symmetric pattern, read from a sparse matrix before
+anything is densified, and each component is factored by itself. An
+exactly symmetric block takes its eigenbasis, where T is diagonal, and
+all 1 x 1 blocks share the identity basis; a Lyapunov solve divides
+wherever both blocks of a pair are diagonal. A nonsymmetric block runs
 the recursive blocked Lyapunov recursion of Jonsson and Kagstrom (RECSY,
 ACM TOMS 2002), which solves only the upper off-diagonal blocks of the
 symmetric solution by the blocked Bartels-Stewart Sylvester recursion:
 almost all of their flops are matrix-matrix products, and LAPACK trsyl
-solves only blocks of side at most 64. An exactly symmetric coefficient
-takes its eigenbasis, where T is diagonal and a Lyapunov solve is one
-elementwise division. A caller that keeps its matrices in the Schur basis
-passes the form's ``in_schur_basis`` and skips both basis changes.
+solves only blocks of side at most 64. A pair of blocks that includes a
+nonsymmetric one is one Sylvester solve by that recursion. A connected
+coefficient is the one-block case. A caller that keeps its matrices in
+the Schur basis passes the form's ``in_schur_basis`` and skips both basis
+changes.
 Sylvester equations with a diagonal right coefficient are solved
 on a ``shifted_lu`` form of the pencil A + lam E; a full Kronecker system
 is never formed. All shifts of one shift vector are factored at once: one
@@ -117,46 +124,172 @@ def spectral_decompose(Ahat):
 
 
 @dataclass
-class HurwitzSchur:
-    """Real Schur form A = Z T Z^T of a matrix with every Re(eig) < 0.
+class SchurBlock:
+    """One decoupled block of a ``HurwitzSchur`` form.
 
-    diagonal is set when T is diagonal (A was exactly symmetric and Z is
-    its eigenbasis), so solves divide instead of running the recursion. Z
-    is None in the form of the Schur basis itself (``in_schur_basis``),
-    whose right-hand sides and solutions are already Z^T Q Z and Z^T X Z.
+    idx holds the rows (and columns) of A in the block, as a slice when
+    they are contiguous, and seg its rows in Schur coordinates. Z is the
+    block's orthogonal basis, None for the identity. T is either 1-D, the
+    eigenvalues of a diagonal block, or 2-D, an upper quasi-triangular
+    real Schur factor.
     """
+    idx: "slice | np.ndarray"
+    seg: slice
+    Z: "np.ndarray | None"
     T: np.ndarray
-    Z: np.ndarray
-    diagonal: bool = False
+
+
+def _as_slice(idx):
+    """idx as a slice when it is a contiguous ascending run."""
+    if isinstance(idx, slice):
+        return idx
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.size and idx[-1] - idx[0] == idx.size - 1 \
+            and np.all(np.diff(idx) == 1):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+class HurwitzSchur:
+    """Real Schur form A = Z T Z^T of a matrix with every Re(eig) < 0,
+    held by the decoupled blocks of A.
+
+    Built from (idx, Z_i, T_i) per block (see ``SchurBlock``): Z is Z_i on
+    the rows idx_i and the block's columns and zero elsewhere, and T is
+    blkdiag(T_i). Schur coordinates list the blocks with the diagonal ones
+    first, so that the eigenvalues ``d`` of all diagonal blocks fill the
+    leading ``nd`` coordinates, and Lyapunov solves divide there. The
+    basis changes Z F, Z^T F, F Z, F Z^T, Z^T X Z and Z Y Z^T go block by
+    block. The form returned by ``in_schur_basis`` acts on Schur
+    coordinates: its Z is the identity, and all of them return their
+    argument.
+    """
+
+    def __init__(self, blocks, in_basis=False):
+        blocks = sorted(blocks, key=lambda b: np.ndim(b[2]) == 2)
+        self.blocks = []
+        start = 0
+        for idx, Z, T in blocks:
+            k = len(T)
+            self.blocks.append(SchurBlock(_as_slice(idx),
+                                          slice(start, start + k), Z, T))
+            start += k
+        self.n = start
+        diag = [b.T for b in self.blocks if b.T.ndim == 1]
+        self.d = np.concatenate(diag) if diag else np.zeros(0)
+        self.nd = self.d.size
+        self._in_basis = in_basis
+
+    @property
+    def diagonal(self):
+        """Whether T is diagonal, so that every solve is one division."""
+        return self.nd == self.n
 
     def in_schur_basis(self):
         """This form acting on Schur coordinates: A becomes T, Z the identity."""
-        return HurwitzSchur(T=self.T, Z=None, diagonal=self.diagonal)
+        return HurwitzSchur([(b.seg, None, b.T) for b in self.blocks],
+                            in_basis=True)
+
+    def left(self, F, transpose=False):
+        """Z F, or Z^T F with transpose."""
+        if self._in_basis:
+            return F
+        out = np.empty(F.shape, dtype=np.result_type(F, float))
+        for b in self.blocks:
+            src, dst = (b.idx, b.seg) if transpose else (b.seg, b.idx)
+            X = F[src]
+            out[dst] = X if b.Z is None else (b.Z.T if transpose else b.Z) @ X
+        return out
+
+    def right(self, F, transpose=False):
+        """F Z, or F Z^T with transpose."""
+        if self._in_basis:
+            return F
+        out = np.empty(F.shape, dtype=np.result_type(F, float))
+        for b in self.blocks:
+            src, dst = (b.seg, b.idx) if transpose else (b.idx, b.seg)
+            X = F[:, src]
+            out[:, dst] = X if b.Z is None else X @ (b.Z.T if transpose
+                                                     else b.Z)
+        return out
+
+    def congruence(self, X):
+        """Z^T X Z, formed as (Z^T X) Z: X in Schur coordinates."""
+        return self.right(self.left(X, transpose=True))
+
+    def lift(self, Y):
+        """Z Y Z^T, formed as (Z Y) Z^T: Y in the original coordinates."""
+        return self.right(self.left(Y), transpose=True)
+
+
+def _pattern(A):
+    """Row, column and value of every nonzero entry of a dense or sparse A."""
+    if sp.issparse(A):
+        P = sp.coo_array(A)
+        keep = P.data != 0.0
+        return P.row[keep], P.col[keep], P.data[keep]
+    rows, cols = np.nonzero(A)
+    return rows, cols, A[rows, cols]
 
 
 def hurwitz_schur(A):
-    """Real Schur form of A, checked for stability; a sparse A is densified.
+    """Real Schur form of A by its decoupled blocks, checked for stability.
 
-    An A equal to A^T entry for entry is factored by ``eigh``: T is the
-    diagonal of its ascending eigenvalues and the form is marked diagonal.
-    Any other A is factored by ``schur``; in LAPACK's standardized real
-    Schur form a 2x2 block carries the real part of its conjugate pair on
-    both diagonal entries, so diag(T) holds the real part of every
-    eigenvalue either way.
+    A is split into the connected components of the pattern of
+    |A| + |A^T|, read from the stored entries of a sparse A; only each
+    component's own square block is densified. All 1 x 1 components make
+    one diagonal block with the identity basis. A block equal to its
+    transpose entry for entry is factored by ``eigh`` (a diagonal block of
+    its ascending eigenvalues), any other by ``schur``; in LAPACK's
+    standardized real Schur form a 2x2 block carries the real part of its
+    conjugate pair on both diagonal entries, so the diagonal of T holds
+    the real part of every eigenvalue either way. The eigenvalues ascend
+    within each block, not across blocks. A connected A is one block.
     """
-    A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-    symmetric = np.array_equal(A, A.T)
-    try:
-        if symmetric:
-            d, Z = sla.eigh(A)
-            T = np.diag(d)
+    # imported here, not with the module: its extension modules add about
+    # 1 MB of resident memory to every process, and only this path uses it
+    from scipy.sparse.csgraph import connected_components
+
+    if not sp.issparse(A):
+        A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    rows, cols, vals = _pattern(A)
+    if not np.all(np.isfinite(vals)):
+        raise SolverBreakdown("coefficient matrix has non-finite entries")
+    count, label = connected_components(
+        sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)),
+        directed=False)
+    sizes = np.bincount(label, minlength=count)
+    comps = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
+    single = np.flatnonzero(sizes[label] == 1)
+    blocks = []
+    if single.size:
+        d = (A.diagonal() if sp.issparse(A) else np.diag(A))[single]
+        blocks.append((single, None, d))
+    for idx in comps:
+        if idx.size == 1:
+            continue
+        idx = _as_slice(idx)
+        if sp.issparse(A):
+            M = A[idx][:, idx].toarray()
         else:
-            T, Z = sla.schur(A, output="real")
-    except (np.linalg.LinAlgError, sla.LinAlgError, ValueError) as exc:
-        raise SolverBreakdown("Schur factorization failed: %s" % exc) from exc
-    if np.max(np.diag(T)) >= 0.0:
+            M = A[idx, idx] if isinstance(idx, slice) else A[np.ix_(idx, idx)]
+        try:
+            if np.array_equal(M, M.T):
+                d, Z = sla.eigh(M)
+                blocks.append((idx, Z, d))
+            else:
+                T, Z = sla.schur(M, output="real")
+                blocks.append((idx, Z, T))
+        except (np.linalg.LinAlgError, sla.LinAlgError, ValueError) as exc:
+            raise SolverBreakdown("Schur factorization failed: %s"
+                                  % exc) from exc
+    S = HurwitzSchur(blocks)
+    top = max(np.max(b.T if b.T.ndim == 1 else np.diag(b.T))
+              for b in S.blocks)
+    if top >= 0.0:
         raise NotStable("coefficient matrix has eigenvalue with Re >= 0")
-    return HurwitzSchur(T=T, Z=Z, diagonal=symmetric)
+    return S
 
 
 def _split(T):
@@ -247,6 +380,31 @@ def _solve_lyapunov_quasi_triangular(T, F, transpose):
     F[k:, :k] = Y12.T
 
 
+def _solve_lyapunov_blocks(S, F, transpose):
+    """Overwrite symmetric F, in the Schur coordinates of the form S, with
+    the Y of op(T) Y + Y op(T)^T = F, op as above, one pair of blocks at a
+    time: T is block diagonal, so block (i, j) of Y depends on block (i, j)
+    of F alone. Where both blocks are diagonal, Y is F / (d_i + d_j); where
+    one is quasi-triangular, ``_solve_quasi_triangular`` solves the upper
+    block of the pair and the lower one is its transpose; inside a
+    quasi-triangular block, the Lyapunov recursion.
+    """
+    nd = S.nd
+    if nd:
+        F[:nd, :nd] /= S.d[:, None] + S.d     # every d_i + d_j < 0
+    quasi = [b for b in S.blocks if b.T.ndim == 2]
+    D = np.diag(S.d) if nd and quasi else None
+    for j, bj in enumerate(quasi):
+        sj = bj.seg
+        if nd:
+            _solve_quasi_triangular(D, bj.T, F[:nd, sj], transpose)
+            F[sj, :nd] = F[:nd, sj].T
+        for bi in quasi[:j]:
+            _solve_quasi_triangular(bi.T, bj.T, F[bi.seg, sj], transpose)
+            F[sj, bi.seg] = F[bi.seg, sj].T
+        _solve_lyapunov_quasi_triangular(bj.T, F[sj, sj], transpose)
+
+
 def solve_lyapunov(A, Q, transpose=False):
     """Unique X with A X + X A^T + Q = 0 for Hurwitz A and symmetric Q;
     X is symmetrized. A nonsymmetric Q is replaced by its symmetric part
@@ -256,11 +414,11 @@ def solve_lyapunov(A, Q, transpose=False):
     several solves share one factorization. transpose=True solves
     A^T X + X A + Q = 0 with the same form. The steps are Bartels-Stewart:
     F = Z^T (-Q) Z, T Y + Y T^T = F (or T^T Y + Y T = F) on F in place,
-    X = Z Y Z^T. The middle step is the recursive blocked Lyapunov solve,
-    or Y = F / (d_i + d_j) when the form is diagonal with d = diag(T).
-    Given the form's ``in_schur_basis``, Q and X are Schur coordinates and
-    both basis changes are skipped. SolverBreakdown is raised when the
-    solve fails or X comes out non-finite.
+    X = Z Y Z^T, each by blocks (``HurwitzSchur``,
+    ``_solve_lyapunov_blocks``). Given the form's ``in_schur_basis``, Q and
+    X are Schur coordinates and both basis changes are skipped.
+    SolverBreakdown is raised when the solve fails or X comes out
+    non-finite.
     """
     S = A if isinstance(A, HurwitzSchur) else hurwitz_schur(A)
     Q = np.asarray(Q, dtype=float)
@@ -268,17 +426,11 @@ def solve_lyapunov(A, Q, transpose=False):
     # leaves a symmetric Q bit-identical
     F = Q + Q.T
     F *= -0.5
-    if S.Z is not None:
-        F = S.Z.T.dot(F.dot(S.Z))
+    F = S.congruence(F)
     # an overflow or a non-finite Q shows as a non-finite X, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        if S.diagonal:
-            d = np.diag(S.T)
-            F /= d[:, None] + d     # every d_i + d_j < 0
-        else:
-            _solve_lyapunov_quasi_triangular(S.T, F, transpose)
-        if S.Z is not None:
-            F = S.Z.dot(F).dot(S.Z.T)
+        _solve_lyapunov_blocks(S, F, transpose)
+        F = S.lift(F)
     if not np.all(np.isfinite(F)):
         raise SolverBreakdown("Lyapunov solution contains non-finite entries")
     return 0.5 * (F + F.T)

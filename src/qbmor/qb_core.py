@@ -52,11 +52,11 @@ class QBSystem:
 
     A, the N_k and E are kept as given: sparse ones as CSR arrays, dense
     ones as float ndarrays; B and C are dense. Every consumer works on
-    either form, and only the dense Gramian path (``hurwitz_schur`` and
-    ``error_system``) and the brute-force diagnostics densify. The
-    operator set of ``rhs`` and ``jacobian``, the ``shifted_lu`` form of
-    A + lam E, the ``hurwitz_schur`` form of E^{-1}A and the LU of E are
-    built on first use and cached. The last three depend on A and E alone,
+    either form, and only the dense Gramian path (``hurwitz_schur``, one
+    decoupled block of A at a time) and the brute-force diagnostics
+    densify. The operator set of ``rhs`` and ``jacobian``, the
+    ``shifted_lu`` form of A + lam E, the ``hurwitz_schur`` form of
+    E^{-1}A and the LU of E are built on first use and cached. The last three depend on A and E alone,
     so a ``rescale`` copy shares them with its source.
     """
 
@@ -508,7 +508,8 @@ def load_system(path):
             L = _read_matrix(os.path.join(base, man["hpair_a_%d" % j]))
             R = _read_matrix(os.path.join(base, man["hpair_b_%d" % j]))
             pairs.append((L, R))
-        H = Hessian.from_pairs(pairs, n, symmetric=sym)
+        H = (Hessian.from_symmetric_pairs(pairs, n) if sym
+             else Hessian.from_pairs(pairs, n))
     else:
         Hm = _read_matrix(os.path.join(base, man["hmode1"]))
         if sp.issparse(Hm):

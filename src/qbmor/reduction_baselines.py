@@ -41,8 +41,8 @@ def balanced_truncation(sys, r, gamma=1.0):
         raise RankDeficient("requested order %d exceeds the numerical rank "
                             "of the Gramian product" % r)
     scale = 1.0 / np.sqrt(s[:r])
-    V = g.Z @ ((L_P @ Zt[:r].T) * scale)
-    W = g.Z @ ((L_Q @ U[:, :r]) * scale)
+    V = g.basis.left((L_P @ Zt[:r].T) * scale)
+    W = g.basis.left((L_Q @ U[:, :r]) * scale)
     red = project(sys, V, sys.solve_mass(W, transpose=True), method="bt",
                   gamma=gamma, seed=None, converged=True, iterations=0,
                   tol=0.0, shift=0.0)

@@ -10,7 +10,7 @@ from qbmor.errors import IndefiniteGramian, NoConvergence, NotStable
 from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import QBSystem, project, rescale
 from qbmor.reduction_baselines import balanced_truncation
-from qbmor.benchmarks import chafee_infante
+from qbmor.benchmarks import chafee_infante, fitzhugh_nagumo
 from qbmor.matrix_equations import hurwitz_schur
 from qbmor.gramians_norms import (
     truncated_gramians, quadratic_gramians, truncated_h2_norm, h2_norm,
@@ -536,3 +536,55 @@ def test_error_system_embeds_sparse_factors():
     T[n:, n:, n:] = red.H.mode1().reshape(r, r, r)
     ref = T.reshape(n + r, -1)
     assert np.linalg.norm(err.H.mode1() - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+# ------------------------------------------------------- block-diagonal A
+
+def test_connected_a_keeps_its_gramians():
+    # fitzhugh_nagumo's A is connected: one nonsymmetric block, whose
+    # arithmetic is that of the single dense Schur form, so the norms are
+    # bit-identical to the ones it gave before A was split by blocks
+    sys = fitzhugh_nagumo(5)
+    assert len(sys.schur().blocks) == 1 and not sys.schur().diagonal
+    scaled = rescale(sys, 0.01)
+    assert truncated_h2_norm(sys) == 5.772444132021565
+    assert truncated_h2_norm(scaled) == 0.8182302633804686
+    assert h2_norm(scaled) == 0.8182806020348092
+
+
+def test_error_system_splits_into_blocks():
+    # blkdiag(A, A_r) of chafee_infante: the tridiagonal block by eigh,
+    # the lifted diagonal as 1 x 1 blocks, the reduced A by schur
+    sys = chafee_infante(10)
+    red, _ = balanced_truncation(sys, 4, gamma=0.01)
+    S = error_system(sys, red).schur()
+    assert [(b.T.ndim, b.T.shape[0], b.Z is None) for b in S.blocks] == [
+        (1, 10, True), (1, 10, False), (2, 4, False)]
+    assert S.blocks[2].idx == slice(20, 24)
+
+
+# 50-digit truncated H2 error of chafee_infante(10) against its order-r
+# balanced truncation at gamma = 0.01, from scripts/reference_h2_error.py
+_H2_ERROR_REFERENCE = {
+    5: 2.1832016792697704642224686589048469177926875173636e-4,
+    8: 1.7634489675331235283020635327925737101349873089867e-5,
+}
+
+
+@pytest.mark.parametrize("r", sorted(_H2_ERROR_REFERENCE))
+def test_truncated_h2_error_matches_the_50_digit_reference(r):
+    # at r = 8, err^2 is 1.3e-10 of the full model's squared norm, so the
+    # traces of the error Gramians cancel to about eps / 1.3e-10; both
+    # routes stay within 1e-6 (7.2e-7 and 6.9e-7 here), where a single
+    # Schur form of the whole error system gave 2.3e-6
+    sys = chafee_infante(10)
+    red, _ = balanced_truncation(sys, r, gamma=0.01)
+    es = error_system(sys, red)
+    g = truncated_gramians(es)
+    Bs, Cs = g.basis.left(es.B, transpose=True), g.basis.right(es.C)
+    routes = (np.trace(Cs @ g.schur["P_T"] @ Cs.T),
+              np.trace(Bs.T @ g.schur["Q_T"] @ Bs))
+    ref = _H2_ERROR_REFERENCE[r]
+    for t in routes:
+        assert abs(np.sqrt(t) - ref) <= 1e-6 * ref
+    assert truncated_h2_error(sys, red) == np.sqrt(routes[0])

@@ -15,7 +15,8 @@ from qbmor.matrix_equations import (
     HurwitzSchur, conjugate_pairs, hurwitz_schur, spectral_decompose,
     solve_lyapunov,
     solve_sylvester_shifted, shifted_lu, reflect_unstable, realify_basis,
-    _solve_lyapunov_quasi_triangular, _solve_quasi_triangular,
+    _solve_lyapunov_blocks, _solve_lyapunov_quasi_triangular,
+    _solve_quasi_triangular,
 )
 from qbmor.benchmarks import chafee_infante
 from conftest import rng_for
@@ -223,8 +224,9 @@ def test_lyapunov_stability_read_from_schur_blocks():
 
 
 def schur_form_split_pair(n, rng):
-    """Hurwitz Schur form whose T has a 2x2 block across the midpoint
-    split, rows n//2 - 1 and n//2, and more 2x2 blocks scattered."""
+    """(T, Z) of a Hurwitz Schur form whose T has a 2x2 block across the
+    midpoint split, rows n//2 - 1 and n//2, and more 2x2 blocks
+    scattered."""
     T = np.triu(rng.standard_normal((n, n)), 1) / np.sqrt(n)
     mid = n // 2
     i = 0
@@ -241,14 +243,18 @@ def schur_form_split_pair(n, rng):
             T[i, i] = -rng.uniform(0.5, 2.0)
             i += 1
     Z = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    return HurwitzSchur(T=T, Z=Z)
+    return T, Z
 
 
-def trsyl_route(S, Q, transpose):
+def one_block(T, Z):
+    """The form of one coupled block with Schur factor T and basis Z."""
+    return HurwitzSchur([(np.arange(T.shape[0]), Z, T)])
+
+
+def trsyl_route(T, Z, Q, transpose):
     """The unblocked route: one trsyl call on the whole of T."""
-    T, Z = S.T, S.Z
     trsyl = sla.get_lapack_funcs("trsyl", (T,))
-    F = Z.T.dot((-Q).dot(Z))
+    F = Z.T.dot(-Q).dot(Z)
     trana, tranb = ("T", "N") if transpose else ("N", "T")
     Y, scale, info = trsyl(T, T, F, trana=trana, tranb=tranb)
     assert info == 0 and scale == 1.0
@@ -259,10 +265,11 @@ def trsyl_route(S, Q, transpose):
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
 def test_lyapunov_blocked_matches_scipy_both_ways(n):
     rng = rng_for(n)
-    S = schur_form_split_pair(n, rng)
+    T, Z = schur_form_split_pair(n, rng)
+    S = one_block(T, Z)
     if n > 1:
-        assert S.T[n // 2, n // 2 - 1] != 0.0
-    A = S.Z @ S.T @ S.Z.T
+        assert T[n // 2, n // 2 - 1] != 0.0
+    A = Z @ T @ Z.T
     B = rng.standard_normal((n, 3))
     Q = B @ B.T
     for transpose, coef in ((False, A), (True, A.T)):
@@ -274,7 +281,7 @@ def test_lyapunov_blocked_matches_scipy_both_ways(n):
                                + np.linalg.norm(Q))
         if n <= 64:
             # one block: bit-identical to a single trsyl call
-            assert np.array_equal(X, trsyl_route(S, Q, transpose))
+            assert np.array_equal(X, trsyl_route(T, Z, Q, transpose))
 
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -282,7 +289,7 @@ def test_lyapunov_recursion_matches_sylvester_recursion(transpose):
     # n > 64 recurses; T has a 2x2 block across its first split
     n = 150
     rng = rng_for(17)
-    T = schur_form_split_pair(n, rng).T
+    T = schur_form_split_pair(n, rng)[0]
     assert T[n // 2, n // 2 - 1] != 0.0
     B = rng.standard_normal((n, 4))
     F = B @ B.T
@@ -337,18 +344,16 @@ def test_symmetric_coefficient_solves_in_its_eigenbasis(transpose):
     A = random_stable(n, rng)
     A = 0.5 * (A + A.T)
     S = hurwitz_schur(sp.csr_array(A))
-    assert S.diagonal
-    assert np.array_equal(S.T, np.diag(np.diag(S.T)))
+    assert S.diagonal and len(S.blocks) == 1 and S.blocks[0].T.ndim == 1
     B = rng.standard_normal((n, 3))
     Q = B @ B.T
     X = solve_lyapunov(S, Q, transpose=transpose)
     ref = sla.solve_continuous_lyapunov(A, -Q)
     assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
     # in the form's own basis the same solve skips both basis changes
-    Xs = solve_lyapunov(S.in_schur_basis(), S.Z.T @ Q @ S.Z,
+    Xs = solve_lyapunov(S.in_schur_basis(), S.congruence(Q),
                         transpose=transpose)
-    assert np.linalg.norm(S.Z @ Xs @ S.Z.T - ref) \
-        <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(S.lift(Xs) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_nonsymmetric_coefficient_keeps_the_schur_form():
@@ -358,9 +363,8 @@ def test_nonsymmetric_coefficient_keeps_the_schur_form():
     assert not S.diagonal
     Q = np.eye(80)
     ref = sla.solve_continuous_lyapunov(A, -Q)
-    Xs = solve_lyapunov(S.in_schur_basis(), S.Z.T @ Q @ S.Z)
-    assert np.linalg.norm(S.Z @ Xs @ S.Z.T - ref) \
-        <= 1e-12 * np.linalg.norm(ref)
+    Xs = solve_lyapunov(S.in_schur_basis(), S.congruence(Q))
+    assert np.linalg.norm(S.lift(Xs) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -373,9 +377,103 @@ def test_lyapunov_breakdown_in_a_deep_block_is_typed(transpose):
     d = -np.linspace(2.0, 4.0, n)
     d[10], d[150] = 1.0, -1.0
     T[np.diag_indices(n)] = d
-    S = HurwitzSchur(T=T, Z=np.linalg.qr(rng.standard_normal((n, n)))[0])
+    S = one_block(T, np.linalg.qr(rng.standard_normal((n, n)))[0])
     with pytest.raises(SolverBreakdown):
         solve_lyapunov(S, np.eye(n), transpose=transpose)
+
+
+def permuted_block_diagonal(rng):
+    """A Hurwitz A, symmetrically permuted, whose pattern falls into a
+    symmetric 6 x 6 block, nonsymmetric 5 x 5 and 70 x 70 blocks (the
+    larger one recurses past the trsyl leaf) and three 1 x 1 blocks."""
+    G = rng.standard_normal((6, 6))
+    A = sla.block_diag(-(G @ G.T) - np.eye(6), random_stable(5, rng),
+                       np.diag([-1.0, -2.5, -0.5]), random_stable(70, rng))
+    perm = rng.permutation(A.shape[0])
+    return A[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_hurwitz_schur_splits_the_decoupled_blocks(sparse):
+    A = permuted_block_diagonal(rng_for(40))
+    n = A.shape[0]
+    S = hurwitz_schur(sp.csr_array(A) if sparse else A)
+    # the 1 x 1 blocks share the identity basis; diagonal blocks come first
+    assert [b.T.ndim for b in S.blocks] == [1, 1, 2, 2]
+    assert sorted((b.T.ndim, b.T.shape[0], b.Z is None)
+                  for b in S.blocks) == [(1, 3, True), (1, 6, False),
+                                         (2, 5, False), (2, 70, False)]
+    assert S.nd == 9 and not S.diagonal
+    Z = S.left(np.eye(n))
+    assert np.linalg.norm(Z.T @ Z - np.eye(n)) <= 1e-13 * n
+    T = np.zeros((n, n))
+    for b in S.blocks:
+        T[b.seg, b.seg] = np.diag(b.T) if b.T.ndim == 1 else b.T
+    for rec in (Z @ T @ Z.T, S.lift(T)):
+        assert np.linalg.norm(rec - A) <= 1e-13 * np.linalg.norm(A)
+    assert np.linalg.norm(S.congruence(A) - T) <= 1e-13 * np.linalg.norm(A)
+    F = rng_for(41).standard_normal((n, 3))
+    assert np.allclose(S.left(F, transpose=True), Z.T @ F, atol=1e-14)
+    assert np.allclose(S.right(F.T), F.T @ Z, atol=1e-14)
+    assert np.allclose(S.right(F.T, transpose=True), F.T @ Z.T, atol=1e-14)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("in_basis", [False, True],
+                         ids=["original", "in_schur_basis"])
+def test_block_lyapunov_matches_one_coupled_block(transpose, in_basis):
+    rng = rng_for(42)
+    A = permuted_block_diagonal(rng)
+    n = A.shape[0]
+    T, Z = sla.schur(A, output="real")
+    coupled = HurwitzSchur([(np.arange(n), Z, T)])
+    B = rng.standard_normal((n, 3))
+    Q = B @ B.T
+    ref = solve_lyapunov(coupled, Q, transpose=transpose)
+    S = hurwitz_schur(A)
+    if in_basis:
+        X = S.lift(solve_lyapunov(S.in_schur_basis(), S.congruence(Q),
+                                  transpose=transpose))
+    else:
+        X = solve_lyapunov(S, Q, transpose=transpose)
+    assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_one_block_keeps_the_dense_arithmetic():
+    # a connected A is the one-block case: every basis change and the
+    # solve are bit-identical to the dense products of a single Schur form
+    rng = rng_for(43)
+    n = 90
+    A = random_stable(n, rng)
+    S = hurwitz_schur(A)
+    assert len(S.blocks) == 1 and S.blocks[0].idx == slice(0, n)
+    Z, T = S.blocks[0].Z, S.blocks[0].T
+    X = rng.standard_normal((n, n))
+    F = rng.standard_normal((n, 4))
+    assert np.array_equal(S.left(F, transpose=True), Z.T @ F)
+    assert np.array_equal(S.left(F), Z @ F)
+    assert np.array_equal(S.right(F.T), F.T @ Z)
+    assert np.array_equal(S.congruence(X), Z.T @ X @ Z)
+    assert np.array_equal(S.lift(X), Z @ X @ Z.T)
+    for transpose in (False, True):
+        Y = X + X.T
+        ref = Y.copy()
+        _solve_lyapunov_quasi_triangular(T, ref, transpose)
+        _solve_lyapunov_blocks(S.in_schur_basis(), Y, transpose)
+        assert np.array_equal(Y, ref)
+
+
+def test_hurwitz_schur_reads_explicit_zeros_as_no_coupling():
+    # a stored zero does not join two blocks, and a non-finite entry is a
+    # typed breakdown wherever it sits
+    A = sp.csr_array(([-1.0, 0.0, -2.0, -3.0], ([0, 0, 1, 2], [0, 2, 1, 2])),
+                     shape=(3, 3))
+    assert A.nnz == 4
+    S = hurwitz_schur(A)
+    assert len(S.blocks) == 1 and S.blocks[0].Z is None and S.diagonal
+    assert np.array_equal(S.d, [-1.0, -2.0, -3.0])
+    with pytest.raises(SolverBreakdown):
+        hurwitz_schur(np.diag([-1.0, np.inf]))
 
 
 # ------------------------------------------------------------------ sylvester

@@ -12,6 +12,7 @@ from qbmor.qb_core import (
     QBSystem, ReducedModel, project, rescale,
     orthonormalize, save_system, load_system, save_reduced, load_reduced,
 )
+from qbmor.gramians_norms import h2_norm
 from conftest import random_stable_qb, rng_for
 
 
@@ -517,6 +518,28 @@ def test_system_roundtrip_sparse_pairs(tmp_path):
     back = load_system(tmp_path / "sp")
     assert back.H.storage == "pairs"
     assert np.array_equal(back.H.mode1(), sys.H.mode1())
+
+
+def test_reloaded_system_keeps_its_half_pair_list(tmp_path):
+    # the stored pairs are the symmetrized (L/2, R), (R/2, L); the list
+    # (L, R) is read back, so kron_gram takes its half-size rows and the
+    # norm is the generator's to the bit
+    sys = chafee_infante(20)
+    save_system(sys, tmp_path / "ci")
+    back = load_system(tmp_path / "ci")
+    assert back.H._half is not None
+    assert len(back.H._half.pairs) == len(sys.H._half.pairs)
+    for got, ref in zip(back.H._half.pairs, sys.H._half.pairs):
+        for G, R in zip(got, ref):
+            assert (sp.csr_array(G) != R).nnz == 0
+    assert h2_norm(rescale(back, 0.01)) == h2_norm(rescale(sys, 0.01))
+    # a symmetric list that is not laid out that way keeps no half list
+    Dinv = sp.diags_array(1.0 / np.linspace(1.0, 2.0, sys.n))
+    H = Hessian.from_pairs([(sp.csr_array(Dinv @ L), R)
+                            for L, R in sys.H.pairs], sys.n, symmetric=True)
+    save_system(QBSystem(sys.A, H, sys.N, sys.B, sys.C), tmp_path / "d")
+    back = load_system(tmp_path / "d")
+    assert back.H.symmetric and back.H._half is None
 
 
 def test_system_roundtrip_with_mass(tmp_path):
