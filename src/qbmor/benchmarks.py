@@ -5,6 +5,7 @@ z = v * v, which turns the semi-discretized PDE into a QB system whose
 trajectories keep the lift exact up to integrator tolerance.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -21,13 +22,24 @@ from qbmor.qb_core import QBSystem
 
 @dataclass(frozen=True)
 class InputSignal:
-    """Named input channel bundle; calling it returns u(t) in R^m."""
+    """Named input channel bundle; calling it returns u(t) in R^m.
+
+    ``at`` evaluates the signal at many times into the columns of one
+    m x q array, bit for bit the values the calls give: both read the same
+    scalar formula, which returns the m channel values as a tuple.
+    """
     kind: str
     m: int
     _fn: Callable = field(repr=False)
 
     def __call__(self, t):
-        return self._fn(float(t))
+        return np.array(self._fn(float(t)))
+
+    def at(self, ts):
+        """u at each time of ts, as the columns of an m x len(ts) array."""
+        fn = self._fn
+        return np.array([fn(t) for t in np.asarray(ts, dtype=float).tolist()],
+                        dtype=float).reshape(-1, self.m).T
 
 
 def input_signal(kind, table=None):
@@ -37,20 +49,17 @@ def input_signal(kind, table=None):
     (current plus a constant unit channel feeding the q terms), custom.
     """
     if kind == "ci_u1":
-        return InputSignal(kind, 1,
-                           lambda t: np.array([(1.0 + math.sin(math.pi * t))
-                                               * math.exp(-t / 5.0)]))
+        return InputSignal(kind, 1, lambda t: ((1.0 + math.sin(math.pi * t))
+                                               * math.exp(-t / 5.0),))
     if kind == "ci_u2":
         return InputSignal(kind, 1,
-                           lambda t: np.array([25.0 * (1.0 + math.sin(math.pi * t))]))
+                           lambda t: (25.0 * (1.0 + math.sin(math.pi * t)),))
     if kind == "fhn_i0_sin":
-        return InputSignal(kind, 2,
-                           lambda t: np.array([50.0 * (math.sin(2.0 * math.pi * t) - 1.0),
-                                               1.0]))
+        return InputSignal(kind, 2, lambda t: (
+            50.0 * (math.sin(2.0 * math.pi * t) - 1.0), 1.0))
     if kind == "fhn_i0_bump":
-        return InputSignal(kind, 2,
-                           lambda t: np.array([5.0e4 * t ** 3 * math.exp(-15.0 * t),
-                                               1.0]))
+        return InputSignal(kind, 2, lambda t: (
+            5.0e4 * t ** 3 * math.exp(-15.0 * t), 1.0))
     if kind == "custom":
         if table is None:
             raise ValueError("custom signals need table=(times, values)")
@@ -63,8 +72,8 @@ def input_signal(kind, table=None):
             raise ValueError("table times and values disagree in length")
         m = us.shape[1]
         cols = [us[:, j].copy() for j in range(m)]
-        return InputSignal(kind, m,
-                           lambda t: np.array([np.interp(t, ts, col) for col in cols]))
+        return InputSignal(kind, m, lambda t: tuple(np.interp(t, ts, col)
+                                                    for col in cols))
     raise ValueError("unknown input signal %r" % kind)
 
 
@@ -187,14 +196,16 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     `Radau` that takes the same steps (`_Radau`), on the system's own rhs
     and Jacobian with a mass matrix applied to both by
     `QBSystem.solve_mass`. Both read the operator set the system builds
-    once, and each simplified Newton iteration evaluates its three stages
-    in one block call of `QBSystem.rhs`, on stage inputs u(t + c_i h)
-    evaluated once per trial step. Without a mass matrix a sparse
-    Jacobian pattern (see `QBSystem.jacobian`) is kept as a CSC array and
-    the iteration matrices are factored by `scipy.sparse.linalg.splu`;
-    otherwise the Jacobian is dense and they are factored and solved by
-    LAPACK getrf/getrs. Outputs are sampled on `samples` equidistant
-    points from each accepted step's collocation polynomial.
+    once (`_VectorField`), and each simplified Newton iteration evaluates
+    its three stages in one block rhs call, on stage inputs u(t + c_i h)
+    that `InputSignal.at` evaluates once per trial step. Without a mass
+    matrix a sparse Jacobian pattern (see `QBSystem.jacobian`) fixes one
+    CSC pattern, J's and the diagonal, on which each iteration matrix
+    mu I - J is one vector subtraction, equal to scipy's sparse one, and
+    is factored by `scipy.sparse.linalg.splu`; otherwise the Jacobian is
+    dense and they are factored and solved by LAPACK getrf/getrs. Outputs
+    are sampled on `samples` equidistant points from each accepted step's
+    collocation polynomial.
 
     `stats` holds integer counters, kept by the stepper:
 
@@ -209,27 +220,27 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     * jacobian_nnz: entries stored in the last Jacobian, n^2 when it is
       dense, so it tells which LU path the run took.
 
-    Raises ValueError for a bad horizon, sample count, input width,
-    tolerance or initial state (x0 must be finite and of length n),
+    Raises ValueError, before the first rhs evaluation, for a bad horizon
+    (T must be finite and positive), sample count, input width, tolerance
+    (finite, rtol >= 100 eps, atol >= 0) or initial state (x0 must be
+    finite and of length n),
     NewtonDivergence when the step size underflows and NonFiniteState when
     the initial rhs, a Jacobian, the state or the sampled outputs leave the
     representable range.
     """
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("horizon must be positive and finite")
     if samples < 2:
         raise ValueError("need at least two sample points")
     if u.m != sys.m:
         raise ValueError("signal has %d channels, system expects %d"
                          % (u.m, sys.m))
-    if not rtol >= 100 * _EPS or not atol >= 0:
-        raise ValueError("need rtol >= 100 eps and atol >= 0")
+    if not (math.isfinite(rtol) and math.isfinite(atol)
+            and rtol >= 100 * _EPS and atol >= 0):
+        raise ValueError("need finite rtol >= 100 eps and atol >= 0")
     x_init = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float)
     if x_init.shape != (sys.n,) or not np.all(np.isfinite(x_init)):
         raise ValueError("x0 must be a finite state of length %d" % sys.n)
-
-    def inputs(ts):
-        return np.array([u(t) for t in ts]).T
 
     field = sys._vector_field()
 
@@ -243,11 +254,12 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
         return J
 
     tq = np.linspace(0.0, T, samples)
+    grid = tq.tolist()
     states = np.empty((sys.n, samples))
     states[:, 0] = x_init
     done = 1
     with np.errstate(all="ignore"):
-        solver = _Radau(f, inputs, jac, x_init, float(T), rtol, atol)
+        solver = _Radau(f, u.at, jac, x_init, float(T), rtol, atol)
         while solver.t < T:
             t0 = solver.t
             if not solver.step():
@@ -255,7 +267,7 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
             if not np.isfinite(solver.y).all():
                 raise NonFiniteState("state became non-finite at t=%.6g"
                                      % solver.t)
-            stop = int(np.searchsorted(tq, solver.t, side="right"))
+            stop = bisect.bisect_right(grid, solver.t)
             if stop > done:
                 states[:, done:stop] = solver.dense(tq[done:stop])
                 done = stop
@@ -266,8 +278,7 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
              "newton_iters": solver.newton_iters,
              "jacobian_factorizations": solver.nlu,
              "nfev": solver.nfev, "njev": solver.njev,
-             "jacobian_nnz": int(solver.J.nnz if sp.issparse(solver.J)
-                                 else solver.J.size)}
+             "jacobian_nnz": solver.jacobian_nnz}
     return Trajectory(times=tq, outputs=outputs,
                       states=states if store_states else None, stats=stats)
 
@@ -279,11 +290,13 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
 # tableau, T/TI transforms, simplified Newton iteration, error estimate,
 # step predictor, Jacobian reuse rule, initial step and dense output, so it
 # takes the steps scipy's Radau takes. It differs in four ways: the three
-# stages of a Newton iteration are one block rhs call; dense iteration
-# matrices are factored and solved by LAPACK getrf/getrs without scipy's
-# finiteness checks, so a NaN error estimate, where scipy raises ValueError,
-# rejects the step; and the stepper counts its own steps, rejections and
-# Newton iterations. Integration runs forward from t = 0 with no step bound.
+# stages of a Newton iteration are one block rhs call; sparse iteration
+# matrices are formed on one fixed CSC pattern (`_IterationPattern`) instead
+# of by a sparse subtraction, with the same values; dense ones are factored
+# and solved by LAPACK getrf/getrs without scipy's finiteness checks, so a
+# NaN error estimate, where scipy raises ValueError, rejects the step; and
+# the stepper counts its own steps, rejections and Newton iterations.
+# Integration runs forward from t = 0 with no step bound.
 
 _S6 = 6 ** 0.5
 _C = np.array([(4 - _S6) / 10, (4 + _S6) / 10, 1])
@@ -334,15 +347,65 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     return min(1, multiplier) * error_norm ** -0.25
 
 
+class _IterationPattern:
+    """The CSC pattern of J + I, fixed at one sparse Jacobian J.
+
+    `scatter` places the entries of a Jacobian with J's CSR pattern into
+    the pattern's data array through a permutation computed once, and
+    `matrix` forms mu I - J on it with one vector subtraction. That is the
+    arithmetic of scipy's sparse ``mu * I - J`` entry for entry, and like
+    it the result drops the entries that come out exactly zero, so `splu`
+    factors the matrix scipy's Radau factors.
+    """
+
+    def __init__(self, J):
+        n = J.shape[0]
+        self.n, self.source = n, (J.indptr, J.indices)
+        rows = np.repeat(np.arange(n), np.diff(J.indptr))
+        cell = J.indices.astype(np.int64) * n + rows      # column-major
+        diag = np.arange(n, dtype=np.int64) * (n + 1)
+        cells = np.unique(np.concatenate((cell, diag)))
+        self.perm = np.searchsorted(cells, cell)
+        self.diag = np.searchsorted(cells, diag)
+        self.ones = np.ones(n)
+        self.indices = (cells % n).astype(np.int32)
+        self.indptr = np.searchsorted(cells, np.arange(n + 1) * n).astype(
+            np.int32)
+
+    def fits(self, J):
+        """Whether the CSR Jacobian J has the pattern this one was fixed at."""
+        indptr, indices = self.source
+        return (np.array_equal(J.indptr, indptr)
+                and np.array_equal(J.indices, indices))
+
+    def scatter(self, J):
+        """J's entries in this pattern, duplicates summed."""
+        return np.bincount(self.perm, J.data, self.indices.size)
+
+    def matrix(self, mu, data):
+        """mu I - J as a CSC array, from J's entries in this pattern."""
+        M = np.zeros(data.size, dtype=np.result_type(mu, data))
+        # mu times the identity's stored ones, as scipy scales it: for an
+        # infinite complex mu (an underflowed step) that is nan, not mu
+        M[self.diag] = self.ones * mu
+        M -= data
+        A = sp.csc_array((M, self.indices.copy(), self.indptr.copy()),
+                         shape=(self.n, self.n))
+        A.eliminate_zeros()
+        return A
+
+
 class _Radau:
     """Radau IIA on a block rhs fun(X, U) -> n x q and a Jacobian jac(t, y).
 
     inputs(ts) gives the m x q inputs U at the times ts; a simplified
     Newton iteration's stage times are fixed, so it evaluates them once.
-    jac returns a dense array or a sparse one; sparse Jacobians are kept
-    in CSC and factored by splu. `step` takes one accepted step and returns
-    False when the step size underflows; `dense` evaluates the last step's
-    collocation polynomial.
+    jac returns a dense array or a sparse one. The entries of a sparse
+    Jacobian are kept in an `_IterationPattern`, fixed at the first one and
+    fixed anew whenever a Jacobian's pattern differs, and its iteration
+    matrices are factored by splu. `step` takes one accepted step and
+    returns False when the step size underflows; `dense` evaluates the last
+    step's collocation polynomial.
     """
 
     def __init__(self, fun, inputs, jac, y0, t_bound, rtol, atol):
@@ -357,32 +420,41 @@ class _Radau:
         self.h_abs = self._initial_step()
         self.h_abs_old = self.error_norm_old = None
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+        self._pattern = self._I = None
         self.J = self._jacobian(0.0, y0)
-        n = y0.size
-        self._I = (sp.eye_array(n, format="csc") if sp.issparse(self.J)
-                   else np.identity(n))
         self.current_jac = True
         self.LU_real = self.LU_complex = None
         self.t_old = self.y_old = self.Q = None
 
     def _fun1(self, t, y):
-        return self._block(y[:, None], self._inputs((t,)))[:, 0]
-
-    def _block(self, X, U):
-        self.nfev += X.shape[1]
-        return self._fun(X, U)
+        self.nfev += 1
+        return self._fun(y[:, None], self._inputs((t,)))[:, 0]
 
     def _jacobian(self, t, y):
+        """jac at (t, y): a dense array as given, or a sparse one's entries
+        in the iteration pattern. Sets `jacobian_nnz`, the entries it
+        stores."""
         self.njev += 1
         J = self._jac(t, y)
-        return sp.csc_array(J, dtype=float) if sp.issparse(J) else J
+        if not sp.issparse(J):
+            self._pattern = None
+            self.jacobian_nnz = J.size
+            return J
+        if J.format != "csr":
+            J = J.tocsr()
+        if self._pattern is None or not self._pattern.fits(J):
+            self._pattern = _IterationPattern(J)
+        self.jacobian_nnz = J.nnz
+        return self._pattern.scatter(J)
 
     def _lu(self, mu, J):
         """A solver b -> (mu I - J)^{-1} b from one LU factorization."""
         self.nlu += 1
+        if self._pattern is not None:
+            return spla.splu(self._pattern.matrix(mu, J)).solve
+        if self._I is None:
+            self._I = np.identity(J.shape[0])
         M = mu * self._I - J
-        if sp.issparse(M):
-            return spla.splu(M).solve
         getrf, getrs = _GETRF_GETRS[M.dtype.type]
         lu, piv, _ = getrf(M, overwrite_a=True)
         return lambda b: getrs(lu, piv, b, overwrite_b=True)[0]
@@ -415,45 +487,56 @@ class _Radau:
         Returns (converged, iterations, Z, rate) like scipy's
         solve_collocation_system; Z holds the stage increments as rows.
         """
+        fun, tol = self._fun, self.newton_tol
         M_real, M_complex = _MU_REAL / h, _MU_COMPLEX / h
         U = self._inputs(t + h * _C)
         W = _TI.dot(Z0)
         Z = Z0
+        y_col = y[:, None]
         dW = np.empty_like(W)
+        root = dW.size ** 0.5
         dW_norm_old = rate = None
         converged = False
         for k in range(_NEWTON_MAXITER):
-            # stages as rows, laid out as scipy's F, so the products below
-            # round as scipy's do
-            F = self._block(y[:, None] + Z.T, U).T
-            if not np.isfinite(F).all():
-                break
-            f_real = F.T.dot(_TI_REAL) - M_real * W[0]
-            f_complex = F.T.dot(_TI_COMPLEX) - M_complex * (W[1] + 1j * W[2])
+            # the stages as columns: the transpose of scipy's F, laid out
+            # as its F.T is, so the products below round as scipy's do
+            FT = fun(y_col + Z.T, U)
+            f_real = FT.dot(_TI_REAL) - M_real * W[0]
+            f_complex = FT.dot(_TI_COMPLEX) - M_complex * (W[1] + 1j * W[2])
             dW_complex = LU_complex(f_complex)
             dW[0] = LU_real(f_real)
             dW[1] = dW_complex.real
             dW[2] = dW_complex.imag
-            dW_norm = _rms(dW / scale)
+            # _rms inlined: this line runs once per Newton iteration
+            e = (dW / scale).ravel()
+            dW_norm = np.sqrt(e.dot(e)) / root
+            # scipy stops at a non-finite stage value before solving; such
+            # a value always makes dW_norm non-finite (it reaches f_real,
+            # whose weights are all nonzero, and the solve), so the stages
+            # are checked only then
+            if not math.isfinite(dW_norm) and not np.isfinite(FT).all():
+                break
             if dW_norm_old is not None:
                 rate = dW_norm / dW_norm_old
             if rate is not None and (
                     rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate)
-                    * dW_norm > self.newton_tol):
+                    * dW_norm > tol):
                 break
             W += dW
             Z = _T.dot(W)
             if dW_norm == 0 or (rate is not None and rate / (1 - rate)
-                                * dW_norm < self.newton_tol):
+                                * dW_norm < tol):
                 converged = True
                 break
             dW_norm_old = dW_norm
+        self.nfev += 3 * (k + 1)
         self.newton_iters += k + 1
         return converged, k + 1, Z, rate
 
     def step(self):
         """One accepted step; False when the step size underflows."""
         t, y, f = self.t, self.y, self.f
+        rtol, atol = self.rtol, self.atol
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if self.h_abs < min_step:
             h_abs, h_abs_old, error_norm_old = min_step, None, None
@@ -463,6 +546,8 @@ class _Radau:
         J, LU_real, LU_complex = self.J, self.LU_real, self.LU_complex
         current_jac = self.current_jac
         rejected = False
+        abs_y = np.abs(y)
+        scale = atol + abs_y * rtol
         while True:
             if h_abs < min_step:
                 return False
@@ -472,7 +557,6 @@ class _Radau:
                 Z0 = np.zeros((3, y.size))
             else:
                 Z0 = self.dense(t + h * _C).T - y
-            scale = self.atol + np.abs(y) * self.rtol
             while True:
                 if LU_real is None or LU_complex is None:
                     LU_real = self._lu(_MU_REAL / h, J)
@@ -492,13 +576,13 @@ class _Radau:
             y_new = y + Z[-1]
             ZE = Z.T.dot(_E) / h
             error = LU_real(f + ZE)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = _rms(error / scale)
+            err_scale = atol + np.maximum(abs_y, np.abs(y_new)) * rtol
+            error_norm = _rms(error / err_scale)
             safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER
                                                         + n_iter)
             if rejected and error_norm > 1:
                 error = LU_real(self._fun1(t, y + error) + ZE)
-                error_norm = _rms(error / scale)
+                error_norm = _rms(error / err_scale)
             if error_norm <= 1:
                 break
             factor = _predict_factor(h_abs, h_abs_old, error_norm,

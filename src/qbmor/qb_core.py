@@ -153,13 +153,14 @@ class QBSystem:
         x is one state (length n) with its input u (length m), or an n x q
         block of states with the m x q block of their inputs; column j of
         the result is then the rhs at (x[:, j], u[:, j]). Reads only the
-        cached operator set (`_VectorField`): one product of the stacked
-        operator with the block, then the pair products and the input
-        terms. A single state is the block with q = 1, and every column is
-        computed with the same arithmetic as a single state: the products
-        run column by column inside one call (matrix-vector BLAS for a
-        dense K, CSR for a sparse one), so a block and q single calls agree
-        to the last bit.
+        cached operator set (`_VectorField`): one CSR product of the
+        stacked operator G with z = [x; u; 1], one Hadamard product of the
+        left and right factors it yields and one sum over their blocks. A
+        single state is the block with q = 1, and every column is computed
+        with the same arithmetic as a single state: the CSR product runs
+        column by column inside one call and the products are summed with
+        the columns outermost, so a block and q single calls agree to the
+        last bit.
         """
         x = np.asarray(x)
         u = np.asarray(u, dtype=float)
@@ -180,84 +181,90 @@ class QBSystem:
         most `_SPARSE_FILL` of n^2; a dense ndarray otherwise. A Hessian in
         dense storage touches every entry.
         """
-        x = np.asarray(x)
-        u = np.atleast_1d(np.asarray(u, dtype=float))
         f = self._vector_field()
-        o, P = f.lin_rows, f.pair_rows
-        d = (f.K @ x)[o + P:]
-        data = f.scatter @ np.concatenate(([1.0], u, 2.0 * d))
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        data = f.scatter @ (f.G @ np.concatenate((x, u, [1.0])))[f.half:]
         if f.pattern is None:
             return data.reshape(self.n, self.n)
-        return sp.csr_array((data, *f.pattern), shape=(self.n, self.n))
+        # the index arrays are copied: a caller that prunes or sorts the
+        # result in place must not rewrite the cached pattern
+        indices, indptr = f.pattern
+        return sp.csr_array((data, indices.copy(), indptr.copy()),
+                            shape=(self.n, self.n))
 
 
 @dataclass(frozen=True)
 class _VectorField:
     """The operators of one system's rhs and Jacobian, built once.
 
-    K stacks [A; N_1; ...; N_m; L_1; ...; L_P; R_1; ...; R_P] over the pair
-    factors of the symmetrized Hessian, so one matvec K x yields every
-    product the rhs needs: its first lin_rows = (m + 1) n rows are the
-    linear part, the next pair_rows the L_j x and the last pair_rows the
-    R_j x. Since H(I (x) x) = sum_j diag(R_j x) L_j, scatter maps
-    c = [1; u; 2 R_j x ...] to the Jacobian's stored entries; pattern is
-    its CSR (indices, indptr), or None when it is dense and the entries run
-    over the n x n grid row by row. K is CSR when the pattern is sparse.
-    B is the system's input matrix, so ``rhs`` needs nothing else.
+    G is one CSR operator on z = [x; u; 1]. Its rows come in blocks of n,
+    one block per term of the rhs, and each term is the Hadamard product
+    of a left and a right factor: (A x + B u) o 1, then u_k o (N_k x) for
+    each input channel, then (L_j x) o (R_j x) for each pair factor of the
+    symmetrized Hessian. The first `half` rows of G give the left factors
+    and the rest the right ones, so with Y = G z
+
+        rhs = sum over blocks of Y[:half] o Y[half:].
+
+    A term's Jacobian is diag(right) times its left factor's x columns,
+    twice that for a Hessian pair, since the symmetrized pair list holds
+    (L/2, R) and (R/2, L) together. scatter maps the right factors
+    Y[half:] to the Jacobian's stored entries; pattern is its CSR
+    (indices, indptr), or None when it is dense and the entries run over
+    the n x n grid row by row.
     """
-    K: object
-    lin_rows: int
-    pair_rows: int
+    G: sp.csr_array
+    half: int
     scatter: sp.csr_array
     pattern: object
-    B: np.ndarray
 
     def rhs(self, x, u):
         """``QBSystem.rhs`` of an n x q state block and its m x q inputs,
-        unchecked."""
-        n, m = self.B.shape
-        o, P, q = self.lin_rows, self.pair_rows, x.shape[1]
-        # row j of Y is K x[:, j]
-        if sp.issparse(self.K):
-            Y = (self.K @ x).T
-        else:
-            Y = (self.K @ x.T[:, :, None])[:, :, 0]
-        quad = (Y[:, o:o + P] * Y[:, o + P:]).reshape(q, -1, n).sum(axis=1)
-        bilinear = (u.T[:, None, :] @ Y[:, n:o].reshape(q, m, n))[:, 0]
-        out = Y[:, :n] + bilinear + quad + (self.B @ u.T[:, :, None])[:, :, 0]
-        return out.T
+        unchecked; the result's transpose is C-contiguous."""
+        (n, q), h = x.shape, self.half
+        z = np.empty((self.G.shape[1], q))
+        z[:n], z[n:-1], z[-1] = x, u, 1.0
+        Y = self.G @ z
+        # the products laid out with the columns outermost, so that each
+        # column's block sum runs as a single column's does
+        prod = np.multiply(Y[:h].T, Y[h:].T, out=np.empty((q, h)))
+        return prod.reshape(q, -1, n).sum(axis=1).T
 
     @classmethod
     def build(cls, sys):
         n, m = sys.n, sys.m
-        lin = sp.csr_array(sp.vstack([sp.csr_array(M)
-                                      for M in [sys.A] + sys.N]))
         if sys.H.is_zero:
             Ls = Rs = sp.csr_array((0, n))
         else:
             Ls, Rs = (sp.csr_array(M) for M in sys.H.to_pairs()._stacked())
-        # each Jacobian term: its cell row * n + col, value and index into c
-        terms = [lin.tocoo(), Ls.tocoo()]
-        cell = np.concatenate([(M.row.astype(np.int64) % n) * n + M.col
-                               for M in terms])
-        val = np.concatenate([M.data for M in terms])
-        coef = np.concatenate([terms[0].row // n, m + 1 + terms[1].row])
+        # block columns x, u and the constant 1 of z; block rows the left
+        # factors, then the right ones in the same order
+        one = sp.csr_array(np.ones((n, 1)))
+        chan = [sp.csr_array((np.ones(n), (np.arange(n), np.full(n, k))),
+                             shape=(n, m)) for k in range(m)]
+        G = sp.block_array([[sys.A, sys.B, None]]
+                           + [[Nk, None, None] for Nk in sys.N]
+                           + [[Ls, None, None], [None, None, one]]
+                           + [[None, S, None] for S in chan]
+                           + [[Rs, None, None]], format="csr")
+        half = (m + 1) * n + Ls.shape[0]
+        left = G[:half, :n]
+        # each Jacobian term: its cell row * n + col, value and index into
+        # the right factors; the linear block's right factor is 1
+        lc = left.tocoo()
+        cell = (lc.row.astype(np.int64) % n) * n + lc.col
+        val = np.where(lc.row < (m + 1) * n, 1.0, 2.0) * lc.data
         cells = np.unique(cell)
-        sparse = cells.size <= _SPARSE_FILL * n * n
-        K = sp.csr_array(sp.vstack([lin, Ls, Rs]))
-        if not sparse:
-            K = K.toarray()
-        if sparse and sys.E is None:
+        if cells.size <= _SPARSE_FILL * n * n and sys.E is None:
             pos = np.searchsorted(cells, cell)
             grid = sp.csr_array((np.ones(cells.size), (cells // n, cells % n)),
                                 shape=(n, n))
             pattern = (grid.indices, grid.indptr)
         else:
             cells, pos, pattern = np.arange(n * n), cell, None
-        scatter = sp.csr_array((val, (pos, coef)),
-                               shape=(cells.size, m + 1 + Ls.shape[0]))
-        return cls(K=K, lin_rows=lin.shape[0], pair_rows=Ls.shape[0],
-                   scatter=scatter, pattern=pattern, B=sys.B)
+        scatter = sp.csr_array((val, (pos, lc.row)),
+                               shape=(cells.size, half))
+        return cls(G=G, half=half, scatter=scatter, pattern=pattern)
 
 
 @dataclass

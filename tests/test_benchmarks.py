@@ -10,12 +10,13 @@ from scipy.integrate import solve_ivp
 
 from conftest import rng_for, random_stable_qb
 import qbmor
+import qbmor.benchmarks as benchmarks
 from qbmor.benchmarks import (InputSignal, Trajectory, chafee_infante,
                               fitzhugh_nagumo, input_signal, output_errors,
                               simulate, to_csv)
 from qbmor.errors import NewtonDivergence, NonFiniteState
 from qbmor.kron_tensor import Hessian
-from qbmor.qb_core import QBSystem, project
+from qbmor.qb_core import QBSystem, _VectorField, project
 
 
 def vector_field(sys, x, uv):
@@ -196,6 +197,23 @@ def test_custom_signal_interpolates():
         input_signal("custom")
     with pytest.raises(ValueError):
         input_signal("unheard-of")
+
+
+@pytest.mark.parametrize("kind", ["ci_u1", "ci_u2", "fhn_i0_sin",
+                                  "fhn_i0_bump", "custom"])
+def test_batched_input_evaluation_matches_calls(kind):
+    table = (np.array([0.0, 0.7, 2.0, 5.0]),
+             np.array([[0.0, 1.0], [2.0, -1.0], [4.0, 3.0], [1.0, 0.5]]))
+    u = input_signal(kind, table=table if kind == "custom" else None)
+    rng = rng_for(47)
+    # sample times, table knots, points beyond the table and stage times
+    ts = np.concatenate([np.linspace(0.0, 6.0, 37), table[0],
+                         rng.uniform(-1.0, 7.0, 20),
+                         0.3 + 0.01 * np.array([0.155, 0.645, 1.0])])
+    batch = u.at(ts)
+    assert batch.shape == (u.m, ts.size)
+    assert np.array_equal(batch, np.array([u(t) for t in ts]).T)
+    assert np.array_equal(u.at((ts[3],)), u(ts[3])[:, None])
 
 
 # ----------------------------------------------------------------- simulate
@@ -515,13 +533,18 @@ def test_bad_initial_state_or_tolerance_rejected_before_stepping(
         raise AssertionError("rhs evaluated before the arguments were checked")
 
     monkeypatch.setattr(QBSystem, "rhs", refuse)
+    monkeypatch.setattr(_VectorField, "rhs", refuse)
     for x0 in (np.zeros(sys_.n - 1), np.zeros((sys_.n, 1)),
                np.full(sys_.n, np.nan)):
         with pytest.raises(ValueError):
             simulate(sys_, u, 1.0, 11, x0=x0)
-    for tol in (dict(rtol=1e-16), dict(rtol=np.nan), dict(atol=-1e-10)):
+    for tol in (dict(rtol=1e-16), dict(rtol=np.nan), dict(atol=-1e-10),
+                dict(rtol=np.inf), dict(atol=np.inf)):
         with pytest.raises(ValueError):
             simulate(sys_, u, 1.0, 11, **tol)
+    for T in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError):
+            simulate(sys_, u, T, 11)
 
 
 def _copy_as(cls, sys):
@@ -539,6 +562,66 @@ class _NaNJacobian(QBSystem):
         J = super().jacobian(x, u)
         J.data[0] = np.nan
         return J
+
+
+@pytest.mark.parametrize("state", ["zero", "random"])
+def test_iteration_matrix_matches_scipy_subtraction(state):
+    # at x = 0 the Jacobian stores explicit zeros, which scipy's
+    # subtraction drops; the fixed pattern must drop them too
+    sys_ = chafee_infante(100)
+    n = sys_.n
+    x = np.zeros(n) if state == "zero" else rng_for(48).standard_normal(n)
+    J = sys_.jacobian(x, [0.7])
+    assert np.any(J.data == 0.0) == (state == "zero")
+    pattern = benchmarks._IterationPattern(J)
+    data = pattern.scatter(J)
+    # the iteration matrices as scipy's Radau forms them
+    eye, Jc = sp.eye_array(n, format="csc"), sp.csc_array(J)
+    # the last mu is an underflowed step's, infinite
+    for mu in (benchmarks._MU_REAL / 0.01, benchmarks._MU_COMPLEX / 0.01,
+               benchmarks._MU_COMPLEX / 5e-324):
+        with np.errstate(invalid="ignore"):     # as inside simulate
+            ours, ref = pattern.matrix(mu, data), mu * eye - Jc
+        assert ours.format == "csc" and ours.dtype == ref.dtype
+        assert np.array_equal(ours.indices, ref.indices)
+        assert np.array_equal(ours.indptr, ref.indptr)
+        # bit for bit, signed zeros included
+        assert ours.data.tobytes() == ref.data.tobytes()
+
+
+class _PrunedJacobian(QBSystem):
+    # drops the stored zeros, so the pattern follows the state
+    def jacobian(self, x, u):
+        J = super().jacobian(x, u)
+        J.eliminate_zeros()
+        return J
+
+
+def test_iteration_pattern_is_refit_when_the_jacobian_pattern_changes(
+        monkeypatch):
+    sys_ = chafee_infante(100)
+    J0, J1 = (_copy_as(_PrunedJacobian, sys_).jacobian(x, [0.7])
+              for x in (np.zeros(sys_.n), np.ones(sys_.n)))
+    assert J0.nnz < J1.nnz
+    assert not benchmarks._IterationPattern(J0).fits(J1)
+
+    fixed = []
+    init = benchmarks._IterationPattern.__init__
+
+    def counted(self, J):
+        fixed.append(J.nnz)
+        init(self, J)
+
+    u, kw = input_signal("ci_u1"), dict(rtol=1e-5, atol=1e-7)
+    ref = simulate(sys_, u, 10.0, 41, store_states=True, **kw)
+    monkeypatch.setattr(benchmarks._IterationPattern, "__init__", counted)
+    tr = simulate(_copy_as(_PrunedJacobian, sys_), u, 10.0, 41,
+                  store_states=True, **kw)
+    # fixed at the pruned first Jacobian, then again at the full pattern
+    assert len(fixed) >= 2 and fixed[0] < fixed[1]
+    # scipy drops the same zeros from mu I - J, so nothing else changes
+    assert tr.stats == ref.stats
+    assert np.array_equal(tr.states, ref.states)
 
 
 def test_sparse_jacobian_takes_the_dense_path_steps():

@@ -212,6 +212,19 @@ def test_jacobian_format_rule():
         assert J.shape == (sys.n, sys.n)
 
 
+def test_jacobian_owns_its_pattern():
+    # pruning one Jacobian in place leaves the next one whole
+    sys = chafee_infante(100)
+    x = rng_for(49).standard_normal(sys.n)
+    ref = sys.jacobian(x, [0.5])
+    J0 = sys.jacobian(np.zeros(sys.n), [0.5])
+    J0.eliminate_zeros()
+    J = sys.jacobian(x, [0.5])
+    assert np.array_equal(J.indices, ref.indices)
+    assert np.array_equal(J.indptr, ref.indptr)
+    assert np.array_equal(J.data, ref.data)
+
+
 def test_operator_set_is_built_once(monkeypatch):
     sys = chafee_infante(100)
     rng = rng_for(43)
