@@ -448,10 +448,18 @@ class _Radau:
         return self._pattern.scatter(J)
 
     def _lu(self, mu, J):
-        """A solver b -> (mu I - J)^{-1} b from one LU factorization."""
+        """A solver b -> (mu I - J)^{-1} b from one LU factorization; of
+        NaNs for a singular sparse matrix, as getrf's solves are then
+        non-finite, so that the step is rejected on either path."""
         self.nlu += 1
         if self._pattern is not None:
-            return spla.splu(self._pattern.matrix(mu, J)).solve
+            try:
+                return spla.splu(self._pattern.matrix(mu, J)).solve
+            except RuntimeError as exc:
+                if "singular" not in str(exc):
+                    raise
+                return lambda b: np.full(b.shape, np.nan,
+                                         dtype=np.result_type(mu, b))
         if self._I is None:
             self._I = np.identity(J.shape[0])
         M = mu * self._I - J

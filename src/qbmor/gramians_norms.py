@@ -314,7 +314,7 @@ def _embed_pairs(h, lead, trail):
         size = lead + F.shape[0] + trail
         return sp.csr_array((F.data, F.indices + lead, indptr),
                             shape=(size, size))
-    return [(embed(L), embed(R)) for L, R in h.to_pairs().pairs]
+    return [(embed(L), embed(R)) for L, R in h.pairs]
 
 
 def _block_diag(M, Mr):

@@ -110,13 +110,6 @@ def _dense_factor(M):
 _KRON_BLOCK = 1 << 17
 
 
-def _same_entries(X, Y):
-    """Whether two dense or sparse matrices are equal entry for entry."""
-    if sp.issparse(X) or sp.issparse(Y):
-        return (sp.csr_array(X) != sp.csr_array(Y)).nnz == 0
-    return np.array_equal(X, Y)
-
-
 def _nonzero_rows(M):
     if sp.issparse(M):
         return np.diff(M.indptr) > 0
@@ -146,6 +139,9 @@ class Hessian:
 
     storage is 'dense' (n x n^2 matrix) or 'pairs' (list of factor pairs
     (A_j, B_j), each n x n, with mode-1 row i = sum_j A_j(i,:) (x) B_j(i,:)).
+    Every product reads the pair list. A dense Hessian keeps its tensor T
+    for ``mode1``, ``symmetrized`` and ``scaled``, and its products read its
+    pair view, pair s = (1 e_s^T, T[:, s, :]), built once on first use.
     """
 
     def __init__(self, n, storage, data, symmetric=False):
@@ -185,24 +181,6 @@ class Hessian:
         return cls(n, "pairs", pairs, symmetric=symmetric)
 
     @classmethod
-    def from_symmetric_pairs(cls, pairs, n):
-        """A symmetric Hessian of the given pairs. When they lie as
-        ``symmetrized`` leaves them, (L_j/2, R_j) and (R_j/2, L_j) as pairs
-        2j and 2j + 1, the list (L_j, R_j) they came from is read back from
-        the second factors for ``kron_gram``; it is kept only when every
-        first factor is half of its partner's second factor entry for
-        entry."""
-        h = cls(n, "pairs", pairs, symmetric=True)
-        half = [(L, R) for (_, R), (_, L) in zip(h._pairs[::2],
-                                                 h._pairs[1::2])]
-        firsts = [F for F, _ in h._pairs]
-        halves = [0.5 * F for pair in half for F in pair]
-        if len(firsts) % 2 == 0 and all(
-                _same_entries(F, G) for F, G in zip(firsts, halves)):
-            h._half = cls.from_pairs(half, n)
-        return h
-
-    @classmethod
     def zero(cls, n):
         return cls(n, "pairs", [], symmetric=True)
 
@@ -212,15 +190,29 @@ class Hessian:
 
     @property
     def pairs(self):
-        if self.storage != "pairs":
-            raise ValueError("not in pair storage; call to_pairs() first")
+        """The pair list; a dense Hessian's pair view is cut from
+        ``_stacked`` once, so pair s is (1 e_s^T, T[:, s, :])."""
+        if self._pairs is None:
+            n = self.n
+            Ls, Rs = self._stacked()
+            self._pairs = [(Ls[s * n:(s + 1) * n], Rs[s * n:(s + 1) * n])
+                           for s in range(n)]
         return self._pairs
 
     def _stacked(self):
         """The pairs stacked once into two (npairs*n) x n operators.
 
-        CSR when any factor is sparse; ``_active_rows`` selects its rows.
+        CSR when any factor of a pair list is sparse; ``_active_rows``
+        selects its rows. A dense Hessian's pair view is stacked in one
+        step: a CSR selector stack, whose row s*n + i picks x_s, and the
+        reshaped tensor, whose row s*n + i is T[i, s, :].
         """
+        if self._stack is None and self.storage == "dense":
+            n = self.n
+            select = sp.csr_array((np.ones(n * n), np.repeat(np.arange(n), n),
+                                   np.arange(n * n + 1)), shape=(n * n, n))
+            T = self._Hm.reshape(n, n, n)
+            self._stack = (select, T.transpose(1, 0, 2).reshape(n * n, n))
         if self._stack is None:
             Ls = [L for L, _ in self._pairs]
             Rs = [R for _, R in self._pairs]
@@ -228,8 +220,9 @@ class Hessian:
                 self._stack = tuple(
                     sp.csr_array(sp.vstack([sp.csr_array(M) for M in Ms]))
                     for Ms in (Ls, Rs))
-            else:
-                self._stack = (np.vstack(Ls), np.vstack(Rs))
+            else:   # reshape, not vstack: the zero Hessian has no pairs
+                self._stack = (np.reshape(Ls, (-1, self.n)),
+                               np.reshape(Rs, (-1, self.n)))
         return self._stack
 
     def _active_rows(self):
@@ -294,13 +287,6 @@ class Hessian:
         if X.shape[0] != self.n or Y.shape[0] != self.n:
             raise ValueError("row dimension mismatch")
         q, s = X.shape[1], Y.shape[1]
-        if self.storage == "dense":
-            T = self._Hm.reshape(self.n, self.n, self.n)
-            M = np.tensordot(T, X, axes=([1], [0]))       # (i, b, q)
-            M = np.tensordot(M, Y, axes=([1], [0]))       # (i, q, s)
-            return M.reshape(self.n, q * s)
-        if not self._pairs:
-            return np.zeros((self.n, q * s), dtype=np.result_type(X, Y, float))
         out = 0.0  # the first block's sum replaces it, the others add to it
         for L, R, _, S, _ in self._active_blocks(q * s):
             out += S @ _row_kron(L @ X, R @ Y)
@@ -321,12 +307,6 @@ class Hessian:
             raise ValueError("row dimension mismatch")
         a, b = np.triu_indices(X.shape[1])
         w = np.where(a == b, 1.0, np.sqrt(2.0))
-        if self.storage == "dense":
-            T = self._Hm.reshape(self.n, self.n, self.n)
-            M = np.tensordot(T, X, axes=([1], [0]))       # (i, c, q)
-            return np.einsum("icj,cj->ij", M[:, :, a], X[:, b]) * w
-        if not self._pairs:
-            return np.zeros((self.n, a.size), dtype=np.result_type(X, float))
         out = 0.0
         for L, R, _, S, _ in self._active_blocks(a.size):
             out += S @ _row_kron_distinct(L @ X, R @ X)
@@ -339,13 +319,6 @@ class Hessian:
         if X.shape[0] != self.n or Y.shape[0] != self.n:
             raise ValueError("row dimension mismatch")
         q, s = X.shape[1], Y.shape[1]
-        if self.storage == "dense":
-            T = self._Hm.reshape(self.n, self.n, self.n)
-            M = np.tensordot(T, X, axes=([1], [0]))       # (i, b, q)
-            M = np.tensordot(M, Y, axes=([0], [0]))       # (b, q, s)
-            return M.reshape(self.n, q * s)
-        if not self._pairs:
-            return np.zeros((self.n, q * s), dtype=np.result_type(X, Y, float))
         out = 0.0
         for L, _, RT, _, dest in self._active_blocks(q * s):
             out += RT @ _row_kron(L @ X, Y[dest])
@@ -354,10 +327,9 @@ class Hessian:
     def kron_gram(self, P):
         """H(P (x) P)H^T for a symmetric H and a symmetric n x n P.
 
-        No Kronecker product is formed. Dense storage contracts the tensor:
-        entry (i, k) is <T_i, P T_k P> with T_i = T[i, :, :]. Pair storage
-        works over the active rows L, R and the summation S of the pair list
-        the Hessian was symmetrized from, or of its own list when none is
+        No Kronecker product is formed. It works over the active rows L, R
+        and the summation S of the pair list the Hessian was symmetrized
+        from, or of its own list (a dense Hessian's pair view) when none is
         known: with Y = R P L^T,
 
             H(P (x) P)H^T = S[(L P L^T) o (R P R^T) + Y o Y^T]S^T / 2,
@@ -371,14 +343,7 @@ class Hessian:
         P = np.asarray(P)
         if P.shape != (self.n, self.n):
             raise ValueError("P must be n x n")
-        n = self.n
-        if self.storage == "dense":
-            T = self._Hm.reshape(n, n, n)
-            PTP = np.matmul(np.matmul(P, T), P)
-            return self._Hm @ PTP.reshape(n, n * n).T
         pairs = self if self._half is None else self._half
-        if not pairs._pairs:
-            return np.zeros((n, n))
         L, R, _, S, _ = pairs._active_rows()
         LP, RP = L @ P, R @ P
         Y = R @ LP.T
@@ -391,24 +356,13 @@ class Hessian:
         """The map Q -> H^(2)(P (x) Q)(H^(2))^T for symmetric P and Q, where
         H^(2) is the mode-2 unfolding (``apply_kron_mode2``).
 
-        What depends on P alone is formed once. Dense storage contracts the
-        tensor: the image is sum_i T_i^T P W_i with W_i = sum_k Q_ik T_k.
-        Pair storage works over the active rows L, R, dest of its own list:
-        the image is R^T[(L P L^T) o Q[dest, dest]]R.
+        What depends on P alone is formed once. It works over the active
+        rows L, R, dest of the pair list (a dense Hessian's pair view): the
+        image is R^T[(L P L^T) o Q[dest, dest]]R.
         """
         P = np.asarray(P)
         if P.shape != (self.n, self.n):
             raise ValueError("P must be n x n")
-        n = self.n
-        if self.storage == "dense":
-            T = self._Hm.reshape(n, n, n)
-            # row b, column (i, a) holds (T_i^T P)[b, a]
-            G = np.matmul(T.transpose(0, 2, 1), P).transpose(1, 0, 2)
-            G = G.reshape(n, n * n)
-            return lambda Q: G @ np.tensordot(Q, T, axes=(1, 0)).reshape(
-                n * n, n)
-        if not self._pairs:
-            return lambda Q: np.zeros((n, n))
         L, _, RT, _, dest = self._active_rows()
         LPL = L @ (L @ P).T
 
@@ -453,26 +407,8 @@ class Hessian:
             h._half = self._half.scaled(gamma)
         return h
 
-    def to_pairs(self):
-        """Rewrite as factor pairs; pair s is (ones*e_s^T, T[:,s,:]).
-
-        The selector ones*e_s^T is a sparse n x n array with n nonzeros.
-        """
-        if self.storage == "pairs":
-            return self
-        n = self.n
-        T = self._Hm.reshape(n, n, n)
-        rows = np.arange(n)
-        pairs = []
-        for s in range(n):
-            L = sp.csr_array((np.ones(n), (rows, np.full(n, s))), shape=(n, n))
-            pairs.append((L, T[:, s, :].copy()))
-        return Hessian.from_pairs(pairs, n, symmetric=self.symmetric)
-
     def norm(self):
         """Frobenius norm of the mode-1 unfolding."""
-        if self.storage == "dense":
-            return float(np.linalg.norm(self._Hm))
         return float(np.linalg.norm(self.mode1()))
 
 

@@ -233,10 +233,7 @@ class _VectorField:
     @classmethod
     def build(cls, sys):
         n, m = sys.n, sys.m
-        if sys.H.is_zero:
-            Ls = Rs = sp.csr_array((0, n))
-        else:
-            Ls, Rs = (sp.csr_array(M) for M in sys.H.to_pairs()._stacked())
+        Ls, Rs = (sp.csr_array(M) for M in sys.H._stacked())
         # block columns x, u and the constant 1 of z; block rows the left
         # factors, then the right ones in the same order
         one = sp.csr_array(np.ones((n, 1)))
@@ -310,10 +307,15 @@ class ReducedModel(QBSystem):
 
         f holds the spectral factors of a matrix (usually A itself); lam
         replaces f.lam in the bundle when given, e.g. reflected shifts.
+        H(R (x) R) contracts the r x r x r tensor: each ``tqb_irka`` sweep
+        moves a fresh model, whose pair view costs several contractions.
         """
         R, Rinv = f.R, f.Rinv
         r = self.r
-        Htil = gamma * (Rinv @ self.H.apply_kron(R, R))
+        T = self.H.mode1().reshape(r, r, r)
+        HRR = np.tensordot(np.tensordot(T, R, axes=([1], [0])), R,
+                           axes=([1], [0]))
+        Htil = gamma * (Rinv @ HRR.reshape(r, r * r))
         Htil2 = Htil.reshape(r, r, r).transpose(2, 1, 0).reshape(r, r * r)
         return SpectralBundle(
             R=R, lam=f.lam if lam is None else lam, Rinv=Rinv,
@@ -450,7 +452,9 @@ def _fmt_float(x):
 
 
 def save_system(sys, out_dir):
-    """Write a system directory; returns the manifest path."""
+    """Write a system directory; returns the manifest path. A pair list is
+    written as the list it was symmetrized from when that is known, flagged
+    non-symmetric, for ``load_system`` to symmetrize again."""
     os.makedirs(out_dir, exist_ok=True)
     entries = [
         ("format", "qbmor-system-1"),
@@ -472,6 +476,7 @@ def save_system(sys, out_dir):
     if H.is_zero:
         entries.append(("hessian", "none"))
     elif H.storage == "pairs":
+        H = H if H._half is None else H._half
         entries.append(("hessian", "pairs"))
         entries.append(("hpairs", str(len(H.pairs))))
         for j, (L, R) in enumerate(H.pairs):
@@ -491,7 +496,9 @@ def save_system(sys, out_dir):
 
 
 def load_system(path):
-    """Read a system directory (accepts the directory or the manifest path)."""
+    """Read a system directory (accepts the directory or the manifest path).
+    ``QBSystem`` symmetrizes the Hessian as stored, unless it is flagged
+    symmetric."""
     if os.path.isdir(path):
         path = os.path.join(path, "system.qbm")
     man = _read_manifest(path)
@@ -515,8 +522,7 @@ def load_system(path):
             L = _read_matrix(os.path.join(base, man["hpair_a_%d" % j]))
             R = _read_matrix(os.path.join(base, man["hpair_b_%d" % j]))
             pairs.append((L, R))
-        H = (Hessian.from_symmetric_pairs(pairs, n) if sym
-             else Hessian.from_pairs(pairs, n))
+        H = Hessian.from_pairs(pairs, n, symmetric=sym)
     else:
         Hm = _read_matrix(os.path.join(base, man["hmode1"]))
         if sp.issparse(Hm):

@@ -396,6 +396,25 @@ def test_overflow_in_the_first_steps_is_typed():
                      rtol=1e-5, atol=1e-7)
 
 
+@pytest.mark.parametrize("sparse", [True, False])
+def test_singular_iteration_matrix_is_typed(sparse):
+    # x' = -x + x o x from x0 ~ 1e150 underflows the first step; mu I - J
+    # is then singular, and splu's refusal must end as getrf's non-finite
+    # solves do, in NewtonDivergence
+    n = 100
+    I = sp.eye_array(n, format="csr")
+    A = -I if sparse else -np.eye(n) + 1e-3 * np.ones((n, n)) / n
+    sys = QBSystem(A, Hessian.from_pairs([(I, I)], n),
+                   [sp.csr_array((n, n))], np.zeros((n, 1)), np.ones((1, n)))
+    x0 = np.linspace(0.5, 1.0, n) * 1e150
+    assert sp.issparse(sys.jacobian(x0, [0.0])) == sparse
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NewtonDivergence):
+            simulate(sys, constant_input(1, [0.0]), 1.0, 11, x0=x0,
+                     rtol=1e-5, atol=1e-7)
+
+
 def test_simulate_deterministic():
     sys = chafee_infante(5)
     u = input_signal("ci_u1")

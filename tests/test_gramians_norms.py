@@ -523,7 +523,8 @@ def test_error_system_embeds_sparse_factors():
     assert sys.H.storage == "dense"
     red = project(sys, rng.standard_normal((n, r)),
                   rng.standard_normal((n, r)))
-    pairs = sys.H.to_pairs().pairs
+    pairs = Hessian.from_pairs(sys.H.pairs, n,
+                               symmetric=sys.H.symmetric).pairs
     assert len(pairs) == n
     for L, _ in pairs:
         assert sp.issparse(L) and L.nnz == n

@@ -1,11 +1,13 @@
-"""Every name a library module imports is used in that module, no library
+"""Every name a library module imports is used in that module, every
+function, class and method is referenced somewhere in the package, no library
 module imports scipy.integrate, ``import qbmor`` loads neither
 scipy.integrate nor scipy.optimize, and every type in qbmor.errors is used
 by some other library module.
 
 Walks the syntax tree of each module under src/qbmor (the package's
-__init__.py re-exports by design and is skipped), and imports the package
-once in a fresh interpreter; needs only the standard library.
+__init__.py re-exports by design: the import check skips it, and its
+re-exports count as references), and imports the package once in a fresh
+interpreter; needs only the standard library.
 """
 
 import ast
@@ -97,3 +99,50 @@ def test_error_type_is_used_outside_errors(name):
     users = [module for module in MODULES if module != "errors.py"
              and name in _referenced_names(_parse(module))]
     assert users, "%s is referenced by no module but errors.py" % name
+
+
+# defined for the tests alone: gate 1's permutation identities and the
+# dense form of a permutation
+UNREFERENCED = {"commutation_matrix", "perm_M", "PermutationMatrix.to_dense"}
+
+
+def _definitions(tree, prefix=""):
+    # qualified names of the functions and classes, methods as Class.name
+    for node in ast.iter_child_nodes(tree):
+        inner = prefix
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node
+            if isinstance(node, ast.ClassDef):
+                inner = prefix + node.name + "."
+        yield from _definitions(node, inner)
+
+
+def _is_command(node):
+    # click registers a decorated command with its group
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group")
+               for d in node.decorator_list)
+
+
+def _package_references():
+    # attribute and plain names, and the names of ``from ... import``, so
+    # that a re-export in __init__.py counts
+    names = set()
+    for module in MODULES + ["__init__.py"]:
+        tree = _parse(module)
+        names |= _referenced_names(tree) | {
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return names
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_definition_is_referenced(module):
+    referenced = _package_references()
+    dead = sorted(name for name, node in _definitions(_parse(module))
+                  if node.name not in referenced
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__"))
+                  and name not in UNREFERENCED and not _is_command(node))
+    assert not dead, "%s defines names no library module references: %s" % (
+        module, dead)

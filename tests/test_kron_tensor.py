@@ -247,7 +247,7 @@ def test_apply_kron_matches_explicit():
     X = rng.standard_normal((n, q))
     Y = rng.standard_normal((n, s))
     assert np.allclose(h.apply_kron(X, Y), h.mode1() @ np.kron(X, Y), atol=1e-13)
-    hp = h.to_pairs()
+    hp = Hessian.from_pairs(h.pairs, h.n, symmetric=h.symmetric)
     assert np.allclose(hp.apply_kron(X, Y), h.mode1() @ np.kron(X, Y), atol=1e-12)
 
 
@@ -259,7 +259,7 @@ def test_apply_kron_mode2_matches_explicit():
     Y = rng.standard_normal((n, s))
     expected = mode_matricize(h, 2) @ np.kron(X, Y)
     assert np.allclose(h.apply_kron_mode2(X, Y), expected, atol=1e-13)
-    hp = h.to_pairs()
+    hp = Hessian.from_pairs(h.pairs, h.n, symmetric=h.symmetric)
     assert np.allclose(hp.apply_kron_mode2(X, Y), expected, atol=1e-12)
 
 
@@ -375,7 +375,7 @@ def test_kron_identity_jacobian_columns():
     h = random_dense_hessian(n, rng)
     x = rng.standard_normal(n)
     J = kron_identity(h, x)
-    hp = h.to_pairs()
+    hp = Hessian.from_pairs(h.pairs, h.n, symmetric=h.symmetric)
     for a in range(n):
         e = np.zeros(n)
         e[a] = 1.0
@@ -445,7 +445,7 @@ def test_congruence_matches_explicit_product():
     W = rng.standard_normal((n, r))
     expected = W.T @ h.mode1() @ np.kron(V, V)
     assert np.allclose(h.congruence(V, W), expected, rtol=1e-12)
-    hp = h.to_pairs()
+    hp = Hessian.from_pairs(h.pairs, h.n, symmetric=h.symmetric)
     assert np.allclose(hp.congruence(V, W), expected, rtol=1e-12)
 
 
@@ -480,10 +480,12 @@ def test_vec_unvec_roundtrip():
     assert np.array_equal(vec(X)[:3], X[:, 0])
 
 
-def test_to_pairs_roundtrip():
+def test_pair_view_roundtrip():
     rng = rng_for(20)
     h = random_dense_hessian(4, rng)
-    assert np.allclose(h.to_pairs().mode1(), h.mode1(), atol=1e-14)
+    hp = Hessian.from_pairs(h.pairs, h.n, symmetric=h.symmetric)
+    assert h.storage == "dense" and hp.storage == "pairs"
+    assert np.array_equal(hp.mode1(), h.mode1())
 
 
 def test_scaled():
@@ -491,7 +493,7 @@ def test_scaled():
     n = 3
     h = random_dense_hessian(n, rng, symmetric=True)
     assert np.allclose(h.scaled(2.5).mode1(), 2.5 * h.mode1(), atol=0)
-    hp = h.to_pairs()
+    hp = Hessian.from_pairs(h.pairs, h.n, symmetric=h.symmetric)
     assert np.allclose(hp.scaled(2.5).mode1(), 2.5 * h.mode1(), atol=1e-13)
 
 

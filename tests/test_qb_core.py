@@ -534,18 +534,35 @@ def test_system_roundtrip_sparse_pairs(tmp_path):
 
 
 def test_reloaded_system_keeps_its_half_pair_list(tmp_path):
-    # the stored pairs are the symmetrized (L/2, R), (R/2, L); the list
-    # (L, R) is read back, so kron_gram takes its half-size rows and the
-    # norm is the generator's to the bit
+    # the stored pairs are the list (L, R) the Hessian was symmetrized
+    # from, flagged non-symmetric; loading symmetrizes it again, so
+    # kron_gram takes its half-size rows and the norm is the generator's to
+    # the bit
     sys = chafee_infante(20)
     save_system(sys, tmp_path / "ci")
+    with open(tmp_path / "ci" / "system.qbm") as fh:
+        manifest = fh.read().splitlines()
+    assert "hpairs = 3" in manifest
+    assert "hessian_symmetric = false" in manifest
     back = load_system(tmp_path / "ci")
     assert back.H._half is not None
     assert len(back.H._half.pairs) == len(sys.H._half.pairs)
     for got, ref in zip(back.H._half.pairs, sys.H._half.pairs):
         for G, R in zip(got, ref):
             assert (sp.csr_array(G) != R).nnz == 0
-    assert h2_norm(rescale(back, 0.01)) == h2_norm(rescale(sys, 0.01))
+    norm = h2_norm(rescale(sys, 0.01))
+    assert h2_norm(rescale(back, 0.01)) == norm
+    x = np.linspace(-1.0, 1.0, sys.n)
+    u = np.array([0.3])
+    # a directory in the older layout, the symmetrized list flagged
+    # symmetric, reads back the same Hessian; kron_gram takes the full list
+    old = Hessian.from_pairs(sys.H.pairs, sys.n, symmetric=True)
+    save_system(QBSystem(sys.A, old, sys.N, sys.B, sys.C), tmp_path / "old")
+    back = load_system(tmp_path / "old")
+    assert back.H.symmetric and back.H._half is None
+    assert np.array_equal(back.H.mode1(), sys.H.mode1())
+    assert np.array_equal(back.rhs(x, u), sys.rhs(x, u))
+    assert abs(h2_norm(rescale(back, 0.01)) - norm) <= 1e-12 * norm
     # a symmetric list that is not laid out that way keeps no half list
     Dinv = sp.diags_array(1.0 / np.linspace(1.0, 2.0, sys.n))
     H = Hessian.from_pairs([(sp.csr_array(Dinv @ L), R)
