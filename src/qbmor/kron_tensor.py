@@ -139,9 +139,11 @@ class Hessian:
 
     storage is 'dense' (n x n^2 matrix) or 'pairs' (list of factor pairs
     (A_j, B_j), each n x n, with mode-1 row i = sum_j A_j(i,:) (x) B_j(i,:)).
-    Every product reads the pair list. A dense Hessian keeps its tensor T
-    for ``mode1``, ``symmetrized`` and ``scaled``, and its products read its
-    pair view, pair s = (1 e_s^T, T[:, s, :]), built once on first use.
+    The products read the pair list. A dense Hessian keeps its tensor T
+    for ``mode1``, ``symmetrized``, ``scaled`` and the two Gram maps, and
+    its other products read its pair view, pair s = (1 e_s^T, T[:, s, :]),
+    built once on first use. That view has n^2 active rows, so Gram maps
+    over it would hold n^2 x n^2 intermediates; contracting T holds n^3.
     """
 
     def __init__(self, n, storage, data, symmetric=False):
@@ -327,9 +329,10 @@ class Hessian:
     def kron_gram(self, P):
         """H(P (x) P)H^T for a symmetric H and a symmetric n x n P.
 
-        No Kronecker product is formed. It works over the active rows L, R
-        and the summation S of the pair list the Hessian was symmetrized
-        from, or of its own list (a dense Hessian's pair view) when none is
+        No Kronecker product is formed. Dense storage contracts the tensor:
+        entry (i, k) is <T_i, P T_k P> with T_i = T[i, :, :]. Pair storage
+        works over the active rows L, R and the summation S of the pair list
+        the Hessian was symmetrized from, or of its own list when none is
         known: with Y = R P L^T,
 
             H(P (x) P)H^T = S[(L P L^T) o (R P R^T) + Y o Y^T]S^T / 2,
@@ -343,6 +346,10 @@ class Hessian:
         P = np.asarray(P)
         if P.shape != (self.n, self.n):
             raise ValueError("P must be n x n")
+        if self.storage == "dense":
+            n = self.n
+            PTP = P @ self._Hm.reshape(n, n, n) @ P
+            return self._Hm @ PTP.reshape(n, n * n).T
         pairs = self if self._half is None else self._half
         L, R, _, S, _ = pairs._active_rows()
         LP, RP = L @ P, R @ P
@@ -356,13 +363,21 @@ class Hessian:
         """The map Q -> H^(2)(P (x) Q)(H^(2))^T for symmetric P and Q, where
         H^(2) is the mode-2 unfolding (``apply_kron_mode2``).
 
-        What depends on P alone is formed once. It works over the active
-        rows L, R, dest of the pair list (a dense Hessian's pair view): the
-        image is R^T[(L P L^T) o Q[dest, dest]]R.
+        What depends on P alone is formed once. Dense storage contracts the
+        tensor: the image is sum_i T_i^T P W_i with W_i = sum_k Q_ik T_k.
+        Pair storage works over the active rows L, R, dest of its own list:
+        the image is R^T[(L P L^T) o Q[dest, dest]]R.
         """
         P = np.asarray(P)
         if P.shape != (self.n, self.n):
             raise ValueError("P must be n x n")
+        if self.storage == "dense":
+            n = self.n
+            T = self._Hm.reshape(n, n, n)
+            # row b, column (i, a) holds (T_i^T P)[b, a]
+            G = (T.transpose(0, 2, 1) @ P).transpose(1, 0, 2).reshape(n, -1)
+            return lambda Q: G @ np.tensordot(Q, T, axes=(1, 0)).reshape(
+                n * n, n)
         L, _, RT, _, dest = self._active_rows()
         LPL = L @ (L @ P).T
 

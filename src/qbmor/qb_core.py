@@ -454,7 +454,9 @@ def _fmt_float(x):
 def save_system(sys, out_dir):
     """Write a system directory; returns the manifest path. A pair list is
     written as the list it was symmetrized from when that is known, flagged
-    non-symmetric, for ``load_system`` to symmetrize again."""
+    non-symmetric, for ``load_system`` to symmetrize again. A ``scaled``
+    copy is written as its own list: its half list (gamma L, R) would
+    symmetrize to (R / 2, gamma L), not to the bits of (gamma R / 2, L)."""
     os.makedirs(out_dir, exist_ok=True)
     entries = [
         ("format", "qbmor-system-1"),
@@ -476,7 +478,8 @@ def save_system(sys, out_dir):
     if H.is_zero:
         entries.append(("hessian", "none"))
     elif H.storage == "pairs":
-        H = H if H._half is None else H._half
+        if H._half is not None and H._scaled_from is None:
+            H = H._half
         entries.append(("hessian", "pairs"))
         entries.append(("hpairs", str(len(H.pairs))))
         for j, (L, R) in enumerate(H.pairs):

@@ -1,4 +1,5 @@
 import sys as _sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -333,6 +334,25 @@ def test_gram_sources_match_explicit_kronecker(storage):
     got_q = _observability_gram(sys, sys.H.mode2_gram(P), Q)
     assert np.linalg.norm(got_p - ref_p) <= 1e-14 * np.linalg.norm(ref_p)
     assert np.linalg.norm(got_q - ref_q) <= 1e-14 * np.linalg.norm(ref_q)
+
+
+def test_dense_gram_maps_take_cubic_memory():
+    # a dense Hessian's pair view has n^2 active rows, so Gram maps over it
+    # would hold n^2 x n^2 intermediates (n^4 memory, 20 MB at n = 40);
+    # contracting the tensor holds a few n x n^2 arrays (0.5 MB each)
+    rng = rng_for(32)
+    n = 40
+    H = random_stable_qb(n, 1, 1, rng).H
+    assert H.storage == "dense"
+    P, Q = _random_psd(n, rng), _random_psd(n, rng)
+    tracemalloc.start()
+    try:
+        H.kron_gram(P)
+        H.mode2_gram(P)(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n ** 3 * 8
 
 
 def test_kron_gram_needs_a_symmetric_hessian():

@@ -563,6 +563,17 @@ def test_reloaded_system_keeps_its_half_pair_list(tmp_path):
     assert np.array_equal(back.H.mode1(), sys.H.mode1())
     assert np.array_equal(back.rhs(x, u), sys.rhs(x, u))
     assert abs(h2_norm(rescale(back, 0.01)) - norm) <= 1e-12 * norm
+    # a rescaled copy is stored as its own list, flagged symmetric: its
+    # half list would symmetrize to other bits than it holds
+    scaled = rescale(sys, 0.01)
+    save_system(scaled, tmp_path / "scaled")
+    with open(tmp_path / "scaled" / "system.qbm") as fh:
+        manifest = fh.read().splitlines()
+    assert "hpairs = 6" in manifest
+    assert "hessian_symmetric = true" in manifest
+    back = load_system(tmp_path / "scaled")
+    assert np.array_equal(back.H.mode1(), scaled.H.mode1())
+    assert np.array_equal(back.rhs(x, u), scaled.rhs(x, u))
     # a symmetric list that is not laid out that way keeps no half list
     Dinv = sp.diags_array(1.0 / np.linspace(1.0, 2.0, sys.n))
     H = Hessian.from_pairs([(sp.csr_array(Dinv @ L), R)
