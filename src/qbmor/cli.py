@@ -118,8 +118,7 @@ def cmd_report(system_path, reduced_path, what, input_name, horizon, samples,
     if what == "residuals":
         # measured at the rescaling the model was computed with
         gam = red.gamma
-        pair_sys = rescale(sys_, gam) if gam != 1.0 else sys_
-        pair_red = red.rescaled(gam) if gam != 1.0 else red
+        pair_sys, pair_red = rescale(sys_, gam), rescale(red, gam)
         bases = solve_bases(pair_sys, pair_red)
         rep = optimality_residuals(pair_sys, pair_red, bases)
         click.echo("gamma=%.17g" % gam)

@@ -120,8 +120,8 @@ def _psd_sqrt(X, what):
 
 
 def _gram(factors, form):
-    """The sum of F F^T over the factors, or of Z^T F F^T Z given the
-    ``hurwitz_schur`` form of a basis Z.
+    """Z^T (sum of F F^T over the factors) Z, given the ``hurwitz_schur``
+    form of a basis Z.
 
     A factor narrower than 2n is moved into the basis (3 n^2 k flops with
     a dense Z), a wider one's product is (n^2 k + 4 n^3); a block-diagonal
@@ -129,9 +129,7 @@ def _gram(factors, form):
     """
     S = None
     for F in factors:
-        if form is None:
-            part = F @ F.T
-        elif F.shape[1] < 2 * F.shape[0]:
+        if F.shape[1] < 2 * F.shape[0]:
             G = form.left(F, transpose=True)
             part = G @ G.T
         else:
@@ -143,25 +141,24 @@ def _gram(factors, form):
     return S
 
 
-def _quadratic_source(sys, L, form=None, seed=None):
-    """H(P (x) P) H^T + sum_k N_k P N_k^T for P = L L^T, without P (x) P;
-    with a mass matrix, the factors are E^{-1}[H(L (x) L), N_k L]. H(L (x) L)
-    is read through its distinct columns. Given the seed factor E^{-1}B,
-    B B^T is added; given the form of a basis Z, the sum is Z^T S Z."""
+def _quadratic_source(sys, L, form, seed):
+    """Z^T [H(P (x) P) H^T + sum_k N_k P N_k^T + B B^T] Z for P = L L^T,
+    without P (x) P, given the seed factor B and the form of a basis Z;
+    with a mass matrix, the factors are E^{-1}[H(L (x) L), N_k L] and the
+    seed is E^{-1}B. H(L (x) L) is read through its distinct columns."""
     K = sys.solve_mass(sys.H.apply_kron_distinct(L))
     factors = [K] + [sys.solve_mass(Nk @ L) for Nk in sys.N]
-    return _gram(factors + ([] if seed is None else [seed]), form)
+    return _gram(factors + [seed], form)
 
 
-def _observability_source(sys, LP, LQ, form=None, seed=None):
-    """H2-mode source H^(2)(P (x) Q)(H^(2))^T + sum_k N_k^T Q N_k for
-    P = LP LP^T and Q = LQ LQ^T; with a mass matrix, LQ is E^{-T} LQ.
-    Given the seed factor C^T, C^T C is added; given the form of a basis Z,
-    the sum is Z^T S Z."""
+def _observability_source(sys, LP, LQ, form, seed):
+    """Z^T [H^(2)(P (x) Q)(H^(2))^T + sum_k N_k^T Q N_k + C^T C] Z for
+    P = LP LP^T and Q = LQ LQ^T, given the seed factor C^T and the form of
+    a basis Z; with a mass matrix, LQ is E^{-T} LQ."""
     LQ = sys.solve_mass(LQ, transpose=True)
     factors = ([sys.H.apply_kron_mode2(LP, LQ)]
                + [Nk.T @ LQ for Nk in sys.N])
-    return _gram(factors + ([] if seed is None else [seed]), form)
+    return _gram(factors + [seed], form)
 
 
 def _linear_gramians(sys):

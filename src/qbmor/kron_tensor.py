@@ -193,15 +193,15 @@ class Hessian:
     @property
     def pairs(self):
         """The pair list; a dense Hessian's pair view is cut from
-        ``_stacked`` once, so pair s is (1 e_s^T, T[:, s, :])."""
+        ``stacked`` once, so pair s is (1 e_s^T, T[:, s, :])."""
         if self._pairs is None:
             n = self.n
-            Ls, Rs = self._stacked()
+            Ls, Rs = self.stacked()
             self._pairs = [(Ls[s * n:(s + 1) * n], Rs[s * n:(s + 1) * n])
                            for s in range(n)]
         return self._pairs
 
-    def _stacked(self):
+    def stacked(self):
         """The pairs stacked once into two (npairs*n) x n operators.
 
         CSR when any factor of a pair list is sparse; ``_active_rows``
@@ -242,7 +242,7 @@ class Hessian:
             L, R, RT, S, dest = source._active_rows()
             self._active = (gamma * L, R, RT, S, dest)
         if self._active is None:
-            Ls, Rs = self._stacked()
+            Ls, Rs = self.stacked()
             rows = np.flatnonzero(_nonzero_rows(Ls) & _nonzero_rows(Rs))
             dest = rows % self.n
             S = sp.csr_array((np.ones(rows.size),
@@ -421,6 +421,26 @@ class Hessian:
         if self._half is not None:
             h._half = self._half.scaled(gamma)
         return h
+
+    def stored(self):
+        """What ``save_system`` writes: (kind, data, symmetric), where kind
+        is 'none', 'pairs' with data the pair list, or 'mode1' with data
+        the dense unfolding.
+
+        A pair list is given as the list it was symmetrized from when that
+        is known, flagged non-symmetric, for the reader to symmetrize again.
+        A ``scaled`` copy gives its own list: its half list (gamma L, R)
+        would symmetrize to (R / 2, gamma L), not to the bits of
+        (gamma R / 2, L).
+        """
+        if self.is_zero:
+            return "none", None, self.symmetric
+        if self.storage == "dense":
+            return "mode1", self._Hm, self.symmetric
+        h = self._half
+        if h is None or self._scaled_from is not None:
+            h = self
+        return "pairs", h.pairs, h.symmetric
 
     def norm(self):
         """Frobenius norm of the mode-1 unfolding."""

@@ -180,11 +180,6 @@ class HurwitzSchur:
         self.nd = self.d.size
         self._in_basis = in_basis
 
-    @property
-    def diagonal(self):
-        """Whether T is diagonal, so that every solve is one division."""
-        return self.nd == self.n
-
     def in_schur_basis(self):
         """This form acting on Schur coordinates: A becomes T, Z the identity."""
         return HurwitzSchur([(b.seg, None, b.T) for b in self.blocks],

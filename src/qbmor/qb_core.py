@@ -14,6 +14,7 @@ mass matrix is always the identity: when E is present the projected
 alternative of keeping a reduced E as W^T E V is deliberately not used.
 """
 
+import copy
 import os
 import warnings
 from dataclasses import dataclass
@@ -55,9 +56,11 @@ class QBSystem:
     either form, and only the dense Gramian path (``hurwitz_schur``, one
     decoupled block of A at a time) and the brute-force diagnostics
     densify. The operator set of ``rhs`` and ``jacobian``, the
-    ``shifted_lu`` form of A + lam E, the ``hurwitz_schur`` form of
-    E^{-1}A and the LU of E are built on first use and cached. The last three depend on A and E alone,
-    so a ``rescale`` copy shares them with its source.
+    ``shifted_lu`` form of A + lam E and its factors, the ``hurwitz_schur``
+    form of E^{-1}A and the LU of E are built on first use and cached. The
+    forms and the LU of E depend on A and E alone, so a ``rescaled`` copy
+    shares them with its source (``_fixed``); the other caches are each
+    system's own (``_own``).
     """
 
     def __init__(self, A, H, N, B, C, E=None, label=""):
@@ -82,9 +85,9 @@ class QBSystem:
         if self.E is not None and self.E.shape != (n, n):
             raise ValueError("E must be n x n")
         self.label = label
-        self._field = None
-        self._pencil = None
-        # "pencil", "schur" and "lu_E", shared by rescale with its copies
+        # "field", "pencil" (the factors) and a ReducedModel's "spectral"
+        self._own = {}
+        # "pencil" (the form), "schur" and "lu_E", shared with rescaled copies
         self._fixed = {}
 
     @property
@@ -99,24 +102,40 @@ class QBSystem:
     def p(self):
         return self.C.shape[0]
 
+    def rescaled(self, gamma):
+        """This system with H and the N_k scaled by gamma (``rescale``).
+
+        A shallow copy, so a ReducedModel stays one and keeps its metadata.
+        It shares the caches of A and E alone, and builds its rhs operator,
+        shifted factors and eigendata afresh. At gamma = 1 every operator
+        holds the source's bits.
+        """
+        if gamma <= 0:
+            raise NonPositiveGamma("gamma must be positive")
+        out = copy.copy(self)
+        out.H = self.H.scaled(gamma)
+        out.N = [gamma * Nk for Nk in self.N]
+        out._own = {}
+        return out
+
     def _vector_field(self):
-        if self._field is None:
-            self._field = _VectorField.build(self)
-        return self._field
+        if "field" not in self._own:
+            self._own["field"] = _VectorField.build(self)
+        return self._own["field"]
 
     def pencil(self):
         """The ``shifted_lu`` form of A + lam E, built once per system.
 
-        A ``rescale`` copy shares the form but keeps its own factors: a
+        A ``rescaled`` copy shares the form but keeps its own factors: a
         source's last factors would otherwise outlive the copy's reduction
         (3.5 MB at n = 200).
         """
-        if self._pencil is None:
+        if "pencil" not in self._own:
             if "pencil" not in self._fixed:
                 self._fixed["pencil"] = shifted_lu(self.A, self.E)
             form = self._fixed["pencil"]
-            self._pencil = ShiftedLU(form.A, form.E, [], 0)
-        return self._pencil
+            self._own["pencil"] = ShiftedLU(form.A, form.E, [], 0)
+        return self._own["pencil"]
 
     def schur(self):
         """``hurwitz_schur`` of E^{-1}A, built once per system: the Schur
@@ -233,7 +252,7 @@ class _VectorField:
     @classmethod
     def build(cls, sys):
         n, m = sys.n, sys.m
-        Ls, Rs = (sp.csr_array(M) for M in sys.H._stacked())
+        Ls, Rs = (sp.csr_array(M) for M in sys.H.stacked())
         # block columns x, u and the constant 1 of z; block rows the left
         # factors, then the right ones in the same order
         one = sp.csr_array(np.ones((n, 1)))
@@ -290,7 +309,6 @@ class ReducedModel(QBSystem):
         self.iterations = int(iterations)
         self.tol = float(tol)
         self.shift = float(shift)
-        self._spectral = None
 
     @property
     def r(self):
@@ -298,9 +316,9 @@ class ReducedModel(QBSystem):
 
     @property
     def spectral(self):
-        if self._spectral is None:
-            self._spectral = self.eigenbasis(spectral_decompose(self.A))
-        return self._spectral
+        if "spectral" not in self._own:
+            self._own["spectral"] = self.eigenbasis(spectral_decompose(self.A))
+        return self._own["spectral"]
 
     def eigenbasis(self, f, lam=None, gamma=1.0):
         """This model's B, C, gamma N_k and gamma H moved into the eigenbasis f.
@@ -324,15 +342,6 @@ class ReducedModel(QBSystem):
             Ntil=[gamma * (Rinv @ Nk @ R) for Nk in self.N],
             Htil=Htil, Htil2=Htil2,
         )
-
-    def rescaled(self, gamma):
-        if gamma <= 0:
-            raise NonPositiveGamma("gamma must be positive")
-        return ReducedModel(
-            self.A, self.H.scaled(gamma), [gamma * Nk for Nk in self.N],
-            self.B, self.C, label=self.label, method=self.method,
-            gamma=self.gamma, seed=self.seed, converged=self.converged,
-            iterations=self.iterations, tol=self.tol, shift=self.shift)
 
 
 @dataclass
@@ -391,18 +400,14 @@ def project(sys, V, W, **meta):
 
 
 def rescale(sys, gamma):
-    """Same state dynamics family with H and the N_k scaled by gamma.
+    """Same state dynamics family with H and the N_k scaled by gamma
+    (``QBSystem.rescaled``).
 
     The scaled system driven by u reproduces 1/gamma times the original
     output driven by gamma*u, and reduction bases computed from the scaled
     system are valid bases for the original one.
     """
-    if gamma <= 0:
-        raise NonPositiveGamma("gamma must be positive")
-    out = QBSystem(sys.A, sys.H.scaled(gamma), [gamma * Nk for Nk in sys.N],
-                   sys.B, sys.C, E=sys.E, label=sys.label)
-    out._fixed = sys._fixed     # A and E are unchanged
-    return out
+    return sys.rescaled(gamma)
 
 
 # --------------------------------------------------------------- serialization
@@ -427,6 +432,13 @@ def _read_matrix(path):
     return np.asarray(M, dtype=float)
 
 
+def _write_matrices(out_dir, entries, matrices):
+    """Write each (key, M) to out_dir/key.mtx and list the file under key."""
+    for key, M in matrices:
+        _write_matrix(os.path.join(out_dir, key + ".mtx"), M)
+        entries.append((key, key + ".mtx"))
+
+
 def _write_manifest(path, entries):
     lines = ["# qbmor manifest"]
     for key, val in entries:
@@ -435,7 +447,11 @@ def _write_manifest(path, entries):
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_manifest(path):
+def _open_manifest(path, name, fmt, what):
+    """The entries of a manifest, given it or its directory, and a reader of
+    the matrix file an entry names."""
+    if os.path.isdir(path):
+        path = os.path.join(path, name)
     entries = {}
     with open(path) as fh:
         for line in fh:
@@ -444,7 +460,10 @@ def _read_manifest(path):
                 continue
             key, _, val = line.partition("=")
             entries[key.strip()] = val.strip()
-    return entries
+    if entries.get("format") != fmt:
+        raise ValueError("not a %s manifest: %s" % (what, path))
+    base = os.path.dirname(path)
+    return entries, lambda key: _read_matrix(os.path.join(base, entries[key]))
 
 
 def _fmt_float(x):
@@ -452,47 +471,31 @@ def _fmt_float(x):
 
 
 def save_system(sys, out_dir):
-    """Write a system directory; returns the manifest path. A pair list is
-    written as the list it was symmetrized from when that is known, flagged
-    non-symmetric, for ``load_system`` to symmetrize again. A ``scaled``
-    copy is written as its own list: its half list (gamma L, R) would
-    symmetrize to (R / 2, gamma L), not to the bits of (gamma R / 2, L)."""
+    """Write a system directory; returns the manifest path. The Hessian is
+    written as ``Hessian.stored`` gives it, for ``load_system`` to
+    symmetrize again unless it is flagged symmetric."""
     os.makedirs(out_dir, exist_ok=True)
     entries = [
         ("format", "qbmor-system-1"),
         ("n", str(sys.n)), ("m", str(sys.m)), ("p", str(sys.p)),
         ("label", sys.label),
     ]
-    _write_matrix(os.path.join(out_dir, "a.mtx"), sys.A)
-    _write_matrix(os.path.join(out_dir, "b.mtx"), sys.B)
-    _write_matrix(os.path.join(out_dir, "c.mtx"), sys.C)
-    entries += [("a", "a.mtx"), ("b", "b.mtx"), ("c", "c.mtx")]
-    for k, Nk in enumerate(sys.N):
-        name = "n_%d.mtx" % k
-        _write_matrix(os.path.join(out_dir, name), Nk)
-        entries.append(("n_%d" % k, name))
+    matrices = [("a", sys.A), ("b", sys.B), ("c", sys.C)]
+    matrices += [("n_%d" % k, Nk) for k, Nk in enumerate(sys.N)]
     if sys.E is not None:
-        _write_matrix(os.path.join(out_dir, "e.mtx"), sys.E)
-        entries.append(("e", "e.mtx"))
-    H = sys.H
-    if H.is_zero:
-        entries.append(("hessian", "none"))
-    elif H.storage == "pairs":
-        if H._half is not None and H._scaled_from is None:
-            H = H._half
-        entries.append(("hessian", "pairs"))
-        entries.append(("hpairs", str(len(H.pairs))))
-        for j, (L, R) in enumerate(H.pairs):
-            la, rb = "hpair_a_%d.mtx" % j, "hpair_b_%d.mtx" % j
-            _write_matrix(os.path.join(out_dir, la), L)
-            _write_matrix(os.path.join(out_dir, rb), R)
-            entries.append(("hpair_a_%d" % j, la))
-            entries.append(("hpair_b_%d" % j, rb))
-    else:
-        entries.append(("hessian", "mode1"))
-        _write_matrix(os.path.join(out_dir, "h.mtx"), H.mode1())
+        matrices.append(("e", sys.E))
+    _write_matrices(out_dir, entries, matrices)
+    kind, data, symmetric = sys.H.stored()
+    entries.append(("hessian", kind))
+    if kind == "pairs":
+        entries.append(("hpairs", str(len(data))))
+        for j, (L, R) in enumerate(data):
+            _write_matrices(out_dir, entries, [("hpair_a_%d" % j, L),
+                                               ("hpair_b_%d" % j, R)])
+    elif kind == "mode1":
+        _write_matrix(os.path.join(out_dir, "h.mtx"), data)
         entries.append(("hmode1", "h.mtx"))
-    entries.append(("hessian_symmetric", "true" if H.symmetric else "false"))
+    entries.append(("hessian_symmetric", "true" if symmetric else "false"))
     manifest = os.path.join(out_dir, "system.qbm")
     _write_manifest(manifest, entries)
     return manifest
@@ -502,36 +505,22 @@ def load_system(path):
     """Read a system directory (accepts the directory or the manifest path).
     ``QBSystem`` symmetrizes the Hessian as stored, unless it is flagged
     symmetric."""
-    if os.path.isdir(path):
-        path = os.path.join(path, "system.qbm")
-    man = _read_manifest(path)
-    if man.get("format") != "qbmor-system-1":
-        raise ValueError("not a system manifest: %s" % path)
-    base = os.path.dirname(path)
+    man, read = _open_manifest(path, "system.qbm", "qbmor-system-1", "system")
     n = int(man["n"])
-    m = int(man["m"])
-    A = _read_matrix(os.path.join(base, man["a"]))
-    B = _read_matrix(os.path.join(base, man["b"]))
-    C = _read_matrix(os.path.join(base, man["c"]))
-    N = [_read_matrix(os.path.join(base, man["n_%d" % k])) for k in range(m)]
-    E = _read_matrix(os.path.join(base, man["e"])) if "e" in man else None
+    N = [read("n_%d" % k) for k in range(int(man["m"]))]
+    E = read("e") if "e" in man else None
     sym = man.get("hessian_symmetric", "false") == "true"
     kind = man.get("hessian", "none")
     if kind == "none":
         H = Hessian.zero(n)
     elif kind == "pairs":
-        pairs = []
-        for j in range(int(man["hpairs"])):
-            L = _read_matrix(os.path.join(base, man["hpair_a_%d" % j]))
-            R = _read_matrix(os.path.join(base, man["hpair_b_%d" % j]))
-            pairs.append((L, R))
+        pairs = [(read("hpair_a_%d" % j), read("hpair_b_%d" % j))
+                 for j in range(int(man["hpairs"]))]
         H = Hessian.from_pairs(pairs, n, symmetric=sym)
     else:
-        Hm = _read_matrix(os.path.join(base, man["hmode1"]))
-        if sp.issparse(Hm):
-            Hm = Hm.toarray()
-        H = Hessian.dense(Hm, symmetric=sym)
-    return QBSystem(A, H, N, B, C, E=E, label=man.get("label", ""))
+        H = Hessian.dense(_dense(read("hmode1")), symmetric=sym)
+    return QBSystem(read("a"), H, N, read("b"), read("c"), E=E,
+                    label=man.get("label", ""))
 
 
 def save_reduced(red, out_dir):
@@ -549,42 +538,26 @@ def save_reduced(red, out_dir):
         ("tol", _fmt_float(red.tol)),
         ("shift", _fmt_float(red.shift)),
     ]
-    _write_matrix(os.path.join(out_dir, "ahat.mtx"), red.A)
-    _write_matrix(os.path.join(out_dir, "bhat.mtx"), red.B)
-    _write_matrix(os.path.join(out_dir, "chat.mtx"), red.C)
-    entries += [("ahat", "ahat.mtx"), ("bhat", "bhat.mtx"), ("chat", "chat.mtx")]
-    for k, Nk in enumerate(red.N):
-        name = "nhat_%d.mtx" % k
-        _write_matrix(os.path.join(out_dir, name), Nk)
-        entries.append(("nhat_%d" % k, name))
-    _write_matrix(os.path.join(out_dir, "hhat.mtx"), red.H.mode1())
-    entries.append(("hhat", "hhat.mtx"))
+    _write_matrices(out_dir, entries,
+                    [("ahat", red.A), ("bhat", red.B), ("chat", red.C)]
+                    + [("nhat_%d" % k, Nk) for k, Nk in enumerate(red.N)]
+                    + [("hhat", red.H.mode1())])
     manifest = os.path.join(out_dir, "reduced.qbm")
     _write_manifest(manifest, entries)
     return manifest
 
 
 def load_reduced(path):
-    if os.path.isdir(path):
-        path = os.path.join(path, "reduced.qbm")
-    man = _read_manifest(path)
-    if man.get("format") != "qbmor-reduced-1":
-        raise ValueError("not a reduced-model manifest: %s" % path)
-    base = os.path.dirname(path)
+    man, read = _open_manifest(path, "reduced.qbm", "qbmor-reduced-1",
+                               "reduced-model")
     r = int(man["r"])
-    m = int(man["m"])
-    A = _read_matrix(os.path.join(base, man["ahat"]))
-    B = _read_matrix(os.path.join(base, man["bhat"]))
-    C = _read_matrix(os.path.join(base, man["chat"]))
-    N = [_read_matrix(os.path.join(base, man["nhat_%d" % k])) for k in range(m)]
-    Hm = _read_matrix(os.path.join(base, man["hhat"]))
-    if sp.issparse(Hm):
-        Hm = Hm.toarray()
+    N = [read("nhat_%d" % k) for k in range(int(man["m"]))]
+    Hm = _dense(read("hhat")).reshape(r, r * r)
     seed = man.get("seed", "")
     return ReducedModel(
-        A, Hessian.dense(Hm.reshape(r, r * r), symmetric=True), N, B, C,
-        label=man.get("label", ""), method=man.get("method", ""),
-        gamma=float(man.get("gamma", "1")),
+        read("ahat"), Hessian.dense(Hm, symmetric=True), N, read("bhat"),
+        read("chat"), label=man.get("label", ""),
+        method=man.get("method", ""), gamma=float(man.get("gamma", "1")),
         seed=None if seed == "" else int(seed),
         converged=man.get("converged", "true") == "true",
         iterations=int(man.get("iterations", "0")),

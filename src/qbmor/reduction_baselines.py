@@ -28,8 +28,7 @@ def balanced_truncation(sys, r, gamma=1.0):
     if not (1 <= r <= sys.n):
         raise ValueError("reduced order must satisfy 1 <= r <= n")
     # Gramians of the damped system, projection of the original one
-    src = rescale(sys, gamma) if gamma != 1.0 else sys
-    g = truncated_gramians(src)
+    g = truncated_gramians(rescale(sys, gamma))
     # the bundle's factors live in the Schur basis Z of the Gramians: Z is
     # orthogonal, so (Z L_Q)^T (Z L_P) = L_Q^T L_P and only the bases are
     # lifted

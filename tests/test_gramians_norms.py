@@ -47,14 +47,16 @@ def test_truncated_scalar_example():
 
 def test_truncated_residuals_random():
     sys = random_stable_qb(8, 2, 2, rng_for(1))
-    assert not hurwitz_schur(sys.A).diagonal
+    S = hurwitz_schur(sys.A)
+    assert S.nd != S.n
     _check_truncated_residuals(sys)
 
 
 def test_truncated_residuals_symmetric_a():
     # an exactly symmetric A takes the eigenbasis path
     sys = chafee_infante(4)
-    assert hurwitz_schur(sys.A).diagonal
+    S = hurwitz_schur(sys.A)
+    assert S.nd == S.n
     _check_truncated_residuals(sys)
 
 
@@ -129,19 +131,23 @@ def test_psd_sqrt_truncates_to_numerical_rank():
 
 
 def test_sources_from_truncated_factors_match_full_width():
+    # the sources are formed in the Schur basis Z of the system; an empty
+    # seed adds nothing, so C^T C cannot hide the small quadratic part
     sys = chafee_infante(30)
     g = truncated_gramians(sys)
     LP, LQ = _psd_sqrt(g.P_l, "P_l"), _psd_sqrt(g.Q_l, "Q_l")
     FP, FQ = _full_width_factor(g.P_l), _full_width_factor(g.Q_l)
+    S, no_seed = sys.schur(), np.zeros((sys.n, 0))
+    Z = S.left(np.eye(sys.n))
 
     K = sys.H.apply_kron(FP, FP)
-    ref = K @ K.T + sum((Nk @ g.P_l) @ Nk.T for Nk in sys.N)
-    got = _quadratic_source(sys, LP)
+    ref = Z.T @ (K @ K.T + sum((Nk @ g.P_l) @ Nk.T for Nk in sys.N)) @ Z
+    got = _quadratic_source(sys, LP, S, no_seed)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     K = sys.H.apply_kron_mode2(FP, FQ)
-    ref = K @ K.T + sum((Nk.T @ g.Q_l) @ Nk for Nk in sys.N)
-    got = _observability_source(sys, LP, LQ)
+    ref = Z.T @ (K @ K.T + sum((Nk.T @ g.Q_l) @ Nk for Nk in sys.N)) @ Z
+    got = _observability_source(sys, LP, LQ, S, no_seed)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -566,7 +572,8 @@ def test_connected_a_keeps_its_gramians():
     # arithmetic is that of the single dense Schur form, so the norms are
     # bit-identical to the ones it gave before A was split by blocks
     sys = fitzhugh_nagumo(5)
-    assert len(sys.schur().blocks) == 1 and not sys.schur().diagonal
+    S = sys.schur()
+    assert len(S.blocks) == 1 and S.nd != S.n
     scaled = rescale(sys, 0.01)
     assert truncated_h2_norm(sys) == 5.772444132021565
     assert truncated_h2_norm(scaled) == 0.8182302633804686

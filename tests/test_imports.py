@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 function, class and method is referenced somewhere in the package, no library
 module imports scipy.integrate, ``import qbmor`` loads neither
-scipy.integrate nor scipy.optimize, and every type in qbmor.errors is used
-by some other library module.
+scipy.integrate nor scipy.optimize, every type in qbmor.errors is used
+by some other library module, and no module but kron_tensor reads the
+private members of its Hessian.
 
 Walks the syntax tree of each module under src/qbmor (the package's
 __init__.py re-exports by design: the import check skips it, and its
@@ -146,3 +147,29 @@ def test_every_definition_is_referenced(module):
                   and name not in UNREFERENCED and not _is_command(node))
     assert not dead, "%s defines names no library module references: %s" % (
         module, dead)
+
+
+def _hessian_private_members():
+    # the underscore methods the Hessian class defines and the underscore
+    # attributes its body assigns
+    cls = next(node for node in _parse("kron_tensor.py").body
+               if isinstance(node, ast.ClassDef) and node.name == "Hessian")
+    names = {node.name for node in cls.body
+             if isinstance(node, ast.FunctionDef)}
+    names |= {node.attr for node in ast.walk(cls)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)}
+    return {name for name in names
+            if name.startswith("_") and not name.endswith("__")}
+
+
+@pytest.mark.parametrize("module", [module for module in MODULES
+                                    if module != "kron_tensor.py"])
+def test_hessian_storage_stays_in_kron_tensor(module):
+    # how a Hessian stores its pairs is kron_tensor's business: other
+    # modules go through its public methods
+    private = _hessian_private_members()
+    assert {"_half", "_scaled_from", "_active_rows"} <= private
+    found = sorted({node.attr for node in ast.walk(_parse(module))
+                    if isinstance(node, ast.Attribute)} & private)
+    assert not found, "%s reads Hessian members %s" % (module, found)

@@ -314,7 +314,8 @@ _TRSYL = (np.array([[-1e-10, 1.0], [0.0, -1.0]]), np.diag([1e300, 1.0]),
     _TRSYL + (False,), _TRSYL + (True,),
 ], ids=["False", "True", "trsyl-False", "trsyl-True"])
 def test_lyapunov_overflow_is_a_breakdown(A, Q, match, transpose):
-    assert hurwitz_schur(A).diagonal == np.array_equal(A, A.T)
+    S = hurwitz_schur(A)
+    assert (S.nd == S.n) == np.array_equal(A, A.T)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverBreakdown, match=match):
@@ -344,7 +345,7 @@ def test_symmetric_coefficient_solves_in_its_eigenbasis(transpose):
     A = random_stable(n, rng)
     A = 0.5 * (A + A.T)
     S = hurwitz_schur(sp.csr_array(A))
-    assert S.diagonal and len(S.blocks) == 1 and S.blocks[0].T.ndim == 1
+    assert S.nd == S.n and len(S.blocks) == 1 and S.blocks[0].T.ndim == 1
     B = rng.standard_normal((n, 3))
     Q = B @ B.T
     X = solve_lyapunov(S, Q, transpose=transpose)
@@ -360,7 +361,7 @@ def test_nonsymmetric_coefficient_keeps_the_schur_form():
     rng = rng_for(20)
     A = random_stable(80, rng)
     S = hurwitz_schur(A)
-    assert not S.diagonal
+    assert S.nd != S.n
     Q = np.eye(80)
     ref = sla.solve_continuous_lyapunov(A, -Q)
     Xs = solve_lyapunov(S.in_schur_basis(), S.congruence(Q))
@@ -403,7 +404,7 @@ def test_hurwitz_schur_splits_the_decoupled_blocks(sparse):
     assert sorted((b.T.ndim, b.T.shape[0], b.Z is None)
                   for b in S.blocks) == [(1, 3, True), (1, 6, False),
                                          (2, 5, False), (2, 70, False)]
-    assert S.nd == 9 and not S.diagonal
+    assert S.nd == 9 and S.nd != S.n
     Z = S.left(np.eye(n))
     assert np.linalg.norm(Z.T @ Z - np.eye(n)) <= 1e-13 * n
     T = np.zeros((n, n))
@@ -470,7 +471,7 @@ def test_hurwitz_schur_reads_explicit_zeros_as_no_coupling():
                      shape=(3, 3))
     assert A.nnz == 4
     S = hurwitz_schur(A)
-    assert len(S.blocks) == 1 and S.blocks[0].Z is None and S.diagonal
+    assert len(S.blocks) == 1 and S.blocks[0].Z is None and S.nd == S.n
     assert np.array_equal(S.d, [-1.0, -2.0, -3.0])
     with pytest.raises(SolverBreakdown):
         hurwitz_schur(np.diag([-1.0, np.inf]))

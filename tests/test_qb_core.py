@@ -463,15 +463,26 @@ def test_reduced_spectral_bundle():
 
 
 def test_reduced_rescaled_keeps_metadata():
-    rng = rng_for(15)
-    sys = random_stable_qb(4, 1, 1, rng)
-    red = project(sys, rng.standard_normal((4, 2)), rng.standard_normal((4, 2)),
-                  method="tqb-irka", gamma=0.01, seed=7, converged=False,
-                  iterations=12, tol=1e-5, shift=0.5)
-    s = red.rescaled(2.0)
-    assert np.allclose(s.H.mode1(), 2.0 * red.H.mode1(), atol=1e-13)
-    assert (s.method, s.gamma, s.seed, s.converged, s.iterations, s.tol,
-            s.shift) == ("tqb-irka", 0.01, 7, False, 12, 1e-5, 0.5)
+    # rescale is the method: either way a ReducedModel with the source's
+    # metadata and Schur form, whose eigendata carries the scaled N and H
+    sys = chafee_infante(10)
+    V = np.linalg.qr(rng_for(15).standard_normal((sys.n, 3)))[0]
+    red = project(sys, V, V, method="tqb-irka", gamma=0.01, seed=7,
+                  converged=False, iterations=12, tol=1e-5, shift=0.5)
+    f = red.spectral    # cached before the copies are made
+    for s in (red.rescaled(2.0), rescale(red, 2.0)):
+        assert type(s) is ReducedModel
+        assert np.allclose(s.H.mode1(), 2.0 * red.H.mode1(), atol=1e-13)
+        assert (s.method, s.gamma, s.seed, s.converged, s.iterations, s.tol,
+                s.shift) == ("tqb-irka", 0.01, 7, False, 12, 1e-5, 0.5)
+        assert s.schur() is red.schur()
+        g = s.spectral
+        assert g is not f and np.array_equal(g.lam, f.lam)
+        assert np.allclose(g.Ntil[0], 2.0 * f.Ntil[0], rtol=1e-12,
+                           atol=1e-12 * np.abs(f.Ntil[0]).max())
+        assert np.allclose(g.Htil, 2.0 * f.Htil, rtol=1e-12,
+                           atol=1e-12 * np.abs(f.Htil).max())
+    assert red.spectral is f
 
 
 # ------------------------------------------------------------ orthonormalize
