@@ -46,7 +46,8 @@ def input_signal(kind, table=None):
     """Canonical test inputs plus a piecewise-linear table interpolant.
 
     Known kinds: ci_u1, ci_u2 (single channel), fhn_i0_sin, fhn_i0_bump
-    (current plus a constant unit channel feeding the q terms), custom.
+    (current plus a constant unit channel feeding the q terms), custom
+    (table = (times, values), times finite and strictly increasing).
     """
     if kind == "ci_u1":
         return InputSignal(kind, 1, lambda t: ((1.0 + math.sin(math.pi * t))
@@ -65,6 +66,9 @@ def input_signal(kind, table=None):
             raise ValueError("custom signals need table=(times, values)")
         ts, us = table
         ts = np.asarray(ts, dtype=float)
+        if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0.0)):
+            raise ValueError("table times must be finite and strictly "
+                             "increasing")
         us = np.atleast_2d(np.asarray(us, dtype=float))
         if us.shape[0] != ts.shape[0]:
             us = us.T

@@ -90,7 +90,7 @@ def optimality_residuals(sys, red, bases):
     try:
         raw_model = project(sys, bases.V, bases.W)
         hat = _solve_bases_core(raw_model, red.spectral)
-        hats = _phi_families(raw_model, *hat)
+        hats = _phi_families(raw_model, hat.V1c, hat.V2c, hat.W1c, hat.W2c)
         eps = [phi - phih for phi, phih in zip(full, hats)]
     except (SingularGram, SingularShift) as exc:
         warnings.warn("reduced-scale bases unavailable (%s); residual "

@@ -12,9 +12,9 @@ rank rho costs n x rho(rho+1)/2 in the distinct columns of H(L (x) L),
 not n x n^2. Factoring a Gramian also checks it against its PSD floor.
 The Picard sources are formed from each iterate itself, with no factor
 (``Hessian.kron_gram`` and ``Hessian.mode2_gram``), so no truncation
-enters the fixed point. All Lyapunov solves of one Gramian set share the
-Schur form A = Z T Z^T, cached on the system (``QBSystem.schur``), and
-work in its basis: the seeds enter as Z^T B and C Z, the sources as
+enters the fixed point. All Lyapunov solves of one Gramian set are given
+the Schur form A = Z T Z^T, cached on the system (``QBSystem.schur``), so
+they work in its basis: the seeds enter as Z^T B and C Z, the sources as
 Z^T S Z, the Gramians are held as Z^T X Z, and they are lifted back by Z
 for the source terms. Z is block diagonal over the decoupled blocks of A
 (``hurwitz_schur``), and every one of these basis changes goes through
@@ -169,22 +169,20 @@ def _linear_gramians(sys):
     B = sys.solve_mass(sys.B)
     Bs, Cs = S.left(B, transpose=True), S.right(sys.C)
     seed_p, seed_q = Bs @ Bs.T, Cs.T @ Cs
-    Sb = S.in_schur_basis()
-    return (S, B, seed_p, seed_q, solve_lyapunov(Sb, seed_p),
-            solve_lyapunov(Sb, seed_q, transpose=True))
+    return (S, B, seed_p, seed_q, solve_lyapunov(S, seed_p),
+            solve_lyapunov(S, seed_q, transpose=True))
 
 
 def truncated_gramians(sys):
     """Linear and truncated Gramians of a stable QB system, in the Schur
     basis of A (see ``GramianBundle``)."""
     S, B, _, _, P_l, Q_l = _linear_gramians(sys)
-    Sb = S.in_schur_basis()
     # factoring a Gramian also checks it for indefiniteness
     L_P = S.left(_psd_sqrt(P_l, "P_l"))
     L_Q = S.left(_psd_sqrt(Q_l, "Q_l"))
-    P_T = solve_lyapunov(Sb, _quadratic_source(sys, L_P, S, B))
-    Q_T = solve_lyapunov(Sb, _observability_source(sys, L_P, L_Q, S,
-                                                   sys.C.T), transpose=True)
+    P_T = solve_lyapunov(S, _quadratic_source(sys, L_P, S, B))
+    Q_T = solve_lyapunov(S, _observability_source(sys, L_P, L_Q, S, sys.C.T),
+                         transpose=True)
     return GramianBundle(S, P_l, Q_l, P_T, Q_T, _psd_sqrt(P_T, "P_T"),
                          _psd_sqrt(Q_T, "Q_T"))
 
@@ -221,7 +219,6 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
     (iterations_P, iterations_Q)), P and Q in the original coordinates.
     """
     S, _, seed_p, seed_q, P_l, Q_l = _linear_gramians(sys)
-    Sb = S.in_schur_basis()
 
     def picard(X, source, seed, transpose, what):
         for it in range(1, maxit + 1):
@@ -230,7 +227,7 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
                 raise NoConvergence("%s iteration diverged (non-finite source);"
                                     " rescale the system" % what)
             try:
-                Xn = solve_lyapunov(Sb, F, transpose=transpose)
+                Xn = solve_lyapunov(S, F, transpose=transpose)
             except SolverBreakdown as exc:
                 raise NoConvergence("%s iteration broke the solver; rescale "
                                     "the system" % what) from exc

@@ -15,18 +15,18 @@ symmetric solution by the blocked Bartels-Stewart Sylvester recursion:
 almost all of their flops are matrix-matrix products, and LAPACK trsyl
 solves only blocks of side at most 64. A pair of blocks that includes a
 nonsymmetric one is one Sylvester solve by that recursion. A connected
-coefficient is the one-block case. A caller that keeps its matrices in
-the Schur basis passes the form's ``in_schur_basis`` and skips both basis
-changes.
+coefficient is the one-block case. A Lyapunov solve given the form works
+on Schur coordinates and changes no basis; given a matrix, it wraps that
+solve in the two basis changes.
 Sylvester equations with a diagonal right coefficient are solved
 on a ``shifted_lu`` form of the pencil A + lam E; a full Kronecker system
 is never formed. All shifts of one shift vector are factored at once: one
 factorization over the distinct real shifts, in real arithmetic, and one
 over the distinct complex shifts that lead a conjugate pair, none for a
-partner. The factors serve the V solves with A + lam E and the W solves
-with its transpose. A sparse pencil's shifts are factored as one
-block-diagonal matrix by SuperLU (``scipy.sparse.linalg.splu``), a dense
-one's as one batch by LAPACK.
+partner. The factors serve the V solves with A + lam E and, with
+``transpose``, the W solves with its transpose. A sparse pencil's shifts
+are factored as one block-diagonal matrix by SuperLU
+(``scipy.sparse.linalg.splu``), a dense one's as one batch by LAPACK.
 """
 
 import warnings
@@ -160,12 +160,10 @@ class HurwitzSchur:
     first, so that the eigenvalues ``d`` of all diagonal blocks fill the
     leading ``nd`` coordinates, and Lyapunov solves divide there. The
     basis changes Z F, Z^T F, F Z, F Z^T, Z^T X Z and Z Y Z^T go block by
-    block. The form returned by ``in_schur_basis`` acts on Schur
-    coordinates: its Z is the identity, and all of them return their
-    argument.
+    block.
     """
 
-    def __init__(self, blocks, in_basis=False):
+    def __init__(self, blocks):
         blocks = sorted(blocks, key=lambda b: np.ndim(b[2]) == 2)
         self.blocks = []
         start = 0
@@ -178,17 +176,9 @@ class HurwitzSchur:
         diag = [b.T for b in self.blocks if b.T.ndim == 1]
         self.d = np.concatenate(diag) if diag else np.zeros(0)
         self.nd = self.d.size
-        self._in_basis = in_basis
-
-    def in_schur_basis(self):
-        """This form acting on Schur coordinates: A becomes T, Z the identity."""
-        return HurwitzSchur([(b.seg, None, b.T) for b in self.blocks],
-                            in_basis=True)
 
     def left(self, F, transpose=False):
         """Z F, or Z^T F with transpose."""
-        if self._in_basis:
-            return F
         out = np.empty(F.shape, dtype=np.result_type(F, float))
         for b in self.blocks:
             src, dst = (b.idx, b.seg) if transpose else (b.seg, b.idx)
@@ -198,8 +188,6 @@ class HurwitzSchur:
 
     def right(self, F, transpose=False):
         """F Z, or F Z^T with transpose."""
-        if self._in_basis:
-            return F
         out = np.empty(F.shape, dtype=np.result_type(F, float))
         for b in self.blocks:
             src, dst = (b.seg, b.idx) if transpose else (b.idx, b.seg)
@@ -404,28 +392,30 @@ def solve_lyapunov(A, Q, transpose=False):
     """Unique X with A X + X A^T + Q = 0 for Hurwitz A and symmetric Q;
     X is symmetrized. A nonsymmetric Q is replaced by its symmetric part
     (Q + Q^T)/2, whose solution is the symmetric part of the exact one.
+    transpose=True solves A^T X + X A + Q = 0.
 
-    A is a matrix or its ``hurwitz_schur`` form; passing the form lets
-    several solves share one factorization. transpose=True solves
-    A^T X + X A + Q = 0 with the same form. The steps are Bartels-Stewart:
-    F = Z^T (-Q) Z, T Y + Y T^T = F (or T^T Y + Y T = F) on F in place,
-    X = Z Y Z^T, each by blocks (``HurwitzSchur``,
-    ``_solve_lyapunov_blocks``). Given the form's ``in_schur_basis``, Q and
-    X are Schur coordinates and both basis changes are skipped.
+    A is a matrix or its ``hurwitz_schur`` form S = Z T Z^T. Given the
+    form, Q and X are Schur coordinates: T Y + Y T^T = -Q (or
+    T^T Y + Y T = -Q) is solved by blocks (``_solve_lyapunov_blocks``) and
+    no basis changes, so several solves share one factorization. Given a
+    matrix, X is S.lift of that solve on S.congruence(Q), symmetrized,
+    with S = hurwitz_schur(A): the steps of Bartels-Stewart.
     SolverBreakdown is raised when the solve fails or X comes out
     non-finite.
     """
-    S = A if isinstance(A, HurwitzSchur) else hurwitz_schur(A)
+    if not isinstance(A, HurwitzSchur):
+        S = hurwitz_schur(A)
+        X = S.lift(solve_lyapunov(S, S.congruence(np.asarray(Q, dtype=float)),
+                                  transpose))
+        return 0.5 * (X + X.T)
     Q = np.asarray(Q, dtype=float)
     # the recursion reads only the upper triangle of F; halving the sum
     # leaves a symmetric Q bit-identical
     F = Q + Q.T
     F *= -0.5
-    F = S.congruence(F)
     # an overflow or a non-finite Q shows as a non-finite X, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        _solve_lyapunov_blocks(S, F, transpose)
-        F = S.lift(F)
+        _solve_lyapunov_blocks(A, F, transpose)
     if not np.all(np.isfinite(F)):
         raise SolverBreakdown("Lyapunov solution contains non-finite entries")
     return 0.5 * (F + F.T)
@@ -434,7 +424,8 @@ def solve_lyapunov(A, Q, transpose=False):
 class ShiftedLU:
     """The pencil A + lam E in the form its shifted solves factor.
 
-    Built by ``shifted_lu``. A and E are CSC arrays on one shared pattern
+    Built by ``shifted_lu``, or from another form's A and E to keep
+    factors of its own. A and E are CSC arrays on one shared pattern
     that includes the diagonal (E is the identity when the pencil has no
     mass matrix), or dense ndarrays (E may be None, meaning the identity).
     ``solve_sylvester_shifted`` factors every shift of a shift vector at
@@ -444,26 +435,26 @@ class ShiftedLU:
     blocks form one block-diagonal CSC matrix for one
     ``scipy.sparse.linalg.splu``; a dense pencil's form one batch for one
     ``scipy.linalg.lu_factor``. The factors of the last shift vector are
-    kept, so the solves of one sweep share them; ``.T`` shares them too and
-    solves with A^T + lam E^T, the plain transpose also for complex lam.
+    kept, so the solves of one sweep share them, with A + lam E and with
+    its transpose alike.
     """
 
-    def __init__(self, A, E, cache, trans):
+    def __init__(self, A, E):
         self.A = A
         self.E = E
-        self._cache = cache    # [lam.tobytes(), _ShiftFactors] or empty
-        self._trans = trans
-
-    @property
-    def T(self):
-        return ShiftedLU(self.A, self.E, self._cache, 1 - self._trans)
+        # kept until the next shift vector: freed after each sweep's
+        # solves, their memory goes back to the OS and the next sweep's
+        # factorization faults it in again (16 flagship reductions at
+        # n = 200, one BLAS thread: 5-6x the minor page faults, 12-50 %
+        # more time in the solves)
+        self._key = self._factors = None
 
     def factors(self, lam):
         """The ``_ShiftFactors`` of the shift vector lam, made on first use."""
         key = lam.tobytes()
-        if not self._cache or self._cache[0] != key:
-            self._cache[:] = [key, _ShiftFactors(self, lam)]
-        return self._cache[1]
+        if key != self._key:
+            self._key, self._factors = key, _ShiftFactors(self, lam)
+        return self._factors
 
 
 class _Blocks:
@@ -507,7 +498,7 @@ class _Blocks:
                 raise SingularShift("a shift of %r makes A + lam E singular"
                                     % (shifts,)) from exc
 
-    def solve(self, blk, B, trans):
+    def solve(self, blk, B, transpose):
         n = B.shape[0]
         if isinstance(self._lu, spla.SuperLU):
             # column q of B goes to block blk[q], at the next free column
@@ -519,14 +510,15 @@ class _Blocks:
             R = np.zeros((self.count, n, pos.max() + 1), dtype=B.dtype)
             R[blk, :, pos] = B.T
             X = self._lu.solve(R.reshape(self.count * n, -1),
-                               trans="T" if trans else "N")
+                               trans="T" if transpose else "N")
             return X.reshape(R.shape)[blk, :, pos].T
         lu, piv = self._lu
         X = np.empty_like(B)
         for j in range(self.count):
             cols = blk == j
             X[:, cols] = sla.lu_solve((lu[j], piv[j]), B[:, cols],
-                                      trans=trans, check_finite=False)
+                                      trans=int(transpose),
+                                      check_finite=False)
         return X
 
 
@@ -570,7 +562,7 @@ def shifted_lu(A, E=None):
         else:
             cells |= E != 0.0
         if np.count_nonzero(cells) > _SPARSE_FILL * cells.size:
-            return ShiftedLU(A, E, [], 0)
+            return ShiftedLU(A, E)
         # indexing by the flat pattern costs a tenth of coo_array(A)'s scan
         idx = np.flatnonzero(cells)
         ij = np.divmod(idx, A.shape[0])
@@ -587,24 +579,25 @@ def shifted_lu(A, E=None):
                       (np.concatenate([A.row, Ec.row]),
                        np.concatenate([A.col, Ec.col]))), shape=A.shape)
     if P.nnz > _SPARSE_FILL * n * n:
-        return ShiftedLU(A.toarray(), None if E is None else Ec.toarray(),
-                         [], 0)
+        return ShiftedLU(A.toarray(), None if E is None else Ec.toarray())
     Ap = sp.csc_array((P.data.real.copy(), P.indices, P.indptr), shape=P.shape)
     Ep = sp.csc_array((P.data.imag.copy(), P.indices, P.indptr), shape=P.shape)
-    return ShiftedLU(Ap, Ep, [], 0)
+    return ShiftedLU(Ap, Ep)
 
 
-def solve_sylvester_shifted(A, lam, Rhs, E=None):
-    """Solve -E V diag(lam) - A V = Rhs.
+def solve_sylvester_shifted(A, lam, Rhs, E=None, transpose=False):
+    """Solve -E V diag(lam) - A V = Rhs, or -E^T V diag(lam) - A^T V = Rhs
+    with transpose (the plain transpose, also for complex lam).
 
     Column i is -(A + lam_i E)^{-1} Rhs[:, i]. A is a matrix or a
     ``shifted_lu`` form (then E must be None); passing the form lets
-    several solves with one lam share its factors (see ``ShiftedLU``:
-    at most one real and one complex factorization per lam), and its
-    ``.T`` solves -E^T W diag(lam) - A^T W = Rhs with the same factors.
-    A and E may be dense or sparse arrays; ``shifted_lu`` decides whether
-    the pencil is factored by ``splu`` or by dense LU. A real shift is
-    solved in real arithmetic, on [Re Rhs, Im Rhs]. Shifts are paired by
+    several solves with one lam share its factors, in either direction
+    (see ``ShiftedLU``: at most one real and one complex factorization per
+    lam). A and E may be dense or sparse arrays; ``shifted_lu`` decides
+    whether the pencil is factored by ``splu`` or by dense LU. Rhs has
+    shape (n, lam.size), or is a vector of length n for a single shift;
+    any other shape raises ValueError. A real shift is solved in real
+    arithmetic, on [Re Rhs, Im Rhs]. Shifts are paired by
     ``conjugate_pairs``, not strict; the partner i + 1 of a lead i is never
     factored. Its column is the exact conjugate of column i when the
     matching Rhs columns are conjugate to 1e-12, which keeps realification
@@ -620,14 +613,17 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None):
         form = shifted_lu(A, E)
     lam = np.asarray(lam, dtype=complex).ravel()
     n = form.A.shape[0]
-    Rhs = np.asarray(Rhs, dtype=complex).reshape(n, lam.size)
+    Rhs = np.asarray(Rhs, dtype=complex)
+    if Rhs.shape == (n,) and lam.size == 1:
+        Rhs = Rhs[:, None]
+    if Rhs.shape != (n, lam.size):
+        raise ValueError("Rhs shape %r, not %r" % (Rhs.shape, (n, lam.size)))
     f = form.factors(lam)
-    trans = form._trans
     V = np.empty((n, lam.size), dtype=complex)
     if f.real.size:
         b = Rhs[:, f.real]
         X = f.real_blocks.solve(np.tile(f.real_blk, 2),
-                                np.hstack([b.real, b.imag]), trans)
+                                np.hstack([b.real, b.imag]), transpose)
         V[:, f.real] = -(X[:, :f.real.size] + 1j * X[:, f.real.size:])
     if f.lead.size:
         b = Rhs[:, f.partner - 1]
@@ -637,8 +633,8 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None):
         own = f.partner[~conj]
         blk = np.concatenate([f.lead_blk,
                               f.lead_blk[np.searchsorted(f.lead, own - 1)]])
-        X = -f.cplx_blocks.solve(blk, np.hstack([Rhs[:, f.lead],
-                                                 Rhs[:, own].conj()]), trans)
+        X = -f.cplx_blocks.solve(
+            blk, np.hstack([Rhs[:, f.lead], Rhs[:, own].conj()]), transpose)
         V[:, f.lead] = X[:, :f.lead.size]
         V[:, own] = X[:, f.lead.size:].conj()
         V[:, f.partner[conj]] = V[:, f.partner[conj] - 1].conj()

@@ -134,7 +134,7 @@ class QBSystem:
             if "pencil" not in self._fixed:
                 self._fixed["pencil"] = shifted_lu(self.A, self.E)
             form = self._fixed["pencil"]
-            self._own["pencil"] = ShiftedLU(form.A, form.E, [], 0)
+            self._own["pencil"] = ShiftedLU(form.A, form.E)
         return self._own["pencil"]
 
     def schur(self):
@@ -447,12 +447,20 @@ def _write_manifest(path, entries):
         fh.write("\n".join(lines) + "\n")
 
 
+class _Manifest(dict):
+    """Manifest entries; reading a missing key raises ValueError naming it."""
+
+    def __missing__(self, key):
+        raise ValueError("manifest %s lacks the key %r" % (self.path, key))
+
+
 def _open_manifest(path, name, fmt, what):
     """The entries of a manifest, given it or its directory, and a reader of
     the matrix file an entry names."""
     if os.path.isdir(path):
         path = os.path.join(path, name)
-    entries = {}
+    entries = _Manifest()
+    entries.path = path
     with open(path) as fh:
         for line in fh:
             line = line.strip()

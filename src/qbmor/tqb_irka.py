@@ -58,12 +58,10 @@ def _eig_change(old, new):
 
 
 def _solve_bases_core(sys, bundle):
-    """The four Sylvester solves; everything stays complex here.
-
-    V1 and V2 solve with A + lam E, W1 and W2 with its transpose, all on
-    the system's cached shifted_lu form, so the four solves share one real
-    and one complex factorization.
-    """
+    """``ProjectionBases`` from the four Sylvester solves, realified by the
+    pair rule of bundle.lam. V1 and V2 solve with A + lam E, W1 and W2 with
+    its transpose, all on the system's cached shifted_lu form, so the four
+    solves share one real and one complex factorization."""
     H = sys.H
     lam = bundle.lam
     form = sys.pencil()
@@ -72,18 +70,15 @@ def _solve_bases_core(sys, bundle):
     for Nk, Ntk in zip(sys.N, bundle.Ntil):
         rhs_v2 = rhs_v2 + Nk @ V1 @ Ntk.T
     V2 = solve_sylvester_shifted(form, lam, rhs_v2)
-    W1 = solve_sylvester_shifted(form.T, lam, sys.C.T @ bundle.Ctil)
+    W1 = solve_sylvester_shifted(form, lam, sys.C.T @ bundle.Ctil,
+                                 transpose=True)
     rhs_w2 = 2.0 * (H.apply_kron_mode2(V1, W1) @ bundle.Htil2.T)
     for Nk, Ntk in zip(sys.N, bundle.Ntil):
         rhs_w2 = rhs_w2 + Nk.T @ W1 @ Ntk
-    W2 = solve_sylvester_shifted(form.T, lam, rhs_w2)
-    return V1, V2, W1, W2
-
-
-def _assemble_bases(V1c, V2c, W1c, W2c, lam):
-    return ProjectionBases(V1c=V1c, V2c=V2c, W1c=W1c, W2c=W2c,
-                           V=realify_basis(V1c + V2c, lam),
-                           W=realify_basis(W1c + W2c, lam))
+    W2 = solve_sylvester_shifted(form, lam, rhs_w2, transpose=True)
+    return ProjectionBases(V1c=V1, V2c=V2, W1c=W1, W2c=W2,
+                           V=realify_basis(V1 + V2, lam),
+                           W=realify_basis(W1 + W2, lam))
 
 
 def solve_bases(sys, red):
@@ -92,8 +87,7 @@ def solve_bases(sys, red):
     Uses the reduced model's own spectral factors; gamma scaling is the
     caller's responsibility (pass an already-rescaled pair for scaled runs).
     """
-    f = red.spectral
-    return _assemble_bases(*_solve_bases_core(sys, f), f.lam)
+    return _solve_bases_core(sys, red.spectral)
 
 
 def initial_guess(sys, r, kind="random", seed=0):
@@ -173,7 +167,7 @@ def tqb_irka(sys, cfg):
     for it in range(1, cfg.maxit + 1):
         lam = reflect_unstable(f.lam)
         bundle = red.eigenbasis(f, lam, cfg.gamma)
-        bases = _assemble_bases(*_solve_bases_core(basis_sys, bundle), lam)
+        bases = _solve_bases_core(basis_sys, bundle)
         red = project(sys, orthonormalize(bases.V), orthonormalize(bases.W),
                       converged=False, iterations=it, **meta)
         prev_eigs = f.lam

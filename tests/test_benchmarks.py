@@ -199,6 +199,19 @@ def test_custom_signal_interpolates():
         input_signal("unheard-of")
 
 
+def test_custom_signal_rejects_unordered_times():
+    # np.interp reads unsorted times as nonsense: these gave u(2.5) = 20
+    values = np.array([0.0, 30.0, 10.0, 20.0])
+    for times in ([0.0, 3.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0],
+                  [0.0, np.nan, 2.0, 3.0], [0.0, 1.0, 2.0, np.inf]):
+        with pytest.raises(ValueError, match="increasing"):
+            input_signal("custom", table=(times, values))
+    # the same table in time order
+    u = input_signal("custom", table=([0.0, 1.0, 2.0, 3.0],
+                                      [0.0, 10.0, 20.0, 30.0]))
+    assert np.allclose(u(2.5), [25.0])
+
+
 @pytest.mark.parametrize("kind", ["ci_u1", "ci_u2", "fhn_i0_sin",
                                   "fhn_i0_bump", "custom"])
 def test_batched_input_evaluation_matches_calls(kind):

@@ -183,6 +183,17 @@ def test_reduce_maxit_zero_exits_1(chafee_dir, tmp_path, capsys):
     assert "invalid request" in err and "maxit" in err
 
 
+def test_manifest_without_a_key_exits_1(reduced_dir, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "system.qbm").write_text("format = qbmor-system-1\nn = 3\n")
+    rc = main(["report", str(bad), str(reduced_dir), "--what", "h2err",
+               "--out-dir", str(tmp_path / "rep")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "invalid request" in err and "'m'" in err
+
+
 def test_reduce_numerical_failure_exits_3(tmp_path, capsys):
     n = 3
     unstable = QBSystem(np.eye(n) * 0.5, None, [np.zeros((n, n))],

@@ -79,7 +79,8 @@ def perturbation_solves(sys, red, bases):
     form = shifted_lu(project(sys, V, W).A)
     Gamma_v = -solve_sylvester_shifted(form, lam,
                                        np.linalg.solve(G, W.T @ bracket_v))
-    Gamma_w = -solve_sylvester_shifted(form.T, lam, V.T @ bracket_w)
+    Gamma_w = -solve_sylvester_shifted(form, lam, V.T @ bracket_w,
+                                       transpose=True)
     return eps_v, eps_w, Gamma_v, Gamma_w
 
 

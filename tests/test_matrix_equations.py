@@ -201,11 +201,40 @@ def test_lyapunov_shared_schur_matches_scipy_both_ways():
     Q = B @ B.T
     S = hurwitz_schur(A)
     for transpose, coef in ((False, A), (True, A.T)):
-        X = solve_lyapunov(S, Q, transpose=transpose)
+        X = lyapunov_via(S, Q, transpose)
         ref = sla.solve_continuous_lyapunov(coef, -Q)
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
-        # the matrix and the factored form give the same solve
+        # the matrix solve is the documented composition on its form
         assert np.array_equal(solve_lyapunov(A, Q, transpose=transpose), X)
+
+
+def lyapunov_via(S, Q, transpose=False):
+    """X of A X + X A^T + Q = 0 (or its transpose) for the form S of A, as
+    ``solve_lyapunov`` composes it for a matrix: the Schur solve on
+    S.congruence(Q), lifted by S.lift and symmetrized."""
+    X = S.lift(solve_lyapunov(S, S.congruence(Q), transpose=transpose))
+    return 0.5 * (X + X.T)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_schur_form_solve_changes_no_basis(transpose, monkeypatch):
+    # given the form, F and X are Schur coordinates: the solve is the block
+    # solve on the symmetric part of -F, and no basis change runs
+    rng = rng_for(44)
+    A = permuted_block_diagonal(rng)
+    S = hurwitz_schur(A)
+    B = rng.standard_normal((A.shape[0], 3))
+    F = S.congruence(B @ B.T)
+    ref = -0.5 * (F + F.T)
+    _solve_lyapunov_blocks(S, ref, transpose)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a basis change ran")
+
+    monkeypatch.setattr(HurwitzSchur, "left", boom)
+    monkeypatch.setattr(HurwitzSchur, "right", boom)
+    X = solve_lyapunov(S, F, transpose=transpose)
+    assert np.array_equal(X, 0.5 * (ref + ref.T))
 
 
 def test_lyapunov_stability_read_from_schur_blocks():
@@ -251,15 +280,14 @@ def one_block(T, Z):
     return HurwitzSchur([(np.arange(T.shape[0]), Z, T)])
 
 
-def trsyl_route(T, Z, Q, transpose):
-    """The unblocked route: one trsyl call on the whole of T."""
+def trsyl_route(T, F, transpose):
+    """The unblocked route on Schur coordinates F: one trsyl call on the
+    whole of T."""
     trsyl = sla.get_lapack_funcs("trsyl", (T,))
-    F = Z.T.dot(-Q).dot(Z)
     trana, tranb = ("T", "N") if transpose else ("N", "T")
-    Y, scale, info = trsyl(T, T, F, trana=trana, tranb=tranb)
+    Y, scale, info = trsyl(T, T, -0.5 * (F + F.T), trana=trana, tranb=tranb)
     assert info == 0 and scale == 1.0
-    X = Z.dot(Y).dot(Z.T)
-    return 0.5 * (X + X.T)
+    return 0.5 * (Y + Y.T)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
@@ -273,7 +301,7 @@ def test_lyapunov_blocked_matches_scipy_both_ways(n):
     B = rng.standard_normal((n, 3))
     Q = B @ B.T
     for transpose, coef in ((False, A), (True, A.T)):
-        X = solve_lyapunov(S, Q, transpose=transpose)
+        X = lyapunov_via(S, Q, transpose)
         ref = sla.solve_continuous_lyapunov(coef, -Q)
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
         res = np.linalg.norm(coef @ X + X @ coef.T + Q)
@@ -281,7 +309,9 @@ def test_lyapunov_blocked_matches_scipy_both_ways(n):
                                + np.linalg.norm(Q))
         if n <= 64:
             # one block: bit-identical to a single trsyl call
-            assert np.array_equal(X, trsyl_route(T, Z, Q, transpose))
+            F = S.congruence(Q)
+            assert np.array_equal(solve_lyapunov(S, F, transpose=transpose),
+                                  trsyl_route(T, F, transpose))
 
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -348,12 +378,11 @@ def test_symmetric_coefficient_solves_in_its_eigenbasis(transpose):
     assert S.nd == S.n and len(S.blocks) == 1 and S.blocks[0].T.ndim == 1
     B = rng.standard_normal((n, 3))
     Q = B @ B.T
-    X = solve_lyapunov(S, Q, transpose=transpose)
+    X = solve_lyapunov(sp.csr_array(A), Q, transpose=transpose)
     ref = sla.solve_continuous_lyapunov(A, -Q)
     assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
-    # in the form's own basis the same solve skips both basis changes
-    Xs = solve_lyapunov(S.in_schur_basis(), S.congruence(Q),
-                        transpose=transpose)
+    # given the form, the same solve works on Schur coordinates
+    Xs = solve_lyapunov(S, S.congruence(Q), transpose=transpose)
     assert np.linalg.norm(S.lift(Xs) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -364,7 +393,7 @@ def test_nonsymmetric_coefficient_keeps_the_schur_form():
     assert S.nd != S.n
     Q = np.eye(80)
     ref = sla.solve_continuous_lyapunov(A, -Q)
-    Xs = solve_lyapunov(S.in_schur_basis(), S.congruence(Q))
+    Xs = solve_lyapunov(S, S.congruence(Q))
     assert np.linalg.norm(S.lift(Xs) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -430,13 +459,12 @@ def test_block_lyapunov_matches_one_coupled_block(transpose, in_basis):
     coupled = HurwitzSchur([(np.arange(n), Z, T)])
     B = rng.standard_normal((n, 3))
     Q = B @ B.T
-    ref = solve_lyapunov(coupled, Q, transpose=transpose)
+    ref = lyapunov_via(coupled, Q, transpose)
     S = hurwitz_schur(A)
     if in_basis:
-        X = S.lift(solve_lyapunov(S.in_schur_basis(), S.congruence(Q),
-                                  transpose=transpose))
+        X = S.lift(solve_lyapunov(S, S.congruence(Q), transpose=transpose))
     else:
-        X = solve_lyapunov(S, Q, transpose=transpose)
+        X = solve_lyapunov(A, Q, transpose=transpose)
     assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -460,7 +488,7 @@ def test_one_block_keeps_the_dense_arithmetic():
         Y = X + X.T
         ref = Y.copy()
         _solve_lyapunov_quasi_triangular(T, ref, transpose)
-        _solve_lyapunov_blocks(S.in_schur_basis(), Y, transpose)
+        _solve_lyapunov_blocks(S, Y, transpose)
         assert np.array_equal(Y, ref)
 
 
@@ -554,7 +582,7 @@ def test_sylvester_shared_form_both_ways(with_mass, transposed):
     Rhs = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     form = shifted_lu(A, E)
     Aop, Eop = (A.T, None if E is None else E.T) if transposed else (A, E)
-    V = solve_sylvester_shifted(form.T if transposed else form, lam, Rhs)
+    V = solve_sylvester_shifted(form, lam, Rhs, transpose=transposed)
     direct = solve_sylvester_shifted(Aop, lam, Rhs, E=Eop)
     assert np.linalg.norm(V - direct) <= 1e-12 * np.linalg.norm(V)
     Em = np.eye(n) if Eop is None else Eop
@@ -597,7 +625,7 @@ def test_sylvester_block_solve_matches_per_column(sparse, with_mass,
         Aop, Eop = (A.T, Em.T) if transposed else (A, Em)
         Rhs = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
         Rhs[:, 3] = np.conj(Rhs[:, 2])
-        V = solve_sylvester_shifted(form.T if transposed else form, lam, Rhs)
+        V = solve_sylvester_shifted(form, lam, Rhs, transpose=transposed)
         ref = np.column_stack([np.linalg.solve(Aop + li * Eop, -Rhs[:, i])
                                for i, li in enumerate(lam)])
         assert np.linalg.norm(V - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -606,6 +634,20 @@ def test_sylvester_block_solve_matches_per_column(sparse, with_mass,
     # both directions share one real and one complex factorization
     assert (sparse_lu if sparse else dense_lu) == [np.float64, np.complex128]
     assert (dense_lu if sparse else sparse_lu) == []
+
+
+def test_sylvester_rejects_a_right_hand_side_of_the_wrong_shape():
+    # a 2 x 3 Rhs holds six entries, as an n x 2 one does for n = 3, but
+    # is no right-hand side of two shifts
+    A = random_stable(3, rng_for(18))
+    lam = np.array([1.0, 2.0])
+    for Rhs in (np.ones((2, 3)), np.ones(6), np.ones((3, 1)), np.ones(3)):
+        with pytest.raises(ValueError, match="shape"):
+            solve_sylvester_shifted(A, lam, Rhs)
+    # a vector of length n is the one column of a single shift
+    V = solve_sylvester_shifted(A, lam[:1], np.ones(3))
+    assert V.shape == (3, 1)
+    assert np.allclose(V[:, 0], np.linalg.solve(A + np.eye(3), -np.ones(3)))
 
 
 def test_sylvester_form_rejects_a_second_mass_matrix():
@@ -630,9 +672,9 @@ def _record_factor_dtypes(monkeypatch, module, name, shapes=None):
 
 
 def _four_solves(form, n, rng):
-    for op in (form, form, form.T, form.T):
+    for transpose in (False, False, True, True):
         Rhs = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
-        solve_sylvester_shifted(op, _MIXED_SHIFTS, Rhs)
+        solve_sylvester_shifted(form, _MIXED_SHIFTS, Rhs, transpose=transpose)
 
 
 def test_sylvester_factors_once_per_shift_real_in_real_arithmetic(monkeypatch):
@@ -694,21 +736,24 @@ def test_sylvester_sparse_form_matches_dense(with_mass):
         ref = np.column_stack([np.linalg.solve(Aop + lam * Eop, -Rhs[:, i])
                                for i, lam in enumerate(_MIXED_SHIFTS)])
         for form in forms:
-            V = solve_sylvester_shifted(form.T if transposed else form,
-                                        _MIXED_SHIFTS, Rhs)
+            V = solve_sylvester_shifted(form, _MIXED_SHIFTS, Rhs,
+                                        transpose=transposed)
             assert np.linalg.norm(V - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def _check_singular_shift_and_non_finite_rhs(form, singular):
+def _check_singular_shift_and_non_finite_rhs(form, singular, transpose):
     n = form.A.shape[0]
     for lam in singular:
         with pytest.raises(SingularShift):
-            solve_sylvester_shifted(form, np.array(lam), np.ones((n, len(lam))))
+            solve_sylvester_shifted(form, np.array(lam),
+                                    np.ones((n, len(lam))),
+                                    transpose=transpose)
     bad = np.ones((n, 2))
     bad[1, 0] = np.nan
     for lam in ([3.0, 4.0], [3.0 - 1.0j, 3.0 + 1.0j]):
         with pytest.raises(SingularShift):
-            solve_sylvester_shifted(form, np.array(lam), bad)
+            solve_sylvester_shifted(form, np.array(lam), bad,
+                                    transpose=transpose)
 
 
 # A + 1 I has a zero column
@@ -720,7 +765,7 @@ def test_sylvester_form_singular_shift_and_non_finite_rhs(transposed):
     form = shifted_lu(_SINGULAR_AT_ONE)
     assert isinstance(form.A, np.ndarray)
     _check_singular_shift_and_non_finite_rhs(
-        form.T if transposed else form, ([1.0 + 0.0j], [3.0, 1.0]))
+        form, ([1.0 + 0.0j], [3.0, 1.0]), transposed)
 
 
 def _sparse_singular_pencil(n):
@@ -742,13 +787,12 @@ def test_sylvester_sparse_form_singular_shift_and_non_finite_rhs(transposed):
     # pair lead, beside a lone complex shift)
     singular = ([1.0 + 0.0j], [3.0, 1.0, 4.0], [3.0, 1.0 + 1.0j, 1.0 - 1.0j],
                 [2.5 - 0.5j, 1.0 - 1.0j, 1.0 + 1.0j])
-    _check_singular_shift_and_non_finite_rhs(
-        form.T if transposed else form, singular)
+    _check_singular_shift_and_non_finite_rhs(form, singular, transposed)
     # the same form solves nonsingular shift vectors exactly
     A = form.A.toarray()
     lam = np.array([3.0, 2.5 - 0.5j, 1.0 + 2.0j, 1.0 - 2.0j])
     Rhs = np.ones((100, 4), dtype=complex)
-    V = solve_sylvester_shifted(form.T if transposed else form, lam, Rhs)
+    V = solve_sylvester_shifted(form, lam, Rhs, transpose=transposed)
     Aop = A.T if transposed else A
     ref = np.column_stack([np.linalg.solve(Aop + s * np.eye(100), -Rhs[:, i])
                            for i, s in enumerate(lam)])

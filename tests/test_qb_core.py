@@ -412,7 +412,8 @@ def test_rescale_shares_what_it_does_not_change():
     # shifted factors stay each system's own
     other = rescale(sys, 3.0)
     assert scaled.pencil().A is sys.pencil().A is other.pencil().A
-    assert scaled.pencil()._cache is not sys.pencil()._cache
+    lam = np.array([1.0])
+    assert scaled.pencil().factors(lam) is not sys.pencil().factors(lam)
     assert sys.schur() is scaled.schur()
     # the active rows are the source's, with L scaled by gamma, and equal
     # to the rows a fresh Hessian of the scaled pairs builds
@@ -636,3 +637,22 @@ def test_load_rejects_wrong_manifest(tmp_path):
     save_system(sys, tmp_path / "s")
     with pytest.raises(ValueError):
         load_reduced(tmp_path / "s" / "system.qbm")
+
+
+def test_load_names_a_missing_manifest_key(tmp_path):
+    rng = rng_for(23)
+    save_system(random_stable_qb(3, 1, 1, rng), tmp_path / "s")
+    red = project(random_stable_qb(3, 1, 1, rng), np.eye(3)[:, :2],
+                  np.eye(3)[:, :2])
+    save_reduced(red, tmp_path / "r")
+    system = tmp_path / "s" / "system.qbm"
+    reduced = tmp_path / "r" / "reduced.qbm"
+    for load, path, key in ((load_system, system, "m"),
+                            (load_system, system, "a"),
+                            (load_reduced, reduced, "r")):
+        text = path.read_text()
+        path.write_text("\n".join(line for line in text.splitlines()
+                                  if not line.startswith(key + " ")) + "\n")
+        with pytest.raises(ValueError, match="lacks the key '%s'" % key):
+            load(path)
+        path.write_text(text)

@@ -210,7 +210,8 @@ def test_reduced_hat_bases_scalar_closed_form():
     a, b, c = -1.5, 2.0, 0.7
     red = ReducedModel(np.array([[a]]), None, [np.zeros((1, 1))],
                        np.array([[b]]), np.array([[c]]))
-    V1, V2, W1, W2 = _solve_bases_core(red, red.spectral)
+    hat = _solve_bases_core(red, red.spectral)
+    V1, V2, W1, W2 = hat.V1c, hat.V2c, hat.W1c, hat.W2c
     Vh, Wh = V1 + V2, W1 + W2
     assert np.isclose(V1[0, 0], b * b / (-2.0 * a))
     assert np.isclose(W1[0, 0], c * c / (-2.0 * a))
@@ -222,7 +223,8 @@ def test_reduced_hat_bases_residuals():
     rng = rng_for(12)
     sys = random_stable_qb(6, 2, 2, rng)
     red = initial_guess(sys, 3, "random", seed=7)
-    V1, V2, W1, W2 = _solve_bases_core(red, red.spectral)
+    hat = _solve_bases_core(red, red.spectral)
+    V1, W1 = hat.V1c, hat.W1c
     f = red.spectral
     res = -V1 @ np.diag(f.lam) - red.A @ V1 - red.B @ f.Btil.T
     assert np.linalg.norm(res) <= 1e-11 * max(np.linalg.norm(V1), 1.0)
@@ -590,9 +592,9 @@ def test_flagship_clustered_spectrum_under_perturbed_solves(monkeypatch):
     solve = module.solve_sylvester_shifted
     rng = np.random.default_rng(0)
 
-    def perturbed(A, lam, Rhs, E=None):
+    def perturbed(A, lam, Rhs, E=None, transpose=False):
         # a real factor per row keeps conjugate columns conjugate
-        V = solve(A, lam, Rhs, E=E)
+        V = solve(A, lam, Rhs, E=E, transpose=transpose)
         return V * (1.0 + 1e-14 * rng.standard_normal(V.shape[0]))[:, None]
 
     monkeypatch.setattr(module, "solve_sylvester_shifted", perturbed)
