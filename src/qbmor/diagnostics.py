@@ -1,12 +1,13 @@
 """First-order optimality residuals for a (system, reduced model) pair.
 
 The five residual families compare quantities built from the full-order
-projection bases against their reduced-scale analogues. The reduced-scale
-side is evaluated on the raw-basis realization (``qb_core.project`` with
-the unorthonormalized V, W), which is the realization for which the exact
-algebraic identities between the two sides hold. A mass matrix enters
-only where the conditions read it: Phi_lambda pairs W with E V, and
-``project`` forms W^T E V.
+bases of the pair with the same quantities of the reduced model, built
+from its own bases: the same r-dimensional Sylvester solves, run on the
+model itself. These are the interpolation conditions between the system
+and the model. With the eigenvectors the shifts are taken in held fixed,
+every family is invariant under a state transform of the model, so at a
+fixed point the measures vanish in any realization. A mass matrix enters
+only where the conditions read it: Phi_lambda pairs W with E V.
 """
 
 import warnings
@@ -14,12 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qbmor.errors import (
-    DegradedDiagnostics, SingularGram, SingularShift, TooLarge,
-)
+from qbmor.errors import DegradedDiagnostics, SingularShift, TooLarge
 from qbmor.kron_tensor import mode_matricize, perm_T, vec, unvec
-from qbmor.qb_core import _dense, project
-from qbmor.tqb_irka import _solve_bases_core, solve_bases
+from qbmor.qb_core import _dense
+from qbmor.tqb_irka import solve_bases
 
 _FAMILIES = ("C", "B", "N", "H", "lambda")
 
@@ -83,40 +82,32 @@ def _phi_families(model, V1, V2, W1, W2):
 
 
 def optimality_residuals(sys, red, bases):
-    """Both sides of the five optimality conditions and their gaps."""
+    """Both sides of the five optimality conditions and their gaps: Phi of
+    the full bases minus Phi of the model's own, ``solve_bases(red, red)``.
+    Where the model's own shifted solves are singular, every measure is
+    NaN and DegradedDiagnostics is warned.
+    """
     full = _phi_families(sys, bases.V1c, bases.V2c, bases.W1c, bases.W2c)
-
-    degraded = {name: False for name in _FAMILIES}
     try:
-        raw_model = project(sys, bases.V, bases.W)
-        hat = _solve_bases_core(raw_model, red.spectral)
-        hats = _phi_families(raw_model, hat.V1c, hat.V2c, hat.W1c, hat.W2c)
-        eps = [phi - phih for phi, phih in zip(full, hats)]
-    except (SingularGram, SingularShift) as exc:
-        warnings.warn("reduced-scale bases unavailable (%s); residual "
+        hat = solve_bases(red, red)
+    except SingularShift as exc:
+        warnings.warn("the model's own bases are unavailable (%s); residual "
                       "measures degraded to nan" % exc, DegradedDiagnostics)
-        degraded = {name: True for name in _FAMILIES}
         eps = [np.full(phi.shape, np.nan, dtype=complex) for phi in full]
-
+        return ResidualReport(*[float("nan")] * 5, *full, *eps,
+                              degraded=dict.fromkeys(_FAMILIES, True))
+    hats = _phi_families(red, hat.V1c, hat.V2c, hat.W1c, hat.W2c)
+    eps = [phi - phih for phi, phih in zip(full, hats)]
     scale = max([_spec_norm(phi) for phi in full] + [1e-300])
     floor = 1e-14 * scale
     measures = []
-    for phi, ep, name in zip(full, eps, _FAMILIES):
-        if degraded[name]:
-            measures.append(float("nan"))
-            continue
+    for phi, ep in zip(full, eps):
         nphi = _spec_norm(phi)
-        neps = _spec_norm(ep)
         # a family annihilated by system structure (its own norm underflows)
         # is measured against the largest family norm instead of 0/0 noise
-        measures.append(neps / (nphi if nphi >= floor else scale))
-    return ResidualReport(
-        E_C=measures[0], E_B=measures[1], E_N=measures[2], E_H=measures[3],
-        E_lambda=measures[4],
-        Phi_C=full[0], Phi_B=full[1], Phi_N=full[2], Phi_H=full[3],
-        Phi_lambda=full[4],
-        eps_C=eps[0], eps_B=eps[1], eps_N=eps[2], eps_H=eps[3],
-        eps_lambda=eps[4], degraded=degraded)
+        measures.append(_spec_norm(ep) / (nphi if nphi >= floor else scale))
+    return ResidualReport(*measures, *full, *eps,
+                          degraded=dict.fromkeys(_FAMILIES, False))
 
 
 def verify_against_bruteforce(sys, red, tol=1e-9):
@@ -171,6 +162,4 @@ def verify_against_bruteforce(sys, red, tol=1e-9):
         base = _spec_norm(phi_s)
         rel.append(0.0 if max(diff, base) < floor else diff / max(base,
                                                                   floor))
-    return BruteForceCheck(rel_C=rel[0], rel_B=rel[1], rel_N=rel[2],
-                           rel_H=rel[3], rel_lambda=rel[4],
-                           agreed=all(x <= tol for x in rel), tol=tol)
+    return BruteForceCheck(*rel, agreed=all(x <= tol for x in rel), tol=tol)

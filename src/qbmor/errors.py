@@ -97,4 +97,5 @@ class MaxIterationsExceeded(QbmorWarning):
 
 
 class DegradedDiagnostics(QbmorWarning):
-    """Some residual diagnostics were skipped due to singular shifts."""
+    """The reduced model's own shifted solves were singular, so its
+    optimality residual measures are NaN."""

@@ -217,7 +217,12 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
     as E^{-T} Q E^{-1}. Divergence usually means the quadratic and
     bilinear parts are too large; rescale the system first. Returns (P, Q,
     (iterations_P, iterations_Q)), P and Q in the original coordinates.
+    ValueError is raised for maxit < 1 or tol <= 0.
     """
+    if maxit < 1:
+        raise ValueError("maxit must be at least 1")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     S, _, seed_p, seed_q, P_l, Q_l = _linear_gramians(sys)
 
     def picard(X, source, seed, transpose, what):

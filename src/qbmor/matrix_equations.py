@@ -403,22 +403,24 @@ def solve_lyapunov(A, Q, transpose=False):
     SolverBreakdown is raised when the solve fails or X comes out
     non-finite.
     """
-    if not isinstance(A, HurwitzSchur):
-        S = hurwitz_schur(A)
-        X = S.lift(solve_lyapunov(S, S.congruence(np.asarray(Q, dtype=float)),
-                                  transpose))
-        return 0.5 * (X + X.T)
+    S = A if isinstance(A, HurwitzSchur) else hurwitz_schur(A)
     Q = np.asarray(Q, dtype=float)
+    if S is not A:
+        Q = S.congruence(Q)
     # the recursion reads only the upper triangle of F; halving the sum
     # leaves a symmetric Q bit-identical
     F = Q + Q.T
     F *= -0.5
     # an overflow or a non-finite Q shows as a non-finite X, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        _solve_lyapunov_blocks(A, F, transpose)
+        _solve_lyapunov_blocks(S, F, transpose)
     if not np.all(np.isfinite(F)):
         raise SolverBreakdown("Lyapunov solution contains non-finite entries")
-    return 0.5 * (F + F.T)
+    X = 0.5 * (F + F.T)
+    if S is not A:
+        X = S.lift(X)
+        X = 0.5 * (X + X.T)
+    return X
 
 
 class ShiftedLU:

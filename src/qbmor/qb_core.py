@@ -556,6 +556,8 @@ def save_reduced(red, out_dir):
 
 
 def load_reduced(path):
+    """Read a reduced-model directory. Like ``load_system``, it leaves the
+    stored Hessian unflagged, for ``QBSystem`` to symmetrize."""
     man, read = _open_manifest(path, "reduced.qbm", "qbmor-reduced-1",
                                "reduced-model")
     r = int(man["r"])
@@ -563,7 +565,7 @@ def load_reduced(path):
     Hm = _dense(read("hhat")).reshape(r, r * r)
     seed = man.get("seed", "")
     return ReducedModel(
-        read("ahat"), Hessian.dense(Hm, symmetric=True), N, read("bhat"),
+        read("ahat"), Hessian.dense(Hm), N, read("bhat"),
         read("chat"), label=man.get("label", ""),
         method=man.get("method", ""), gamma=float(man.get("gamma", "1")),
         seed=None if seed == "" else int(seed),

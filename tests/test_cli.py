@@ -231,6 +231,24 @@ def test_report_residuals_converged_pair(chafee_dir, reduced_dir, capsys):
         assert float(grab(lines, key)) <= 1e-6
 
 
+def test_report_residuals_of_a_bt_model(tmp_path, capsys):
+    # a balanced-truncation model is no fixed point of the iteration, and
+    # the report says so in finite numbers
+    sdir, rdir = tmp_path / "sys", tmp_path / "bt"
+    assert main(["generate", "chafee", "--k", "50", "--out-dir",
+                 str(sdir)]) == 0
+    assert main(["reduce", str(sdir), "--method", "bt", "--r", "8",
+                 "--out-dir", str(rdir)]) == 0
+    capsys.readouterr()
+    rc, lines, _ = run_lines(
+        capsys, ["report", str(sdir), str(rdir), "--what", "residuals"])
+    assert rc == 0
+    vals = {key: float(grab(lines, key))
+            for key in ("E_C", "E_B", "E_N", "E_H", "E_lambda")}
+    assert all(np.isfinite(val) for val in vals.values())
+    assert vals["E_C"] > 1e-6
+
+
 def test_report_h2err(chafee_dir, reduced_dir, capsys):
     rc, lines, _ = run_lines(
         capsys, ["report", str(chafee_dir), str(reduced_dir),

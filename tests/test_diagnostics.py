@@ -1,16 +1,25 @@
 import warnings
+from sys import modules as sys_modules
 
 import numpy as np
 import pytest
 
-from qbmor.errors import DegradedDiagnostics, QbmorWarning, TooLarge
+from qbmor.benchmarks import chafee_infante, fitzhugh_nagumo
+from qbmor.errors import (
+    DegradedDiagnostics, MaxIterationsExceeded, QbmorWarning, SingularGram,
+    TooLarge,
+)
 from qbmor.kron_tensor import Hessian
 from qbmor.matrix_equations import shifted_lu, solve_sylvester_shifted
-from qbmor.qb_core import QBSystem, ReducedModel, ProjectionBases, project
+from qbmor.qb_core import (
+    QBSystem, ReducedModel, ProjectionBases, project, rescale,
+)
 from qbmor.tqb_irka import IrkaConfig, tqb_irka, initial_guess, solve_bases
 from qbmor.diagnostics import (
     optimality_residuals, verify_against_bruteforce, ResidualReport,
+    _phi_families,
 )
+from qbmor.reduction_baselines import balanced_truncation
 
 from conftest import rng_for, random_stable_qb
 
@@ -101,35 +110,45 @@ def test_identities_for_arbitrary_reduced_model(rough_pair):
     assert rel(Gamma_w - Gw_direct, Gamma_w) <= 1e-8
 
 
-def test_theorem_route_matches_direct_differences(rough_pair):
+def orthogonal_transform(red, Q):
+    """red in the coordinates x = Q z, for an orthogonal Q."""
+    Hm = Q.T @ red.H.mode1() @ np.kron(Q, Q)
+    return ReducedModel(Q.T @ red.A @ Q, Hessian.dense(Hm),
+                        [Q.T @ Nk @ Q for Nk in red.N], Q.T @ red.B,
+                        red.C @ Q)
+
+
+def test_model_route_matches_direct_differences(rough_pair):
+    # each gap is Phi of the full bases minus the same Phi of the model's
+    # own bases, solved on the model itself
     sys, red, bases = rough_pair
     rep = optimality_residuals(sys, red, bases)
-    eps_v, eps_w, Gamma_v, Gamma_w = perturbation_solves(sys, red, bases)
-    raw = project(sys, bases.V, bases.W)
-    hatb = solve_bases(raw, red)
-    G = bases.W.T @ bases.V
-    H = sys.H
-    V1, W1 = bases.V1c, bases.W1c
+    hat = solve_bases(red, red)
     r = red.r
+    V1, W1 = bases.V1c, bases.W1c
+    V, W = V1 + bases.V2c, W1 + bases.W2c
+    Vh1, Wh1 = hat.V1c, hat.W1c
+    Vh, Wh = Vh1 + hat.V2c, Wh1 + hat.W2c
+    assert rel(rep.eps_C - (sys.C @ V - red.C @ Vh).T, rep.eps_C) <= 1e-12
+    assert rel(rep.eps_B - (W.T @ sys.B - Wh.T @ red.B), rep.eps_B) <= 1e-12
+    eps_N = np.stack([W1.T @ (Nk @ V1) - Wh1.T @ Nhk @ Vh1
+                      for Nk, Nhk in zip(sys.N, red.N)], axis=2)
+    assert rel(rep.eps_N - eps_N, rep.eps_N) <= 1e-12
+    eps_H = (W1.T @ sys.H.apply_kron(V1, V1)
+             - Wh1.T @ red.H.mode1() @ np.kron(Vh1, Vh1)).reshape(r, r, r)
+    assert rel(rep.eps_H - eps_H, rep.eps_H) <= 1e-12
+    eps_lam = (np.diag(W1.T @ V) + np.diag(bases.W2c.T @ V1)
+               - np.diag(Wh1.T @ Vh) - np.diag(hat.W2c.T @ Vh1))
+    assert rel(rep.eps_lambda - eps_lam, rep.eps_lambda) <= 1e-12
 
-    eps_C = -(sys.C @ bases.V @ Gamma_v).T
-    assert rel(rep.eps_C - eps_C, rep.eps_C) <= 1e-8
-    eps_B = -Gamma_w.T @ np.linalg.solve(G, bases.W.T @ sys.B)
-    assert rel(rep.eps_B - eps_B, rep.eps_B) <= 1e-8
-    eps_N = np.stack([eps_w.T @ Nk @ (V1 - eps_v) + W1.T @ Nk @ eps_v
-                      for Nk in sys.N], axis=2)
-    assert rel(rep.eps_N - eps_N, rep.eps_N) <= 1e-8
-    eps_H = (W1.T @ (H.apply_kron(eps_v, V1 - eps_v)
-                     + H.apply_kron(V1, eps_v))
-             + eps_w.T @ H.apply_kron(V1 - eps_v, V1 - eps_v))
-    eps_H = eps_H.reshape(r, r, r)
-    assert rel(rep.eps_H - eps_H, rep.eps_H) <= 1e-8
-    rho = bases.V.T @ eps_w
-    J = np.linalg.solve(G, bases.W.T @ (bases.V1c + bases.V2c))
-    eps_lam = np.diag(-hatb.W1c.T @ Gamma_v
-                      - (Gamma_w + rho).T @ hatb.V1c
-                      + bases.W2c.T @ eps_v + rho.T @ J)
-    assert rel(rep.eps_lambda - eps_lam, rep.eps_lambda) <= 1e-8
+    # the measures read the model, not its realization; an orthogonal
+    # transform keeps the unit eigenvectors the shifts are taken in unit,
+    # so the families themselves are unchanged
+    Q, _ = np.linalg.qr(rng_for(44).standard_normal((r, r)))
+    red_q = orthogonal_transform(red, Q)
+    rep_q = optimality_residuals(sys, red_q, solve_bases(sys, red_q))
+    for (_, v1), (_, v2) in zip(rep.items(), rep_q.items()):
+        assert np.isclose(v1, v2, rtol=1e-8, atol=0)
 
 
 def test_converged_measures_are_small(converged_pair):
@@ -182,9 +201,10 @@ def test_identities_at_smallest_sizes():
     assert rel(bases.V1c - (bases.V @ hatb.V1c + eps_v), bases.V1c) <= 1e-10
 
 
-def test_singular_raw_pair_degrades_residuals():
-    # W orthogonal to V, exactly (W^T V = 0): the raw realization does not
-    # exist, so project raises SingularGram and the measures degrade to nan
+def test_orthogonal_bases_give_finite_residuals():
+    # W orthogonal to V, exactly (W^T V = 0): no Petrov-Galerkin
+    # projection onto these bases exists, but the model's own bases do,
+    # so every measure is finite
     n, r = 5, 2
     sys = random_stable_qb(n, 1, 1, rng_for(43))
     red = initial_guess(sys, r, "random", seed=0)
@@ -192,7 +212,23 @@ def test_singular_raw_pair_degrades_residuals():
     zeros = np.zeros((n, r), dtype=complex)
     bases = ProjectionBases(V1c=V.astype(complex), V2c=zeros,
                             W1c=W.astype(complex), W2c=zeros, V=V, W=W)
-    with pytest.warns(DegradedDiagnostics, match="projector Gram matrix"):
+    rep = optimality_residuals(sys, red, bases)
+    assert not any(rep.degraded.values())
+    for _, val in rep.items():
+        assert np.isfinite(val)
+
+
+def test_zero_eigenvalue_model_degrades_residuals():
+    # a shift of exactly 0 leaves the system's pencil regular and makes the
+    # model's own singular: all five measures degrade to nan
+    sys = random_stable_qb(6, 1, 1, rng_for(45))
+    rng = rng_for(46)
+    red = ReducedModel(np.diag([0.0, -1.0, -2.0]), None,
+                       [0.1 * rng.standard_normal((3, 3))],
+                       rng.standard_normal((3, 1)),
+                       rng.standard_normal((1, 3)))
+    bases = solve_bases(sys, red)
+    with pytest.warns(DegradedDiagnostics, match="singular"):
         rep = optimality_residuals(sys, red, bases)
     assert all(rep.degraded.values())
     for _, val in rep.items():
@@ -208,12 +244,31 @@ def test_degraded_report_on_hat_failure(monkeypatch, rough_pair):
         raise SingularShift("forced")
 
     sys, red, bases = rough_pair
-    monkeypatch.setattr(diag, "_solve_bases_core", boom)
+    monkeypatch.setattr(diag, "solve_bases", boom)
     with pytest.warns(DegradedDiagnostics):
         rep = optimality_residuals(sys, red, bases)
     assert all(rep.degraded.values())
     assert np.isnan(rep.E_C) and np.isnan(rep.E_H)
     assert np.all(np.isfinite(rep.Phi_C))
+
+
+def test_residuals_need_no_projection(monkeypatch, rough_pair):
+    import qbmor.qb_core as qb_core
+
+    def boom(*args, **kwargs):
+        raise SingularGram("optimality_residuals projected the system")
+
+    sys, red, bases = rough_pair
+    # every binding of project in the package, from-import copies included
+    original = qb_core.project
+    for module in list(sys_modules.values()):
+        if (getattr(module, "__name__", "").startswith("qbmor")
+                and getattr(module, "project", None) is original):
+            monkeypatch.setattr(module, "project", boom)
+    rep = optimality_residuals(sys, red, bases)
+    assert not any(rep.degraded.values())
+    for _, val in rep.items():
+        assert np.isfinite(val)
 
 
 def test_report_is_deterministic(converged_pair):
@@ -271,6 +326,67 @@ def test_mass_matrix_pair_matches_standardized(rough_pair):
     rep0 = optimality_residuals(sys, red, bases0)
     for (_, v1), (_, v2) in zip(rep_e.items(), rep0.items()):
         assert np.isclose(v1, v2, rtol=1e-6, atol=1e-12)
+
+
+# ------------------------------------------------- readings of the model form
+
+def residual_max(sys, red, gamma):
+    """Largest of the five measures on the gamma-scaled pair."""
+    ssys, sred = rescale(sys, gamma), red.rescaled(gamma)
+    rep = optimality_residuals(ssys, sred, solve_bases(ssys, sred))
+    assert not any(rep.degraded.values())
+    return max(val for _, val in rep.items())
+
+
+def raw_realization_max(sys, red, gamma):
+    """Oracle: the largest measure against the realization projected onto
+    the pair's unorthonormalized bases, which interpolates at the model's
+    shifts and so agrees with the model only at a fixed point."""
+    ssys, sred = rescale(sys, gamma), red.rescaled(gamma)
+    bases = solve_bases(ssys, sred)
+    raw = project(ssys, bases.V, bases.W)
+    hat = solve_bases(raw, sred)
+    full = _phi_families(ssys, bases.V1c, bases.V2c, bases.W1c, bases.W2c)
+    own = _phi_families(raw, hat.V1c, hat.V2c, hat.W1c, hat.W2c)
+    return max(np.linalg.norm((a - b).reshape(a.shape[0], -1), 2)
+               / np.linalg.norm(a.reshape(a.shape[0], -1), 2)
+               for a, b in zip(full, own) if np.linalg.norm(a) > 0)
+
+
+def test_random_guess_is_far_from_optimal():
+    fhn = fitzhugh_nagumo(67)
+    assert residual_max(fhn, initial_guess(fhn, 10, "random", seed=0),
+                        0.1) > 1e-2
+
+
+def test_one_sweep_iterate_is_not_optimal():
+    sys = chafee_infante(100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MaxIterationsExceeded)
+        red, _, report = tqb_irka(sys, IrkaConfig(r=10, maxit=1, gamma=0.01))
+    assert not report.converged
+    assert residual_max(sys, red, 0.01) > 1e-4
+
+
+@pytest.mark.parametrize("k", [25, 50])
+def test_balanced_truncation_model_is_measured(k):
+    # a BT model is not a fixed point of the iteration; at k = 50 no
+    # projection onto its pair's bases exists, its own bases do
+    sys = chafee_infante(k)
+    red, _ = balanced_truncation(sys, 8, gamma=1.0)
+    assert 1e-6 < residual_max(sys, red, 1.0) < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fixed_point_reads_as_the_raw_realization(seed):
+    # at a fixed point the model and the realization projected onto its
+    # bases are one model in two state coordinates
+    fhn = fitzhugh_nagumo(67)
+    red, _, report = tqb_irka(fhn, IrkaConfig(r=10, gamma=0.1, seed=seed,
+                                              tol=1e-9, maxit=200))
+    assert report.converged
+    assert np.isclose(residual_max(fhn, red, 0.1),
+                      raw_realization_max(fhn, red, 0.1), rtol=1e-6, atol=0)
 
 
 # --------------------------------------------------------------- brute force

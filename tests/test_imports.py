@@ -2,16 +2,20 @@
 function, class and method is referenced somewhere in the package, no library
 module imports scipy.integrate, ``import qbmor`` loads neither
 scipy.integrate nor scipy.optimize, every type in qbmor.errors is used
-by some other library module, and no module but kron_tensor reads the
-private members of its Hessian.
+by some other library module, no module but kron_tensor reads the
+private members of its Hessian, and every name a script under scripts/
+imports from qbmor exists.
 
 Walks the syntax tree of each module under src/qbmor (the package's
 __init__.py re-exports by design: the import check skips it, and its
-re-exports count as references), and imports the package once in a fresh
-interpreter; needs only the standard library.
+re-exports count as references) and of each script, imports the package
+once in a fresh interpreter, and looks the scripts' names up in the
+modules they name; needs only the standard library and qbmor's own
+dependencies.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -22,6 +26,9 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src", "qbmor")
 MODULES = sorted(name for name in os.listdir(SRC)
                  if name.endswith(".py") and name != "__init__.py")
+SCRIPTS_DIR = os.path.join(SRC, os.pardir, os.pardir, "scripts")
+SCRIPTS = sorted(name for name in os.listdir(SCRIPTS_DIR)
+                 if name.endswith(".py"))
 
 
 def _imported_names(tree):
@@ -173,3 +180,29 @@ def test_hessian_storage_stays_in_kron_tensor(module):
     found = sorted({node.attr for node in ast.walk(_parse(module))
                     if isinstance(node, ast.Attribute)} & private)
     assert not found, "%s reads Hessian members %s" % (module, found)
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_script_imports_exist_in_qbmor(script):
+    # the scripts are parsed, not run, so their own dependencies (mpmath)
+    # need not be installed; a name the package lost breaks the script
+    with open(os.path.join(SCRIPTS_DIR, script)) as fh:
+        tree = ast.parse(fh.read(), filename=script)
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+            names = []
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] != "qbmor":
+                continue
+            owner = importlib.import_module(module)
+            missing += ["%s.%s" % (module, name) for name in names
+                        if not hasattr(owner, name)]
+    assert not missing, "%s imports names qbmor lacks: %s" % (script,
+                                                              missing)

@@ -216,6 +216,27 @@ def lyapunov_via(S, Q, transpose=False):
     return 0.5 * (X + X.T)
 
 
+def test_matrix_solve_is_one_call(monkeypatch):
+    # the matrix path runs the Schur-form body itself, not a second call
+    # through the module global (which a wrapper would count twice)
+    import qbmor.matrix_equations as me
+    rng = rng_for(47)
+    A = random_stable(6, rng)
+    B = rng.standard_normal((6, 2))
+    ref = solve_lyapunov(A, B @ B.T)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = me.solve_lyapunov
+    monkeypatch.setattr(me, "solve_lyapunov", counted)
+    X = me.solve_lyapunov(A, B @ B.T)
+    assert len(calls) == 1
+    assert np.array_equal(X, ref)
+
+
 @pytest.mark.parametrize("transpose", [False, True])
 def test_schur_form_solve_changes_no_basis(transpose, monkeypatch):
     # given the form, F and X are Schur coordinates: the solve is the block

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.io as sio
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
@@ -12,7 +13,8 @@ from qbmor.qb_core import (
     QBSystem, ReducedModel, project, rescale,
     orthonormalize, save_system, load_system, save_reduced, load_reduced,
 )
-from qbmor.gramians_norms import h2_norm
+from qbmor.gramians_norms import h2_norm, truncated_h2_error
+from qbmor.tqb_irka import initial_guess
 from conftest import random_stable_qb, rng_for
 
 
@@ -629,6 +631,27 @@ def test_reduced_roundtrip(tmp_path):
     assert (back.method, back.gamma, back.seed, back.converged,
             back.iterations, back.tol, back.shift) == (
         "tqb-irka", 0.01, 3, True, 17, 1e-5, 0.25)
+
+
+def test_load_reduced_symmetrizes_a_stored_hessian(tmp_path):
+    # a model file may hold a nonsymmetric H-hat; like load_system,
+    # load_reduced symmetrizes it, so that H(u (x) v) = H(v (x) u) and the
+    # two trace routes of the error system's norm agree
+    rng = rng_for(24)
+    sys = random_stable_qb(6, 1, 1, rng)
+    red = initial_guess(sys, 3, "random", seed=0)
+    manifest = save_reduced(red, tmp_path / "r")
+    T = rng.standard_normal((3, 3, 3))
+    sio.mmwrite(str(tmp_path / "r" / "hhat.mtx"), T.reshape(3, 9),
+                precision=17)
+    back = load_reduced(manifest)
+    u, v = rng.standard_normal((3, 1)), rng.standard_normal((3, 1))
+    assert np.allclose(back.H.apply_kron(u, v), back.H.apply_kron(v, u),
+                       rtol=1e-14, atol=0)
+    assert np.allclose(back.H.mode1(),
+                       (0.5 * (T + T.transpose(0, 2, 1))).reshape(3, 9),
+                       rtol=1e-15, atol=0)
+    assert np.isfinite(truncated_h2_error(sys, back))
 
 
 def test_load_rejects_wrong_manifest(tmp_path):
