@@ -86,6 +86,15 @@ def optimality_residuals(sys, red, bases):
     the full bases minus Phi of the model's own, ``solve_bases(red, red)``.
     Where the model's own shifted solves are singular, every measure is
     NaN and DegradedDiagnostics is warned.
+
+    E_C, E_B, E_N and E_H are read in the scaling of the model's
+    eigenvectors that ``spectral_decompose`` takes, LAPACK's unit-norm
+    ones, and change with it: rescaling the eigenvectors by a diagonal D
+    scales Phi_C by D^{-1}, Phi_B by D, and Phi_N by both. A
+    non-orthogonal state transform of the same model changes which
+    eigenvectors have unit norm, and so moves these four (by 1.2-2.4 % on
+    a non-converged model of the tests); only E_lambda is invariant. At a
+    fixed point every gap vanishes in any scaling.
     """
     full = _phi_families(sys, bases.V1c, bases.V2c, bases.W1c, bases.W2c)
     try:

@@ -35,7 +35,7 @@ from qbmor.errors import (
 )
 from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import QBSystem
-from qbmor.matrix_equations import solve_lyapunov
+from qbmor.matrix_equations import HurwitzSchur, solve_lyapunov
 
 
 def _lift(S, X):
@@ -330,8 +330,12 @@ def error_system(sys, red):
     full state, rows in the reduced part only the reduced state, so it is
     stored as structured factor pairs and never densified. A, the N_k and
     the mass matrix blkdiag(E, I_r) (absent when sys has none) are sparse
-    when the full system's are, so that ``hurwitz_schur`` reads the blocks
-    of A from its pattern.
+    when the full system's are. Its Schur form is that of
+    blkdiag(E^{-1}A, A_r): the blocks of ``sys.schur()``, cached on sys,
+    and those of ``red.schur()``, their rows offset by n, so the full
+    model's blocks are factored once for every model compared with it.
+    Both forms are taken here, so NotStable is raised unless both systems
+    are stable.
     """
     n, r = sys.n, red.r
     if sys.m != red.m or sys.p != red.p:
@@ -345,7 +349,10 @@ def error_system(sys, red):
     pairs = _embed_pairs(sys.H, 0, r) + _embed_pairs(red.H, n, 0)
     He = Hessian.from_pairs(pairs, ntot,
                             symmetric=sys.H.symmetric and red.H.symmetric)
-    return QBSystem(Ae, He, Ne, Be, Ce, E=Ee, label="error")
+    schur = HurwitzSchur(
+        [(b.idx, b.Z, b.T) for b in sys.schur().blocks]
+        + [(np.arange(n, ntot)[b.idx], b.Z, b.T) for b in red.schur().blocks])
+    return QBSystem(Ae, He, Ne, Be, Ce, E=Ee, label="error", schur=schur)
 
 
 def truncated_h2_error(sys, red):

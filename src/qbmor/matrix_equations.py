@@ -24,9 +24,12 @@ is never formed. All shifts of one shift vector are factored at once: one
 factorization over the distinct real shifts, in real arithmetic, and one
 over the distinct complex shifts that lead a conjugate pair, none for a
 partner. The factors serve the V solves with A + lam E and, with
-``transpose``, the W solves with its transpose. A sparse pencil's shifts
-are factored as one block-diagonal matrix by SuperLU
-(``scipy.sparse.linalg.splu``), a dense one's as one batch by LAPACK.
+``transpose``, the W solves with its transpose. A sparse pencil is held
+as a band matrix, rows and columns in the reverse Cuthill-McKee order of
+its pattern, found once per form; a group's shifts are stacked into one
+block-diagonal band matrix, factored by LAPACK's band LU (gbtrf) and
+solved by gbtrs. A dense pencil's shifts are factored as one batch by
+LAPACK's dense LU.
 """
 
 import warnings
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from qbmor.errors import (
     NonDiagonalizable, NotStable, SolverBreakdown, SingularShift,
@@ -47,13 +49,15 @@ _EIGVEC_COND_LIMIT = 1e12
 _TRSYL_LEAF = 64
 # real part given to a purely imaginary eigenvalue by reflect_unstable
 _EPS_SHIFT = 1e-8
-# a pattern filling at most this share of n^2 is factored by splu, here and
-# in Radau's iteration matrix (qb_core). There splu loses to dense LU on
+# a pattern filling at most this share of n^2 is sparse: the shifted pencil
+# is then factored as a band matrix (shifted_lu), and Radau's iteration
+# matrix by splu (qb_core). For that Jacobian splu loses to dense LU on
 # chafee_infante at n = 60 (fill 0.066), is within 5 % on fitzhugh_nagumo
-# there, and wins on both from n = 100 (fill 0.04) up. Per shift of A + lam I
-# on chafee_infante (one complex factorization, one solve and one transposed
-# solve, one BLAS thread) splu ties at n = 60 (fill 0.033; 181 against
-# 174 us) and wins 2x at n = 100 (fill 0.02) and 10x at n = 200 (fill 0.01).
+# there, and wins on both from n = 100 (fill 0.04) up. Per shift of
+# A + lam I on chafee_infante (one complex factorization, one solve and one
+# transposed solve, one BLAS thread) the band form takes 0.15-0.26 ms from
+# n = 40 (fill 0.049) to n = 200 (fill 0.01), dense LU 0.34 ms at n = 40
+# and 1.6 ms at n = 200.
 _SPARSE_FILL = 1.0 / 20.0
 
 
@@ -423,32 +427,44 @@ def solve_lyapunov(A, Q, transpose=False):
     return X
 
 
+@dataclass
+class _Band:
+    """A sparse pencil A + lam E laid out for LAPACK's band LU, in the
+    reverse Cuthill-McKee order of its pattern: row and column i of the
+    pencil are row and column rank[i] of the band matrix, which has kl
+    subdiagonals and ku superdiagonals. Row j of ``A`` is column j of A in
+    LAPACK's band storage, entry (i, j) at A[j, kl + ku + i - j], after the
+    kl leading places that gbtrf fills in; ``E`` likewise (the identity
+    when the pencil has no mass matrix)."""
+    rank: np.ndarray
+    kl: int
+    ku: int
+    A: np.ndarray
+    E: np.ndarray
+
+
 class ShiftedLU:
     """The pencil A + lam E in the form its shifted solves factor.
 
-    Built by ``shifted_lu``, or from another form's A and E to keep
-    factors of its own. A and E are CSC arrays on one shared pattern
-    that includes the diagonal (E is the identity when the pencil has no
-    mass matrix), or dense ndarrays (E may be None, meaning the identity).
-    ``solve_sylvester_shifted`` factors every shift of a shift vector at
-    once: one factorization of the real blocks A + lam_j E over its distinct
-    real shifts and one of the complex blocks over its distinct complex
-    shifts that lead a conjugate pair (or stand alone). A sparse pencil's
-    blocks form one block-diagonal CSC matrix for one
-    ``scipy.sparse.linalg.splu``; a dense pencil's form one batch for one
+    Built by ``shifted_lu``, or from another form's A, E and band to keep
+    factors of its own. A and E are the pencil's sparse arrays, with its
+    ``_Band`` as band, or dense ndarrays with band None (E may be None,
+    meaning the identity). ``solve_sylvester_shifted`` factors every
+    shift of a shift vector at once: one factorization of the real blocks
+    A + lam_j E over its distinct real shifts and one of the complex
+    blocks over its distinct complex shifts that lead a conjugate pair (or
+    stand alone). A sparse pencil's blocks form one block-diagonal band
+    matrix, itself a band matrix with the pencil's kl and ku, for one
+    LAPACK ``gbtrf``; a dense pencil's form one batch for one
     ``scipy.linalg.lu_factor``. The factors of the last shift vector are
     kept, so the solves of one sweep share them, with A + lam E and with
     its transpose alike.
     """
 
-    def __init__(self, A, E):
+    def __init__(self, A, E, band=None):
         self.A = A
         self.E = E
-        # kept until the next shift vector: freed after each sweep's
-        # solves, their memory goes back to the OS and the next sweep's
-        # factorization faults it in again (16 flagship reductions at
-        # n = 200, one BLAS thread: 5-6x the minor page faults, 12-50 %
-        # more time in the solves)
+        self.band = band
         self._key = self._factors = None
 
     def factors(self, lam):
@@ -461,36 +477,23 @@ class ShiftedLU:
 
 class _Blocks:
     """Factors of A + s_j E for the distinct shifts s of one group, made by
-    one factorization call; ``solve`` puts column q of B through block
-    blk[q] by one solve call (one per block for a dense pencil)."""
+    one factorization call, and where the group's columns go: column q of
+    a right-hand side is solved by block blk[q].
 
-    def __init__(self, form, shifts):
+    A dense pencil solves each block's columns by one call. A band pencil
+    solves all columns by one gbtrs call on the stacked blocks: row i of
+    column q is row rank[i] of block blk[q] in column pos[q] of the
+    stacked right-hand side, pos[q] counting the earlier columns of that
+    block. ``_index`` holds these places, flattened in Fortran order.
+    """
+
+    def __init__(self, form, shifts, blk):
         self.count = shifts.size
-        A, E = form.A, form.E
-        n = A.shape[0]
-        if sp.issparse(A):
-            # the blocks share the CSC pattern, offset by n rows per block
-            nnz = A.indptr[-1]
-            off = np.arange(self.count)[:, None]
-            M = sp.csc_array(
-                ((A.data + shifts[:, None] * E.data).ravel(),
-                 (A.indices + n * off).ravel(),
-                 np.append((A.indptr[:-1] + nnz * off).ravel(),
-                           nnz * self.count)),
-                shape=(n * self.count, n * self.count))
-            # panels of one column: the generators' pencils have supernodes
-            # of a column or two, and SuperLU's default of ten columns
-            # costs a dense workspace of ten columns of M and, measured on
-            # chafee_infante and fitzhugh_nagumo at n = 1000 and eight
-            # shifts, twice the time
-            try:
-                self._lu = spla.splu(M, panel_size=1)
-            except RuntimeError as exc:  # "Factor is exactly singular"
-                raise SingularShift("a shift of %r makes A + lam E singular"
-                                    % (shifts,)) from exc
-        else:
-            I = np.eye(n) if E is None else E
-            M = A + shifts[:, None, None] * I
+        self.band = band = form.band
+        self._blk = blk
+        if band is None:
+            I = np.eye(form.A.shape[0]) if form.E is None else form.E
+            M = form.A + shifts[:, None, None] * I
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", sla.LinAlgWarning)
@@ -499,29 +502,52 @@ class _Blocks:
             except sla.LinAlgWarning as exc:  # an exactly zero pivot
                 raise SingularShift("a shift of %r makes A + lam E singular"
                                     % (shifts,)) from exc
+            return
+        n = band.rank.size
+        # block j's columns in band storage, one row each: the transpose
+        # of this (count n) x rows array is the stacked matrix's band
+        # storage, in the Fortran order gbtrf takes
+        ab = np.empty((self.count,) + band.A.shape, dtype=shifts.dtype)
+        ab[...] = band.A
+        # shifts times E only where E has entries: a broadcast product over
+        # the whole band, complex by real, took 1.4 ms against gbtrf's
+        # 0.9 ms for four complex shifts of fitzhugh_nagumo(334)
+        at = np.flatnonzero(band.E)
+        ab.reshape(self.count, -1)[:, at] += (shifts[:, None]
+                                              * band.E.ravel()[at])
+        gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        self._lu, self._piv, info = gbtrf(ab.reshape(self.count * n, -1).T,
+                                          band.kl, band.ku, overwrite_ab=True)
+        if info > 0:  # an exactly zero pivot
+            raise SingularShift("a shift of %r makes A + lam E singular"
+                                % (shifts,))
+        order = np.argsort(blk, kind="stable")
+        self._pos = np.empty_like(blk)
+        self._pos[order] = (np.arange(blk.size)
+                            - np.searchsorted(blk[order], blk[order]))
+        self._index = band.rank[:, None] + (self._pos * self.count + blk) * n
 
-    def solve(self, blk, B, transpose):
-        n = B.shape[0]
-        if isinstance(self._lu, spla.SuperLU):
-            # column q of B goes to block blk[q], at the next free column
-            # of that block's share of the stacked right-hand side
-            order = np.argsort(blk, kind="stable")
-            first = np.searchsorted(blk[order], blk[order])
-            pos = np.empty_like(blk)
-            pos[order] = np.arange(blk.size) - first
-            R = np.zeros((self.count, n, pos.max() + 1), dtype=B.dtype)
-            R[blk, :, pos] = B.T
-            X = self._lu.solve(R.reshape(self.count * n, -1),
-                               trans="T" if transpose else "N")
-            return X.reshape(R.shape)[blk, :, pos].T
-        lu, piv = self._lu
-        X = np.empty_like(B)
-        for j in range(self.count):
-            cols = blk == j
-            X[:, cols] = sla.lu_solve((lu[j], piv[j]), B[:, cols],
-                                      trans=int(transpose),
-                                      check_finite=False)
-        return X
+    def solve(self, B, transpose, cols=None):
+        """X with column q the solve of column q of B by its block. B holds
+        all of the group's columns, or those a mask cols selects."""
+        if self.band is None:
+            blk = self._blk if cols is None else self._blk[cols]
+            lu, piv = self._lu
+            X = np.empty_like(B)
+            for j in range(self.count):
+                at = blk == j
+                X[:, at] = sla.lu_solve((lu[j], piv[j]), B[:, at],
+                                        trans=int(transpose),
+                                        check_finite=False)
+            return X
+        index = self._index if cols is None else self._index[:, cols]
+        width = (self._pos if cols is None else self._pos[cols]).max() + 1
+        R = np.zeros(self._lu.shape[1] * width, dtype=self._lu.dtype)
+        R[index] = B
+        X, _ = self._gbtrs(self._lu, self.band.kl, self.band.ku,
+                           R.reshape((-1, width), order="F"), self._piv,
+                           trans=int(transpose), overwrite_b=True)
+        return X.ravel(order="F")[index]
 
 
 class _ShiftFactors:
@@ -529,7 +555,11 @@ class _ShiftFactors:
 
     Reads the pair rule by ``conjugate_pairs``, not strict: a partner's
     shift is never factored, and a lead without a partner stands alone. A
-    real shift is factored in real arithmetic.
+    real shift is factored in real arithmetic, and its column is solved as
+    two real columns, [Re, Im], side by side in its block. The complex
+    columns are the leads, then each partner in its lead's block; a solve
+    takes a partner's column only when its Rhs is not the conjugate of its
+    lead's.
     """
 
     def __init__(self, form, lam):
@@ -537,13 +567,12 @@ class _ShiftFactors:
                                                              strict=False)
         self.real_blocks = self.cplx_blocks = None
         if self.real.size:
-            shifts, self.real_blk = np.unique(lam[self.real].real,
-                                              return_inverse=True)
-            self.real_blocks = _Blocks(form, shifts)
+            shifts, blk = np.unique(lam[self.real].real, return_inverse=True)
+            self.real_blocks = _Blocks(form, shifts, np.repeat(blk, 2))
         if self.lead.size:
-            shifts, self.lead_blk = np.unique(lam[self.lead],
-                                              return_inverse=True)
-            self.cplx_blocks = _Blocks(form, shifts)
+            shifts, blk = np.unique(lam[self.lead], return_inverse=True)
+            self.cplx_blocks = _Blocks(form, shifts, np.concatenate(
+                [blk, blk[np.searchsorted(self.lead, self.partner - 1)]]))
 
 
 def shifted_lu(A, E=None):
@@ -553,8 +582,16 @@ def shifted_lu(A, E=None):
     input: the pencil is sparse when the pattern of A, plus the diagonal
     (or E's pattern), fills at most ``_SPARSE_FILL`` of n^2, and dense
     otherwise. Sparse input is read from its stored entries, dense input
-    by one scan of its n^2 cells.
+    by one scan of its n^2 cells. A sparse pencil is laid out as a band
+    matrix (``_Band``) in the reverse Cuthill-McKee order of that pattern,
+    computed here once per form. The band is as wide as that order makes
+    it, with no second sparse format for a wide one: a pattern with a
+    dense row and column has a band as wide as the matrix, and its factors
+    take about 3 n^2 entries per shift.
     """
+    # imported here, not with the module: see hurwitz_schur
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     if not (sp.issparse(A) or sp.issparse(E)):
         A = np.asarray(A, dtype=float)
         E = None if E is None else np.asarray(E, dtype=float)
@@ -575,16 +612,26 @@ def shifted_lu(A, E=None):
     n = A.shape[0]
     Ec = (sp.eye_array(n, format="coo") if E is None
           else sp.coo_array(E, dtype=float))
-    # one conversion sums A into the real and E into the imaginary part of
-    # each cell of the union pattern, so neither can cancel the other out
-    P = sp.csc_array((np.concatenate([A.data, 1j * Ec.data]),
+    # the union pattern, each cell once
+    P = sp.csr_array((np.ones(A.nnz + Ec.nnz),
                       (np.concatenate([A.row, Ec.row]),
                        np.concatenate([A.col, Ec.col]))), shape=A.shape)
     if P.nnz > _SPARSE_FILL * n * n:
         return ShiftedLU(A.toarray(), None if E is None else Ec.toarray())
-    Ap = sp.csc_array((P.data.real.copy(), P.indices, P.indptr), shape=P.shape)
-    Ep = sp.csc_array((P.data.imag.copy(), P.indices, P.indptr), shape=P.shape)
-    return ShiftedLU(Ap, Ep)
+    rank = np.empty(n, dtype=np.intp)
+    rank[reverse_cuthill_mckee(P)] = np.arange(n)
+    P = P.tocoo()
+    offset = rank[P.row] - rank[P.col]
+    kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
+    rows = 2 * kl + ku + 1
+
+    def banded(M):  # duplicate entries summed
+        col = rank[M.col]
+        return np.bincount(col * rows + kl + ku + rank[M.row] - col,
+                           weights=M.data, minlength=n * rows).reshape(n, rows)
+
+    return ShiftedLU(A, None if E is None else Ec,
+                     _Band(rank, kl, ku, banded(A), banded(Ec)))
 
 
 def solve_sylvester_shifted(A, lam, Rhs, E=None, transpose=False):
@@ -596,10 +643,10 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None, transpose=False):
     several solves with one lam share its factors, in either direction
     (see ``ShiftedLU``: at most one real and one complex factorization per
     lam). A and E may be dense or sparse arrays; ``shifted_lu`` decides
-    whether the pencil is factored by ``splu`` or by dense LU. Rhs has
-    shape (n, lam.size), or is a vector of length n for a single shift;
-    any other shape raises ValueError. A real shift is solved in real
-    arithmetic, on [Re Rhs, Im Rhs]. Shifts are paired by
+    whether the pencil is factored as a band matrix by LAPACK's band LU or
+    by dense LU. Rhs has shape (n, lam.size), or is a vector of length n
+    for a single shift; any other shape raises ValueError. A real shift is
+    solved in real arithmetic, on [Re Rhs, Im Rhs]. Shifts are paired by
     ``conjugate_pairs``, not strict; the partner i + 1 of a lead i is never
     factored. Its column is the exact conjugate of column i when the
     matching Rhs columns are conjugate to 1e-12, which keeps realification
@@ -621,29 +668,33 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None, transpose=False):
     if Rhs.shape != (n, lam.size):
         raise ValueError("Rhs shape %r, not %r" % (Rhs.shape, (n, lam.size)))
     f = form.factors(lam)
+    # solving for -Rhs gives V without a negation per group
+    Rhs = -Rhs
     V = np.empty((n, lam.size), dtype=complex)
     if f.real.size:
-        b = Rhs[:, f.real]
-        X = f.real_blocks.solve(np.tile(f.real_blk, 2),
-                                np.hstack([b.real, b.imag]), transpose)
-        V[:, f.real] = -(X[:, :f.real.size] + 1j * X[:, f.real.size:])
+        # [Re, Im] of each column, side by side
+        b = np.take(Rhs, f.real, axis=1).view(float)
+        V[:, f.real] = f.real_blocks.solve(b, transpose).view(complex)
     if f.lead.size:
         b = Rhs[:, f.partner - 1]
+        size = np.abs(b)
         conj = np.all(np.abs(Rhs[:, f.partner] - b.conj())
-                      <= 1e-12 * (1.0 + np.abs(b).max(axis=0, initial=0.0)
-                                  + np.abs(b)), axis=0)
+                      <= 1e-12 * (1.0 + size.max(axis=0, initial=0.0)
+                                  + size), axis=0)
         own = f.partner[~conj]
-        blk = np.concatenate([f.lead_blk,
-                              f.lead_blk[np.searchsorted(f.lead, own - 1)]])
-        X = -f.cplx_blocks.solve(
-            blk, np.hstack([Rhs[:, f.lead], Rhs[:, own].conj()]), transpose)
+        X = f.cplx_blocks.solve(
+            np.hstack([Rhs[:, f.lead], Rhs[:, own].conj()]), transpose,
+            np.concatenate([np.ones(f.lead.size, dtype=bool), ~conj]))
         V[:, f.lead] = X[:, :f.lead.size]
+        V[:, f.partner] = V[:, f.partner - 1].conj()
         V[:, own] = X[:, f.lead.size:].conj()
-        V[:, f.partner[conj]] = V[:, f.partner[conj] - 1].conj()
-    bad = ~np.all(np.isfinite(V), axis=0)
-    if bad.any():
-        raise SingularShift("shift %r gave a non-finite column"
-                            % (lam[np.argmax(bad)],))
+    # a non-finite entry makes the sum non-finite; only then are the
+    # columns checked one by one
+    if not np.isfinite(V.sum()):
+        bad = ~np.all(np.isfinite(V), axis=0)
+        if bad.any():
+            raise SingularShift("shift %r gave a non-finite column"
+                                % (lam[np.argmax(bad)],))
     return V
 
 

@@ -14,6 +14,28 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
+def record_band_factors(monkeypatch):
+    """List of (dtype, stacked order) of every LAPACK gbtrf call from here
+    on: one entry per band factorization of a group of shifts."""
+    factored = []
+    get = sla.get_lapack_funcs
+
+    def getting(names, arrays=(), *args, **kwargs):
+        funcs = get(names, arrays, *args, **kwargs)
+        if names != ("gbtrf", "gbtrs"):
+            return funcs
+        gbtrf, gbtrs = funcs
+
+        def counting(ab, *fargs, **fkwargs):
+            factored.append((ab.dtype, ab.shape[1]))
+            return gbtrf(ab, *fargs, **fkwargs)
+
+        return counting, gbtrs
+
+    monkeypatch.setattr(sla, "get_lapack_funcs", getting)
+    return factored
+
+
 def random_tensor(n, rng):
     return rng.standard_normal((n, n, n))
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from qbmor import gramians_norms, qb_core
@@ -601,6 +602,33 @@ def test_error_system_splits_into_blocks():
     assert [(b.T.ndim, b.T.shape[0], b.Z is None) for b in S.blocks] == [
         (1, 10, True), (1, 10, False), (2, 4, False)]
     assert S.blocks[2].idx == slice(20, 24)
+
+
+def test_error_system_factors_only_the_reduced_part(monkeypatch):
+    # the full model's eigh runs once, in sys.schur(); each error system
+    # adds its reduced model's Schur factorization alone, and its norm is
+    # the one of the same system factored whole
+    reds = [balanced_truncation(chafee_infante(50), r, gamma=0.01)[0]
+            for r in (4, 6)]
+    sys = chafee_infante(50)
+    calls = []
+    for name in ("eigh", "schur"):
+        def counting(M, *args, _name=name, _f=getattr(sla, name), **kwargs):
+            calls.append((_name, M.shape[0]))
+            return _f(M, *args, **kwargs)
+        monkeypatch.setattr(sla, name, counting)
+    errors = [truncated_h2_error(sys, red) for red in reds]
+    assert calls == [("eigh", 50), ("schur", 4), ("schur", 6)]
+    monkeypatch.undo()
+    unstable = project(reds[0], np.eye(4), np.eye(4))
+    unstable.A[0, 0] = 1e3
+    with pytest.raises(NotStable):
+        error_system(sys, unstable)
+    for red, err in zip(reds, errors):
+        es = error_system(sys, red)
+        whole = truncated_h2_norm(QBSystem(es.A, es.H, es.N, es.B, es.C,
+                                           E=es.E))
+        assert abs(err - whole) <= 1e-12 * whole
 
 
 # 50-digit truncated H2 error of chafee_infante(10) against its order-r

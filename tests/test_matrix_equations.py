@@ -12,14 +12,15 @@ from qbmor.errors import (
     SolverBreakdown,
 )
 from qbmor.matrix_equations import (
-    HurwitzSchur, conjugate_pairs, hurwitz_schur, spectral_decompose,
+    HurwitzSchur, ShiftedLU, conjugate_pairs, hurwitz_schur,
+    spectral_decompose,
     solve_lyapunov,
     solve_sylvester_shifted, shifted_lu, reflect_unstable, realify_basis,
     _solve_lyapunov_blocks, _solve_lyapunov_quasi_triangular,
     _solve_quasi_triangular,
 )
-from qbmor.benchmarks import chafee_infante
-from conftest import rng_for
+from qbmor.benchmarks import chafee_infante, fitzhugh_nagumo
+from conftest import record_band_factors, rng_for
 
 
 def random_stable(n, rng):
@@ -638,7 +639,7 @@ def test_sylvester_block_solve_matches_per_column(sparse, with_mass,
         Ain, Ein = A, E
     form = shifted_lu(Ain, Ein)
     assert sp.issparse(form.A) == sparse
-    sparse_lu = _record_factor_dtypes(monkeypatch, spla, "splu")
+    band_lu = record_band_factors(monkeypatch)
     dense_lu = _record_factor_dtypes(monkeypatch, sla, "lu_factor")
     lam = _REPEATED_SHIFTS
     Em = np.eye(n) if E is None else E
@@ -653,8 +654,13 @@ def test_sylvester_block_solve_matches_per_column(sparse, with_mass,
         assert np.array_equal(V[:, 3], np.conj(V[:, 2]))
         assert np.abs(V[:, 6] - np.conj(V[:, 5])).max() > 1e-3
     # both directions share one real and one complex factorization
-    assert (sparse_lu if sparse else dense_lu) == [np.float64, np.complex128]
-    assert (dense_lu if sparse else sparse_lu) == []
+    if sparse:
+        # one distinct real shift, two distinct complex leads
+        assert band_lu == [(np.float64, n), (np.complex128, 2 * n)]
+        assert dense_lu == []
+    else:
+        assert dense_lu == [np.float64, np.complex128]
+        assert band_lu == []
 
 
 def test_sylvester_rejects_a_right_hand_side_of_the_wrong_shape():
@@ -715,14 +721,12 @@ def test_sylvester_sparse_factors_once_per_shift(monkeypatch):
     rng = rng_for(13)
     n = 80
     A = sp.csr_array(_sparse_pencil(n, False, rng)[0])
-    shapes = []
-    factored = _record_factor_dtypes(monkeypatch, spla, "splu", shapes)
+    factored = record_band_factors(monkeypatch)
     dense = _record_factor_dtypes(monkeypatch, sla, "lu_factor")
     _four_solves(shifted_lu(A), n, rng)
-    # one block-diagonal matrix over the real shift, one over the two
+    # one block-diagonal band matrix over the real shift, one over the two
     # complex shifts that are factored
-    assert factored == [np.float64, np.complex128]
-    assert shapes == [(n, n), (2 * n, 2 * n)]
+    assert factored == [(np.float64, n), (np.complex128, 2 * n)]
     assert dense == []
 
 
@@ -837,6 +841,75 @@ def test_shifted_lu_format_rule():
     # a sparse mass matrix with a sparse pencil stays on the shared pattern
     form = shifted_lu(-np.eye(100), sp.eye_array(100))
     assert sp.issparse(form.A) and sp.issparse(form.E)
+
+
+def _band_pencils():
+    rng = rng_for(17)
+    A, E = _sparse_pencil(80, True, rng)
+    return {"chafee": (chafee_infante(100).A, None),
+            "fhn": (fitzhugh_nagumo(67).A, None),
+            "random_mass": (sp.csr_array(A), sp.csr_array(E))}
+
+
+@pytest.mark.parametrize("case", ["chafee", "fhn", "random_mass"])
+def test_band_form_matches_dense_form(case):
+    A, E = _band_pencils()[case]
+    form = shifted_lu(A, E)
+    band = form.band
+    n = A.shape[0]
+    # chafee is tridiagonal as it stands; fhn needs the reordering; the
+    # random pencil's band is nearly full
+    if case == "chafee":
+        assert (band.kl, band.ku) == (1, 1)
+    if case == "fhn":
+        assert max(band.kl, band.ku) < 10
+        assert not np.array_equal(band.rank, np.arange(n))
+    Ad = A.toarray()
+    Ed = None if E is None else E.toarray()
+    dense = ShiftedLU(Ad, Ed)
+    Em = np.eye(n) if Ed is None else Ed
+    rng = rng_for(18)
+    for transposed in (False, True):
+        Rhs = rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8))
+        Rhs[:, 3] = np.conj(Rhs[:, 2])
+        V = solve_sylvester_shifted(form, _REPEATED_SHIFTS, Rhs,
+                                    transpose=transposed)
+        ref = solve_sylvester_shifted(dense, _REPEATED_SHIFTS, Rhs,
+                                      transpose=transposed)
+        assert np.linalg.norm(V - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(V[:, 3], np.conj(V[:, 2]))
+        Aop, Eop = (Ad.T, Em.T) if transposed else (Ad, Em)
+        res = -Eop @ V @ np.diag(_REPEATED_SHIFTS) - Aop @ V - Rhs
+        assert np.linalg.norm(res) <= 1e-12 * (
+            np.linalg.norm(Aop) + np.linalg.norm(Eop)) * np.linalg.norm(V)
+
+
+def test_band_form_singular_shift_in_reordered_pencil():
+    # the singular pencil with its rows and columns shuffled: the band
+    # order differs from the given one, and the zero pivot still shows
+    n = 100
+    p = rng_for(19).permutation(n)
+    A = _sparse_singular_pencil(n)[p][:, p]
+    form = shifted_lu(A)
+    assert not np.array_equal(form.band.rank, np.arange(n))
+    for lam in ([1.0], [3.0, 1.0 + 1.0j, 1.0 - 1.0j]):
+        with pytest.raises(SingularShift):
+            solve_sylvester_shifted(form, np.array(lam),
+                                    np.ones((n, len(lam))))
+
+
+def test_sparse_shifted_solves_never_call_splu(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    monkeypatch.setattr(spla, "splu", refuse)
+    rng = rng_for(20)
+    for A, E in _band_pencils().values():
+        form = shifted_lu(A, E)
+        assert form.band is not None
+        _four_solves(form, A.shape[0], rng)
+        solve_sylvester_shifted(A, _MIXED_SHIFTS,
+                                np.ones((A.shape[0], 4)), E=E)
 
 
 # -------------------------------------------------------------- pair rule

@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 import qbmor
 import qbmor.qb_core as qb_core
@@ -26,7 +25,7 @@ from qbmor.tqb_irka import (
     _eig_change, _solve_bases_core,
 )
 
-from conftest import rng_for, random_stable_qb
+from conftest import record_band_factors, rng_for, random_stable_qb
 
 # the package re-exports the function tqb_irka under the module's name
 tqb_irka_module = importlib.import_module("qbmor.tqb_irka")
@@ -132,37 +131,26 @@ def test_solve_bases_factors_each_shift_once(monkeypatch):
     bundle = red.eigenbasis(f, lam, 0.01)
     n_real = int(np.sum(lam.imag == 0.0))
     assert 0 < n_real < lam.size
-    calls = []
-    factor = scipy.sparse.linalg.splu
-
-    def counting(M, *args, **kwargs):
-        calls.append((M.dtype, M.shape))
-        return factor(M, *args, **kwargs)
-
     # A of the flagship fills 1 % of n^2, so its shifts are factored sparse
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    calls = record_band_factors(monkeypatch)
     _solve_bases_core(rescale(flagship, 0.01), bundle)
-    # the four solves share one block-diagonal factor over the real shifts
-    # and one over the leads of the conjugate pairs
+    # the four solves share one block-diagonal band factor over the real
+    # shifts and one over the leads of the conjugate pairs
     n = flagship.n
-    assert calls == [(np.float64, (n * n_real, n * n_real)),
-                     (np.complex128, ((lam.size - n_real) // 2 * n,) * 2)]
+    assert calls == [(np.float64, n * n_real),
+                     (np.complex128, (lam.size - n_real) // 2 * n)]
 
 
 def test_tqb_irka_builds_one_pencil_and_two_factors_per_sweep(monkeypatch):
-    built, factored = [], []
-    build, factor = qb_core.shifted_lu, scipy.sparse.linalg.splu
+    built = []
+    build = qb_core.shifted_lu
 
     def counting_build(*args, **kwargs):
         built.append(1)
         return build(*args, **kwargs)
 
-    def counting_factor(M, *args, **kwargs):
-        factored.append(M.dtype)
-        return factor(M, *args, **kwargs)
-
     monkeypatch.setattr(qb_core, "shifted_lu", counting_build)
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_factor)
+    factored = record_band_factors(monkeypatch)
     # A of chafee_infante(30) fills 1/30 of n^2, so it is factored sparse
     _, _, report = tqb_irka(chafee_infante(30),
                             IrkaConfig(r=4, gamma=0.01, seed=0))
