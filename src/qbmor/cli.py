@@ -55,11 +55,9 @@ def cmd_generate(model, k, out_dir):
 @click.option("--init", "init_kind",
               type=click.Choice(["random", "linear-irka"]), default="random",
               show_default=True)
-@click.option("--shift", type=float, default=0.0, show_default=True,
-              help="stabilizing shift subtracted from A while solving bases")
 @click.option("--out-dir", type=click.Path(), required=True)
 def cmd_reduce(system_path, method, r, tol, maxit, gamma, seed, init_kind,
-               shift, out_dir):
+               out_dir):
     """Reduce a stored system; exit code 2 flags non-convergence."""
     sys_ = load_system(system_path)
     t0 = time.perf_counter()
@@ -75,13 +73,12 @@ def cmd_reduce(system_path, method, r, tol, maxit, gamma, seed, init_kind,
             click.echo("%d,%.17g" % (i + 1, s))
     else:
         cfg = IrkaConfig(r=r, tol=tol, maxit=maxit, gamma=gamma,
-                         init=init_kind, seed=seed, shift=shift)
+                         init=init_kind, seed=seed)
         red, _, report = tqb_irka(sys_, cfg)
         path = save_reduced(red, out_dir)
         click.echo("method=tqb-irka r=%d n=%d seed=%d init=%s" %
                    (r, sys_.n, seed, init_kind))
-        click.echo("gamma=%.17g tol=%.17g maxit=%d shift=%.17g" %
-                   (gamma, tol, maxit, shift))
+        click.echo("gamma=%.17g tol=%.17g maxit=%d" % (gamma, tol, maxit))
         click.echo("written=%s" % path)
         click.echo("converged=%s iterations=%d" %
                    ("true" if report.converged else "false",

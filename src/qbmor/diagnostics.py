@@ -21,6 +21,8 @@ from qbmor.qb_core import _dense
 from qbmor.tqb_irka import solve_bases
 
 _FAMILIES = ("C", "B", "N", "H", "lambda")
+# relative gap up to which the brute-force and Sylvester routes agree
+_BRUTE_TOL = 1e-9
 
 
 @dataclass
@@ -55,7 +57,7 @@ class BruteForceCheck:
     rel_H: float
     rel_lambda: float
     agreed: bool
-    tol: float = 1e-9
+    tol: float = _BRUTE_TOL
 
 
 def _spec_norm(X):
@@ -119,7 +121,7 @@ def optimality_residuals(sys, red, bases):
                           degraded=dict.fromkeys(_FAMILIES, False))
 
 
-def verify_against_bruteforce(sys, red, tol=1e-9):
+def verify_against_bruteforce(sys, red):
     """Recompute the five residual families through vectorized Kronecker
     solves and compare with the Sylvester route.
     """
@@ -171,4 +173,4 @@ def verify_against_bruteforce(sys, red, tol=1e-9):
         base = _spec_norm(phi_s)
         rel.append(0.0 if max(diff, base) < floor else diff / max(base,
                                                                   floor))
-    return BruteForceCheck(*rel, agreed=all(x <= tol for x in rel), tol=tol)
+    return BruteForceCheck(*rel, agreed=all(x <= _BRUTE_TOL for x in rel))

@@ -43,7 +43,7 @@ class SingularGram(NumericalError):
 
 
 class NonPositiveGamma(QbmorError):
-    """Rescaling factor must be strictly positive."""
+    """Rescaling factor must be finite and strictly positive."""
 
 
 # raised by gramians_norms

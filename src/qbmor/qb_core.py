@@ -48,6 +48,17 @@ def _operator(M):
     return np.asarray(M, dtype=float)
 
 
+def _channels(M, n, axis):
+    """B (axis 0) or C (axis 1), dense, with n entries along axis; a 1-D M of
+    length n is one channel. Other shapes raise ValueError, not reshaped."""
+    M = _dense(M)
+    if M.ndim == 1:
+        M = np.expand_dims(M, 1 - axis)
+    if M.ndim != 2 or M.shape[axis] != n:
+        raise ValueError("B must have n rows and C n columns")
+    return M
+
+
 class QBSystem:
     """Immutable-by-convention container for one QB system.
 
@@ -69,8 +80,8 @@ class QBSystem:
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
-        self.B = _dense(B).reshape(n, -1)
-        self.C = _dense(C).reshape(-1, n)
+        self.B = _channels(B, n, 0)
+        self.C = _channels(C, n, 1)
         self.N = [_operator(Nk) for Nk in (N if N is not None else [])]
         if len(self.N) != self.B.shape[1]:
             raise ValueError("need one bilinear matrix per input channel")
@@ -111,8 +122,8 @@ class QBSystem:
         shifted factors and eigendata afresh. At gamma = 1 every operator
         holds the source's bits.
         """
-        if gamma <= 0:
-            raise NonPositiveGamma("gamma must be positive")
+        if not 0.0 < gamma < np.inf:
+            raise NonPositiveGamma("gamma must be positive and finite")
         out = copy.copy(self)
         out.H = self.H.scaled(gamma)
         out.N = [gamma * Nk for Nk in self.N]
@@ -302,7 +313,7 @@ class ReducedModel(QBSystem):
     """Reduced QB system plus reduction metadata and lazy eigendata."""
 
     def __init__(self, A, H, N, B, C, label="", method="", gamma=1.0,
-                 seed=None, converged=True, iterations=0, tol=0.0, shift=0.0):
+                 seed=None, converged=True, iterations=0, tol=0.0):
         super().__init__(A, H, N, B, C, E=None, label=label)
         self.method = method
         self.gamma = float(gamma)
@@ -310,7 +321,6 @@ class ReducedModel(QBSystem):
         self.converged = bool(converged)
         self.iterations = int(iterations)
         self.tol = float(tol)
-        self.shift = float(shift)
 
     @property
     def r(self):
@@ -546,7 +556,6 @@ def save_reduced(red, out_dir):
         ("converged", "true" if red.converged else "false"),
         ("iterations", str(red.iterations)),
         ("tol", _fmt_float(red.tol)),
-        ("shift", _fmt_float(red.shift)),
     ]
     _write_matrices(out_dir, entries,
                     [("ahat", red.A), ("bhat", red.B), ("chat", red.C)]
@@ -573,5 +582,4 @@ def load_reduced(path):
         seed=None if seed == "" else int(seed),
         converged=man.get("converged", "true") == "true",
         iterations=int(man.get("iterations", "0")),
-        tol=float(man.get("tol", "0")),
-        shift=float(man.get("shift", "0")))
+        tol=float(man.get("tol", "0")))

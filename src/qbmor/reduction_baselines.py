@@ -43,6 +43,5 @@ def balanced_truncation(sys, r, gamma=1.0):
     V = g.basis.left((L_P @ Zt[:r].T) * scale)
     W = g.basis.left((L_Q @ U[:, :r]) * scale)
     red = project(sys, V, sys.solve_mass(W, transpose=True), method="bt",
-                  gamma=gamma, seed=None, converged=True, iterations=0,
-                  tol=0.0, shift=0.0)
+                  gamma=gamma)
     return red, hsv

@@ -34,7 +34,6 @@ class IrkaConfig:
     gamma: float = 1.0
     init: object = "random"      # "random", "linear-irka", or a ReducedModel
     seed: int = 0
-    shift: float = 0.0           # spectral shift applied to A in the solves
 
 
 @dataclass
@@ -147,18 +146,11 @@ def tqb_irka(sys, cfg):
         raise ValueError("maxit must be at least 1")
 
     scaled = rescale(sys, cfg.gamma)
-    if cfg.shift != 0.0:
-        Eeff = sp.eye_array(sys.n) if sys.E is None else sys.E
-        basis_sys = QBSystem(scaled.A - cfg.shift * Eeff, scaled.H, scaled.N,
-                             scaled.B, scaled.C, E=sys.E)
-    else:
-        basis_sys = scaled
-
     red = initial_guess(sys, cfg.r, cfg.init, cfg.seed)
     if red.r != cfg.r:
         raise ValueError("initial guess order does not match cfg.r")
     meta = dict(method="tqb-irka", gamma=cfg.gamma, seed=cfg.seed,
-                tol=cfg.tol, shift=cfg.shift)
+                tol=cfg.tol)
 
     f = spectral_decompose(red.A)
     best = None
@@ -167,7 +159,7 @@ def tqb_irka(sys, cfg):
     for it in range(1, cfg.maxit + 1):
         lam = reflect_unstable(f.lam)
         bundle = red.eigenbasis(f, lam, cfg.gamma)
-        bases = _solve_bases_core(basis_sys, bundle)
+        bases = _solve_bases_core(scaled, bundle)
         red = project(sys, orthonormalize(bases.V), orthonormalize(bases.W),
                       converged=False, iterations=it, **meta)
         prev_eigs = f.lam

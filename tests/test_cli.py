@@ -172,6 +172,16 @@ def test_reduce_invalid_requests_exit_1(chafee_dir, tmp_path, capsys):
                  "--out-dir", str(tmp_path / "r0")]) == 1
     assert main(["reduce", str(tmp_path / "nosuchdir"), "--r", "2",
                  "--out-dir", str(tmp_path / "x")]) == 1
+    # a non-finite gamma is rejected before any work, by either method
+    for method in ("tqb-irka", "bt"):
+        for gamma in ("nan", "inf"):
+            assert main(["reduce", str(chafee_dir), "--method", method,
+                         "--r", "2", "--gamma", gamma,
+                         "--out-dir", str(tmp_path / "g")]) == 1
+            assert "invalid request" in capsys.readouterr().err
+    # tqb_irka solves its bases on A itself: there is no shift option
+    assert main(["reduce", str(chafee_dir), "--r", "2", "--shift", "0.5",
+                 "--out-dir", str(tmp_path / "s")]) == 1
     capsys.readouterr()
 
 

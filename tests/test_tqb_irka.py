@@ -464,17 +464,6 @@ def test_report_fields_and_metadata():
     assert bases.V.shape == (7, 2) and bases.W.shape == (7, 2)
 
 
-def test_shift_is_applied_and_recorded():
-    rng = rng_for(28)
-    sys = linear_system(8, 1, 1, rng)
-    cfg = IrkaConfig(r=2, tol=1e-8, maxit=300, seed=0, shift=0.4)
-    red, _, report = tqb_irka(sys, cfg)
-    assert red.shift == 0.4
-    cfg0 = IrkaConfig(r=2, tol=1e-8, maxit=300, seed=0, shift=0.0)
-    red0, _, _ = tqb_irka(sys, cfg0)
-    assert not np.allclose(red.A, red0.A)
-
-
 def test_mass_matrix_matches_standardized_run():
     rng = rng_for(29)
     n = 8
