@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qbmor.errors import DegradedDiagnostics, SingularShift, TooLarge
-from qbmor.kron_tensor import mode_matricize, perm_T, vec, unvec
-from qbmor.qb_core import _dense
+from qbmor.kron_tensor import _dense, mode_matricize, perm_T, vec, unvec
 from qbmor.tqb_irka import solve_bases
 
 _FAMILIES = ("C", "B", "N", "H", "lambda")

@@ -37,6 +37,10 @@ from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import QBSystem
 from qbmor.matrix_equations import HurwitzSchur, solve_lyapunov
 
+# Picard budget of quadratic_gramians: relative step tolerance and steps
+_PICARD_TOL = 1e-10
+_PICARD_MAXIT = 50
+
 
 def _lift(S, X):
     """Z X Z^T of the form S, symmetrized: a Schur-basis Gramian in the
@@ -206,27 +210,23 @@ def _observability_gram(sys, gram2, Q):
     return F
 
 
-def quadratic_gramians(sys, tol=1e-10, maxit=50):
+def quadratic_gramians(sys):
     """Fixed points of the quadratic-type Lyapunov equations.
 
     Picard iteration seeded at the linear Gramians, run in the Schur basis
-    of A. Each iterate's source is formed from the iterate itself, lifted
-    to the original coordinates, with no factor and no Kronecker product:
+    of A, within the module's budget (_PICARD_TOL, _PICARD_MAXIT). Each
+    iterate's source is formed from the iterate itself, lifted to the
+    original coordinates, with no factor and no Kronecker product:
     H(P (x) P)H^T by ``Hessian.kron_gram`` and H^(2)(P (x) Q)(H^(2))^T by
     ``Hessian.mode2_gram`` of the converged P; with a mass matrix Q enters
     as E^{-T} Q E^{-1}. Divergence usually means the quadratic and
     bilinear parts are too large; rescale the system first. Returns (P, Q,
     (iterations_P, iterations_Q)), P and Q in the original coordinates.
-    ValueError is raised for maxit < 1 or tol <= 0.
     """
-    if maxit < 1:
-        raise ValueError("maxit must be at least 1")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     S, _, seed_p, seed_q, P_l, Q_l = _linear_gramians(sys)
 
     def picard(X, source, seed, transpose, what):
-        for it in range(1, maxit + 1):
+        for it in range(1, _PICARD_MAXIT + 1):
             F = S.congruence(source(_lift(S, X))) + seed
             if not np.all(np.isfinite(F)):
                 raise NoConvergence("%s iteration diverged (non-finite source);"
@@ -243,10 +243,10 @@ def quadratic_gramians(sys, tol=1e-10, maxit=50):
             if not (np.isfinite(delta) and np.isfinite(nrm)):
                 raise NoConvergence("%s iteration diverged (norm overflow); "
                                     "rescale the system" % what)
-            if delta <= tol * max(nrm, 1e-300):
+            if delta <= _PICARD_TOL * max(nrm, 1e-300):
                 return X, it
         raise NoConvergence("%s iteration did not settle in %d steps; rescale"
-                            " the system" % (what, maxit))
+                            " the system" % (what, _PICARD_MAXIT))
 
     P, it_p = picard(P_l, lambda P: _controllability_gram(sys, P), seed_p,
                      False, "controllability")
@@ -292,9 +292,9 @@ def truncated_h2_norm(sys):
     return float(np.sqrt(t_c))
 
 
-def h2_norm(sys, tol=1e-10, maxit=50):
+def h2_norm(sys):
     """H2 norm through the converged quadratic Gramians."""
-    P, Q, _ = quadratic_gramians(sys, tol=tol, maxit=maxit)
+    P, Q, _ = quadratic_gramians(sys)
     t_c, _ = _dual_traces(sys.solve_mass(sys.B), sys.C, P, Q, 1e-6,
                           "quadratic")
     return float(np.sqrt(t_c))

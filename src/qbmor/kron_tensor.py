@@ -93,10 +93,10 @@ def perm_M(p, q, r):
     return PermutationMatrix(perm)
 
 
-def _dense_factor(M):
+def _dense(M):
     if sp.issparse(M):
         return M.toarray()
-    return np.asarray(M)
+    return np.asarray(M, dtype=float)
 
 
 # entries of one row-Kronecker block of the active-row products; a larger
@@ -270,7 +270,7 @@ class Hessian:
         n = self.n
         T = np.zeros((n, n, n))
         for L, R in self._pairs:
-            Ld, Rd = _dense_factor(L), _dense_factor(R)
+            Ld, Rd = _dense(L), _dense(R)
             T += Ld[:, :, None] * Rd[:, None, :]
         return T.reshape(n, n * n)
 

@@ -18,18 +18,15 @@ nonsymmetric one is one Sylvester solve by that recursion. A connected
 coefficient is the one-block case. A Lyapunov solve given the form works
 on Schur coordinates and changes no basis; given a matrix, it wraps that
 solve in the two basis changes.
-Sylvester equations with a diagonal right coefficient are solved
-on a ``shifted_lu`` form of the pencil A + lam E; a full Kronecker system
-is never formed. All shifts of one shift vector are factored at once: one
-factorization over the distinct real shifts, in real arithmetic, and one
-over the distinct complex shifts that lead a conjugate pair, none for a
-partner. The factors serve the V solves with A + lam E and, with
-``transpose``, the W solves with its transpose. A sparse pencil is held
-as a band matrix, rows and columns in the reverse Cuthill-McKee order of
-its pattern, found once per form; a group's shifts are stacked into one
-block-diagonal band matrix, factored by LAPACK's band LU (gbtrf) and
-solved by gbtrs. A dense pencil's shifts are factored as one batch by
-LAPACK's dense LU.
+Sylvester equations with a diagonal right coefficient are solved on a
+``shifted_lu`` form of the pencil A + lam E, never as a Kronecker system:
+one complex factorization per shift vector, over its distinct real shifts
+and conjugate-pair leads, none for a partner, serves the V solves with
+A + lam E and, with ``transpose``, the W solves with its transpose. A
+sparse pencil is a band matrix in the reverse Cuthill-McKee order of its
+pattern, found once per form, its shifts stacked block-diagonally for one
+LAPACK gbtrf and solved by gbtrs; a dense pencil's shifts are one batch of
+dense LU.
 """
 
 import warnings
@@ -449,16 +446,12 @@ class ShiftedLU:
     Built by ``shifted_lu``, or from another form's A, E and band to keep
     factors of its own. A and E are the pencil's sparse arrays, with its
     ``_Band`` as band, or dense ndarrays with band None (E may be None,
-    meaning the identity). ``solve_sylvester_shifted`` factors every
-    shift of a shift vector at once: one factorization of the real blocks
-    A + lam_j E over its distinct real shifts and one of the complex
-    blocks over its distinct complex shifts that lead a conjugate pair (or
-    stand alone). A sparse pencil's blocks form one block-diagonal band
-    matrix, itself a band matrix with the pencil's kl and ku, for one
-    LAPACK ``gbtrf``; a dense pencil's form one batch for one
-    ``scipy.linalg.lu_factor``. The factors of the last shift vector are
-    kept, so the solves of one sweep share them, with A + lam E and with
-    its transpose alike.
+    meaning the identity). A shift vector's ``_ShiftFactors`` are one
+    complex factorization of its blocks A + lam_j E: for a sparse pencil
+    one LAPACK ``gbtrf`` of their block-diagonal band matrix, itself a band
+    matrix with the pencil's kl and ku; for a dense one a batch for one
+    ``scipy.linalg.lu_factor``. The last shift vector's are kept, so the
+    solves of one sweep share them, with A + lam E and its transpose alike.
     """
 
     def __init__(self, A, E, band=None):
@@ -475,10 +468,14 @@ class ShiftedLU:
         return self._factors
 
 
-class _Blocks:
-    """Factors of A + s_j E for the distinct shifts s of one group, made by
-    one factorization call, and where the group's columns go: column q of
-    a right-hand side is solved by block blk[q].
+class _ShiftFactors:
+    """Factors of A + s_j E for the distinct shifts s of a nonempty shift
+    vector, made by one complex factorization call, and where its columns
+    go. Reads the pair rule by ``conjugate_pairs``, not strict: the columns
+    ``own`` of the real shifts and the leads (alone or not) come first,
+    then each partner in its lead's block, which a solve takes only when
+    its Rhs is not the conjugate of its lead's; a partner's shift is never
+    factored. Column q is solved by block blk[q].
 
     A dense pencil solves each block's columns by one call. A band pencil
     solves all columns by one gbtrs call on the stacked blocks: row i of
@@ -487,10 +484,14 @@ class _Blocks:
     block. ``_index`` holds these places, flattened in Fortran order.
     """
 
-    def __init__(self, form, shifts, blk):
+    def __init__(self, form, lam):
+        real, lead, self.partner = conjugate_pairs(lam, strict=False)
+        self.own = np.union1d(real, lead)
+        shifts, blk = np.unique(lam[self.own], return_inverse=True)
+        self._blk = blk = np.concatenate(
+            [blk, blk[np.searchsorted(self.own, self.partner - 1)]])
         self.count = shifts.size
         self.band = band = form.band
-        self._blk = blk
         if band is None:
             I = np.eye(form.A.shape[0]) if form.E is None else form.E
             M = form.A + shifts[:, None, None] * I
@@ -527,11 +528,11 @@ class _Blocks:
                             - np.searchsorted(blk[order], blk[order]))
         self._index = band.rank[:, None] + (self._pos * self.count + blk) * n
 
-    def solve(self, B, transpose, cols=None):
+    def solve(self, B, transpose, cols):
         """X with column q the solve of column q of B by its block. B holds
-        all of the group's columns, or those a mask cols selects."""
+        the columns that the mask cols selects."""
         if self.band is None:
-            blk = self._blk if cols is None else self._blk[cols]
+            blk = self._blk[cols]
             lu, piv = self._lu
             X = np.empty_like(B)
             for j in range(self.count):
@@ -540,39 +541,14 @@ class _Blocks:
                                         trans=int(transpose),
                                         check_finite=False)
             return X
-        index = self._index if cols is None else self._index[:, cols]
-        width = (self._pos if cols is None else self._pos[cols]).max() + 1
+        index = self._index[:, cols]
+        width = self._pos[cols].max() + 1
         R = np.zeros(self._lu.shape[1] * width, dtype=self._lu.dtype)
         R[index] = B
         X, _ = self._gbtrs(self._lu, self.band.kl, self.band.ku,
                            R.reshape((-1, width), order="F"), self._piv,
                            trans=int(transpose), overwrite_b=True)
         return X.ravel(order="F")[index]
-
-
-class _ShiftFactors:
-    """How the columns of one shift vector are solved, and their factors.
-
-    Reads the pair rule by ``conjugate_pairs``, not strict: a partner's
-    shift is never factored, and a lead without a partner stands alone. A
-    real shift is factored in real arithmetic, and its column is solved as
-    two real columns, [Re, Im], side by side in its block. The complex
-    columns are the leads, then each partner in its lead's block; a solve
-    takes a partner's column only when its Rhs is not the conjugate of its
-    lead's.
-    """
-
-    def __init__(self, form, lam):
-        self.real, self.lead, self.partner = conjugate_pairs(lam,
-                                                             strict=False)
-        self.real_blocks = self.cplx_blocks = None
-        if self.real.size:
-            shifts, blk = np.unique(lam[self.real].real, return_inverse=True)
-            self.real_blocks = _Blocks(form, shifts, np.repeat(blk, 2))
-        if self.lead.size:
-            shifts, blk = np.unique(lam[self.lead], return_inverse=True)
-            self.cplx_blocks = _Blocks(form, shifts, np.concatenate(
-                [blk, blk[np.searchsorted(self.lead, self.partner - 1)]]))
 
 
 def shifted_lu(A, E=None):
@@ -641,18 +617,18 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None, transpose=False):
     Column i is -(A + lam_i E)^{-1} Rhs[:, i]. A is a matrix or a
     ``shifted_lu`` form (then E must be None); passing the form lets
     several solves with one lam share its factors, in either direction
-    (see ``ShiftedLU``: at most one real and one complex factorization per
-    lam). A and E may be dense or sparse arrays; ``shifted_lu`` decides
-    whether the pencil is factored as a band matrix by LAPACK's band LU or
-    by dense LU. Rhs has shape (n, lam.size), or is a vector of length n
-    for a single shift; any other shape raises ValueError. A real shift is
-    solved in real arithmetic, on [Re Rhs, Im Rhs]. Shifts are paired by
-    ``conjugate_pairs``, not strict; the partner i + 1 of a lead i is never
-    factored. Its column is the exact conjugate of column i when the
-    matching Rhs columns are conjugate to 1e-12, which keeps realification
-    exact, and otherwise conj(-(A + lam_i E)^{-1} conj(Rhs[:, i+1])).
-    SingularShift is raised when a shift makes the pencil exactly singular
-    or a column comes out non-finite.
+    (see ``ShiftedLU``: one complex factorization per lam). A and E may be
+    dense or sparse arrays; ``shifted_lu`` decides whether the pencil is
+    factored as a band matrix by LAPACK's band LU or by dense LU. Rhs has
+    shape (n, lam.size), or is a vector of length n for a single shift;
+    any other shape raises ValueError. An empty lam factors nothing.
+    Shifts are paired by ``conjugate_pairs``, not strict; the partner
+    i + 1 of a lead i is never factored. Its column is the exact conjugate
+    of column i when the matching Rhs columns are conjugate to 1e-12,
+    which keeps realification exact, and otherwise
+    conj(-(A + lam_i E)^{-1} conj(Rhs[:, i+1])). SingularShift is raised
+    when a shift makes the pencil exactly singular or a column comes out
+    non-finite.
     """
     if isinstance(A, ShiftedLU):
         if E is not None:
@@ -667,27 +643,23 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None, transpose=False):
         Rhs = Rhs[:, None]
     if Rhs.shape != (n, lam.size):
         raise ValueError("Rhs shape %r, not %r" % (Rhs.shape, (n, lam.size)))
-    f = form.factors(lam)
-    # solving for -Rhs gives V without a negation per group
-    Rhs = -Rhs
     V = np.empty((n, lam.size), dtype=complex)
-    if f.real.size:
-        # [Re, Im] of each column, side by side
-        b = np.take(Rhs, f.real, axis=1).view(float)
-        V[:, f.real] = f.real_blocks.solve(b, transpose).view(complex)
-    if f.lead.size:
-        b = Rhs[:, f.partner - 1]
-        size = np.abs(b)
-        conj = np.all(np.abs(Rhs[:, f.partner] - b.conj())
-                      <= 1e-12 * (1.0 + size.max(axis=0, initial=0.0)
-                                  + size), axis=0)
-        own = f.partner[~conj]
-        X = f.cplx_blocks.solve(
-            np.hstack([Rhs[:, f.lead], Rhs[:, own].conj()]), transpose,
-            np.concatenate([np.ones(f.lead.size, dtype=bool), ~conj]))
-        V[:, f.lead] = X[:, :f.lead.size]
-        V[:, f.partner] = V[:, f.partner - 1].conj()
-        V[:, own] = X[:, f.lead.size:].conj()
+    if not lam.size:
+        return V
+    f = form.factors(lam)
+    # solving for -Rhs gives V without a negation
+    Rhs = -Rhs
+    b = Rhs[:, f.partner - 1]
+    size = np.abs(b)
+    conj = np.all(np.abs(Rhs[:, f.partner] - b.conj())
+                  <= 1e-12 * (1.0 + size.max(axis=0, initial=0.0) + size),
+                  axis=0)
+    solo = f.partner[~conj]
+    X = f.solve(np.hstack([Rhs[:, f.own], Rhs[:, solo].conj()]), transpose,
+                np.concatenate([np.ones(f.own.size, dtype=bool), ~conj]))
+    V[:, f.own] = X[:, :f.own.size]
+    V[:, f.partner] = V[:, f.partner - 1].conj()
+    V[:, solo] = X[:, f.own.size:].conj()
     # a non-finite entry makes the sum non-finite; only then are the
     # columns checked one by one
     if not np.isfinite(V.sum()):

@@ -26,19 +26,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from qbmor.errors import QbmorWarning, SingularGram, NonPositiveGamma
-from qbmor.kron_tensor import Hessian
+from qbmor.kron_tensor import Hessian, _dense
 from qbmor.matrix_equations import (
     _SPARSE_FILL, ShiftedLU, hurwitz_schur, shifted_lu, spectral_decompose,
 )
 
 # condition bound on the projector Gram matrix W^T V (or W^T E V)
 _COND_LIMIT = 1e13
-
-
-def _dense(M):
-    if sp.issparse(M):
-        return M.toarray()
-    return np.asarray(M, dtype=float)
 
 
 def _operator(M):
@@ -304,8 +298,8 @@ class SpectralBundle:
     Rinv: np.ndarray
     Btil: np.ndarray          # Rinv @ Bhat
     Ctil: np.ndarray          # Chat @ R
-    Ntil: list                # gamma Rinv @ Nhat_k @ R
-    Htil: np.ndarray          # gamma Rinv @ Hhat (R (x) R), r x r^2
+    Ntil: list                # Rinv @ Nhat_k @ R
+    Htil: np.ndarray          # Rinv @ Hhat (R (x) R), r x r^2
     Htil2: np.ndarray         # matching transposed-slice unfolding
 
 
@@ -332,26 +326,26 @@ class ReducedModel(QBSystem):
             self._own["spectral"] = self.eigenbasis(spectral_decompose(self.A))
         return self._own["spectral"]
 
-    def eigenbasis(self, f, lam=None, gamma=1.0):
-        """This model's B, C, gamma N_k and gamma H moved into the eigenbasis f.
+    def eigenbasis(self, f):
+        """This model's B, C, N_k and H moved into the eigenbasis f.
 
-        f holds the spectral factors of a matrix (usually A itself); lam
-        replaces f.lam in the bundle when given, e.g. reflected shifts.
-        H(R (x) R) contracts the r x r x r tensor: each ``tqb_irka`` sweep
-        moves a fresh model, whose pair view costs several contractions.
+        f holds the spectral factors of a matrix (usually A itself), and
+        its lam is the bundle's. H(R (x) R) contracts the r x r x r tensor:
+        each ``tqb_irka`` sweep moves a fresh model, whose pair view costs
+        several contractions.
         """
         R, Rinv = f.R, f.Rinv
         r = self.r
         T = self.H.mode1().reshape(r, r, r)
         HRR = np.tensordot(np.tensordot(T, R, axes=([1], [0])), R,
                            axes=([1], [0]))
-        Htil = gamma * (Rinv @ HRR.reshape(r, r * r))
+        Htil = Rinv @ HRR.reshape(r, r * r)
         Htil2 = Htil.reshape(r, r, r).transpose(2, 1, 0).reshape(r, r * r)
         return SpectralBundle(
-            R=R, lam=f.lam if lam is None else lam, Rinv=Rinv,
+            R=R, lam=f.lam, Rinv=Rinv,
             Btil=Rinv @ self.B,
             Ctil=self.C @ R,
-            Ntil=[gamma * (Rinv @ Nk @ R) for Nk in self.N],
+            Ntil=[Rinv @ Nk @ R for Nk in self.N],
             Htil=Htil, Htil2=Htil2,
         )
 

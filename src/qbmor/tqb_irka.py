@@ -2,7 +2,7 @@
 
 Each sweep diagonalizes the current reduced matrix, solves four shifted
 Sylvester equations for the two-term bases V = V1 + V2, W = W1 + W2 on the
-gamma-rescaled system, and projects the original system onto the
+gamma-rescaled system and iterate, and projects the original system onto the
 orthonormalized bases. Convergence is measured by the relative change of
 the reduced spectrum, old and new eigenvalues paired by their position in
 the order ``spectral_decompose`` gives both.
@@ -10,7 +10,7 @@ the order ``spectral_decompose`` gives both.
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,7 +60,7 @@ def _solve_bases_core(sys, bundle):
     """``ProjectionBases`` from the four Sylvester solves, realified by the
     pair rule of bundle.lam. V1 and V2 solve with A + lam E, W1 and W2 with
     its transpose, all on the system's cached shifted_lu form, so the four
-    solves share one real and one complex factorization."""
+    solves share one complex factorization."""
     H = sys.H
     lam = bundle.lam
     form = sys.pencil()
@@ -157,8 +157,8 @@ def tqb_irka(sys, cfg):
     history = []
     it = 0
     for it in range(1, cfg.maxit + 1):
-        lam = reflect_unstable(f.lam)
-        bundle = red.eigenbasis(f, lam, cfg.gamma)
+        bundle = red.rescaled(cfg.gamma).eigenbasis(
+            replace(f, lam=reflect_unstable(f.lam)))
         bases = _solve_bases_core(scaled, bundle)
         red = project(sys, orthonormalize(bases.V), orthonormalize(bases.W),
                       converged=False, iterations=it, **meta)

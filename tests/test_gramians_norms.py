@@ -415,19 +415,7 @@ def test_quadratic_scalar_fixed_point():
 def test_quadratic_no_convergence_for_large_hessian():
     sys = scalar_system(-1.0, 3.0, 0.0, 1.0, 1.0)
     with pytest.raises(NoConvergence):
-        quadratic_gramians(sys, maxit=30)
-
-
-@pytest.mark.parametrize("kwargs", [dict(maxit=0), dict(maxit=-1),
-                                    dict(tol=0.0), dict(tol=-1e-10),
-                                    dict(tol=float("nan"))])
-def test_quadratic_rejects_a_budget_that_cannot_settle(kwargs):
-    # an empty budget or a tolerance no step can meet is a bad request,
-    # not a system to rescale
-    sys = scalar_system(-1.0, 0.1, 0.0, 1.0, 1.0)
-    for fn in (quadratic_gramians, h2_norm):
-        with pytest.raises(ValueError):
-            fn(sys, **kwargs)
+        quadratic_gramians(sys)
 
 
 # ------------------------------------------------------------------ norms

@@ -535,10 +535,18 @@ def test_sylvester_scalar_example():
     assert np.allclose(V, -np.eye(2)[:, :1], atol=1e-14)
 
 
-def test_sylvester_empty():
-    V = solve_sylvester_shifted(-np.eye(3), np.zeros(0, dtype=complex),
-                                np.zeros((3, 0)))
-    assert V.shape == (3, 0)
+def test_sylvester_empty(monkeypatch):
+    band_lu = record_band_factors(monkeypatch)
+    dense_lu = _record_factor_dtypes(monkeypatch, sla, "lu_factor")
+    # a dense pencil and a band one (the identity fills 1/40 of n^2)
+    forms = [shifted_lu(-np.eye(3)), shifted_lu(-sp.eye_array(40))]
+    assert forms[0].band is None and forms[1].band is not None
+    for form in forms:
+        n = form.A.shape[0]
+        V = solve_sylvester_shifted(form, np.zeros(0, dtype=complex),
+                                    np.zeros((n, 0)))
+        assert V.shape == (n, 0)
+    assert band_lu == [] and dense_lu == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -653,13 +661,13 @@ def test_sylvester_block_solve_matches_per_column(sparse, with_mass,
         assert np.linalg.norm(V - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(V[:, 3], np.conj(V[:, 2]))
         assert np.abs(V[:, 6] - np.conj(V[:, 5])).max() > 1e-3
-    # both directions share one real and one complex factorization
+    # both directions share one complex factorization over the one
+    # distinct real shift and the two distinct complex leads
     if sparse:
-        # one distinct real shift, two distinct complex leads
-        assert band_lu == [(np.float64, n), (np.complex128, 2 * n)]
+        assert band_lu == [(np.complex128, 3 * n)]
         assert dense_lu == []
     else:
-        assert dense_lu == [np.float64, np.complex128]
+        assert dense_lu == [np.complex128]
         assert band_lu == []
 
 
@@ -701,20 +709,25 @@ def _record_factor_dtypes(monkeypatch, module, name, shapes=None):
 def _four_solves(form, n, rng):
     for transpose in (False, False, True, True):
         Rhs = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
-        solve_sylvester_shifted(form, _MIXED_SHIFTS, Rhs, transpose=transpose)
+        Rhs[:, 0] = Rhs[:, 0].real
+        V = solve_sylvester_shifted(form, _MIXED_SHIFTS, Rhs,
+                                    transpose=transpose)
+        # the real shift's column of a real Rhs is real to the bit, so
+        # realify_basis drops nothing by keeping its real part
+        assert np.all(V[:, 0].imag == 0.0)
 
 
-def test_sylvester_factors_once_per_shift_real_in_real_arithmetic(monkeypatch):
+def test_sylvester_factors_once_per_shift_in_one_complex_batch(monkeypatch):
     rng = rng_for(13)
     n = 7
     A = random_stable(n, rng)
     shapes = []
     factored = _record_factor_dtypes(monkeypatch, sla, "lu_factor", shapes)
     _four_solves(shifted_lu(A), n, rng)
-    # one batch over the real shift, one over the lone complex shift and
-    # the pair's lead; the pair's partner is never factored
-    assert factored == [np.float64, np.complex128]
-    assert shapes == [(1, n, n), (2, n, n)]
+    # one batch over the real shift, the lone complex shift and the pair's
+    # lead; the pair's partner is never factored
+    assert factored == [np.complex128]
+    assert shapes == [(3, n, n)]
 
 
 def test_sylvester_sparse_factors_once_per_shift(monkeypatch):
@@ -724,9 +737,9 @@ def test_sylvester_sparse_factors_once_per_shift(monkeypatch):
     factored = record_band_factors(monkeypatch)
     dense = _record_factor_dtypes(monkeypatch, sla, "lu_factor")
     _four_solves(shifted_lu(A), n, rng)
-    # one block-diagonal band matrix over the real shift, one over the two
+    # one block-diagonal band matrix over the real shift and the two
     # complex shifts that are factored
-    assert factored == [(np.float64, n), (np.complex128, 2 * n)]
+    assert factored == [(np.complex128, 3 * n)]
     assert dense == []
 
 
