@@ -53,7 +53,7 @@ def cmd_generate(model, k, out_dir):
 @click.option("--gamma", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--init", "init_kind",
-              type=click.Choice(["random", "linear-irka"]), default="random",
+              type=click.Choice(["random", "bt"]), default="random",
               show_default=True)
 @click.option("--out-dir", type=click.Path(), required=True)
 def cmd_reduce(system_path, method, r, tol, maxit, gamma, seed, init_kind,
@@ -72,12 +72,15 @@ def cmd_reduce(system_path, method, r, tol, maxit, gamma, seed, init_kind,
         for i, s in enumerate(hsv):
             click.echo("%d,%.17g" % (i + 1, s))
     else:
-        cfg = IrkaConfig(r=r, tol=tol, maxit=maxit, gamma=gamma,
-                         init=init_kind, seed=seed)
+        init = (balanced_truncation(sys_, r, gamma=gamma)[0]
+                if init_kind == "bt" else init_kind)
+        cfg = IrkaConfig(r=r, tol=tol, maxit=maxit, gamma=gamma, init=init,
+                         seed=seed)
         red, _, report = tqb_irka(sys_, cfg)
         path = save_reduced(red, out_dir)
-        click.echo("method=tqb-irka r=%d n=%d seed=%d init=%s" %
-                   (r, sys_.n, seed, init_kind))
+        click.echo("method=tqb-irka r=%d n=%d seed=%s init=%s" %
+                   (r, sys_.n, "" if red.seed is None else red.seed,
+                    init_kind))
         click.echo("gamma=%.17g tol=%.17g maxit=%d" % (gamma, tol, maxit))
         click.echo("written=%s" % path)
         click.echo("converged=%s iterations=%d" %

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from qbmor.errors import MaxIterationsExceeded
 from qbmor.kron_tensor import Hessian
@@ -22,7 +21,7 @@ from qbmor.matrix_equations import (
     realify_basis,
 )
 from qbmor.qb_core import (
-    QBSystem, ReducedModel, ProjectionBases, project, rescale, orthonormalize,
+    ReducedModel, ProjectionBases, project, rescale, orthonormalize,
 )
 
 
@@ -32,7 +31,7 @@ class IrkaConfig:
     tol: float = 1e-5
     maxit: int = 100
     gamma: float = 1.0
-    init: object = "random"      # "random", "linear-irka", or a ReducedModel
+    init: object = "random"      # "random" (the seeded draw) or a ReducedModel
     seed: int = 0
 
 
@@ -90,37 +89,30 @@ def solve_bases(sys, red):
 
 
 def initial_guess(sys, r, kind="random", seed=0):
-    """Starting reduced model: random Hurwitz draw or a linear fixed point."""
+    """A given ReducedModel, or the Hurwitz draw of order r from seed."""
     if isinstance(kind, ReducedModel):
         return kind
-    if kind == "random":
-        rng = np.random.default_rng(seed)
-        D = 10.0 ** rng.uniform(-1.0, 1.0, r)
-        S = rng.standard_normal((r, r))
-        K = rng.standard_normal((r, r))
-        A = -np.diag(D) - 0.1 * (S @ S.T) + 0.5 * (K - K.T)
-        T = rng.standard_normal((r, r, r))
-        T = 0.5 * (T + T.transpose(0, 2, 1))
-        nrm = np.linalg.norm(T.reshape(r, -1))
-        if nrm > 0:
-            T *= 0.1 / nrm
-        H = Hessian.dense(T.reshape(r, r * r), symmetric=True)
-        N = []
-        for _ in range(sys.m):
-            Nk = rng.standard_normal((r, r))
-            Nk *= 0.1 / max(np.linalg.norm(Nk), 1e-300)
-            N.append(Nk)
-        B = rng.standard_normal((r, sys.m))
-        C = rng.standard_normal((sys.p, r))
-        return ReducedModel(A, H, N, B, C, method="init-random", seed=seed)
-    if kind == "linear-irka":
-        lin = QBSystem(sys.A, None, [sp.csr_array((sys.n, sys.n))] * sys.m,
-                       sys.B, sys.C, E=sys.E)
-        cfg = IrkaConfig(r=r, tol=1e-7, maxit=100, init="random", seed=seed)
-        red, _, _ = tqb_irka(lin, cfg)
-        return ReducedModel(red.A, None, [np.zeros((r, r))] * sys.m,
-                            red.B, red.C, method="init-linear-irka", seed=seed)
-    raise ValueError("unknown initial guess kind %r" % (kind,))
+    if kind != "random":
+        raise ValueError("unknown initial guess kind %r" % (kind,))
+    rng = np.random.default_rng(seed)
+    D = 10.0 ** rng.uniform(-1.0, 1.0, r)
+    S = rng.standard_normal((r, r))
+    K = rng.standard_normal((r, r))
+    A = -np.diag(D) - 0.1 * (S @ S.T) + 0.5 * (K - K.T)
+    T = rng.standard_normal((r, r, r))
+    T = 0.5 * (T + T.transpose(0, 2, 1))
+    nrm = np.linalg.norm(T.reshape(r, -1))
+    if nrm > 0:
+        T *= 0.1 / nrm
+    H = Hessian.dense(T.reshape(r, r * r), symmetric=True)
+    N = []
+    for _ in range(sys.m):
+        Nk = rng.standard_normal((r, r))
+        Nk *= 0.1 / max(np.linalg.norm(Nk), 1e-300)
+        N.append(Nk)
+    B = rng.standard_normal((r, sys.m))
+    C = rng.standard_normal((sys.p, r))
+    return ReducedModel(A, H, N, B, C, method="init-random", seed=seed)
 
 
 def tqb_irka(sys, cfg):
@@ -128,12 +120,15 @@ def tqb_irka(sys, cfg):
 
     Each sweep decomposes the previous sweep's reduced matrix as it is,
     reflects unstable eigenvalues and projects onto the orthonormalized
-    bases; no update is damped. A rank-deficient basis is completed from
-    its own QR factor (see ``orthonormalize``), so the initial guess is the
-    only random draw. One ``spectral_decompose`` per iterate gives, in its
-    order, the stop test's spectrum, the next sweep's shifts and
-    report.final_eigs; it raises NonDiagonalizable on any iterate, the last
-    included, whose eigenvectors have condition above 1e12.
+    bases; no update is damped. The start is cfg.init: the draw of
+    ``initial_guess`` from cfg.seed, or a given ReducedModel whose r, m and
+    p must match (ValueError before any sweep). A rank-deficient basis is
+    completed from its own QR factor (see ``orthonormalize``), so a drawn
+    start is the only random draw, and cfg.seed is recorded only for it.
+    One ``spectral_decompose`` per iterate gives, in its order, the stop
+    test's spectrum, the next sweep's shifts and report.final_eigs; it
+    raises NonDiagonalizable on any iterate, the last included, whose
+    eigenvectors have condition above 1e12.
     Non-convergence within cfg.maxit raises no exception: the best iterate
     is returned with converged=False and a MaxIterationsExceeded warning.
     """
@@ -147,10 +142,11 @@ def tqb_irka(sys, cfg):
 
     scaled = rescale(sys, cfg.gamma)
     red = initial_guess(sys, cfg.r, cfg.init, cfg.seed)
-    if red.r != cfg.r:
-        raise ValueError("initial guess order does not match cfg.r")
-    meta = dict(method="tqb-irka", gamma=cfg.gamma, seed=cfg.seed,
-                tol=cfg.tol)
+    if (red.r, red.m, red.p) != (cfg.r, sys.m, sys.p):
+        raise ValueError("initial guess has (r, m, p) = %r, expected %r"
+                         % ((red.r, red.m, red.p), (cfg.r, sys.m, sys.p)))
+    seed = None if isinstance(cfg.init, ReducedModel) else cfg.seed
+    meta = dict(method="tqb-irka", gamma=cfg.gamma, seed=seed, tol=cfg.tol)
 
     f = spectral_decompose(red.A)
     best = None

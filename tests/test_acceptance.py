@@ -323,10 +323,11 @@ def test_09_balancing_comparison_and_order_sweep(chafee100, irka100):
     sys50 = chafee_infante(50)
     errs = []
     for r in range(2, 11):
-        cfg = IrkaConfig(r=r, tol=1e-5, maxit=100, gamma=0.01, seed=0,
-                         init="linear-irka")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QbmorWarning)
+            init = balanced_truncation(sys50, r, gamma=0.01)[0]
+            cfg = IrkaConfig(r=r, tol=1e-5, maxit=100, gamma=0.01,
+                             init=init)
             red_r, _, _ = tqb_irka(sys50, cfg)
         errs.append(truncated_h2_error(sys50, red_r))
     steps = len(errs) - 1

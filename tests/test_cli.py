@@ -10,10 +10,12 @@ import pytest
 
 import qbmor
 from qbmor.benchmarks import chafee_infante, fitzhugh_nagumo
-from qbmor.cli import main
+from qbmor.cli import cli, main
 from qbmor.errors import MaxIterationsExceeded
 from qbmor.qb_core import (QBSystem, load_reduced, load_system, project,
                            save_reduced, save_system)
+from qbmor.reduction_baselines import balanced_truncation
+from qbmor.tqb_irka import IrkaConfig, tqb_irka
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +152,40 @@ def test_reduce_bt_hsv_table(chafee_dir, tmp_path, capsys):
 
     red = load_reduced(grab(lines, "written"))
     assert red.method == "bt" and red.iterations == 0 and red.converged
+
+
+def test_reduce_from_the_balanced_truncation(chafee_dir, tmp_path, capsys):
+    out = tmp_path / "cli"
+    rc, lines, _ = run_lines(
+        capsys, ["reduce", str(chafee_dir), "--r", "4", "--gamma", "0.01",
+                 "--init", "bt", "--out-dir", str(out)])
+    assert rc == 0
+    # a given start draws nothing, so no seed is recorded
+    assert lines[0] == "method=tqb-irka r=4 n=20 seed= init=bt"
+    assert load_reduced(grab(lines, "written")).seed is None
+
+    sys_ = load_system(chafee_dir)
+    init = balanced_truncation(sys_, 4, gamma=0.01)[0]
+    red, _, _ = tqb_irka(sys_, IrkaConfig(r=4, gamma=0.01, init=init))
+    ref = tmp_path / "lib"
+    save_reduced(red, ref)
+    names = sorted(os.listdir(out))
+    assert names == sorted(os.listdir(ref))
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_reduce_init_takes_only_random_and_bt(chafee_dir, tmp_path, capsys):
+    # a start is the seeded draw or a given model, here the BT one
+    init = next(p for p in cli.commands["reduce"].params
+                if p.name == "init_kind")
+    assert list(init.type.choices) == ["random", "bt"]
+    rc = main(["reduce", str(chafee_dir), "--r", "2", "--init", "linear",
+               "--out-dir", str(tmp_path / "l")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Invalid value for '--init'" in err
+    assert not (tmp_path / "l").exists()
 
 
 def test_reduce_nonconvergence_exits_2_but_writes(chafee_dir, tmp_path,

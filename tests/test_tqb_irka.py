@@ -11,7 +11,7 @@ import pytest
 
 import qbmor
 import qbmor.qb_core as qb_core
-from qbmor.benchmarks import chafee_infante
+from qbmor.benchmarks import chafee_infante, fitzhugh_nagumo
 from qbmor.errors import MaxIterationsExceeded, QbmorWarning
 from qbmor.kron_tensor import Hessian
 from qbmor.matrix_equations import (
@@ -21,6 +21,7 @@ from qbmor.qb_core import (
     QBSystem, ReducedModel, orthonormalize, project, rescale,
 )
 from qbmor.gramians_norms import truncated_h2_error
+from qbmor.reduction_baselines import balanced_truncation
 from qbmor.tqb_irka import (
     IrkaConfig, IrkaReport, solve_bases, initial_guess, tqb_irka,
     _eig_change, _solve_bases_core,
@@ -258,16 +259,6 @@ def test_initial_guess_shapes_and_scales():
     assert g.H.symmetric
 
 
-def test_initial_guess_linear_irka_kind():
-    rng = rng_for(16)
-    sys = random_stable_qb(8, 1, 1, rng)
-    g = initial_guess(sys, 2, "linear-irka", seed=3)
-    assert g.r == 2
-    assert g.H.is_zero
-    assert all(np.all(Nk == 0.0) for Nk in g.N)
-    assert np.linalg.eigvals(g.A).real.max() < 0.0
-
-
 def test_initial_guess_passthrough_and_unknown_kind():
     rng = rng_for(17)
     sys = random_stable_qb(5, 1, 1, rng)
@@ -275,6 +266,37 @@ def test_initial_guess_passthrough_and_unknown_kind():
     assert initial_guess(sys, 2, g, seed=0) is g
     with pytest.raises(ValueError):
         initial_guess(sys, 2, "nonsense", seed=0)
+
+
+def test_given_start_must_match_order_inputs_and_outputs():
+    sys = chafee_infante(10)
+    with pytest.raises(ValueError, match="initial guess"):
+        tqb_irka(sys, IrkaConfig(r=2, init=initial_guess(
+            fitzhugh_nagumo(5), 2, "random", seed=0)))
+    with pytest.raises(ValueError, match="initial guess"):
+        tqb_irka(sys, IrkaConfig(r=3, init=initial_guess(
+            sys, 2, "random", seed=0)))
+
+
+def test_seed_is_recorded_only_for_a_drawn_start():
+    sys = chafee_infante(10)
+    drawn, _, _ = tqb_irka(sys, IrkaConfig(r=2, gamma=0.01, seed=3))
+    given, _, _ = tqb_irka(sys, IrkaConfig(
+        r=2, gamma=0.01, init=initial_guess(sys, 2, "random", seed=3)))
+    assert drawn.seed == 3 and given.seed is None
+    assert np.array_equal(drawn.A, given.A)
+
+
+def test_balanced_truncation_start_leaves_the_linear_set():
+    # a linear start (H = 0, N = 0) is a fixed point of the sweep here
+    sys = chafee_infante(50)
+    init = balanced_truncation(sys, 8, gamma=0.01)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        red, _, report = tqb_irka(sys, IrkaConfig(r=8, gamma=0.01,
+                                                  init=init))
+    assert report.converged
+    assert np.linalg.norm(red.H.mode1()) > 1.0
 
 
 # ------------------------------------------------------------------ iteration
