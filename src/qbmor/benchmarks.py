@@ -203,8 +203,8 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     once (`_VectorField`), and each simplified Newton iteration evaluates
     its three stages in one block rhs call, on stage inputs u(t + c_i h)
     that `InputSignal.at` evaluates once per trial step. Without a mass
-    matrix a sparse Jacobian pattern (see `QBSystem.jacobian`) fixes one
-    CSC pattern, J's and the diagonal, on which each iteration matrix
+    matrix a sparse Jacobian is a CSC array whose pattern holds the
+    diagonal (see `QBSystem.jacobian`), on which each iteration matrix
     mu I - J is one vector subtraction, equal to scipy's sparse one, and
     is factored by `scipy.sparse.linalg.splu`; otherwise the Jacobian is
     dense and they are factored and solved by LAPACK getrf/getrs. Outputs
@@ -295,11 +295,12 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
 # step predictor, Jacobian reuse rule, initial step and dense output, so it
 # takes the steps scipy's Radau takes. It differs in four ways: the three
 # stages of a Newton iteration are one block rhs call; sparse iteration
-# matrices are formed on one fixed CSC pattern (`_IterationPattern`) instead
-# of by a sparse subtraction, with the same values; dense ones are factored
-# and solved by LAPACK getrf/getrs without scipy's finiteness checks, so a
-# NaN error estimate, where scipy raises ValueError, rejects the step; and
-# the stepper counts its own steps, rejections and Newton iterations.
+# matrices are formed on the Jacobian's own CSC pattern
+# (`_iteration_matrix`) instead of by a sparse subtraction, with the same
+# values; dense ones are factored and solved by LAPACK getrf/getrs without
+# scipy's finiteness checks, so a NaN error estimate, where scipy raises
+# ValueError, rejects the step; and the stepper counts its own steps,
+# rejections and Newton iterations.
 # Integration runs forward from t = 0 with no step bound.
 
 _S6 = 6 ** 0.5
@@ -351,52 +352,30 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     return min(1, multiplier) * error_norm ** -0.25
 
 
-class _IterationPattern:
-    """The CSC pattern of J + I, fixed at one sparse Jacobian J.
+def _diagonal(J):
+    """The positions of the diagonal in the data of a CSC array J that
+    stores every diagonal cell, its indices sorted."""
+    n = J.shape[0]
+    cells = np.repeat(np.arange(n), np.diff(J.indptr)) * n + J.indices
+    return np.searchsorted(cells, np.arange(n) * (n + 1))
 
-    `scatter` places the entries of a Jacobian with J's CSR pattern into
-    the pattern's data array through a permutation computed once, and
-    `matrix` forms mu I - J on it with one vector subtraction. That is the
-    arithmetic of scipy's sparse ``mu * I - J`` entry for entry, and like
-    it the result drops the entries that come out exactly zero, so `splu`
-    factors the matrix scipy's Radau factors.
+
+def _iteration_matrix(mu, J, diag):
+    """mu I - J as a CSC array on the pattern of the CSC Jacobian J, whose
+    diagonal is stored at the positions diag (`_diagonal`).
+
+    That is the arithmetic of scipy's sparse ``mu * I - J`` entry for
+    entry, and like it the result drops the entries that come out exactly
+    zero, so `splu` factors the matrix scipy's Radau factors.
     """
-
-    def __init__(self, J):
-        n = J.shape[0]
-        self.n, self.source = n, (J.indptr, J.indices)
-        rows = np.repeat(np.arange(n), np.diff(J.indptr))
-        cell = J.indices.astype(np.int64) * n + rows      # column-major
-        diag = np.arange(n, dtype=np.int64) * (n + 1)
-        cells = np.unique(np.concatenate((cell, diag)))
-        self.perm = np.searchsorted(cells, cell)
-        self.diag = np.searchsorted(cells, diag)
-        self.ones = np.ones(n)
-        self.indices = (cells % n).astype(np.int32)
-        self.indptr = np.searchsorted(cells, np.arange(n + 1) * n).astype(
-            np.int32)
-
-    def fits(self, J):
-        """Whether the CSR Jacobian J has the pattern this one was fixed at."""
-        indptr, indices = self.source
-        return (np.array_equal(J.indptr, indptr)
-                and np.array_equal(J.indices, indices))
-
-    def scatter(self, J):
-        """J's entries in this pattern, duplicates summed."""
-        return np.bincount(self.perm, J.data, self.indices.size)
-
-    def matrix(self, mu, data):
-        """mu I - J as a CSC array, from J's entries in this pattern."""
-        M = np.zeros(data.size, dtype=np.result_type(mu, data))
-        # mu times the identity's stored ones, as scipy scales it: for an
-        # infinite complex mu (an underflowed step) that is nan, not mu
-        M[self.diag] = self.ones * mu
-        M -= data
-        A = sp.csc_array((M, self.indices.copy(), self.indptr.copy()),
-                         shape=(self.n, self.n))
-        A.eliminate_zeros()
-        return A
+    M = np.zeros(J.nnz, dtype=np.result_type(mu, J.data))
+    # mu times the identity's stored ones, as scipy scales it: for an
+    # infinite complex mu (an underflowed step) that is nan, not mu
+    M[diag] = np.ones(diag.size) * mu
+    M -= J.data
+    A = sp.csc_array((M, J.indices.copy(), J.indptr.copy()), shape=J.shape)
+    A.eliminate_zeros()
+    return A
 
 
 class _Radau:
@@ -404,12 +383,11 @@ class _Radau:
 
     inputs(ts) gives the m x q inputs U at the times ts; a simplified
     Newton iteration's stage times are fixed, so it evaluates them once.
-    jac returns a dense array or a sparse one. The entries of a sparse
-    Jacobian are kept in an `_IterationPattern`, fixed at the first one and
-    fixed anew whenever a Jacobian's pattern differs, and its iteration
-    matrices are factored by splu. `step` takes one accepted step and
-    returns False when the step size underflows; `dense` evaluates the last
-    step's collocation polynomial.
+    jac returns a dense array, or a CSC one on one pattern that stores the
+    diagonal (`QBSystem.jacobian`), whose diagonal positions are read off
+    the first and whose iteration matrices are factored by splu. `step`
+    takes one accepted step and returns False when the step size
+    underflows; `dense` evaluates the last step's collocation polynomial.
     """
 
     def __init__(self, fun, inputs, jac, y0, t_bound, rtol, atol):
@@ -424,7 +402,7 @@ class _Radau:
         self.h_abs = self._initial_step()
         self.h_abs_old = self.error_norm_old = None
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
-        self._pattern = self._I = None
+        self._diag = self._I = None
         self.J = self._jacobian(0.0, y0)
         self.current_jac = True
         self.LU_real = self.LU_complex = None
@@ -435,30 +413,23 @@ class _Radau:
         return self._fun(y[:, None], self._inputs((t,)))[:, 0]
 
     def _jacobian(self, t, y):
-        """jac at (t, y): a dense array as given, or a sparse one's entries
-        in the iteration pattern. Sets `jacobian_nnz`, the entries it
-        stores."""
+        """jac at (t, y). Sets `jacobian_nnz`, the entries it stores."""
         self.njev += 1
         J = self._jac(t, y)
-        if not sp.issparse(J):
-            self._pattern = None
-            self.jacobian_nnz = J.size
-            return J
-        if J.format != "csr":
-            J = J.tocsr()
-        if self._pattern is None or not self._pattern.fits(J):
-            self._pattern = _IterationPattern(J)
-        self.jacobian_nnz = J.nnz
-        return self._pattern.scatter(J)
+        sparse = sp.issparse(J)
+        if sparse and self._diag is None:
+            self._diag = _diagonal(J)
+        self.jacobian_nnz = J.nnz if sparse else J.size
+        return J
 
     def _lu(self, mu, J):
         """A solver b -> (mu I - J)^{-1} b from one LU factorization; of
         NaNs for a singular sparse matrix, as getrf's solves are then
         non-finite, so that the step is rejected on either path."""
         self.nlu += 1
-        if self._pattern is not None:
+        if sp.issparse(J):
             try:
-                return spla.splu(self._pattern.matrix(mu, J)).solve
+                return spla.splu(_iteration_matrix(mu, J, self._diag)).solve
             except RuntimeError as exc:
                 # SuperLU's exact message, so that a rewording in scipy
                 # fails test_singular_iteration_matrix_is_typed

@@ -18,8 +18,9 @@ they work in its basis: the seeds enter as Z^T B and C Z, the sources as
 Z^T S Z, the Gramians are held as Z^T X Z, and they are lifted back by Z
 for the source terms. Z is block diagonal over the decoupled blocks of A
 (``hurwitz_schur``), and every one of these basis changes goes through
-the form's methods, block by block. Only the Gramians a caller reads are
-moved back to the original coordinates. A mass matrix E is folded into
+the form's methods, block by block. The truncated Gramians stay in that
+basis (``GramianBundle``); the quadratic pair is returned in the original
+coordinates. A mass matrix E is folded into
 A, B and the sources through `QBSystem.solve_mass`, never into H: the
 equations are those of E^{-1}A, E^{-1}B, E^{-1}H and E^{-1}N_k.
 """
@@ -53,28 +54,16 @@ class GramianBundle:
     """Linear (P_l, Q_l) and truncated (P_T, Q_T) Gramians of a QB system.
 
     Held in the Schur basis Z of A (of E^{-1}A with a mass matrix), whose
-    ``hurwitz_schur`` form is ``basis``: ``schur[name]`` is Z^T X Z.
-    Reading the attribute P_l, Q_l, P_T or Q_T gives X = Z (Z^T X Z) Z^T in
-    the original coordinates, formed on the first read. ``factors["P_T"]``
-    and ``factors["Q_T"]`` are the rank-truncated factors L of Z^T P_T Z
-    and Z^T Q_T Z (see `_psd_sqrt`), taken once when the bundle is built.
+    ``hurwitz_schur`` form is ``basis``: ``schur[name]`` is Z^T X Z, and
+    ``basis.lift`` gives X = Z (Z^T X Z) Z^T. ``factors["P_T"]`` and
+    ``factors["Q_T"]`` are the rank-truncated factors L of Z^T P_T Z and
+    Z^T Q_T Z (see `_psd_sqrt`), taken once when the bundle is built.
     """
 
     def __init__(self, basis, P_l, Q_l, P_T, Q_T, L_P, L_Q):
         self.basis = basis
         self.schur = {"P_l": P_l, "Q_l": Q_l, "P_T": P_T, "Q_T": Q_T}
         self.factors = {"P_T": L_P, "Q_T": L_Q}
-        self._original = {}
-
-    def _get(self, name):
-        if name not in self._original:
-            self._original[name] = _lift(self.basis, self.schur[name])
-        return self._original[name]
-
-    P_l = property(lambda self: self._get("P_l"))
-    Q_l = property(lambda self: self._get("Q_l"))
-    P_T = property(lambda self: self._get("P_T"))
-    Q_T = property(lambda self: self._get("Q_T"))
 
 
 _PSTRF = sla.get_lapack_funcs("pstrf", dtype=np.float64)

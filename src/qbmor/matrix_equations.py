@@ -443,8 +443,8 @@ class _Band:
 class ShiftedLU:
     """The pencil A + lam E in the form its shifted solves factor.
 
-    Built by ``shifted_lu``, or from another form's A, E and band to keep
-    factors of its own. A and E are the pencil's sparse arrays, with its
+    Built by ``shifted_lu``, and held once per (A, E) by
+    ``QBSystem.pencil``. A and E are the pencil's sparse arrays, with its
     ``_Band`` as band, or dense ndarrays with band None (E may be None,
     meaning the identity). A shift vector's ``_ShiftFactors`` are one
     complex factorization of its blocks A + lam_j E: for a sparse pencil

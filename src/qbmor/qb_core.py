@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 from qbmor.errors import QbmorWarning, SingularGram, NonPositiveGamma
 from qbmor.kron_tensor import Hessian, _dense
 from qbmor.matrix_equations import (
-    _SPARSE_FILL, ShiftedLU, hurwitz_schur, shifted_lu, spectral_decompose,
+    _SPARSE_FILL, hurwitz_schur, shifted_lu, spectral_decompose,
 )
 
 # condition bound on the projector Gram matrix W^T V (or W^T E V)
@@ -61,12 +61,12 @@ class QBSystem:
     either form, and only the dense Gramian path (``hurwitz_schur``, one
     decoupled block of A at a time) and the brute-force diagnostics
     densify. The operator set of ``rhs`` and ``jacobian``, the
-    ``shifted_lu`` form of A + lam E and its factors, the ``hurwitz_schur``
+    ``shifted_lu`` form of A + lam E with its factors, the ``hurwitz_schur``
     form of E^{-1}A and the LU of E are built on first use and cached; a
     caller that holds the ``hurwitz_schur`` form already passes it as
     ``schur``. The forms and the LU of E depend on A and E alone, so a
-    ``rescaled`` copy shares them with its source (``_fixed``); the other
-    caches are each system's own (``_own``).
+    ``rescaled`` copy shares them with its source (``_fixed``); the
+    operator set and eigendata are each system's own (``_own``).
     """
 
     def __init__(self, A, H, N, B, C, E=None, label="", schur=None):
@@ -91,9 +91,9 @@ class QBSystem:
         if self.E is not None and self.E.shape != (n, n):
             raise ValueError("E must be n x n")
         self.label = label
-        # "field", "pencil" (the factors) and a ReducedModel's "spectral"
+        # "field" and a ReducedModel's "spectral"
         self._own = {}
-        # "pencil" (the form), "schur" and "lu_E", shared with rescaled copies
+        # "pencil", "schur" and "lu_E", shared with rescaled copies
         self._fixed = {} if schur is None else {"schur": schur}
 
     @property
@@ -112,9 +112,9 @@ class QBSystem:
         """This system with H and the N_k scaled by gamma (``rescale``).
 
         A shallow copy, so a ReducedModel stays one and keeps its metadata.
-        It shares the caches of A and E alone, and builds its rhs operator,
-        shifted factors and eigendata afresh. At gamma = 1 every operator
-        holds the source's bits.
+        It shares the caches of A and E alone, and builds its rhs operator
+        and eigendata afresh. At gamma = 1 every operator holds the source's
+        bits.
         """
         if not 0.0 < gamma < np.inf:
             raise NonPositiveGamma("gamma must be positive and finite")
@@ -130,19 +130,12 @@ class QBSystem:
         return self._own["field"]
 
     def pencil(self):
-        """The ``shifted_lu`` form of A + lam E, built once per system.
-
-        A ``rescaled`` copy shares the form, and with it the band order,
-        but keeps its own factors: a source's last factors would otherwise
-        outlive the copy's reduction (about 0.1 MB for a flagship shift
-        vector at n = 200).
-        """
-        if "pencil" not in self._own:
-            if "pencil" not in self._fixed:
-                self._fixed["pencil"] = shifted_lu(self.A, self.E)
-            form = self._fixed["pencil"]
-            self._own["pencil"] = ShiftedLU(form.A, form.E, form.band)
-        return self._own["pencil"]
+        """The ``shifted_lu`` form of A + lam E, built once per system and
+        shared, with its last factors, by ``rescaled`` copies: neither
+        depends on gamma."""
+        if "pencil" not in self._fixed:
+            self._fixed["pencil"] = shifted_lu(self.A, self.E)
+        return self._fixed["pencil"]
 
     def schur(self):
         """``hurwitz_schur`` of E^{-1}A, built once per system: the Schur
@@ -200,22 +193,29 @@ class QBSystem:
         return out[:, 0] if single else out
 
     def jacobian(self, x, u):
-        """A + 2 H(I (x) x) + sum_k u_k N_k from the cached operator set.
+        """A + 2 H(I (x) x) + sum_k u_k N_k at one state x (length n) and
+        its input u (length m), from the cached operator set.
 
-        A CSR array when E is absent and the pattern (the union of A, the
-        N_k and the entries the Hessian's left pair factors touch) fills at
+        A CSC array when E is absent and J's own cells (the union of A, the
+        N_k and the entries the Hessian's left pair factors touch) fill at
         most `_SPARSE_FILL` of n^2; a dense ndarray otherwise. A Hessian in
-        dense storage touches every entry.
+        dense storage touches every entry. The CSC pattern is J's cells and
+        the diagonal, a diagonal cell J lacks stored as an explicit zero, so
+        it is the pattern of mu I - J; every call hands out copies of one
+        cached pattern.
         """
-        f = self._vector_field()
+        x = np.asarray(x)
         u = np.atleast_1d(np.asarray(u, dtype=float))
+        if x.shape != (self.n,) or u.shape != (self.m,):
+            raise ValueError("state/input shape mismatch")
+        f = self._vector_field()
         data = f.scatter @ (f.G @ np.concatenate((x, u, [1.0])))[f.half:]
         if f.pattern is None:
             return data.reshape(self.n, self.n)
         # the index arrays are copied: a caller that prunes or sorts the
         # result in place must not rewrite the cached pattern
         indices, indptr = f.pattern
-        return sp.csr_array((data, indices.copy(), indptr.copy()),
+        return sp.csc_array((data, indices.copy(), indptr.copy()),
                             shape=(self.n, self.n))
 
 
@@ -235,9 +235,9 @@ class _VectorField:
     A term's Jacobian is diag(right) times its left factor's x columns,
     twice that for a Hessian pair, since the symmetrized pair list holds
     (L/2, R) and (R/2, L) together. scatter maps the right factors
-    Y[half:] to the Jacobian's stored entries; pattern is its CSR
-    (indices, indptr), or None when it is dense and the entries run over
-    the n x n grid row by row.
+    Y[half:] to the Jacobian's stored entries; pattern is its CSC
+    (indices, indptr) on J's cells and the diagonal, or None when it is
+    dense and the entries run over the n x n grid row by row.
     """
     G: sp.csr_array
     half: int
@@ -272,20 +272,21 @@ class _VectorField:
                            + [[Rs, None, None]], format="csr")
         half = (m + 1) * n + Ls.shape[0]
         left = G[:half, :n]
-        # each Jacobian term: its cell row * n + col, value and index into
-        # the right factors; the linear block's right factor is 1
+        # each Jacobian term: its cell (row, col), value and index into the
+        # right factors; the linear block's right factor is 1
         lc = left.tocoo()
-        cell = (lc.row.astype(np.int64) % n) * n + lc.col
+        row, col = lc.row.astype(np.int64) % n, lc.col.astype(np.int64)
         val = np.where(lc.row < (m + 1) * n, 1.0, 2.0) * lc.data
-        cells = np.unique(cell)
-        if cells.size <= _SPARSE_FILL * n * n and sys.E is None:
-            pos = np.searchsorted(cells, cell)
-            grid = sp.csr_array((np.ones(cells.size), (cells // n, cells % n)),
-                                shape=(n, n))
-            pattern = (grid.indices, grid.indptr)
+        cell = row * n + col
+        if np.unique(cell).size <= _SPARSE_FILL * n * n and sys.E is None:
+            # column-major cells, the diagonal's among them
+            cell = col * n + row
+            cells = np.union1d(cell, np.arange(n) * (n + 1))
+            pattern = ((cells % n).astype(np.int32), np.searchsorted(
+                cells, np.arange(n + 1) * n).astype(np.int32))
         else:
-            cells, pos, pattern = np.arange(n * n), cell, None
-        scatter = sp.csr_array((val, (pos, lc.row)),
+            cells, pattern = np.arange(n * n), None
+        scatter = sp.csr_array((val, (np.searchsorted(cells, cell), lc.row)),
                                shape=(cells.size, half))
         return cls(G=G, half=half, scatter=scatter, pattern=pattern)
 

@@ -14,6 +14,13 @@ def rng_for(seed):
     return np.random.default_rng(seed)
 
 
+def lifted(g, name):
+    """The Gramian name of the bundle g in the original coordinates,
+    Z (Z^T X Z) Z^T symmetrized."""
+    X = g.basis.lift(g.schur[name])
+    return 0.5 * (X + X.T)
+
+
 def record_band_factors(monkeypatch):
     """List of (dtype, stacked order) of every LAPACK gbtrf call from here
     on: one entry per band factorization of a group of shifts."""

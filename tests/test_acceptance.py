@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (quadrature_h2_squared, random_dense_hessian,
+from conftest import (lifted, quadrature_h2_squared, random_dense_hessian,
                       random_pair_hessian, random_stable_qb, rng_for)
 import qbmor
 from qbmor import (IrkaConfig, balanced_truncation, chafee_infante,
@@ -163,8 +163,8 @@ def test_03_trace_dualities():
         p = int(rng.integers(1, 4))
         sys = random_stable_qb(n, m, p, rng)
         g = truncated_gramians(sys)
-        tc = float(np.trace(sys.C @ g.P_T @ sys.C.T))
-        to = float(np.trace(sys.B.T @ g.Q_T @ sys.B))
+        tc = float(np.trace(sys.C @ lifted(g, "P_T") @ sys.C.T))
+        to = float(np.trace(sys.B.T @ lifted(g, "Q_T") @ sys.B))
         worst_t = max(worst_t, _rel(abs(tc - to), max(abs(tc), abs(to))))
         P, Q, _ = quadratic_gramians(sys)
         qc = float(np.trace(sys.C @ P @ sys.C.T))

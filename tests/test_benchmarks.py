@@ -599,21 +599,21 @@ class _NaNJacobian(QBSystem):
 @pytest.mark.parametrize("state", ["zero", "random"])
 def test_iteration_matrix_matches_scipy_subtraction(state):
     # at x = 0 the Jacobian stores explicit zeros, which scipy's
-    # subtraction drops; the fixed pattern must drop them too
+    # subtraction drops; the iteration matrix must drop them too
     sys_ = chafee_infante(100)
     n = sys_.n
     x = np.zeros(n) if state == "zero" else rng_for(48).standard_normal(n)
     J = sys_.jacobian(x, [0.7])
     assert np.any(J.data == 0.0) == (state == "zero")
-    pattern = benchmarks._IterationPattern(J)
-    data = pattern.scatter(J)
+    diag = benchmarks._diagonal(J)
     # the iteration matrices as scipy's Radau forms them
     eye, Jc = sp.eye_array(n, format="csc"), sp.csc_array(J)
     # the last mu is an underflowed step's, infinite
     for mu in (benchmarks._MU_REAL / 0.01, benchmarks._MU_COMPLEX / 0.01,
                benchmarks._MU_COMPLEX / 5e-324):
         with np.errstate(invalid="ignore"):     # as inside simulate
-            ours, ref = pattern.matrix(mu, data), mu * eye - Jc
+            ours = benchmarks._iteration_matrix(mu, J, diag)
+            ref = mu * eye - Jc
         assert ours.format == "csc" and ours.dtype == ref.dtype
         assert np.array_equal(ours.indices, ref.indices)
         assert np.array_equal(ours.indptr, ref.indptr)
@@ -621,39 +621,27 @@ def test_iteration_matrix_matches_scipy_subtraction(state):
         assert ours.data.tobytes() == ref.data.tobytes()
 
 
-class _PrunedJacobian(QBSystem):
-    # drops the stored zeros, so the pattern follows the state
-    def jacobian(self, x, u):
-        J = super().jacobian(x, u)
-        J.eliminate_zeros()
-        return J
-
-
-def test_iteration_pattern_is_refit_when_the_jacobian_pattern_changes(
-        monkeypatch):
-    sys_ = chafee_infante(100)
-    J0, J1 = (_copy_as(_PrunedJacobian, sys_).jacobian(x, [0.7])
-              for x in (np.zeros(sys_.n), np.ones(sys_.n)))
-    assert J0.nnz < J1.nnz
-    assert not benchmarks._IterationPattern(J0).fits(J1)
-
-    fixed = []
-    init = benchmarks._IterationPattern.__init__
-
-    def counted(self, J):
-        fixed.append(J.nnz)
-        init(self, J)
-
-    u, kw = input_signal("ci_u1"), dict(rtol=1e-5, atol=1e-7)
-    ref = simulate(sys_, u, 10.0, 41, store_states=True, **kw)
-    monkeypatch.setattr(benchmarks._IterationPattern, "__init__", counted)
-    tr = simulate(_copy_as(_PrunedJacobian, sys_), u, 10.0, 41,
-                  store_states=True, **kw)
-    # fixed at the pruned first Jacobian, then again at the full pattern
-    assert len(fixed) >= 2 and fixed[0] < fixed[1]
-    # scipy drops the same zeros from mu I - J, so nothing else changes
-    assert tr.stats == ref.stats
-    assert np.array_equal(tr.states, ref.states)
+def test_jacobian_stores_a_structurally_zero_diagonal(monkeypatch):
+    # a tridiagonal A with no entry at (5, 5): its symmetric part is
+    # -2 I + 2 e_5 e_5^T, so the system does not grow
+    n = 120
+    A = sp.diags_array([-np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)],
+                       offsets=[-1, 0, 1], format="csr")
+    A[5, 5] = 0.0
+    A.eliminate_zeros()
+    sys_ = QBSystem(A, None, [sp.csr_array((n, n))], np.ones((n, 1)),
+                    np.ones((1, n)) / n)
+    assert sys_.A.nnz == 3 * n - 3
+    J = sys_.jacobian(np.zeros(n), [0.3])
+    assert isinstance(J, sp.csc_array) and J.nnz == 3 * n - 2
+    assert 5 in J.indices[J.indptr[5]:J.indptr[6]] and J[5, 5] == 0.0
+    u = input_signal("ci_u1")
+    tr = simulate(sys_, u, 2.0, 101, rtol=1e-6, atol=1e-8, store_states=True)
+    assert tr.stats["jacobian_nnz"] == 3 * n - 2
+    oracle, states = _scipy_radau(monkeypatch, sys_, u, 2.0, 101, 1e-6, 1e-8)
+    for key in oracle:
+        assert tr.stats[key] == oracle[key], key
+    assert np.array_equal(tr.states, states)
 
 
 def test_sparse_jacobian_takes_the_dense_path_steps():

@@ -19,7 +19,7 @@ from qbmor.gramians_norms import (
     truncated_h2_error, error_system, _psd_sqrt, _quadratic_source,
     _observability_source, _controllability_gram, _observability_gram,
 )
-from conftest import random_stable_qb, rng_for, quadrature_h2_squared
+from conftest import lifted, random_stable_qb, rng_for, quadrature_h2_squared
 
 
 def scalar_system(a, h, nn, b, c):
@@ -34,16 +34,16 @@ def test_truncated_linear_degeneration():
     sys = random_stable_qb(6, 2, 1, rng, with_hessian=False)
     sys = QBSystem(sys.A, None, [np.zeros((6, 6))] * 2, sys.B, sys.C)
     g = truncated_gramians(sys)
-    assert np.allclose(g.P_T, g.P_l, atol=1e-13)
-    assert np.allclose(g.Q_T, g.Q_l, atol=1e-13)
+    assert np.allclose(lifted(g, "P_T"), lifted(g, "P_l"), atol=1e-13)
+    assert np.allclose(lifted(g, "Q_T"), lifted(g, "Q_l"), atol=1e-13)
 
 
 def test_truncated_scalar_example():
     sys = scalar_system(-1.0, 0.0, 0.5, 1.0, 1.0)
     g = truncated_gramians(sys)
-    assert np.isclose(g.P_l[0, 0], 0.5, atol=1e-14)
+    assert np.isclose(lifted(g, "P_l")[0, 0], 0.5, atol=1e-14)
     # -2 P_T + N P_l N + B B = 0 with N = 0.5
-    assert np.isclose(g.P_T[0, 0], 0.5625, atol=1e-14)
+    assert np.isclose(lifted(g, "P_T")[0, 0], 0.5625, atol=1e-14)
 
 
 def test_truncated_residuals_random():
@@ -63,6 +63,7 @@ def test_truncated_residuals_symmetric_a():
 
 def _check_truncated_residuals(sys):
     g = truncated_gramians(sys)
+    P_l, Q_l, P_T, Q_T = (lifted(g, k) for k in ("P_l", "Q_l", "P_T", "Q_T"))
     A = sys.A.toarray() if sp.issparse(sys.A) else sys.A
     B, C = sys.B, sys.C
     n = sys.n
@@ -73,20 +74,20 @@ def _check_truncated_residuals(sys):
     def resnorm(R, *scales):
         return np.linalg.norm(R) / max(sum(np.linalg.norm(s) for s in scales), 1.0)
 
-    r1 = A @ g.P_l + g.P_l @ A.T + B @ B.T
-    assert resnorm(r1, A @ g.P_l, B @ B.T) <= 1e-9
-    r2 = A.T @ g.Q_l + g.Q_l @ A + C.T @ C
-    assert resnorm(r2, A @ g.Q_l, C.T @ C) <= 1e-9
-    src_p = Hm @ np.kron(g.P_l, g.P_l) @ Hm.T + B @ B.T
+    r1 = A @ P_l + P_l @ A.T + B @ B.T
+    assert resnorm(r1, A @ P_l, B @ B.T) <= 1e-9
+    r2 = A.T @ Q_l + Q_l @ A + C.T @ C
+    assert resnorm(r2, A @ Q_l, C.T @ C) <= 1e-9
+    src_p = Hm @ np.kron(P_l, P_l) @ Hm.T + B @ B.T
     for Nk in Nd:
-        src_p += Nk @ g.P_l @ Nk.T
-    r3 = A @ g.P_T + g.P_T @ A.T + src_p
-    assert resnorm(r3, A @ g.P_T, src_p) <= 1e-9
-    src_q = H2 @ np.kron(g.P_l, g.Q_l) @ H2.T + C.T @ C
+        src_p += Nk @ P_l @ Nk.T
+    r3 = A @ P_T + P_T @ A.T + src_p
+    assert resnorm(r3, A @ P_T, src_p) <= 1e-9
+    src_q = H2 @ np.kron(P_l, Q_l) @ H2.T + C.T @ C
     for Nk in Nd:
-        src_q += Nk.T @ g.Q_l @ Nk
-    r4 = A.T @ g.Q_T + g.Q_T @ A + src_q
-    assert resnorm(r4, A @ g.Q_T, src_q) <= 1e-9
+        src_q += Nk.T @ Q_l @ Nk
+    r4 = A.T @ Q_T + Q_T @ A + src_q
+    assert resnorm(r4, A @ Q_T, src_q) <= 1e-9
 
 
 def test_truncated_dominates_linear():
@@ -94,8 +95,9 @@ def test_truncated_dominates_linear():
     for seed in range(5):
         sys = random_stable_qb(7, 1, 1, rng_for(100 + seed))
         g = truncated_gramians(sys)
-        w = np.linalg.eigvalsh(g.P_T - g.P_l)
-        assert w.min() >= -1e-10 * max(1.0, np.linalg.norm(g.P_T))
+        P_T = lifted(g, "P_T")
+        w = np.linalg.eigvalsh(P_T - lifted(g, "P_l"))
+        assert w.min() >= -1e-10 * max(1.0, np.linalg.norm(P_T))
 
 
 def test_truncated_rejects_unstable():
@@ -114,8 +116,8 @@ def test_truncated_with_mass_matrix():
                     E @ base.B, base.C, E=E)
     gE = truncated_gramians(sysE)
     g = truncated_gramians(base)
-    assert np.allclose(gE.P_T, g.P_T, atol=1e-9)
-    assert np.allclose(gE.Q_T, g.Q_T, atol=1e-9)
+    assert np.allclose(lifted(gE, "P_T"), lifted(g, "P_T"), atol=1e-9)
+    assert np.allclose(lifted(gE, "Q_T"), lifted(g, "Q_T"), atol=1e-9)
 
 
 def _full_width_factor(X):
@@ -125,10 +127,10 @@ def _full_width_factor(X):
 
 def test_psd_sqrt_truncates_to_numerical_rank():
     sys = chafee_infante(30)
-    g = truncated_gramians(sys)
-    L = _psd_sqrt(g.P_l, "P_l")
+    P_l = lifted(truncated_gramians(sys), "P_l")
+    L = _psd_sqrt(P_l, "P_l")
     assert L.shape[0] == sys.n and L.shape[1] < sys.n
-    assert np.linalg.norm(L @ L.T - g.P_l) <= 1e-13 * np.linalg.norm(g.P_l)
+    assert np.linalg.norm(L @ L.T - P_l) <= 1e-13 * np.linalg.norm(P_l)
 
 
 def test_sources_from_truncated_factors_match_full_width():
@@ -136,18 +138,19 @@ def test_sources_from_truncated_factors_match_full_width():
     # seed adds nothing, so C^T C cannot hide the small quadratic part
     sys = chafee_infante(30)
     g = truncated_gramians(sys)
-    LP, LQ = _psd_sqrt(g.P_l, "P_l"), _psd_sqrt(g.Q_l, "Q_l")
-    FP, FQ = _full_width_factor(g.P_l), _full_width_factor(g.Q_l)
+    P_l, Q_l = lifted(g, "P_l"), lifted(g, "Q_l")
+    LP, LQ = _psd_sqrt(P_l, "P_l"), _psd_sqrt(Q_l, "Q_l")
+    FP, FQ = _full_width_factor(P_l), _full_width_factor(Q_l)
     S, no_seed = sys.schur(), np.zeros((sys.n, 0))
     Z = S.left(np.eye(sys.n))
 
     K = sys.H.apply_kron(FP, FP)
-    ref = Z.T @ (K @ K.T + sum((Nk @ g.P_l) @ Nk.T for Nk in sys.N)) @ Z
+    ref = Z.T @ (K @ K.T + sum((Nk @ P_l) @ Nk.T for Nk in sys.N)) @ Z
     got = _quadratic_source(sys, LP, S, no_seed)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     K = sys.H.apply_kron_mode2(FP, FQ)
-    ref = Z.T @ (K @ K.T + sum((Nk.T @ g.Q_l) @ Nk for Nk in sys.N)) @ Z
+    ref = Z.T @ (K @ K.T + sum((Nk.T @ Q_l) @ Nk for Nk in sys.N)) @ Z
     got = _observability_source(sys, LP, LQ, S, no_seed)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -162,7 +165,7 @@ def test_psd_sqrt_keeps_the_eigh_rank(k):
     g = truncated_gramians(chafee_infante(k))
     eps = np.finfo(float).eps
     for name in ("P_l", "Q_l", "P_T", "Q_T"):
-        for X in (g.schur[name], getattr(g, name)):
+        for X in (g.schur[name], lifted(g, name)):
             n = X.shape[0]
             w = np.linalg.eigh(X)[0]
             rank = int((w > n * eps * np.abs(w).max()).sum())
@@ -401,8 +404,8 @@ def test_quadratic_linear_case_one_iteration():
     P, Q, (ip, iq) = quadratic_gramians(sys)
     g = truncated_gramians(sys)
     assert ip == 1 and iq == 1
-    assert np.allclose(P, g.P_l, atol=1e-12)
-    assert np.allclose(Q, g.Q_l, atol=1e-12)
+    assert np.allclose(P, lifted(g, "P_l"), atol=1e-12)
+    assert np.allclose(Q, lifted(g, "Q_l"), atol=1e-12)
 
 
 def test_quadratic_scalar_fixed_point():
@@ -432,7 +435,7 @@ def test_truncated_norm_linear_degeneration():
     sys = random_stable_qb(5, 2, 2, rng, with_hessian=False)
     sys = QBSystem(sys.A, None, [np.zeros((5, 5))] * 2, sys.B, sys.C)
     g = truncated_gramians(sys)
-    expected = np.sqrt(np.trace(sys.C @ g.P_l @ sys.C.T))
+    expected = np.sqrt(np.trace(sys.C @ lifted(g, "P_l") @ sys.C.T))
     assert np.isclose(truncated_h2_norm(sys), expected, rtol=1e-12)
 
 
@@ -441,8 +444,8 @@ def test_truncated_norm_dual_agreement():
     for seed in range(8):
         sys = random_stable_qb(int(rng.integers(3, 12)), 2, 2, rng_for(200 + seed))
         g = truncated_gramians(sys)
-        nc = np.sqrt(np.trace(sys.C @ g.P_T @ sys.C.T))
-        no = np.sqrt(np.trace(sys.B.T @ g.Q_T @ sys.B))
+        nc = np.sqrt(np.trace(sys.C @ lifted(g, "P_T") @ sys.C.T))
+        no = np.sqrt(np.trace(sys.B.T @ lifted(g, "Q_T") @ sys.B))
         assert abs(nc - no) <= 1e-7 * max(nc, no)
         assert np.isclose(truncated_h2_norm(sys), nc, rtol=1e-12)
 

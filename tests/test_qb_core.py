@@ -180,7 +180,7 @@ def test_sparse_jacobian_matches_explicit(make):
         x = rng.standard_normal(sys.n)
         u = rng.standard_normal(sys.m)
         J = sys.jacobian(x, u)
-        assert isinstance(J, sp.csr_array)
+        assert isinstance(J, sp.csc_array)
         n = sys.n
         # H(I (x) x), read off the mode-1 unfolding
         Hx = (sys.H.mode1().reshape(n * n, n) @ x).reshape(n, n)
@@ -215,7 +215,7 @@ def test_jacobian_format_rule():
     ci = chafee_infante(100)
     with_mass = QBSystem(ci.A, ci.H, ci.N, ci.B, ci.C, E=2.0 * np.eye(ci.n))
     small = random_stable_qb(6, 1, 1, rng)
-    cases = [(ci, sp.csr_array), (fitzhugh_nagumo(5), np.ndarray),
+    cases = [(ci, sp.csc_array), (fitzhugh_nagumo(5), np.ndarray),
              (_random_reduced(rng), np.ndarray), (with_mass, np.ndarray),
              (QBSystem(small.A, small.H, small.N, small.B, small.C,
                        E=np.eye(6)), np.ndarray)]
@@ -223,6 +223,19 @@ def test_jacobian_format_rule():
         J = sys.jacobian(rng.standard_normal(sys.n), rng.standard_normal(sys.m))
         assert type(J) is kind
         assert J.shape == (sys.n, sys.n)
+
+
+def test_jacobian_checks_its_arguments_as_rhs_does():
+    sys = chafee_infante(100)
+    x, u = np.ones(sys.n), [0.5]
+    for bad in ((x[:-1], [0.5, 0.5]), (x[:-1], u), (x, [0.5, 0.5]),
+                (np.ones((sys.n, 1)), u), (x, [])):
+        for f in (sys.rhs, sys.jacobian):
+            with pytest.raises(ValueError, match="state/input shape"):
+                f(*bad)
+    J = sys.jacobian(x, u)
+    stored = sp.csc_array((np.ones(J.nnz), J.indices, J.indptr), J.shape)
+    assert isinstance(J, sp.csc_array) and np.all(stored.diagonal() == 1.0)
 
 
 def test_jacobian_owns_its_pattern():
@@ -420,12 +433,12 @@ def test_rescale_identity_and_scaling():
 def test_rescale_shares_what_it_does_not_change():
     sys = chafee_infante(10)
     scaled = rescale(rescale(sys, 0.5), 0.02)
-    # built lazily by either side, seen by the source and every copy; the
-    # shifted factors stay each system's own
+    # built lazily by either side, seen by the source and every copy, the
+    # shifted factors included
     other = rescale(sys, 3.0)
-    assert scaled.pencil().A is sys.pencil().A is other.pencil().A
+    assert scaled.pencil() is sys.pencil() is other.pencil()
     lam = np.array([1.0])
-    assert scaled.pencil().factors(lam) is not sys.pencil().factors(lam)
+    assert scaled.pencil().factors(lam) is sys.pencil().factors(lam)
     assert sys.schur() is scaled.schur()
     # the active rows are the source's, with L scaled by gamma, and equal
     # to the rows a fresh Hessian of the scaled pairs builds
