@@ -7,16 +7,17 @@ trajectories keep the lift exact up to integrator tolerance.
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from qbmor.errors import NewtonDivergence, NonFiniteState
 from qbmor.kron_tensor import Hessian
+from qbmor.matrix_equations import _BandLayout
 from qbmor.qb_core import QBSystem
 
 
@@ -203,11 +204,12 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     once (`_VectorField`), and each simplified Newton iteration evaluates
     its three stages in one block rhs call, on stage inputs u(t + c_i h)
     that `InputSignal.at` evaluates once per trial step. Without a mass
-    matrix a sparse Jacobian is a CSC array whose pattern holds the
-    diagonal (see `QBSystem.jacobian`), on which each iteration matrix
-    mu I - J is one vector subtraction, equal to scipy's sparse one, and
-    is factored by `scipy.sparse.linalg.splu`; otherwise the Jacobian is
-    dense and they are factored and solved by LAPACK getrf/getrs. Outputs
+    matrix a sparse Jacobian is a CSC array on one pattern (see
+    `QBSystem.jacobian`), laid out once for band LU in the reverse
+    Cuthill-McKee order of that pattern; each iteration matrix mu I - J
+    is then one scatter of scipy's sparse entries into band storage,
+    factored by LAPACK gbtrf and solved by gbtrs. Otherwise the Jacobian
+    is dense and they are factored and solved by LAPACK getrf/getrs. Outputs
     are sampled on `samples` equidistant points from each accepted step's
     collocation polynomial.
 
@@ -225,17 +227,17 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
       dense, so it tells which LU path the run took.
 
     Raises ValueError, before the first rhs evaluation, for a bad horizon
-    (T must be finite and positive), sample count, input width, tolerance
-    (finite, rtol >= 100 eps, atol >= 0) or initial state (x0 must be
-    finite and of length n),
+    (T must be finite and positive), sample count (an integer >= 2), input
+    width, tolerance (finite, rtol >= 100 eps, atol >= 0) or initial state
+    (x0 must be finite and of length n),
     NewtonDivergence when the step size underflows and NonFiniteState when
     the initial rhs, a Jacobian, the state or the sampled outputs leave the
     representable range.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError("horizon must be positive and finite")
-    if samples < 2:
-        raise ValueError("need at least two sample points")
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise ValueError("need an integer number of sample points >= 2")
     if u.m != sys.m:
         raise ValueError("signal has %d channels, system expects %d"
                          % (u.m, sys.m))
@@ -295,12 +297,12 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
 # step predictor, Jacobian reuse rule, initial step and dense output, so it
 # takes the steps scipy's Radau takes. It differs in four ways: the three
 # stages of a Newton iteration are one block rhs call; sparse iteration
-# matrices are formed on the Jacobian's own CSC pattern
-# (`_iteration_matrix`) instead of by a sparse subtraction, with the same
-# values; dense ones are factored and solved by LAPACK getrf/getrs without
-# scipy's finiteness checks, so a NaN error estimate, where scipy raises
-# ValueError, rejects the step; and the stepper counts its own steps,
-# rejections and Newton iterations.
+# matrices, scipy's entries in band storage (`_IterationBand`), are
+# factored by LAPACK's band LU instead of SuperLU, so their solves round
+# differently; dense ones are factored and solved by LAPACK getrf/getrs
+# without scipy's finiteness checks, so a NaN error estimate, where scipy
+# raises ValueError, rejects the step; and the stepper counts its own
+# steps, rejections and Newton iterations.
 # Integration runs forward from t = 0 with no step bound.
 
 _S6 = 6 ** 0.5
@@ -352,30 +354,31 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     return min(1, multiplier) * error_norm ** -0.25
 
 
-def _diagonal(J):
-    """The positions of the diagonal in the data of a CSC array J that
-    stores every diagonal cell, its indices sorted."""
-    n = J.shape[0]
-    cells = np.repeat(np.arange(n), np.diff(J.indptr)) * n + J.indices
-    return np.searchsorted(cells, np.arange(n) * (n + 1))
+class _IterationBand:
+    """The iteration matrices mu I - J of one sparse CSC Jacobian pattern
+    on its ``_BandLayout``; ``at`` and ``diag`` are the flat band places
+    of J's stored entries and of the diagonal."""
 
+    def __init__(self, J):
+        n = J.shape[0]
+        # ones on J's cells: RCM would drop the explicit zeros of J itself
+        self.layout = _BandLayout.of(sp.csc_array(
+            (np.ones(J.nnz), J.indices, J.indptr), shape=J.shape))
+        self.at = self.layout.at(J.indices,
+                                 np.repeat(np.arange(n), np.diff(J.indptr)))
+        self.diag = self.layout.at(np.arange(n), np.arange(n))
 
-def _iteration_matrix(mu, J, diag):
-    """mu I - J as a CSC array on the pattern of the CSC Jacobian J, whose
-    diagonal is stored at the positions diag (`_diagonal`).
-
-    That is the arithmetic of scipy's sparse ``mu * I - J`` entry for
-    entry, and like it the result drops the entries that come out exactly
-    zero, so `splu` factors the matrix scipy's Radau factors.
-    """
-    M = np.zeros(J.nnz, dtype=np.result_type(mu, J.data))
-    # mu times the identity's stored ones, as scipy scales it: for an
-    # infinite complex mu (an underflowed step) that is nan, not mu
-    M[diag] = np.ones(diag.size) * mu
-    M -= J.data
-    A = sp.csc_array((M, J.indices.copy(), J.indptr.copy()), shape=J.shape)
-    A.eliminate_zeros()
-    return A
+    def matrix(self, mu, J):
+        """mu I - J in band storage: the entries of scipy's sparse
+        ``mu * I - J``, by its arithmetic, and zeros where it has none."""
+        M = np.zeros((self.diag.size, self.layout.width),
+                     dtype=np.result_type(mu, J.data))
+        flat = M.reshape(-1)
+        # mu times the identity's stored ones, as scipy scales it: for an
+        # infinite complex mu (an underflowed step) that is nan, not mu
+        flat[self.diag] = np.ones(self.diag.size) * mu
+        flat[self.at] -= J.data
+        return M
 
 
 class _Radau:
@@ -383,11 +386,10 @@ class _Radau:
 
     inputs(ts) gives the m x q inputs U at the times ts; a simplified
     Newton iteration's stage times are fixed, so it evaluates them once.
-    jac returns a dense array, or a CSC one on one pattern that stores the
-    diagonal (`QBSystem.jacobian`), whose diagonal positions are read off
-    the first and whose iteration matrices are factored by splu. `step`
-    takes one accepted step and returns False when the step size
-    underflows; `dense` evaluates the last step's collocation polynomial.
+    jac returns a dense array, or a CSC one on one pattern, whose band
+    layout is read off the first (`_IterationBand`). `step` takes one
+    accepted step and returns False when the step size underflows;
+    `dense` evaluates the last step's collocation polynomial.
     """
 
     def __init__(self, fun, inputs, jac, y0, t_bound, rtol, atol):
@@ -402,7 +404,7 @@ class _Radau:
         self.h_abs = self._initial_step()
         self.h_abs_old = self.error_norm_old = None
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
-        self._diag = self._I = None
+        self._band = self._I = None
         self.J = self._jacobian(0.0, y0)
         self.current_jac = True
         self.LU_real = self.LU_complex = None
@@ -417,26 +419,18 @@ class _Radau:
         self.njev += 1
         J = self._jac(t, y)
         sparse = sp.issparse(J)
-        if sparse and self._diag is None:
-            self._diag = _diagonal(J)
+        if sparse and self._band is None:
+            self._band = _IterationBand(J)
         self.jacobian_nnz = J.nnz if sparse else J.size
         return J
 
     def _lu(self, mu, J):
-        """A solver b -> (mu I - J)^{-1} b from one LU factorization; of
-        NaNs for a singular sparse matrix, as getrf's solves are then
-        non-finite, so that the step is rejected on either path."""
+        """A solver b -> (mu I - J)^{-1} b from one LU factorization. Its
+        solves are non-finite when the matrix is exactly singular, on
+        either path, so that the step is rejected."""
         self.nlu += 1
         if sp.issparse(J):
-            try:
-                return spla.splu(_iteration_matrix(mu, J, self._diag)).solve
-            except RuntimeError as exc:
-                # SuperLU's exact message, so that a rewording in scipy
-                # fails test_singular_iteration_matrix_is_typed
-                if str(exc) != "Factor is exactly singular":
-                    raise
-                return lambda b: np.full(b.shape, np.nan,
-                                         dtype=np.result_type(mu, b))
+            return self._band.layout.lu(self._band.matrix(mu, J))
         if self._I is None:
             self._I = np.identity(J.shape[0])
         M = mu * self._I - J

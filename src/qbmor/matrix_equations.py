@@ -47,14 +47,14 @@ _TRSYL_LEAF = 64
 # real part given to a purely imaginary eigenvalue by reflect_unstable
 _EPS_SHIFT = 1e-8
 # a pattern filling at most this share of n^2 is sparse: the shifted pencil
-# is then factored as a band matrix (shifted_lu), and Radau's iteration
-# matrix by splu (qb_core). For that Jacobian splu loses to dense LU on
-# chafee_infante at n = 60 (fill 0.066), is within 5 % on fitzhugh_nagumo
-# there, and wins on both from n = 100 (fill 0.04) up. Per shift of
-# A + lam I on chafee_infante (one complex factorization, one solve and one
-# transposed solve, one BLAS thread) the band form takes 0.15-0.26 ms from
-# n = 40 (fill 0.049) to n = 200 (fill 0.01), dense LU 0.34 ms at n = 40
-# and 1.6 ms at n = 200.
+# and Radau's mu I - J are then band matrices, and the rhs operator is dense
+# above it (qb_core). For mu I - J (one factorization and one solve, real
+# and complex mu, one BLAS thread) band LU ties dense getrf on chafee_infante
+# and fitzhugh_nagumo at n = 20-30 (fill 0.13-0.19) and wins from n = 40
+# (fill 0.1) up: 22-29 against 29-49 us at n = 40, 48-89 against 540-2040 us
+# at n = 200. Per shift of A + lam I on chafee_infante (one complex LU, a
+# solve and a transposed one) the band form takes 0.15-0.26 ms from n = 40
+# to 200, dense LU 0.34 to 1.6 ms.
 _SPARSE_FILL = 1.0 / 20.0
 
 
@@ -424,18 +424,51 @@ def solve_lyapunov(A, Q, transpose=False):
     return X
 
 
-@dataclass
-class _Band:
-    """A sparse pencil A + lam E laid out for LAPACK's band LU, in the
-    reverse Cuthill-McKee order of its pattern: row and column i of the
-    pencil are row and column rank[i] of the band matrix, which has kl
-    subdiagonals and ku superdiagonals. Row j of ``A`` is column j of A in
-    LAPACK's band storage, entry (i, j) at A[j, kl + ku + i - j], after the
-    kl leading places that gbtrf fills in; ``E`` likewise (the identity
-    when the pencil has no mass matrix)."""
+@dataclass(frozen=True)
+class _BandLayout:
+    """A sparse pattern in reverse Cuthill-McKee order for LAPACK's band LU:
+    row and column i are rank[i] (order inverts it) of a band matrix with
+    kl sub- and ku superdiagonals, whose band storage is n x width, one row
+    per column, entry (i, j) at [j, kl + ku + i - j] in band order."""
+    order: np.ndarray
     rank: np.ndarray
     kl: int
     ku: int
+    width: int
+
+    @classmethod
+    def of(cls, P):
+        """The layout of a CSR or CSC pattern P without stored zeros."""
+        # imported here, not with the module: see hurwitz_schur
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        order = reverse_cuthill_mckee(P)
+        rank = np.empty(order.size, dtype=np.intp)
+        rank[order] = np.arange(order.size)
+        P = P.tocoo()
+        kl, ku = (int(d.max(initial=0)) for d in (rank[P.row] - rank[P.col],
+                                                  rank[P.col] - rank[P.row]))
+        return cls(order, rank, kl, ku, 2 * kl + ku + 1)
+
+    def at(self, row, col):
+        """The flat places of the cells (row, col) in band storage."""
+        col = self.rank[col]
+        return col * self.width + self.kl + self.ku + self.rank[row] - col
+
+    def lu(self, ab):
+        """b -> M^{-1} b from one gbtrf of M's band storage ab (overwritten);
+        non-finite after an exactly zero pivot, as getrf's solves are."""
+        gbtrf, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        kl, ku, order, rank = self.kl, self.ku, self.order, self.rank
+        lu, piv, _ = gbtrf(ab.T, kl, ku, overwrite_ab=True)
+        return lambda b: gbtrs(lu, kl, ku, b[order], piv,
+                               overwrite_b=True)[0][rank]
+
+
+@dataclass(frozen=True)
+class _Band(_BandLayout):
+    """A sparse pencil A + lam E on the layout of its pattern, with A and E
+    (the identity when it has no mass matrix) in band storage."""
     A: np.ndarray
     E: np.ndarray
 
@@ -559,15 +592,12 @@ def shifted_lu(A, E=None):
     (or E's pattern), fills at most ``_SPARSE_FILL`` of n^2, and dense
     otherwise. Sparse input is read from its stored entries, dense input
     by one scan of its n^2 cells. A sparse pencil is laid out as a band
-    matrix (``_Band``) in the reverse Cuthill-McKee order of that pattern,
-    computed here once per form. The band is as wide as that order makes
-    it, with no second sparse format for a wide one: a pattern with a
-    dense row and column has a band as wide as the matrix, and its factors
-    take about 3 n^2 entries per shift.
+    matrix (``_Band``) on the ``_BandLayout`` of that pattern, its reverse
+    Cuthill-McKee order, computed here once per form. The band is as wide
+    as that order makes it, with no second sparse format for a wide one: a
+    pattern with a dense row and column has a band as wide as the matrix,
+    and its factors take about 3 n^2 entries per shift.
     """
-    # imported here, not with the module: see hurwitz_schur
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
     if not (sp.issparse(A) or sp.issparse(E)):
         A = np.asarray(A, dtype=float)
         E = None if E is None else np.asarray(E, dtype=float)
@@ -594,20 +624,14 @@ def shifted_lu(A, E=None):
                        np.concatenate([A.col, Ec.col]))), shape=A.shape)
     if P.nnz > _SPARSE_FILL * n * n:
         return ShiftedLU(A.toarray(), None if E is None else Ec.toarray())
-    rank = np.empty(n, dtype=np.intp)
-    rank[reverse_cuthill_mckee(P)] = np.arange(n)
-    P = P.tocoo()
-    offset = rank[P.row] - rank[P.col]
-    kl, ku = int(offset.max(initial=0)), int(-offset.min(initial=0))
-    rows = 2 * kl + ku + 1
+    layout = _BandLayout.of(P)
 
     def banded(M):  # duplicate entries summed
-        col = rank[M.col]
-        return np.bincount(col * rows + kl + ku + rank[M.row] - col,
-                           weights=M.data, minlength=n * rows).reshape(n, rows)
+        return np.bincount(layout.at(M.row, M.col), weights=M.data,
+                           minlength=n * layout.width).reshape(n, -1)
 
     return ShiftedLU(A, None if E is None else Ec,
-                     _Band(rank, kl, ku, banded(A), banded(Ec)))
+                     _Band(**vars(layout), A=banded(A), E=banded(Ec)))
 
 
 def solve_sylvester_shifted(A, lam, Rhs, E=None, transpose=False):

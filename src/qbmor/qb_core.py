@@ -17,7 +17,7 @@ alternative of keeping a reduced E as W^T E V is deliberately not used.
 import copy
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io as sio
@@ -172,14 +172,11 @@ class QBSystem:
         x is one state (length n) with its input u (length m), or an n x q
         block of states with the m x q block of their inputs; column j of
         the result is then the rhs at (x[:, j], u[:, j]). Reads only the
-        cached operator set (`_VectorField`): one CSR product of the
-        stacked operator G with z = [x; u; 1], one Hadamard product of the
-        left and right factors it yields and one sum over their blocks. A
-        single state is the block with q = 1, and every column is computed
-        with the same arithmetic as a single state: the CSR product runs
-        column by column inside one call and the products are summed with
-        the columns outermost, so a block and q single calls agree to the
-        last bit.
+        cached operator set (`_VectorField`): one product of the stacked
+        operator G with z = [x; u; 1], one Hadamard product of the left and
+        right factors it yields and one sum of each output row's terms,
+        each column computed as a single state is, so a block and q single
+        calls agree to the last bit.
         """
         x = np.asarray(x)
         u = np.asarray(u, dtype=float)
@@ -223,14 +220,16 @@ class QBSystem:
 class _VectorField:
     """The operators of one system's rhs and Jacobian, built once.
 
-    G is one CSR operator on z = [x; u; 1]. Its rows come in blocks of n,
-    one block per term of the rhs, and each term is the Hadamard product
-    of a left and a right factor: (A x + B u) o 1, then u_k o (N_k x) for
-    each input channel, then (L_j x) o (R_j x) for each pair factor of the
-    symmetrized Hessian. The first `half` rows of G give the left factors
-    and the rest the right ones, so with Y = G z
-
-        rhs = sum over blocks of Y[:half] o Y[half:].
+    G is one operator on z = [x; u; 1] whose rows come from blocks of n,
+    one per term of the rhs, each the Hadamard product of a left and a
+    right factor: (A x + B u) o 1, u_k o (N_k x) for each input channel,
+    (L_j x) o (R_j x) for each pair factor of the symmetrized Hessian. G
+    keeps the linear block whole and other rows where both factors have
+    entries, ordered by the output row dest they add into, in block order.
+    Its first `half` rows give the left factors and the rest the right
+    ones, so with Y = G z, rhs[i] is the sum of Y[t] Y[half + t] over the
+    rows t with dest[t] = i, in order. G is dense when its own entries
+    fill more than `_SPARSE_FILL` of it.
 
     A term's Jacobian is diag(right) times its left factor's x columns,
     twice that for a Hessian pair, since the symmetrized pair list holds
@@ -239,22 +238,33 @@ class _VectorField:
     (indices, indptr) on J's cells and the diagonal, or None when it is
     dense and the entries run over the n x n grid row by row.
     """
-    G: sp.csr_array
+    G: object
     half: int
+    dest: np.ndarray
     scatter: sp.csr_array
     pattern: object
+    _at: dict = field(default_factory=dict, repr=False)  # by block width
 
     def rhs(self, x, u):
         """``QBSystem.rhs`` of an n x q state block and its m x q inputs,
         unchecked; the result's transpose is C-contiguous."""
-        (n, q), h = x.shape, self.half
-        z = np.empty((self.G.shape[1], q))
-        z[:n], z[n:-1], z[-1] = x, u, 1.0
-        Y = self.G @ z
-        # the products laid out with the columns outermost, so that each
-        # column's block sum runs as a single column's does
-        prod = np.multiply(Y[:h].T, Y[h:].T, out=np.empty((q, h)))
-        return prod.reshape(q, -1, n).sum(axis=1).T
+        (n, q), h, G = x.shape, self.half, self.G
+        # column by column, as for a single state: inside the CSR product,
+        # and by one matrix-vector product each on a dense G
+        if sp.issparse(G):
+            z = np.empty((G.shape[1], q))
+            z[:n], z[n:-1], z[-1] = x, u, 1.0
+            Y = (G @ z).T
+        else:
+            z = np.empty((q, G.shape[1], 1))
+            z[:, :n, 0], z[:, n:-1, 0], z[:, -1] = x.T, u.T, 1.0
+            Y = (G @ z)[..., 0]
+        at = self._at.get(q)
+        if at is None:
+            at = self._at[q] = (self.dest + n * np.arange(q)[:, None]).ravel()
+        prod = np.multiply(Y[:, :h], Y[:, h:], out=np.empty((q, h)))
+        return np.bincount(at, weights=prod.ravel(),
+                           minlength=q * n).reshape(q, n).T
 
     @classmethod
     def build(cls, sys):
@@ -271,12 +281,17 @@ class _VectorField:
                            + [[None, S, None] for S in chan]
                            + [[Rs, None, None]], format="csr")
         half = (m + 1) * n + Ls.shape[0]
-        left = G[:half, :n]
+        filled = np.diff(G.indptr) > 0
+        term = np.flatnonzero(filled[:half] & filled[half:]
+                              | (np.arange(half) < n))
+        term = term[np.argsort(term % n, kind="stable")]
+        G = G[np.concatenate((term, half + term))]
+        half, dest = term.size, term % n
         # each Jacobian term: its cell (row, col), value and index into the
         # right factors; the linear block's right factor is 1
-        lc = left.tocoo()
-        row, col = lc.row.astype(np.int64) % n, lc.col.astype(np.int64)
-        val = np.where(lc.row < (m + 1) * n, 1.0, 2.0) * lc.data
+        lc = G[:half, :n].tocoo()
+        row, col = dest[lc.row], lc.col.astype(np.int64)
+        val = np.where(term[lc.row] < (m + 1) * n, 1.0, 2.0) * lc.data
         cell = row * n + col
         if np.unique(cell).size <= _SPARSE_FILL * n * n and sys.E is None:
             # column-major cells, the diagonal's among them
@@ -288,7 +303,10 @@ class _VectorField:
             cells, pattern = np.arange(n * n), None
         scatter = sp.csr_array((val, (np.searchsorted(cells, cell), lc.row)),
                                shape=(cells.size, half))
-        return cls(G=G, half=half, scatter=scatter, pattern=pattern)
+        if G.nnz > _SPARSE_FILL * G.shape[0] * G.shape[1]:
+            G = G.toarray()
+        return cls(G=G, half=half, dest=dest, scatter=scatter,
+                   pattern=pattern)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from conftest import rng_for, random_stable_qb
@@ -442,7 +443,10 @@ def _scipy_radau(monkeypatch, sys_, u, T, samples, rtol, atol):
     Jacobian: the oracle the ported stepper must match step for step.
 
     Trial steps and Newton iterations are counted at scipy's collocation
-    solve, one call per trial step and Jacobian state.
+    solve, one call per trial step and Jacobian state. A sparse Jacobian's
+    iteration matrices, scipy's own mu I - J, are factored and solved by
+    the library's band LU on the first Jacobian's layout in place of
+    SuperLU, counted in nlu as scipy counts its own.
     """
     from scipy.integrate import Radau
     from scipy.integrate._ivp import radau
@@ -468,6 +472,18 @@ def _scipy_radau(monkeypatch, sys_, u, T, samples, rtol, atol):
     with np.errstate(all="ignore"):
         solver = Radau(f, 0.0, np.zeros(sys_.n), T, rtol=rtol, atol=atol,
                        jac=jac)
+        if sp.issparse(solver.J):
+            band = benchmarks._IterationBand(sp.csc_array(solver.J))
+
+            def lu(M):
+                solver.nlu += 1
+                M = M.tocoo()
+                ab = np.zeros((sys_.n, band.layout.width), dtype=M.dtype)
+                ab.reshape(-1)[band.layout.at(M.row, M.col)] = M.data
+                return band.layout.lu(ab)
+
+            solver.lu = lu
+            solver.solve_lu = lambda LU, b: LU(b)
         while solver.status == "running":
             solver.step()
             stop = int(np.searchsorted(tq, solver.t, side="right"))
@@ -577,6 +593,12 @@ def test_bad_initial_state_or_tolerance_rejected_before_stepping(
     for T in (np.nan, np.inf, 0.0):
         with pytest.raises(ValueError):
             simulate(sys_, u, T, 11)
+    for samples in (10.5, 5.0, np.float64(11.0), 1, np.int64(1)):
+        with pytest.raises(ValueError, match="sample points"):
+            simulate(sys_, u, 1.0, samples)
+    monkeypatch.undo()
+    tr = simulate(sys_, u, 1.0, np.int64(11))
+    assert tr.times.shape == (11,) and tr.outputs.shape == (1, 11)
 
 
 def _copy_as(cls, sys):
@@ -599,26 +621,31 @@ class _NaNJacobian(QBSystem):
 @pytest.mark.parametrize("state", ["zero", "random"])
 def test_iteration_matrix_matches_scipy_subtraction(state):
     # at x = 0 the Jacobian stores explicit zeros, which scipy's
-    # subtraction drops; the iteration matrix must drop them too
+    # subtraction drops; the band must hold zeros there, of either sign
+    # only as scipy's entries have them
     sys_ = chafee_infante(100)
     n = sys_.n
     x = np.zeros(n) if state == "zero" else rng_for(48).standard_normal(n)
     J = sys_.jacobian(x, [0.7])
     assert np.any(J.data == 0.0) == (state == "zero")
-    diag = benchmarks._diagonal(J)
+    band = benchmarks._IterationBand(J)
+    assert (band.layout.kl, band.layout.ku) == (3, 3)
     # the iteration matrices as scipy's Radau forms them
     eye, Jc = sp.eye_array(n, format="csc"), sp.csc_array(J)
     # the last mu is an underflowed step's, infinite
     for mu in (benchmarks._MU_REAL / 0.01, benchmarks._MU_COMPLEX / 0.01,
                benchmarks._MU_COMPLEX / 5e-324):
         with np.errstate(invalid="ignore"):     # as inside simulate
-            ours = benchmarks._iteration_matrix(mu, J, diag)
-            ref = mu * eye - Jc
-        assert ours.format == "csc" and ours.dtype == ref.dtype
-        assert np.array_equal(ours.indices, ref.indices)
-        assert np.array_equal(ours.indptr, ref.indptr)
-        # bit for bit, signed zeros included
-        assert ours.data.tobytes() == ref.data.tobytes()
+            ours = band.matrix(mu, J)
+            ref = (mu * eye - Jc).tocoo()
+        assert ref.nnz < J.nnz if state == "zero" else ref.nnz == J.nnz
+        assert ours.shape == (n, band.layout.width)
+        assert ours.dtype == ref.dtype
+        # scipy's entries in their band places and zeros elsewhere, bit for
+        # bit, signed zeros included
+        want = np.zeros_like(ours)
+        want.reshape(-1)[band.layout.at(ref.row, ref.col)] = ref.data
+        assert ours.tobytes() == want.tobytes()
 
 
 def test_jacobian_stores_a_structurally_zero_diagonal(monkeypatch):
@@ -659,6 +686,18 @@ def test_sparse_jacobian_takes_the_dense_path_steps():
     assert ys.stats["jacobian_nnz"] <= sys_.n ** 2 // 20
     err = np.linalg.norm(ys.outputs - yd.outputs)
     assert err <= 1e-9 * np.linalg.norm(yd.outputs)
+
+
+def test_sparse_iteration_matrices_never_call_splu(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    monkeypatch.setattr(spla, "splu", refuse)
+    sys_ = chafee_infante(100)
+    tr = simulate(sys_, input_signal("ci_u1"), 2.0, 21, rtol=1e-5,
+                  atol=1e-7)
+    assert tr.stats["jacobian_nnz"] < sys_.n ** 2
+    assert tr.stats["jacobian_factorizations"] >= 2
 
 
 def test_non_finite_sparse_jacobian_is_reported():

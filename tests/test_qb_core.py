@@ -93,12 +93,20 @@ def test_rhs_matches_explicit_kron():
         sys.rhs(x[:-1], u)
 
 
+def _galerkin_r10(rng):
+    """An r = 10 ReducedModel of the flagship, on a random orthonormal
+    basis."""
+    V = orthonormalize(rng.standard_normal((200, 10)))
+    return project(chafee_infante(100), V, V)
+
+
 _BLOCK_CASES = {
     "chafee_infante": lambda rng: chafee_infante(100),    # sparse operators
     "fitzhugh_nagumo": lambda rng: fitzhugh_nagumo(5),    # two inputs
     "dense_hessian": lambda rng: random_stable_qb(6, 2, 1, rng),
     "zero_hessian": lambda rng: random_stable_qb(6, 1, 1, rng,
                                                  with_hessian=False),
+    "reduced_r10": _galerkin_r10,
 }
 
 
@@ -107,8 +115,11 @@ def test_rhs_block_matches_vector_calls(name):
     sys = _BLOCK_CASES[name](rng_for(44))
     if name == "zero_hessian":
         assert sys.H.is_zero
-    if name == "dense_hessian":
+    if name in ("dense_hessian", "reduced_r10"):
         assert sys.H.storage == "dense"
+    # every case but the flagship fills its packed operator densely
+    G = sys._vector_field().G
+    assert isinstance(G, np.ndarray) == (name != "chafee_infante")
     rng = rng_for(45)
     q = 3
     X = rng.standard_normal((sys.n, q))
@@ -118,6 +129,57 @@ def test_rhs_block_matches_vector_calls(name):
     assert block.shape == (sys.n, q)
     # each column is computed with a single state's arithmetic
     assert np.array_equal(block, cols)
+
+
+def test_rhs_operator_keeps_only_terms_with_both_factors():
+    # chafee_infante(100): the linear block's 200 rows, the input
+    # channel's one row with an entry and 100 rows of each of the six
+    # symmetrized pair factors, of 1,600 rows per half at full height
+    f = chafee_infante(100)._vector_field()
+    assert isinstance(f.G, sp.csr_array)
+    assert f.G.shape == (1602, 202) and f.half == 801
+    filled = np.diff(f.G.indptr) > 0
+    assert np.all(filled[:f.half] & filled[f.half:])
+    # ordered by output row, every output row with its linear term first
+    assert np.all(np.diff(f.dest) >= 0)
+    assert np.array_equal(np.unique(f.dest), np.arange(200))
+
+
+@pytest.mark.parametrize("make", [lambda rng: fitzhugh_nagumo(5),
+                                  _galerkin_r10],
+                         ids=["fitzhugh_nagumo_5", "reduced_r10"])
+def test_rhs_operator_is_dense_past_the_fill_rule(make):
+    sys = make(rng_for(46))
+    G = sys._vector_field().G
+    assert isinstance(G, np.ndarray) and G.dtype == float
+    assert np.count_nonzero(G) > qb_core._SPARSE_FILL * G.size
+    x = rng_for(47).standard_normal(sys.n)
+    u = np.ones(sys.m)
+    expected = sys.A @ x + sys.H.mode1() @ np.kron(x, x) + sys.B @ u
+    for uk, Nk in zip(u, sys.N):
+        expected = expected + uk * (Nk @ x)
+    assert np.allclose(sys.rhs(x, u), expected, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("state", ["zero", "random"])
+def test_sparse_jacobian_sums_its_terms_in_block_order(state):
+    # the packed operator leaves the flagship's Jacobian as the block-order
+    # sum of the full-height blocks' terms, bit for bit: the linear block,
+    # the input channel's, then each pair factor's
+    sys = chafee_infante(100)
+    n, u = sys.n, np.array([0.7])
+    x = np.zeros(n) if state == "zero" else rng_for(50).standard_normal(n)
+    Ls, Rs = (sp.csr_array(M) for M in sys.H.stacked())
+    terms = [(sys.A, np.ones(n))]
+    terms += [(Nk, np.full(n, uk)) for Nk, uk in zip(sys.N, u)]
+    terms += [(2.0 * Ls[j:j + n], Rs[j:j + n] @ x)
+              for j in range(0, Ls.shape[0], n)]
+    ref = np.zeros((n, n))
+    for L, right in terms:
+        ref += L.toarray() * right[:, None]
+    J = sys.jacobian(x, u)
+    assert isinstance(J, sp.csc_array)
+    assert J.toarray().tobytes() == ref.tobytes()
 
 
 def test_rhs_rejects_bad_block_shapes():
