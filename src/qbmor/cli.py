@@ -129,7 +129,9 @@ def cmd_report(system_path, reduced_path, what, input_name, horizon, samples,
         full = truncated_h2_norm(sys_)
         click.echo("h2_error=%.17g" % err)
         click.echo("h2_full=%.17g" % full)
-        click.echo("h2_error_rel=%.17g" % (err / full))
+        # a zero reference matches only a zero error (as output_errors)
+        rel = err / full if full else (0.0 if err == 0.0 else float("inf"))
+        click.echo("h2_error_rel=%.17g" % rel)
     else:
         if input_name is None:
             raise click.UsageError("--what simulate needs --input")

@@ -4,25 +4,24 @@ The truncated pair (P_T, Q_T) extends the linear Gramians by the quadratic
 and bilinear source terms; the quadratic pair (P, Q) is the fixed point of
 the Picard iteration on the full quadratic-type Lyapunov equations. No
 source term forms an explicit n^2 x n^2 Kronecker product. The truncated
-sources are evaluated through factored square roots: the factors come from
-LAPACK's pivoted Cholesky in O(n^2 rho), not from an O(n^3)
-eigendecomposition, and are rank-truncated: a direction of X is kept only
-when its eigenvalue exceeds n * eps * max|w|, so a Gramian of numerical
-rank rho costs n x rho(rho+1)/2 in the distinct columns of H(L (x) L),
-not n x n^2. Factoring a Gramian also checks it against its PSD floor.
-The Picard sources are formed from each iterate itself, with no factor
+sources are evaluated through factors from LAPACK's pivoted Cholesky, in
+O(n^2 rho) rather than an O(n^3) eigendecomposition, truncated to the
+numerical rank rho, so H(L (x) L) costs n x rho(rho+1)/2 in its distinct
+columns, not n x n^2; factoring a Gramian also checks its PSD floor. Each
+linear Gramian, seed and source factor is freed after its last use. The
+Picard sources are formed from each iterate itself, with no factor
 (``Hessian.kron_gram`` and ``Hessian.mode2_gram``), so no truncation
 enters the fixed point. All Lyapunov solves of one Gramian set are given
 the Schur form A = Z T Z^T, cached on the system (``QBSystem.schur``), so
 they work in its basis: the seeds enter as Z^T B and C Z, the sources as
 Z^T S Z, the Gramians are held as Z^T X Z, and they are lifted back by Z
 for the source terms. Z is block diagonal over the decoupled blocks of A
-(``hurwitz_schur``), and every one of these basis changes goes through
-the form's methods, block by block. The truncated Gramians stay in that
-basis (``GramianBundle``); the quadratic pair is returned in the original
-coordinates. A mass matrix E is folded into
-A, B and the sources through `QBSystem.solve_mass`, never into H: the
-equations are those of E^{-1}A, E^{-1}B, E^{-1}H and E^{-1}N_k.
+(``hurwitz_schur``), and every basis change goes through the form's
+methods, block by block. The truncated Gramians stay in that basis
+(``GramianBundle``); the quadratic pair is returned in the original
+coordinates. A mass matrix E is folded into A, B and the sources through
+`QBSystem.solve_mass`, never into H: the equations are those of E^{-1}A,
+E^{-1}B, E^{-1}H and E^{-1}N_k.
 """
 
 import warnings
@@ -51,7 +50,7 @@ def _lift(S, X):
 
 
 class GramianBundle:
-    """Linear (P_l, Q_l) and truncated (P_T, Q_T) Gramians of a QB system.
+    """Truncated Gramians (P_T, Q_T) of a QB system; not the linear ones.
 
     Held in the Schur basis Z of A (of E^{-1}A with a mass matrix), whose
     ``hurwitz_schur`` form is ``basis``: ``schur[name]`` is Z^T X Z, and
@@ -60,9 +59,9 @@ class GramianBundle:
     Z^T Q_T Z (see `_psd_sqrt`), taken once when the bundle is built.
     """
 
-    def __init__(self, basis, P_l, Q_l, P_T, Q_T, L_P, L_Q):
+    def __init__(self, basis, P_T, Q_T, L_P, L_Q):
         self.basis = basis
-        self.schur = {"P_l": P_l, "Q_l": Q_l, "P_T": P_T, "Q_T": Q_T}
+        self.schur = {"P_T": P_T, "Q_T": Q_T}
         self.factors = {"P_T": L_P, "Q_T": L_Q}
 
 
@@ -102,9 +101,12 @@ def _psd_sqrt(X, what):
     C, piv, rank, _ = _PSTRF(X, tol=tol, lower=1)
     F = np.empty((n, rank))
     F[piv - 1] = np.tril(C[:, :rank])
+    del C
     w, V = np.linalg.eigh(F.T @ F)
     top = w.max(initial=0.0)
-    res = np.linalg.norm(X - F @ F.T)
+    R = F @ F.T
+    res = np.linalg.norm(np.subtract(X, R, out=R))
+    del R
     # top - res bounds the largest eigenvalue of X from below
     if res > 1e-10 * (top - res):
         return _eig_sqrt(X, what)
@@ -113,8 +115,9 @@ def _psd_sqrt(X, what):
 
 
 def _gram(factors, form):
-    """Z^T (sum of F F^T over the factors) Z, given the ``hurwitz_schur``
-    form of a basis Z.
+    """Z^T (sum of F F^T over the factors, in their order) Z, given the
+    ``hurwitz_schur`` form of a basis Z; a generator of factors makes each
+    one just before it is summed, and it is dropped just after.
 
     A factor narrower than 2n is moved into the basis (3 n^2 k flops with
     a dense Z), a wider one's product is (n^2 k + 4 n^3); a block-diagonal
@@ -123,14 +126,12 @@ def _gram(factors, form):
     S = None
     for F in factors:
         if F.shape[1] < 2 * F.shape[0]:
-            G = form.left(F, transpose=True)
-            part = G @ G.T
+            F = form.left(F, transpose=True)
+            part = F @ F.T
         else:
             part = form.congruence(F @ F.T)
-        if S is None:
-            S = part
-        else:
-            S += part
+        S = part if S is None else np.add(S, part, out=S)
+        del F, part  # before the next factor is made
     return S
 
 
@@ -139,44 +140,55 @@ def _quadratic_source(sys, L, form, seed):
     without P (x) P, given the seed factor B and the form of a basis Z;
     with a mass matrix, the factors are E^{-1}[H(L (x) L), N_k L] and the
     seed is E^{-1}B. H(L (x) L) is read through its distinct columns."""
-    K = sys.solve_mass(sys.H.apply_kron_distinct(L))
-    factors = [K] + [sys.solve_mass(Nk @ L) for Nk in sys.N]
-    return _gram(factors + [seed], form)
+    def factors():
+        yield sys.solve_mass(sys.H.apply_kron_distinct(L))
+        for Nk in sys.N:
+            yield sys.solve_mass(Nk @ L)
+        yield seed
+    return _gram(factors(), form)
 
 
 def _observability_source(sys, LP, LQ, form, seed):
     """Z^T [H^(2)(P (x) Q)(H^(2))^T + sum_k N_k^T Q N_k + C^T C] Z for
     P = LP LP^T and Q = LQ LQ^T, given the seed factor C^T and the form of
     a basis Z; with a mass matrix, LQ is E^{-T} LQ."""
-    LQ = sys.solve_mass(LQ, transpose=True)
-    factors = ([sys.H.apply_kron_mode2(LP, LQ)]
-               + [Nk.T @ LQ for Nk in sys.N])
-    return _gram(factors + [seed], form)
+    def factors():
+        MQ = sys.solve_mass(LQ, transpose=True)
+        yield sys.H.apply_kron_mode2(LP, MQ)
+        for Nk in sys.N:
+            yield Nk.T @ MQ
+        yield seed
+    return _gram(factors(), form)
 
 
-def _linear_gramians(sys):
-    """The Schur form S of E^{-1}A, E^{-1}B, the seeds Z^T E^{-1}B B^T
-    E^{-T} Z and Z^T C^T C Z, and Z^T P_l Z and Z^T Q_l Z, where Z is the
-    basis of S."""
+def _linear_seed(sys, observability=False):
+    """Z^T E^{-1}B B^T E^{-T} Z, or Z^T C^T C Z with observability: the
+    seed of a linear Gramian in the basis Z of ``sys.schur()``."""
     S = sys.schur()
-    B = sys.solve_mass(sys.B)
-    Bs, Cs = S.left(B, transpose=True), S.right(sys.C)
-    seed_p, seed_q = Bs @ Bs.T, Cs.T @ Cs
-    return (S, B, seed_p, seed_q, solve_lyapunov(S, seed_p),
-            solve_lyapunov(S, seed_q, transpose=True))
+    F = (S.right(sys.C).T if observability
+         else S.left(sys.solve_mass(sys.B), transpose=True))
+    return F @ F.T
+
+
+def _linear_gramian(sys, observability=False):
+    """Z^T P_l Z, or Z^T Q_l Z with observability, in the basis Z of
+    ``sys.schur()``; the seed lives only for the solve."""
+    return solve_lyapunov(sys.schur(), _linear_seed(sys, observability),
+                          transpose=observability)
 
 
 def truncated_gramians(sys):
-    """Linear and truncated Gramians of a stable QB system, in the Schur
-    basis of A (see ``GramianBundle``)."""
-    S, B, _, _, P_l, Q_l = _linear_gramians(sys)
+    """Truncated Gramians of a stable QB system, in the Schur basis of A
+    (see ``GramianBundle``); a linear Gramian is dropped once factored."""
+    S = sys.schur()
     # factoring a Gramian also checks it for indefiniteness
-    L_P = S.left(_psd_sqrt(P_l, "P_l"))
-    L_Q = S.left(_psd_sqrt(Q_l, "Q_l"))
-    P_T = solve_lyapunov(S, _quadratic_source(sys, L_P, S, B))
+    L_P = S.left(_psd_sqrt(_linear_gramian(sys), "P_l"))
+    L_Q = S.left(_psd_sqrt(_linear_gramian(sys, True), "Q_l"))
+    P_T = solve_lyapunov(S, _quadratic_source(sys, L_P, S,
+                                              sys.solve_mass(sys.B)))
     Q_T = solve_lyapunov(S, _observability_source(sys, L_P, L_Q, S, sys.C.T),
                          transpose=True)
-    return GramianBundle(S, P_l, Q_l, P_T, Q_T, _psd_sqrt(P_T, "P_T"),
+    return GramianBundle(S, P_T, Q_T, _psd_sqrt(P_T, "P_T"),
                          _psd_sqrt(Q_T, "Q_T"))
 
 
@@ -212,9 +224,11 @@ def quadratic_gramians(sys):
     bilinear parts are too large; rescale the system first. Returns (P, Q,
     (iterations_P, iterations_Q)), P and Q in the original coordinates.
     """
-    S, _, seed_p, seed_q, P_l, Q_l = _linear_gramians(sys)
+    S = sys.schur()
 
-    def picard(X, source, seed, transpose, what):
+    def picard(source, transpose, what):
+        seed = _linear_seed(sys, transpose)  # alive for this iteration only
+        X = solve_lyapunov(S, seed, transpose=transpose)  # linear Gramian
         for it in range(1, _PICARD_MAXIT + 1):
             F = S.congruence(source(_lift(S, X))) + seed
             if not np.all(np.isfinite(F)):
@@ -237,12 +251,12 @@ def quadratic_gramians(sys):
         raise NoConvergence("%s iteration did not settle in %d steps; rescale"
                             " the system" % (what, _PICARD_MAXIT))
 
-    P, it_p = picard(P_l, lambda P: _controllability_gram(sys, P), seed_p,
-                     False, "controllability")
+    P, it_p = picard(lambda P: _controllability_gram(sys, P), False,
+                     "controllability")
     P = _lift(S, P)
     gram2 = sys.H.mode2_gram(P)
-    Q, it_q = picard(Q_l, lambda Q: _observability_gram(sys, gram2, Q),
-                     seed_q, True, "observability")
+    Q, it_q = picard(lambda Q: _observability_gram(sys, gram2, Q), True,
+                     "observability")
     return P, _lift(S, Q), (it_p, it_q)
 
 

@@ -464,6 +464,12 @@ def _write_matrices(out_dir, entries, matrices):
         entries.append((key, key + ".mtx"))
 
 
+def _check_label(label):
+    """A label is written as one manifest line, so it may not break one."""
+    if "\n" in label or "\r" in label:
+        raise ValueError("label %r holds a line break" % label)
+
+
 def _write_manifest(path, entries):
     lines = ["# qbmor manifest"]
     for key, val in entries:
@@ -499,14 +505,11 @@ def _open_manifest(path, name, fmt, what):
     return entries, lambda key: _read_matrix(os.path.join(base, entries[key]))
 
 
-def _fmt_float(x):
-    return "%.17g" % float(x)
-
-
 def save_system(sys, out_dir):
     """Write a system directory; returns the manifest path. The Hessian is
     written as ``Hessian.stored`` gives it, for ``load_system`` to
     symmetrize again unless it is flagged symmetric."""
+    _check_label(sys.label)
     os.makedirs(out_dir, exist_ok=True)
     entries = [
         ("format", "qbmor-system-1"),
@@ -558,17 +561,18 @@ def load_system(path):
 
 def save_reduced(red, out_dir):
     """Write a reduced-model directory; returns the manifest path."""
+    _check_label(red.label)
     os.makedirs(out_dir, exist_ok=True)
     entries = [
         ("format", "qbmor-reduced-1"),
         ("r", str(red.r)), ("m", str(red.m)), ("p", str(red.p)),
         ("label", red.label),
         ("method", red.method),
-        ("gamma", _fmt_float(red.gamma)),
+        ("gamma", "%.17g" % red.gamma),
         ("seed", "" if red.seed is None else str(red.seed)),
         ("converged", "true" if red.converged else "false"),
         ("iterations", str(red.iterations)),
-        ("tol", _fmt_float(red.tol)),
+        ("tol", "%.17g" % red.tol),
     ]
     _write_matrices(out_dir, entries,
                     [("ahat", red.A), ("bhat", red.B), ("chat", red.C)]

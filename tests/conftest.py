@@ -7,6 +7,7 @@ H2-type norms that never touches the Lyapunov solver under test.
 import numpy as np
 import scipy.linalg as sla
 
+from qbmor.gramians_norms import _linear_gramian
 from qbmor.kron_tensor import Hessian
 
 
@@ -18,6 +19,14 @@ def lifted(g, name):
     """The Gramian name of the bundle g in the original coordinates,
     Z (Z^T X Z) Z^T symmetrized."""
     X = g.basis.lift(g.schur[name])
+    return 0.5 * (X + X.T)
+
+
+def linear_gramian(sys, observability=False):
+    """P_l of sys, or Q_l with observability, in the original coordinates:
+    the library's own Schur-basis solve, lifted by the Schur form of sys
+    and symmetrized."""
+    X = sys.schur().lift(_linear_gramian(sys, observability))
     return 0.5 * (X + X.T)
 
 

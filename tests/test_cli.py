@@ -307,6 +307,25 @@ def test_report_h2err(chafee_dir, reduced_dir, capsys):
     assert abs(rel - err / full) <= 1e-12 * rel
 
 
+def test_report_h2err_of_a_zero_reference(tmp_path, capsys):
+    # with B = 0 the full system's norm is 0: a zero error reads 0 and any
+    # other error inf, as output_errors reads a zero reference
+    base = chafee_infante(10)
+    zero = QBSystem(base.A, base.H, base.N, np.zeros_like(base.B), base.C)
+    eye = np.eye(base.n)
+    sdir = tmp_path / "sys"
+    save_system(zero, str(sdir))
+    for model, rel in ((zero, 0.0), (base, np.inf)):
+        rdir = tmp_path / ("copy%g" % rel)
+        save_reduced(project(model, eye, eye), str(rdir))
+        rc, lines, _ = run_lines(
+            capsys, ["report", str(sdir), str(rdir), "--what", "h2err"])
+        assert rc == 0
+        assert float(grab(lines, "h2_full")) == 0.0
+        assert (float(grab(lines, "h2_error")) == 0.0) == (rel == 0.0)
+        assert float(grab(lines, "h2_error_rel")) == rel
+
+
 def test_report_simulate_writes_artifacts(chafee_dir, reduced_dir, tmp_path,
                                           capsys):
     out = tmp_path / "rep"

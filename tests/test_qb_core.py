@@ -753,6 +753,31 @@ def test_load_rejects_wrong_manifest(tmp_path):
         load_reduced(tmp_path / "s" / "system.qbm")
 
 
+def _bad_label_case():
+    # a line break would start a manifest entry that overrides the format
+    label = "a\nformat = qbmor-reduced-1"
+    sys = random_stable_qb(3, 1, 1, rng_for(25))
+    return label, QBSystem(sys.A, sys.H, sys.N, sys.B, sys.C, label=label)
+
+
+def test_save_system_rejects_a_label_with_a_line_break(tmp_path):
+    label, sys = _bad_label_case()
+    with pytest.raises(ValueError) as exc:
+        save_system(sys, tmp_path / "s")
+    assert repr(label) in str(exc.value)
+    assert not (tmp_path / "s").exists()
+
+
+def test_save_reduced_rejects_a_label_with_a_line_break(tmp_path):
+    label, sys = _bad_label_case()
+    red = project(sys, np.eye(3)[:, :2], np.eye(3)[:, :2])
+    assert red.label == label
+    with pytest.raises(ValueError) as exc:
+        save_reduced(red, tmp_path / "r")
+    assert repr(label) in str(exc.value)
+    assert not (tmp_path / "r").exists()
+
+
 def test_load_names_a_missing_manifest_key(tmp_path):
     rng = rng_for(23)
     save_system(random_stable_qb(3, 1, 1, rng), tmp_path / "s")
