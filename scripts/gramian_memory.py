@@ -1,7 +1,7 @@
 """Peak memory, CPU time and result hash of one Gramian routine per process.
 
     PYTHONPATH=src python scripts/gramian_memory.py ROUTINE K [K ...]
-        [--system chafee|fhn] [--gamma 0.01] [--r 10]
+        [--system chafee|fhn] [--gamma 0.01]
 
 ROUTINE is one of truncated_gramians, balanced_truncation,
 truncated_h2_norm, truncated_h2_error or h2_norm. Each K starts two fresh
@@ -11,8 +11,8 @@ chafee_infante(K) (or fitzhugh_nagumo(K)), caches its Schur form and that
 of its copy rescaled by gamma, and then runs the routine once:
 
 - truncated_gramians, truncated_h2_norm and h2_norm on the rescaled copy;
-- balanced_truncation(sys, r, gamma=gamma);
-- truncated_h2_error between the rescaled copy and its order-r balanced
+- balanced_truncation(sys, 10, gamma=gamma);
+- truncated_h2_error between the rescaled copy and its order-10 balanced
   truncation, rescaled alike; the truncation is made before the
   measurement starts, so only the error is timed and traced.
 
@@ -56,7 +56,7 @@ def _arrays(out):
     return [np.float64(out)]
 
 
-def measure(routine, system, k, gamma, r, traced):
+def measure(routine, system, k, gamma, traced):
     import numpy as np
     import qbmor
     from qbmor.errors import QbmorError
@@ -68,10 +68,10 @@ def measure(routine, system, k, gamma, r, traced):
     sys_.schur()
     ssys.schur()
     if routine == "truncated_h2_error":
-        red = qbmor.balanced_truncation(sys_, r, gamma=gamma)[0]
+        red = qbmor.balanced_truncation(sys_, 10, gamma=gamma)[0]
         args = (ssys, red.rescaled(gamma))
     elif routine == "balanced_truncation":
-        args = (sys_, r, gamma)
+        args = (sys_, 10, gamma)
     else:
         args = (ssys,)
     call = getattr(qbmor, routine)
@@ -104,13 +104,12 @@ def main(argv=None):
     ap.add_argument("k", type=int, nargs="+")
     ap.add_argument("--system", choices=("chafee", "fhn"), default="chafee")
     ap.add_argument("--gamma", type=float, default=0.01)
-    ap.add_argument("--r", type=int, default=10)
     ap.add_argument("--child", choices=("plain", "traced"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
         print(json.dumps(measure(args.routine, args.system, args.k[0],
-                                 args.gamma, args.r, args.child == "traced")))
+                                 args.gamma, args.child == "traced")))
         return 0
     env = dict(os.environ, **{var: "1" for var in _THREAD_VARS})
     for k in args.k:
@@ -118,7 +117,7 @@ def main(argv=None):
         for child in ("plain", "traced"):
             cmd = [sys.executable, os.path.abspath(__file__), args.routine,
                    str(k), "--system", args.system, "--gamma",
-                   repr(args.gamma), "--r", str(args.r), "--child", child]
+                   repr(args.gamma), "--child", child]
             out = subprocess.run(cmd, env=env, check=True,
                                  stdout=subprocess.PIPE, text=True).stdout
             rec.update(json.loads(out.splitlines()[-1]))
