@@ -204,14 +204,14 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     once (`_VectorField`), and each simplified Newton iteration evaluates
     its three stages in one block rhs call, on stage inputs u(t + c_i h)
     that `InputSignal.at` evaluates once per trial step. Without a mass
-    matrix a sparse Jacobian is a CSC array on one pattern (see
+    matrix a sparse Jacobian is a CSC array on its own cells (see
     `QBSystem.jacobian`), laid out once for band LU in the reverse
-    Cuthill-McKee order of that pattern; each iteration matrix mu I - J
-    is then one scatter of scipy's sparse entries into band storage,
-    factored by LAPACK gbtrf and solved by gbtrs. Otherwise the Jacobian
-    is dense and they are factored and solved by LAPACK getrf/getrs. Outputs
-    are sampled on `samples` equidistant points from each accepted step's
-    collocation polynomial.
+    Cuthill-McKee order of those cells and the diagonal; each iteration
+    matrix mu I - J is then scipy's sparse one scattered into band
+    storage, factored by LAPACK gbtrf and solved by gbtrs. Otherwise the
+    Jacobian is dense and they are factored and solved by LAPACK
+    getrf/getrs. Outputs are sampled on `samples` equidistant points from
+    each accepted step's collocation polynomial.
 
     `stats` holds integer counters, kept by the stepper:
 
@@ -297,7 +297,7 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
 # step predictor, Jacobian reuse rule, initial step and dense output, so it
 # takes the steps scipy's Radau takes. It differs in four ways: the three
 # stages of a Newton iteration are one block rhs call; sparse iteration
-# matrices, scipy's entries in band storage (`_IterationBand`), are
+# matrices, scipy's entries in band storage on a `_BandLayout`, are
 # factored by LAPACK's band LU instead of SuperLU, so their solves round
 # differently; dense ones are factored and solved by LAPACK getrf/getrs
 # without scipy's finiteness checks, so a NaN error estimate, where scipy
@@ -354,40 +354,13 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     return min(1, multiplier) * error_norm ** -0.25
 
 
-class _IterationBand:
-    """The iteration matrices mu I - J of one sparse CSC Jacobian pattern
-    on its ``_BandLayout``; ``at`` and ``diag`` are the flat band places
-    of J's stored entries and of the diagonal."""
-
-    def __init__(self, J):
-        n = J.shape[0]
-        # ones on J's cells: RCM would drop the explicit zeros of J itself
-        self.layout = _BandLayout.of(sp.csc_array(
-            (np.ones(J.nnz), J.indices, J.indptr), shape=J.shape))
-        self.at = self.layout.at(J.indices,
-                                 np.repeat(np.arange(n), np.diff(J.indptr)))
-        self.diag = self.layout.at(np.arange(n), np.arange(n))
-
-    def matrix(self, mu, J):
-        """mu I - J in band storage: the entries of scipy's sparse
-        ``mu * I - J``, by its arithmetic, and zeros where it has none."""
-        M = np.zeros((self.diag.size, self.layout.width),
-                     dtype=np.result_type(mu, J.data))
-        flat = M.reshape(-1)
-        # mu times the identity's stored ones, as scipy scales it: for an
-        # infinite complex mu (an underflowed step) that is nan, not mu
-        flat[self.diag] = np.ones(self.diag.size) * mu
-        flat[self.at] -= J.data
-        return M
-
-
 class _Radau:
     """Radau IIA on a block rhs fun(X, U) -> n x q and a Jacobian jac(t, y).
 
     inputs(ts) gives the m x q inputs U at the times ts; a simplified
     Newton iteration's stage times are fixed, so it evaluates them once.
-    jac returns a dense array, or a CSC one on one pattern, whose band
-    layout is read off the first (`_IterationBand`). `step` takes one
+    jac returns a dense array, or a CSC one on one pattern, whose
+    `_BandLayout` is read off the first. `step` takes one
     accepted step and returns False when the step size underflows;
     `dense` evaluates the last step's collocation polynomial.
     """
@@ -404,7 +377,7 @@ class _Radau:
         self.h_abs = self._initial_step()
         self.h_abs_old = self.error_norm_old = None
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
-        self._band = self._I = None
+        self._layout = self._I = None
         self.J = self._jacobian(0.0, y0)
         self.current_jac = True
         self.LU_real = self.LU_complex = None
@@ -419,18 +392,28 @@ class _Radau:
         self.njev += 1
         J = self._jac(t, y)
         sparse = sp.issparse(J)
-        if sparse and self._band is None:
-            self._band = _IterationBand(J)
+        if sparse and self._layout is None:
+            # the flat band places of J's stored entries and of the diagonal
+            self._layout = layout = _BandLayout.of(J)
+            self._at = layout.at(*J.tocoo().coords)
+            self._diag = layout.at(*np.diag_indices(J.shape[0]))
         self.jacobian_nnz = J.nnz if sparse else J.size
         return J
 
     def _lu(self, mu, J):
-        """A solver b -> (mu I - J)^{-1} b from one LU factorization. Its
+        """A solver b -> (mu I - J)^{-1} b from one LU factorization: for a
+        sparse J, of scipy's sparse ``mu * I - J`` in band storage. Its
         solves are non-finite when the matrix is exactly singular, on
         either path, so that the step is rejected."""
         self.nlu += 1
         if sp.issparse(J):
-            return self._band.layout.lu(self._band.matrix(mu, J))
+            M = np.zeros(self._diag.size * self._layout.width,
+                         dtype=np.result_type(mu, J.data))
+            # mu times the identity's stored ones, as scipy scales it: for an
+            # infinite complex mu (an underflowed step) that is nan, not mu
+            M[self._diag] = np.ones(self._diag.size) * mu
+            M[self._at] -= J.data
+            return self._layout.lu(M.reshape(self._diag.size, -1))
         if self._I is None:
             self._I = np.identity(J.shape[0])
         M = mu * self._I - J

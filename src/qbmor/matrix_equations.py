@@ -411,6 +411,7 @@ def solve_lyapunov(A, Q, transpose=False):
     # the recursion reads only the upper triangle of F; halving the sum
     # leaves a symmetric Q bit-identical
     F = Q + Q.T
+    del Q
     F *= -0.5
     # an overflow or a non-finite Q shows as a non-finite X, reported below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -437,17 +438,22 @@ class _BandLayout:
     width: int
 
     @classmethod
-    def of(cls, P):
-        """The layout of a CSR or CSC pattern P without stored zeros."""
+    def of(cls, M):
+        """The layout of a sparse M's stored cells, explicit zeros too, and
+        the diagonal: the pattern of both A + lam E and mu I - J."""
         # imported here, not with the module: see hurwitz_schur
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        order = reverse_cuthill_mckee(P)
-        rank = np.empty(order.size, dtype=np.intp)
-        rank[order] = np.arange(order.size)
-        P = P.tocoo()
-        kl, ku = (int(d.max(initial=0)) for d in (rank[P.row] - rank[P.col],
-                                                  rank[P.col] - rank[P.row]))
+        M = sp.coo_array(M)
+        n = M.shape[0]
+        row = np.concatenate([M.row, np.arange(n)])
+        col = np.concatenate([M.col, np.arange(n)])
+        # ones on the cells: RCM would drop a stored zero
+        order = reverse_cuthill_mckee(sp.csr_array(
+            (np.ones(row.size), (row, col)), shape=M.shape))
+        rank = np.argsort(order)
+        kl, ku = (int(d.max()) for d in (rank[row] - rank[col],
+                                         rank[col] - rank[row]))
         return cls(order, rank, kl, ku, 2 * kl + ku + 1)
 
     def at(self, row, col):
@@ -465,20 +471,13 @@ class _BandLayout:
                                overwrite_b=True)[0][rank]
 
 
-@dataclass(frozen=True)
-class _Band(_BandLayout):
-    """A sparse pencil A + lam E on the layout of its pattern, with A and E
-    (the identity when it has no mass matrix) in band storage."""
-    A: np.ndarray
-    E: np.ndarray
-
-
 class ShiftedLU:
     """The pencil A + lam E in the form its shifted solves factor.
 
     Built by ``shifted_lu``, and held once per (A, E) by
-    ``QBSystem.pencil``. A and E are the pencil's sparse arrays, with its
-    ``_Band`` as band, or dense ndarrays with band None (E may be None,
+    ``QBSystem.pencil``. A sparse pencil's A and E (the identity when it
+    has no mass matrix) are in band storage on its ``_BandLayout``, held
+    as band; a dense one's are ndarrays with band None (E may be None,
     meaning the identity). A shift vector's ``_ShiftFactors`` are one
     complex factorization of its blocks A + lam_j E: for a sparse pencil
     one LAPACK ``gbtrf`` of their block-diagonal band matrix, itself a band
@@ -541,14 +540,14 @@ class _ShiftFactors:
         # block j's columns in band storage, one row each: the transpose
         # of this (count n) x rows array is the stacked matrix's band
         # storage, in the Fortran order gbtrf takes
-        ab = np.empty((self.count,) + band.A.shape, dtype=shifts.dtype)
-        ab[...] = band.A
+        ab = np.empty((self.count,) + form.A.shape, dtype=shifts.dtype)
+        ab[...] = form.A
         # shifts times E only where E has entries: a broadcast product over
         # the whole band, complex by real, took 1.4 ms against gbtrf's
         # 0.9 ms for four complex shifts of fitzhugh_nagumo(334)
-        at = np.flatnonzero(band.E)
+        at = np.flatnonzero(form.E)
         ab.reshape(self.count, -1)[:, at] += (shifts[:, None]
-                                              * band.E.ravel()[at])
+                                              * form.E.ravel()[at])
         gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
         self._lu, self._piv, info = gbtrf(ab.reshape(self.count * n, -1).T,
                                           band.kl, band.ku, overwrite_ab=True)
@@ -591,8 +590,8 @@ def shifted_lu(A, E=None):
     input: the pencil is sparse when the pattern of A, plus the diagonal
     (or E's pattern), fills at most ``_SPARSE_FILL`` of n^2, and dense
     otherwise. Sparse input is read from its stored entries, dense input
-    by one scan of its n^2 cells. A sparse pencil is laid out as a band
-    matrix (``_Band``) on the ``_BandLayout`` of that pattern, its reverse
+    by one scan of its n^2 cells. A sparse pencil's A and E are laid out
+    in band storage on the ``_BandLayout`` of that pattern, its reverse
     Cuthill-McKee order, computed here once per form. The band is as wide
     as that order makes it, with no second sparse format for a wide one: a
     pattern with a dense row and column has a band as wide as the matrix,
@@ -630,8 +629,7 @@ def shifted_lu(A, E=None):
         return np.bincount(layout.at(M.row, M.col), weights=M.data,
                            minlength=n * layout.width).reshape(n, -1)
 
-    return ShiftedLU(A, None if E is None else Ec,
-                     _Band(**vars(layout), A=banded(A), E=banded(Ec)))
+    return ShiftedLU(banded(A), banded(Ec), layout)
 
 
 def solve_sylvester_shifted(A, lam, Rhs, E=None, transpose=False):

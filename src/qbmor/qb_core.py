@@ -196,10 +196,9 @@ class QBSystem:
         A CSC array when E is absent and J's own cells (the union of A, the
         N_k and the entries the Hessian's left pair factors touch) fill at
         most `_SPARSE_FILL` of n^2; a dense ndarray otherwise. A Hessian in
-        dense storage touches every entry. The CSC pattern is J's cells and
-        the diagonal, a diagonal cell J lacks stored as an explicit zero, so
-        it is the pattern of mu I - J; every call hands out copies of one
-        cached pattern.
+        dense storage touches every entry. The CSC array stores exactly J's
+        own cells, those that are zero at x as explicit zeros; every call
+        hands out copies of one cached pattern.
         """
         x = np.asarray(x)
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -235,8 +234,8 @@ class _VectorField:
     twice that for a Hessian pair, since the symmetrized pair list holds
     (L/2, R) and (R/2, L) together. scatter maps the right factors
     Y[half:] to the Jacobian's stored entries; pattern is its CSC
-    (indices, indptr) on J's cells and the diagonal, or None when it is
-    dense and the entries run over the n x n grid row by row.
+    (indices, indptr) on J's own cells, or None when it is dense and the
+    entries run over the n x n grid row by row.
     """
     G: object
     half: int
@@ -294,9 +293,9 @@ class _VectorField:
         val = np.where(term[lc.row] < (m + 1) * n, 1.0, 2.0) * lc.data
         cell = row * n + col
         if np.unique(cell).size <= _SPARSE_FILL * n * n and sys.E is None:
-            # column-major cells, the diagonal's among them
+            # column-major cells
             cell = col * n + row
-            cells = np.union1d(cell, np.arange(n) * (n + 1))
+            cells = np.unique(cell)
             pattern = ((cells % n).astype(np.int32), np.searchsorted(
                 cells, np.arange(n + 1) * n).astype(np.int32))
         else:
@@ -465,9 +464,9 @@ def _write_matrices(out_dir, entries, matrices):
 
 
 def _check_label(label):
-    """A label is written as one manifest line, so it may not break one."""
-    if "\n" in label or "\r" in label:
-        raise ValueError("label %r holds a line break" % label)
+    """A label is written as one manifest line and read back stripped."""
+    if "\n" in label or "\r" in label or label != label.strip():
+        raise ValueError("label %r is not one stripped line" % label)
 
 
 def _write_manifest(path, entries):

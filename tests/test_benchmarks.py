@@ -17,6 +17,7 @@ from qbmor.benchmarks import (InputSignal, Trajectory, chafee_infante,
                               simulate, to_csv)
 from qbmor.errors import NewtonDivergence, NonFiniteState
 from qbmor.kron_tensor import Hessian
+from qbmor.matrix_equations import _BandLayout
 from qbmor.qb_core import QBSystem, _VectorField, project
 
 
@@ -473,14 +474,14 @@ def _scipy_radau(monkeypatch, sys_, u, T, samples, rtol, atol):
         solver = Radau(f, 0.0, np.zeros(sys_.n), T, rtol=rtol, atol=atol,
                        jac=jac)
         if sp.issparse(solver.J):
-            band = benchmarks._IterationBand(sp.csc_array(solver.J))
+            layout = _BandLayout.of(solver.J)
 
             def lu(M):
                 solver.nlu += 1
                 M = M.tocoo()
-                ab = np.zeros((sys_.n, band.layout.width), dtype=M.dtype)
-                ab.reshape(-1)[band.layout.at(M.row, M.col)] = M.data
-                return band.layout.lu(ab)
+                ab = np.zeros((sys_.n, layout.width), dtype=M.dtype)
+                ab.reshape(-1)[layout.at(M.row, M.col)] = M.data
+                return layout.lu(ab)
 
             solver.lu = lu
             solver.solve_lu = lambda LU, b: LU(b)
@@ -619,38 +620,51 @@ class _NaNJacobian(QBSystem):
 
 
 @pytest.mark.parametrize("state", ["zero", "random"])
-def test_iteration_matrix_matches_scipy_subtraction(state):
+def test_iteration_matrix_matches_scipy_subtraction(state, monkeypatch):
     # at x = 0 the Jacobian stores explicit zeros, which scipy's
-    # subtraction drops; the band must hold zeros there, of either sign
-    # only as scipy's entries have them
+    # subtraction drops; the band the stepper factors must hold zeros
+    # there, of either sign only as scipy's entries have them
     sys_ = chafee_infante(100)
     n = sys_.n
     x = np.zeros(n) if state == "zero" else rng_for(48).standard_normal(n)
     J = sys_.jacobian(x, [0.7])
     assert np.any(J.data == 0.0) == (state == "zero")
-    band = benchmarks._IterationBand(J)
-    assert (band.layout.kl, band.layout.ku) == (3, 3)
+    factored = []
+    lu = _BandLayout.lu
+
+    def recording(layout, ab):
+        factored.append((layout, ab.copy()))
+        return lu(layout, ab)
+
+    monkeypatch.setattr(_BandLayout, "lu", recording)
+    # a stepper whose Jacobian is J at every state
+    solver = benchmarks._Radau(sys_.rhs, constant_input(1, [0.7]).at,
+                               lambda t, y: J, x, 1.0, 1e-6, 1e-8)
     # the iteration matrices as scipy's Radau forms them
     eye, Jc = sp.eye_array(n, format="csc"), sp.csc_array(J)
     # the last mu is an underflowed step's, infinite
     for mu in (benchmarks._MU_REAL / 0.01, benchmarks._MU_COMPLEX / 0.01,
                benchmarks._MU_COMPLEX / 5e-324):
         with np.errstate(invalid="ignore"):     # as inside simulate
-            ours = band.matrix(mu, J)
+            solver._lu(mu, J)
             ref = (mu * eye - Jc).tocoo()
+        (layout, ours), = factored
+        factored.clear()
+        assert (layout.kl, layout.ku) == (3, 3)
         assert ref.nnz < J.nnz if state == "zero" else ref.nnz == J.nnz
-        assert ours.shape == (n, band.layout.width)
+        assert ours.shape == (n, layout.width)
         assert ours.dtype == ref.dtype
         # scipy's entries in their band places and zeros elsewhere, bit for
         # bit, signed zeros included
         want = np.zeros_like(ours)
-        want.reshape(-1)[band.layout.at(ref.row, ref.col)] = ref.data
+        want.reshape(-1)[layout.at(ref.row, ref.col)] = ref.data
         assert ours.tobytes() == want.tobytes()
 
 
-def test_jacobian_stores_a_structurally_zero_diagonal(monkeypatch):
+def test_jacobian_stores_only_its_own_cells(monkeypatch):
     # a tridiagonal A with no entry at (5, 5): its symmetric part is
-    # -2 I + 2 e_5 e_5^T, so the system does not grow
+    # -2 I + 2 e_5 e_5^T, so the system does not grow; the band layout
+    # adds the diagonal cell that mu I - J has and J lacks
     n = 120
     A = sp.diags_array([-np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)],
                        offsets=[-1, 0, 1], format="csr")
@@ -660,11 +674,11 @@ def test_jacobian_stores_a_structurally_zero_diagonal(monkeypatch):
                     np.ones((1, n)) / n)
     assert sys_.A.nnz == 3 * n - 3
     J = sys_.jacobian(np.zeros(n), [0.3])
-    assert isinstance(J, sp.csc_array) and J.nnz == 3 * n - 2
-    assert 5 in J.indices[J.indptr[5]:J.indptr[6]] and J[5, 5] == 0.0
+    assert isinstance(J, sp.csc_array) and J.nnz == 3 * n - 3
+    assert 5 not in J.indices[J.indptr[5]:J.indptr[6]]
     u = input_signal("ci_u1")
     tr = simulate(sys_, u, 2.0, 101, rtol=1e-6, atol=1e-8, store_states=True)
-    assert tr.stats["jacobian_nnz"] == 3 * n - 2
+    assert tr.stats["jacobian_nnz"] == 3 * n - 3
     oracle, states = _scipy_radau(monkeypatch, sys_, u, 2.0, 101, 1e-6, 1e-8)
     for key in oracle:
         assert tr.stats[key] == oracle[key], key

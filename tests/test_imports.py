@@ -3,8 +3,9 @@ function, class and method is referenced somewhere in the package, no library
 module imports scipy.integrate, ``import qbmor`` loads neither
 scipy.integrate nor scipy.optimize, every type in qbmor.errors is used
 by some other library module, no module but kron_tensor reads the
-private members of its Hessian, and every name a script under scripts/
-imports from qbmor exists.
+private members of its Hessian, no module but matrix_equations names
+LAPACK's band LU or the reverse Cuthill-McKee order, and every name a
+script under scripts/ imports from qbmor exists.
 
 Walks the syntax tree of each module under src/qbmor (the package's
 __init__.py re-exports by design: the import check skips it, and its
@@ -180,6 +181,36 @@ def test_hessian_storage_stays_in_kron_tensor(module):
     found = sorted({node.attr for node in ast.walk(_parse(module))
                     if isinstance(node, ast.Attribute)} & private)
     assert not found, "%s reads Hessian members %s" % (module, found)
+
+
+_BAND_LU = {"gbtrf", "gbtrs", "reverse_cuthill_mckee"}
+
+
+def _band_lu_names(module):
+    # identifiers, attributes, imported names and string constants such as
+    # get_lapack_funcs' routine names; a docstring that mentions one is a
+    # longer string and does not count
+    names = set()
+    for node in ast.walk(_parse(module)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names & _BAND_LU
+
+
+@pytest.mark.parametrize("module", [module for module in MODULES
+                                    if module != "matrix_equations.py"])
+def test_band_lu_stays_in_matrix_equations(module):
+    # laying a sparse matrix out for LAPACK's band LU, and factoring it, is
+    # matrix_equations' business: other modules go through its _BandLayout
+    assert _band_lu_names("matrix_equations.py") == _BAND_LU
+    found = sorted(_band_lu_names(module))
+    assert not found, "%s names the band LU routines %s" % (module, found)
 
 
 @pytest.mark.parametrize("script", SCRIPTS)

@@ -646,7 +646,7 @@ def test_sylvester_block_solve_matches_per_column(sparse, with_mass,
              else None)
         Ain, Ein = A, E
     form = shifted_lu(Ain, Ein)
-    assert sp.issparse(form.A) == sparse
+    assert (form.band is not None) == sparse
     band_lu = record_band_factors(monkeypatch)
     dense_lu = _record_factor_dtypes(monkeypatch, sla, "lu_factor")
     lam = _REPEATED_SHIFTS
@@ -766,7 +766,7 @@ def test_sylvester_sparse_form_matches_dense(with_mass):
     # dense input made sparse by the fill rule, and sparse input
     Es = None if E is None else sp.csr_array(E)
     forms = [shifted_lu(A, E), shifted_lu(sp.csr_array(A), Es)]
-    assert all(sp.issparse(form.A) for form in forms)
+    assert all(form.band is not None for form in forms)
     Em = np.eye(n) if E is None else E
     for transposed in (False, True):
         Aop, Eop = (A.T, Em.T) if transposed else (A, Em)
@@ -801,7 +801,7 @@ _SINGULAR_AT_ONE = np.array([[-1.0, 5.0], [0.0, -2.0]])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_sylvester_form_singular_shift_and_non_finite_rhs(transposed):
     form = shifted_lu(_SINGULAR_AT_ONE)
-    assert isinstance(form.A, np.ndarray)
+    assert form.band is None
     _check_singular_shift_and_non_finite_rhs(
         form, ([1.0 + 0.0j], [3.0, 1.0]), transposed)
 
@@ -819,15 +819,16 @@ def _sparse_singular_pencil(n):
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_sylvester_sparse_form_singular_shift_and_non_finite_rhs(transposed):
-    form = shifted_lu(_sparse_singular_pencil(100))
-    assert sp.issparse(form.A)
+    A = _sparse_singular_pencil(100)
+    form = shifted_lu(A)
+    assert form.band is not None
     # one singular block among real blocks, and among complex blocks (a
     # pair lead, beside a lone complex shift)
     singular = ([1.0 + 0.0j], [3.0, 1.0, 4.0], [3.0, 1.0 + 1.0j, 1.0 - 1.0j],
                 [2.5 - 0.5j, 1.0 - 1.0j, 1.0 + 1.0j])
     _check_singular_shift_and_non_finite_rhs(form, singular, transposed)
     # the same form solves nonsingular shift vectors exactly
-    A = form.A.toarray()
+    A = A.toarray()
     lam = np.array([3.0, 2.5 - 0.5j, 1.0 + 2.0j, 1.0 - 2.0j])
     Rhs = np.ones((100, 4), dtype=complex)
     V = solve_sylvester_shifted(form, lam, Rhs, transpose=transposed)
@@ -841,19 +842,22 @@ def test_shifted_lu_format_rule():
     # pattern of A plus the diagonal: 398 of 200^2 cells, 38 of 20^2; the
     # rule reads sparse and dense input alike
     for A in (chafee_infante(100).A, chafee_infante(100).A.toarray()):
-        assert sp.issparse(shifted_lu(A).A)
+        assert shifted_lu(A).band is not None
     for A in (chafee_infante(10).A, chafee_infante(10).A.toarray()):
-        assert isinstance(shifted_lu(A).A, np.ndarray)
-    assert not sp.issparse(shifted_lu(random_stable(50, rng_for(15))).A)
+        assert shifted_lu(A).band is None
+    assert shifted_lu(random_stable(50, rng_for(15))).band is None
     # a sparse array that fills more than 1/20 of n^2 is factored dense
     form = shifted_lu(sp.csr_array(-np.ones((3, 3))))
-    assert isinstance(form.A, np.ndarray) and form.E is None
+    assert form.band is None and form.E is None
+    assert np.array_equal(form.A, -np.ones((3, 3)))
     form = shifted_lu(-np.eye(3), sp.eye_array(3))
-    assert isinstance(form.A, np.ndarray)
+    assert form.band is None
     assert np.array_equal(form.E, np.eye(3))
-    # a sparse mass matrix with a sparse pencil stays on the shared pattern
+    # a sparse mass matrix with a sparse pencil stays on the shared pattern,
+    # its band storage that of the identity a pencil without one holds
     form = shifted_lu(-np.eye(100), sp.eye_array(100))
-    assert sp.issparse(form.A) and sp.issparse(form.E)
+    assert form.band is not None
+    assert np.array_equal(form.E, shifted_lu(-np.eye(100)).E)
 
 
 def _band_pencils():

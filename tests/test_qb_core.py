@@ -753,29 +753,30 @@ def test_load_rejects_wrong_manifest(tmp_path):
         load_reduced(tmp_path / "s" / "system.qbm")
 
 
-def _bad_label_case():
-    # a line break would start a manifest entry that overrides the format
-    label = "a\nformat = qbmor-reduced-1"
+def _bad_label_cases():
+    # a line break would start a manifest entry that overrides the format,
+    # and the reader strips the whitespace that starts or ends a value
     sys = random_stable_qb(3, 1, 1, rng_for(25))
-    return label, QBSystem(sys.A, sys.H, sys.N, sys.B, sys.C, label=label)
+    for label in ("a\nformat = qbmor-reduced-1", " x ", "x\t", " x"):
+        yield label, QBSystem(sys.A, sys.H, sys.N, sys.B, sys.C, label=label)
 
 
 def test_save_system_rejects_a_label_with_a_line_break(tmp_path):
-    label, sys = _bad_label_case()
-    with pytest.raises(ValueError) as exc:
-        save_system(sys, tmp_path / "s")
-    assert repr(label) in str(exc.value)
-    assert not (tmp_path / "s").exists()
+    for label, sys in _bad_label_cases():
+        with pytest.raises(ValueError) as exc:
+            save_system(sys, tmp_path / "s")
+        assert repr(label) in str(exc.value)
+        assert not (tmp_path / "s").exists()
 
 
 def test_save_reduced_rejects_a_label_with_a_line_break(tmp_path):
-    label, sys = _bad_label_case()
-    red = project(sys, np.eye(3)[:, :2], np.eye(3)[:, :2])
-    assert red.label == label
-    with pytest.raises(ValueError) as exc:
-        save_reduced(red, tmp_path / "r")
-    assert repr(label) in str(exc.value)
-    assert not (tmp_path / "r").exists()
+    for label, sys in _bad_label_cases():
+        red = project(sys, np.eye(3)[:, :2], np.eye(3)[:, :2])
+        assert red.label == label
+        with pytest.raises(ValueError) as exc:
+            save_reduced(red, tmp_path / "r")
+        assert repr(label) in str(exc.value)
+        assert not (tmp_path / "r").exists()
 
 
 def test_load_names_a_missing_manifest_key(tmp_path):
