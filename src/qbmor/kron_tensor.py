@@ -139,11 +139,11 @@ class Hessian:
 
     storage is 'dense' (n x n^2 matrix) or 'pairs' (list of factor pairs
     (A_j, B_j), each n x n, with mode-1 row i = sum_j A_j(i,:) (x) B_j(i,:)).
-    The products read the pair list. A dense Hessian keeps its tensor T
-    for ``mode1``, ``symmetrized``, ``scaled`` and the two Gram maps, and
-    its other products read its pair view, pair s = (1 e_s^T, T[:, s, :]),
-    built once on first use. That view has n^2 active rows, so Gram maps
-    over it would hold n^2 x n^2 intermediates; contracting T holds n^3.
+    The products read one row form, ``active_rows``, which a dense Hessian
+    cuts from its tensor T. T itself serves ``mode1``, ``symmetrized``,
+    ``scaled`` and the two Gram maps: a dense Hessian has up to n^2 active
+    rows, so Gram maps over them would hold n^2 x n^2 intermediates, while
+    contracting T holds n^3.
     """
 
     def __init__(self, n, storage, data, symmetric=False):
@@ -165,7 +165,6 @@ class Hessian:
             self._Hm = None
         else:
             raise ValueError("unknown storage %r" % (storage,))
-        self._stack = None
         self._active = None
         # the pair list this Hessian is the symmetrization of (``symmetrized``)
         self._half = None
@@ -192,43 +191,21 @@ class Hessian:
 
     @property
     def pairs(self):
-        """The pair list; a dense Hessian's pair view is cut from
-        ``stacked`` once, so pair s is (1 e_s^T, T[:, s, :])."""
+        """The pair list; a dense Hessian's is cut from its tensor on first
+        use, pair s = (1 e_s^T, T[:, s, :])."""
         if self._pairs is None:
             n = self.n
-            Ls, Rs = self.stacked()
-            self._pairs = [(Ls[s * n:(s + 1) * n], Rs[s * n:(s + 1) * n])
-                           for s in range(n)]
+            T = self._Hm.reshape(n, n, n)
+            self._pairs = [(sp.csr_array((np.ones(n), np.full(n, s),
+                                          np.arange(n + 1)), shape=(n, n)),
+                            T[:, s, :]) for s in range(n)]
         return self._pairs
 
-    def stacked(self):
-        """The pairs stacked once into two (npairs*n) x n operators.
-
-        CSR when any factor of a pair list is sparse; ``_active_rows``
-        selects its rows. A dense Hessian's pair view is stacked in one
-        step: a CSR selector stack, whose row s*n + i picks x_s, and the
-        reshaped tensor, whose row s*n + i is T[i, s, :].
-        """
-        if self._stack is None and self.storage == "dense":
-            n = self.n
-            select = sp.csr_array((np.ones(n * n), np.repeat(np.arange(n), n),
-                                   np.arange(n * n + 1)), shape=(n * n, n))
-            T = self._Hm.reshape(n, n, n)
-            self._stack = (select, T.transpose(1, 0, 2).reshape(n * n, n))
-        if self._stack is None:
-            Ls = [L for L, _ in self._pairs]
-            Rs = [R for _, R in self._pairs]
-            if any(sp.issparse(M) for M in Ls + Rs):
-                self._stack = tuple(
-                    sp.csr_array(sp.vstack([sp.csr_array(M) for M in Ms]))
-                    for Ms in (Ls, Rs))
-            else:   # reshape, not vstack: the zero Hessian has no pairs
-                self._stack = (np.reshape(Ls, (-1, self.n)),
-                               np.reshape(Rs, (-1, self.n)))
-        return self._stack
-
-    def _active_rows(self):
-        """The rows of the stacked pairs where both factors are nonzero.
+    def active_rows(self):
+        """The Hessian's one stacked form, read by its products, its Gram
+        maps and the rhs operator: the rows of the stacked pairs where both
+        factors are nonzero. A dense Hessian's row s*n + i is kept when
+        T[i, s, :] != 0, with the CSR selector of x_s on the left.
 
         Returns (L, R, RT, S, dest): those rows of the two stacks, R
         transposed, the CSR summation matrix S (n x rows) that adds each
@@ -239,24 +216,40 @@ class Hessian:
         """
         if self._active is None and self._scaled_from is not None:
             source, gamma = self._scaled_from
-            L, R, RT, S, dest = source._active_rows()
+            L, R, RT, S, dest = source.active_rows()
             self._active = (gamma * L, R, RT, S, dest)
         if self._active is None:
-            Ls, Rs = self.stacked()
-            rows = np.flatnonzero(_nonzero_rows(Ls) & _nonzero_rows(Rs))
-            dest = rows % self.n
+            n = self.n
+            if self.storage == "dense":
+                Rs = self._Hm.reshape(n, n, n).transpose(1, 0, 2).reshape(
+                    n * n, n)
+                rows = np.flatnonzero(_nonzero_rows(Rs))
+                L = sp.csr_array((np.ones(rows.size), rows // n,
+                                  np.arange(rows.size + 1)),
+                                 shape=(rows.size, n))
+            else:
+                Ls = [L for L, _ in self._pairs]
+                Rs = [R for _, R in self._pairs]
+                if any(sp.issparse(M) for M in Ls + Rs):
+                    Ls, Rs = (sp.csr_array(sp.vstack(
+                        [sp.csr_array(M) for M in Ms])) for Ms in (Ls, Rs))
+                else:   # reshape, not vstack: the zero Hessian has no pairs
+                    Ls, Rs = np.reshape(Ls, (-1, n)), np.reshape(Rs, (-1, n))
+                rows = np.flatnonzero(_nonzero_rows(Ls) & _nonzero_rows(Rs))
+                L = Ls[rows]
+            dest = rows % n
             S = sp.csr_array((np.ones(rows.size),
                               (dest, np.arange(rows.size))),
-                             shape=(self.n, rows.size))
-            L, R = Ls[rows], Rs[rows]
+                             shape=(n, rows.size))
+            R = Rs[rows]
             RT = sp.csr_array(R.T) if sp.issparse(R) else R.T
             self._active = (L, R, RT, S, dest)
         return self._active
 
     def _active_blocks(self, width):
-        """``_active_rows`` in blocks whose row-Kronecker product with
+        """``active_rows`` in blocks whose row-Kronecker product with
         `width` columns has at most ``_KRON_BLOCK`` entries or n rows."""
-        L, R, RT, S, dest = self._active_rows()
+        L, R, RT, S, dest = self.active_rows()
         step = max(self.n, _KRON_BLOCK // max(width, 1))
         if dest.size <= step:
             return [(L, R, RT, S, dest)]
@@ -351,7 +344,7 @@ class Hessian:
             PTP = P @ self._Hm.reshape(n, n, n) @ P
             return self._Hm @ PTP.reshape(n, n * n).T
         pairs = self if self._half is None else self._half
-        L, R, _, S, _ = pairs._active_rows()
+        L, R, _, S, _ = pairs.active_rows()
         LP, RP = L @ P, R @ P
         Y = R @ LP.T
         M = L @ LP.T
@@ -378,7 +371,7 @@ class Hessian:
             G = (T.transpose(0, 2, 1) @ P).transpose(1, 0, 2).reshape(n, -1)
             return lambda Q: G @ np.tensordot(Q, T, axes=(1, 0)).reshape(
                 n * n, n)
-        L, _, RT, _, dest = self._active_rows()
+        L, _, RT, _, dest = self.active_rows()
         LPL = L @ (L @ P).T
 
         def image(Q):

@@ -219,12 +219,13 @@ class QBSystem:
 class _VectorField:
     """The operators of one system's rhs and Jacobian, built once.
 
-    G is one operator on z = [x; u; 1] whose rows come from blocks of n,
-    one per term of the rhs, each the Hadamard product of a left and a
-    right factor: (A x + B u) o 1, u_k o (N_k x) for each input channel,
-    (L_j x) o (R_j x) for each pair factor of the symmetrized Hessian. G
-    keeps the linear block whole and other rows where both factors have
-    entries, ordered by the output row dest they add into, in block order.
+    G is one operator on z = [x; u; 1] whose rows come in blocks, one per
+    term of the rhs, each the Hadamard product of a left and a right
+    factor: (A x + B u) o 1, u_k o (N_k x) for each input channel, and
+    (L x) o (R x) over the Hessian's ``active_rows``, the row form its
+    products read. G keeps the linear block whole and the N_k rows that
+    have entries. Its rows are ordered by the output row dest they add
+    into, in block order.
     Its first `half` rows give the left factors and the rest the right
     ones, so with Y = G z, rhs[i] is the sum of Y[t] Y[half + t] over the
     rows t with dest[t] = i, in order. G is dense when its own entries
@@ -268,7 +269,7 @@ class _VectorField:
     @classmethod
     def build(cls, sys):
         n, m = sys.n, sys.m
-        Ls, Rs = (sp.csr_array(M) for M in sys.H.stacked())
+        L, R, _, _, hdest = sys.H.active_rows()
         # block columns x, u and the constant 1 of z; block rows the left
         # factors, then the right ones in the same order
         one = sp.csr_array(np.ones((n, 1)))
@@ -276,29 +277,30 @@ class _VectorField:
                              shape=(n, m)) for k in range(m)]
         G = sp.block_array([[sys.A, sys.B, None]]
                            + [[Nk, None, None] for Nk in sys.N]
-                           + [[Ls, None, None], [None, None, one]]
+                           + [[L, None, None], [None, None, one]]
                            + [[None, S, None] for S in chan]
-                           + [[Rs, None, None]], format="csr")
-        half = (m + 1) * n + Ls.shape[0]
-        filled = np.diff(G.indptr) > 0
-        term = np.flatnonzero(filled[:half] & filled[half:]
-                              | (np.arange(half) < n))
-        term = term[np.argsort(term % n, kind="stable")]
-        G = G[np.concatenate((term, half + term))]
-        half, dest = term.size, term % n
+                           + [[R, None, None]], format="csr")
+        # kept: the linear block whole, N_k's nonempty rows, H's active rows
+        nb = (m + 1) * n
+        keep = np.flatnonzero((np.diff(G.indptr[:nb + 1]) > 0)
+                              | (np.arange(nb) < n))
+        term = np.concatenate((keep, nb + np.arange(hdest.size)))
+        dest = np.concatenate((keep % n, hdest))
+        order = np.argsort(dest, kind="stable")
+        term, dest, half = term[order], dest[order], term.size
+        G = G[np.concatenate((term, nb + hdest.size + term))]
         # each Jacobian term: its cell (row, col), value and index into the
         # right factors; the linear block's right factor is 1
         lc = G[:half, :n].tocoo()
         row, col = dest[lc.row], lc.col.astype(np.int64)
-        val = np.where(term[lc.row] < (m + 1) * n, 1.0, 2.0) * lc.data
-        cell = row * n + col
-        if np.unique(cell).size <= _SPARSE_FILL * n * n and sys.E is None:
-            # column-major cells
-            cell = col * n + row
-            cells = np.unique(cell)
+        val = np.where(term[lc.row] < nb, 1.0, 2.0) * lc.data
+        cell = col * n + row    # column-major cells
+        cells = np.unique(cell)
+        if cells.size <= _SPARSE_FILL * n * n and sys.E is None:
             pattern = ((cells % n).astype(np.int32), np.searchsorted(
                 cells, np.arange(n + 1) * n).astype(np.int32))
         else:
+            cell = row * n + col
             cells, pattern = np.arange(n * n), None
         scatter = sp.csr_array((val, (np.searchsorted(cells, cell), lc.row)),
                                shape=(cells.size, half))
@@ -349,8 +351,8 @@ class ReducedModel(QBSystem):
 
         f holds the spectral factors of a matrix (usually A itself), and
         its lam is the bundle's. H(R (x) R) contracts the r x r x r tensor:
-        each ``tqb_irka`` sweep moves a fresh model, whose pair view costs
-        several contractions.
+        each ``tqb_irka`` sweep moves a fresh model, whose ``active_rows``
+        cost several contractions.
         """
         R, Rinv = f.R, f.Rinv
         r = self.r

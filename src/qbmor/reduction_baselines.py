@@ -1,5 +1,7 @@
 """Balanced truncation built on the truncated Gramian pair."""
 
+import numbers
+
 import numpy as np
 
 from qbmor.errors import RankDeficient
@@ -25,8 +27,8 @@ def balanced_truncation(sys, r, gamma=1.0):
     the system is projected along E^{-T} W: that is projecting the folded
     system along W.
     """
-    if not (1 <= r <= sys.n):
-        raise ValueError("reduced order must satisfy 1 <= r <= n")
+    if not isinstance(r, numbers.Integral) or not 1 <= r <= sys.n:
+        raise ValueError("reduced order must be an integer 1 <= r <= n")
     # Gramians of the damped system, projection of the original one
     g = truncated_gramians(rescale(sys, gamma))
     # the bundle's factors live in the Schur basis Z of the Gramians: Z is

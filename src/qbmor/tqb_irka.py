@@ -8,6 +8,7 @@ the reduced spectrum, old and new eigenvalues paired by their position in
 the order ``spectral_decompose`` gives both.
 """
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -135,10 +136,10 @@ def tqb_irka(sys, cfg):
     t0 = time.perf_counter()
     if not (0.0 < cfg.tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
-    if not (1 <= cfg.r <= sys.n):
-        raise ValueError("reduced order must satisfy 1 <= r <= n")
-    if cfg.maxit < 1:
-        raise ValueError("maxit must be at least 1")
+    if not isinstance(cfg.r, numbers.Integral) or not 1 <= cfg.r <= sys.n:
+        raise ValueError("reduced order must be an integer 1 <= r <= n")
+    if not isinstance(cfg.maxit, numbers.Integral) or cfg.maxit < 1:
+        raise ValueError("maxit must be an integer of at least 1")
 
     scaled = rescale(sys, cfg.gamma)
     red = initial_guess(sys, cfg.r, cfg.init, cfg.seed)

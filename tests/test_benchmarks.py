@@ -199,6 +199,9 @@ def test_custom_signal_interpolates():
         input_signal("custom")
     with pytest.raises(ValueError):
         input_signal("unheard-of")
+    # values that match the times in neither orientation
+    with pytest.raises(ValueError, match="disagree in length"):
+        input_signal("custom", table=(tab_t, np.ones((2, 4))))
 
 
 def test_custom_signal_rejects_unordered_times():

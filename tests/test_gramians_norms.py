@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from qbmor import gramians_norms, qb_core
 from qbmor.errors import IndefiniteGramian, NoConvergence, NotStable
 from qbmor.kron_tensor import Hessian
-from qbmor.qb_core import QBSystem, project, rescale
+from qbmor.qb_core import QBSystem, ReducedModel, project, rescale
 from qbmor.reduction_baselines import balanced_truncation
 from qbmor.benchmarks import chafee_infante, fitzhugh_nagumo
 from qbmor.matrix_equations import hurwitz_schur
@@ -355,7 +355,7 @@ def test_gram_sources_match_explicit_kronecker(storage):
 
 
 def test_dense_gram_maps_take_cubic_memory():
-    # a dense Hessian's pair view has n^2 active rows, so Gram maps over it
+    # a dense Hessian has up to n^2 active rows, so Gram maps over them
     # would hold n^2 x n^2 intermediates (n^4 memory, 20 MB at n = 40);
     # contracting the tensor holds a few n x n^2 arrays (0.5 MB each)
     rng = rng_for(32)
@@ -443,6 +443,15 @@ def test_quadratic_no_convergence_for_large_hessian():
         quadratic_gramians(sys)
 
 
+def test_quadratic_gramians_stop_at_the_step_budget(monkeypatch):
+    # this system settles in a few steps; with a budget of one it cannot
+    monkeypatch.setattr(gramians_norms, "_PICARD_MAXIT", 1)
+    sys = scalar_system(-1.0, 0.1, 0.0, 1.0, 1.0)
+    with pytest.raises(NoConvergence, match="controllability iteration did "
+                                            "not settle in 1 steps"):
+        quadratic_gramians(sys)
+
+
 # ------------------------------------------------------------------ norms
 
 def test_truncated_norm_zero_input_map():
@@ -521,6 +530,15 @@ def test_error_system_shape_and_blocks():
     bot = red.H.apply(xh, xh)
     assert np.allclose(err.H.apply(xe, xe), np.concatenate([top, bot]),
                        atol=1e-12)
+
+
+def test_error_system_rejects_a_pair_of_other_channels():
+    sys = random_stable_qb(6, 2, 1, rng_for(10))
+    for m, p in ((1, 1), (2, 2)):
+        red = ReducedModel(-np.eye(2), None, [np.zeros((2, 2))] * m,
+                           np.ones((2, m)), np.ones((p, 2)))
+        with pytest.raises(ValueError, match="input/output dimensions"):
+            error_system(sys, red)
 
 
 def test_error_norm_exact_copy_is_zero():

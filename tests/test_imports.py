@@ -177,7 +177,7 @@ def test_hessian_storage_stays_in_kron_tensor(module):
     # how a Hessian stores its pairs is kron_tensor's business: other
     # modules go through its public methods
     private = _hessian_private_members()
-    assert {"_half", "_scaled_from", "_active_rows"} <= private
+    assert {"_half", "_scaled_from", "_active"} <= private
     found = sorted({node.attr for node in ast.walk(_parse(module))
                     if isinstance(node, ast.Attribute)} & private)
     assert not found, "%s reads Hessian members %s" % (module, found)

@@ -488,6 +488,22 @@ def test_pair_view_roundtrip():
     assert np.array_equal(hp.mode1(), h.mode1())
 
 
+def test_dense_active_rows_match_its_pair_copy():
+    # a dense Hessian cuts its active rows from its tensor, its pair copy
+    # stacks the pairs cut from it: both keep the rows with T[i, s, :] != 0
+    rng = rng_for(23)
+    n = 5
+    T = rng.standard_normal((n, n, n))
+    T[[0, 3, 3], [1, 1, 4], :] = 0.0
+    h = Hessian.dense(T.reshape(n, n * n))
+    L, R, RT, S, dest = h.active_rows()
+    Lp, Rp, _, Sp, destp = Hessian.from_pairs(h.pairs, n).active_rows()
+    assert sp.issparse(L) and isinstance(R, np.ndarray)
+    assert dest.size == n * n - 3 and np.array_equal(dest, destp)
+    assert (L != Lp).nnz == 0 and (S != Sp).nnz == 0
+    assert np.array_equal(R, Rp.toarray()) and np.array_equal(RT, R.T)
+
+
 def test_scaled():
     rng = rng_for(21)
     n = 3
@@ -495,6 +511,33 @@ def test_scaled():
     assert np.allclose(h.scaled(2.5).mode1(), 2.5 * h.mode1(), atol=0)
     hp = Hessian.from_pairs(h.pairs, h.n, symmetric=h.symmetric)
     assert np.allclose(hp.scaled(2.5).mode1(), 2.5 * h.mode1(), atol=1e-13)
+
+
+def test_argument_checks_raise_value_errors():
+    with pytest.raises(ValueError, match="permutation size mismatch"):
+        commutation_matrix(2, 3).apply(np.ones(5))
+    for make, dims in ((commutation_matrix, (0, 2)),
+                       (commutation_matrix, (2, 0)), (perm_T, (0, 1)),
+                       (perm_T, (1, 0)), (perm_M, (0, 1, 1)),
+                       (perm_M, (1, 0, 1)), (perm_M, (1, 1, 0))):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            make(*dims)
+    with pytest.raises(ValueError, match="factor pairs must be n x n"):
+        Hessian.from_pairs([(np.eye(3), np.eye(2))], 3)
+    with pytest.raises(ValueError, match="unknown storage 'tensor'"):
+        Hessian(3, "tensor", None)
+    h = random_dense_hessian(3, rng_for(24), symmetric=True)
+    good, bad = np.ones((3, 2)), np.ones((2, 2))
+    for call in (lambda: h.apply_kron_distinct(bad),
+                 lambda: h.apply_kron_mode2(bad, good),
+                 lambda: h.apply_kron_mode2(good, bad)):
+        with pytest.raises(ValueError, match="row dimension mismatch"):
+            call()
+    # both storages: the dense tensor and a symmetrized pair list
+    for hs in (h, Hessian.from_pairs(h.pairs, 3).symmetrized()):
+        for gram in (hs.kron_gram, hs.mode2_gram):
+            with pytest.raises(ValueError, match="P must be n x n"):
+                gram(np.eye(2))
 
 
 def test_dimension_validation():

@@ -48,6 +48,9 @@ def test_constructor_validates_dimensions():
     with pytest.raises(ValueError):
         QBSystem(-np.eye(4), None, [np.zeros((4, 4))], np.ones((4, 1)),
                  np.ones((4, 3)))
+    with pytest.raises(ValueError, match="E must be n x n"):
+        QBSystem(-np.eye(2), None, [np.zeros((2, 2))], np.zeros((2, 1)),
+                 np.zeros((1, 2)), E=np.eye(3))
 
 
 def test_dims_and_sparse_inputs():
@@ -169,11 +172,10 @@ def test_sparse_jacobian_sums_its_terms_in_block_order(state):
     sys = chafee_infante(100)
     n, u = sys.n, np.array([0.7])
     x = np.zeros(n) if state == "zero" else rng_for(50).standard_normal(n)
-    Ls, Rs = (sp.csr_array(M) for M in sys.H.stacked())
     terms = [(sys.A, np.ones(n))]
     terms += [(Nk, np.full(n, uk)) for Nk, uk in zip(sys.N, u)]
-    terms += [(2.0 * Ls[j:j + n], Rs[j:j + n] @ x)
-              for j in range(0, Ls.shape[0], n)]
+    terms += [(2.0 * sp.csr_array(L), sp.csr_array(R) @ x)
+              for L, R in sys.H.pairs]
     ref = np.zeros((n, n))
     for L, right in terms:
         ref += L.toarray() * right[:, None]
@@ -504,15 +506,15 @@ def test_rescale_shares_what_it_does_not_change():
     assert sys.schur() is scaled.schur()
     # the active rows are the source's, with L scaled by gamma, and equal
     # to the rows a fresh Hessian of the scaled pairs builds
-    got = scaled.H._active_rows()
-    L, R, RT, S, dest = sys.H._active_rows()
+    got = scaled.H.active_rows()
+    L, R, RT, S, dest = sys.H.active_rows()
     assert got[1] is R and got[2] is RT and got[3] is S and got[4] is dest
-    fresh = Hessian.from_pairs(scaled.H.pairs, sys.n)._active_rows()
+    fresh = Hessian.from_pairs(scaled.H.pairs, sys.n).active_rows()
     assert (got[0] != fresh[0]).nnz == 0
     assert (got[0] != 0.01 * L).nnz == 0
     # and the list it was symmetrized from follows the scaling
-    assert (scaled.H._half._active_rows()[0]
-            != 0.01 * sys.H._half._active_rows()[0]).nnz == 0
+    assert (scaled.H._half.active_rows()[0]
+            != 0.01 * sys.H._half.active_rows()[0]).nnz == 0
 
 
 def test_rescale_commutes_with_projection():

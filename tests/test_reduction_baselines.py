@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rng_for, random_stable_qb
+from qbmor import reduction_baselines
 from qbmor.errors import NotStable, RankDeficient
 from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import QBSystem
@@ -106,12 +107,17 @@ def test_unstable_system_rejected():
         balanced_truncation(bad, 2)
 
 
-def test_order_validation():
+def test_order_validation(monkeypatch):
     sys = linear_system(5, 1, 1, seed=81)
     with pytest.raises(ValueError):
         balanced_truncation(sys, 0)
     with pytest.raises(ValueError):
         balanced_truncation(sys, 6)
+    # a non-integral order is refused before any Gramian is solved
+    monkeypatch.setattr(reduction_baselines, "truncated_gramians", None)
+    for r in (2.5, 3.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match="integer"):
+            balanced_truncation(sys, r)
 
 
 def test_mass_matrix_matches_standardized():

@@ -315,6 +315,11 @@ def test_config_validation():
     # with no sweep there is no iterate to return
     with pytest.raises(ValueError, match="maxit"):
         tqb_irka(sys, IrkaConfig(r=2, maxit=0))
+    # a non-integral order or sweep budget, even an integral float
+    for cfg in (IrkaConfig(r=2.5), IrkaConfig(r=3.0),
+                IrkaConfig(r=2, maxit=2.5), IrkaConfig(r=2, maxit=3.0)):
+        with pytest.raises(ValueError, match="integer"):
+            tqb_irka(sys, cfg)
 
 
 def test_full_order_init_is_fixed_point():
