@@ -229,10 +229,12 @@ def simulate(sys, u, T, samples, rtol=1e-8, atol=1e-10, x0=None,
     Raises ValueError, before the first rhs evaluation, for a bad horizon
     (T must be finite and positive), sample count (an integer >= 2), input
     width, tolerance (finite, rtol >= 100 eps, atol >= 0) or initial state
-    (x0 must be finite and of length n),
-    NewtonDivergence when the step size underflows and NonFiniteState when
-    the initial rhs, a Jacobian, the state or the sampled outputs leave the
-    representable range.
+    (x0 must be finite and of length n), and before the first step when
+    the initial step size is not finite, as atol = 0 makes it whenever a
+    component of x0 (all of the default x0) is zero;
+    NewtonDivergence when the step size underflows or becomes NaN, and
+    NonFiniteState when the initial rhs, a Jacobian, the state or the
+    sampled outputs leave the representable range.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError("horizon must be positive and finite")
@@ -375,6 +377,12 @@ class _Radau:
         if not np.all(np.isfinite(self.f)):
             raise NonFiniteState("rhs is non-finite at the initial state")
         self.h_abs = self._initial_step()
+        if not math.isfinite(self.h_abs):
+            zero = np.flatnonzero(y0 == 0)
+            raise ValueError(
+                "initial step size is %g: atol = %r gives the %d zero "
+                "components of x0 (first %s) a zero error scale"
+                % (self.h_abs, atol, zero.size, zero[:5].tolist()))
         self.h_abs_old = self.error_norm_old = None
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
         self._layout = self._I = None
@@ -511,7 +519,7 @@ class _Radau:
         abs_y = np.abs(y)
         scale = atol + abs_y * rtol
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step size ends the run too
                 return False
             t_new = min(t + h_abs, self.t_bound)
             h = h_abs = t_new - t

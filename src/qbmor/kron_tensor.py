@@ -99,39 +99,20 @@ def _dense(M):
     return np.asarray(M, dtype=float)
 
 
-# entries of one row-Kronecker block of the active-row products; a larger
-# product is taken in blocks of this size, or of n rows (one factor pair).
-# Set between the sizes measured on chafee_infante at one BLAS thread:
-# tqb_irka's products (3n x r^2, 6e4 entries at n = 200, r = 10) stay whole,
-# since blocks of n rows made a sweep 20-50 % slower; the Gramian sources
-# (3e5 to 1.3e6 entries at n = 200 and 500) are blocked, which held the
-# peak RSS of their balanced truncations and H2 norms at 110.5 MB against
-# 113.3 MB whole, in 10 of 10 alternating runs, for about 0.2 s more time
-_KRON_BLOCK = 1 << 17
+# entries of one row-Kronecker block of the Hessian products: a product is
+# filled in blocks of operand columns whose row-Kronecker factor holds at
+# most this many entries (or one operand column's), so the active rows are
+# never cut and each column is computed as in the unblocked product. At one
+# BLAS thread, tqb_irka's products at n = 200, r = 10 (6e4 entries) stay
+# whole, as blocks made them up to twice as slow; 2^17 raised the traced
+# peak of truncated_h2_error on chafee_infante(50) from 19.3 to 27.8 n^2
+_KRON_BLOCK = 1 << 16
 
 
 def _nonzero_rows(M):
     if sp.issparse(M):
         return np.diff(M.indptr) > 0
     return np.any(M != 0.0, axis=1)
-
-
-def _row_kron(X, Y):
-    # row i of the result is X[i,:] (x) Y[i,:]
-    n, a = X.shape
-    _, b = Y.shape
-    return (X[:, :, None] * Y[:, None, :]).reshape(n, a * b)
-
-
-def _row_kron_distinct(X, Y):
-    # row i holds X[i, a] Y[i, b] for a <= b, in np.triu_indices order
-    n, q = X.shape
-    out = np.empty((n, q * (q + 1) // 2), dtype=np.result_type(X, Y))
-    col = 0
-    for a in range(q):
-        np.multiply(X[:, a, None], Y[:, a:], out=out[:, col:col + q - a])
-        col += q - a
-    return out
 
 
 class Hessian:
@@ -208,8 +189,8 @@ class Hessian:
         T[i, s, :] != 0, with the CSR selector of x_s on the left.
 
         Returns (L, R, RT, S, dest): those rows of the two stacks, R
-        transposed, the CSR summation matrix S (n x rows) that adds each
-        row into output row dest = its row within its pair, and dest
+        transposed as CSR, the CSR summation matrix S (n x rows) that adds
+        each row into output row dest = its row within its pair, and dest
         itself. Built once, and a ``scaled`` copy scales its source's L.
         Only these rows contribute to H(X (x) Y) = S row_kron(L X, R Y), so
         the products skip the others and need no loop over the pairs.
@@ -242,20 +223,47 @@ class Hessian:
                               (dest, np.arange(rows.size))),
                              shape=(n, rows.size))
             R = Rs[rows]
-            RT = sp.csr_array(R.T) if sp.issparse(R) else R.T
+            RT = sp.csr_array(R.T)
             self._active = (L, R, RT, S, dest)
         return self._active
 
-    def _active_blocks(self, width):
-        """``active_rows`` in blocks whose row-Kronecker product with
-        `width` columns has at most ``_KRON_BLOCK`` entries or n rows."""
+    def _product(self, X, Y, mode2=False, distinct=False):
+        """S row_kron(L X, R Y), or R^T row_kron(L X, Y[dest]) with mode2,
+        over the active rows: column (a, b) is the product with
+        (L x_a) o (R y_b), for every b in a * cols(Y) + b order, or for
+        b >= a in ``np.triu_indices`` order when `distinct`. Filled one
+        block of operand columns a at a time, in one buffer."""
         L, R, RT, S, dest = self.active_rows()
-        step = max(self.n, _KRON_BLOCK // max(width, 1))
-        if dest.size <= step:
-            return [(L, R, RT, S, dest)]
-        starts = range(0, dest.size, step)
-        return [(L[a:a + step], R[a:a + step], R[a:a + step].T,
-                 S[:, a:a + step], dest[a:a + step]) for a in starts]
+        M, U, V = (RT, L @ X, Y[dest]) if mode2 else (S, L @ X, R @ Y)
+        rows, q = U.shape
+        s = V.shape[1]
+        step = _KRON_BLOCK // max(rows, 1)
+        edges = [0]  # operand column a fills columns edges[a]:edges[a + 1]
+        cuts = [0]  # the first operand column of each block
+        for a in range(q):
+            edges.append(edges[-1] + s - a * distinct)
+            if a and edges[-1] - edges[cuts[-1]] > step:
+                cuts.append(a)
+        blocks = list(zip(cuts, cuts[1:] + [q]))
+        buf = np.empty(rows * max(edges[a1] - edges[a0] for a0, a1 in blocks),
+                       dtype=np.result_type(U, V))
+        out = None if len(blocks) == 1 else np.empty(
+            (self.n, edges[-1]), dtype=np.result_type(M.dtype, U, V))
+        for a0, a1 in blocks:
+            c0, c1 = edges[a0], edges[a1]
+            block = buf[:rows * (c1 - c0)].reshape(rows, c1 - c0)
+            if not distinct:
+                np.multiply(U[:, a0:a1, None], V[:, None, :],
+                            out=block.reshape(rows, a1 - a0, s))
+            else:
+                for a in range(a0, a1):
+                    np.multiply(U[:, a, None], V[:, a:],
+                                out=block[:, edges[a] - c0:edges[a + 1] - c0])
+            if out is None:  # one block: its product is the result, and
+                del U, V     # the operands are freed before it is formed
+                return M @ block
+            out[:, c0:c1] = M @ block
+        return out
 
     def mode1(self):
         if self.storage == "dense":
@@ -281,11 +289,7 @@ class Hessian:
         Y = np.asarray(Y)
         if X.shape[0] != self.n or Y.shape[0] != self.n:
             raise ValueError("row dimension mismatch")
-        q, s = X.shape[1], Y.shape[1]
-        out = 0.0  # the first block's sum replaces it, the others add to it
-        for L, R, _, S, _ in self._active_blocks(q * s):
-            out += S @ _row_kron(L @ X, R @ Y)
-        return out
+        return self._product(X, Y)
 
     def apply_kron_distinct(self, X):
         """The q(q+1)/2 distinct columns of H(X (x) X) for a symmetric H.
@@ -300,12 +304,10 @@ class Hessian:
         X = np.asarray(X)
         if X.shape[0] != self.n:
             raise ValueError("row dimension mismatch")
+        out = self._product(X, X, distinct=True)
         a, b = np.triu_indices(X.shape[1])
-        w = np.where(a == b, 1.0, np.sqrt(2.0))
-        out = 0.0
-        for L, R, _, S, _ in self._active_blocks(a.size):
-            out += S @ _row_kron_distinct(L @ X, R @ X)
-        return out * w
+        out *= np.where(a == b, 1.0, np.sqrt(2.0))
+        return out
 
     def apply_kron_mode2(self, X, Y):
         """Mode-2 product: row b, column (q,s) is sum_{a,i} T[i,a,b] X[a,q] Y[i,s]."""
@@ -313,11 +315,7 @@ class Hessian:
         Y = np.asarray(Y)
         if X.shape[0] != self.n or Y.shape[0] != self.n:
             raise ValueError("row dimension mismatch")
-        q, s = X.shape[1], Y.shape[1]
-        out = 0.0
-        for L, _, RT, _, dest in self._active_blocks(q * s):
-            out += RT @ _row_kron(L @ X, Y[dest])
-        return out
+        return self._product(X, Y, mode2=True)
 
     def kron_gram(self, P):
         """H(P (x) P)H^T for a symmetric H and a symmetric n x n P.

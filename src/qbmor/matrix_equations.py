@@ -509,11 +509,13 @@ class _ShiftFactors:
     its Rhs is not the conjugate of its lead's; a partner's shift is never
     factored. Column q is solved by block blk[q].
 
-    A dense pencil solves each block's columns by one call. A band pencil
-    solves all columns by one gbtrs call on the stacked blocks: row i of
-    column q is row rank[i] of block blk[q] in column pos[q] of the
-    stacked right-hand side, pos[q] counting the earlier columns of that
-    block. ``_index`` holds these places, flattened in Fortran order.
+    A dense pencil solves each block's columns by one call, a lone complex
+    column as two equal ones, so its bits do not depend on the BLAS thread
+    count. A band pencil solves all columns by one gbtrs call on the
+    stacked blocks: row i of column q is row rank[i] of block blk[q] in
+    column pos[q] of the stacked right-hand side, pos[q] counting the
+    earlier columns of that block. ``_index`` holds these places, flattened
+    in Fortran order.
     """
 
     def __init__(self, form, lam):
@@ -569,9 +571,16 @@ class _ShiftFactors:
             X = np.empty_like(B)
             for j in range(self.count):
                 at = blk == j
-                X[:, at] = sla.lu_solve((lu[j], piv[j]), B[:, at],
+                Bj = B[:, at]
+                width = Bj.shape[1]
+                if width == 1 and np.result_type(lu, Bj).kind == "c":
+                    # OpenBLAS's complex getrs rounds one column by the BLAS
+                    # thread count; two equal columns solve, at any count,
+                    # as one column does at one thread
+                    Bj = np.repeat(Bj, 2, axis=1)
+                X[:, at] = sla.lu_solve((lu[j], piv[j]), Bj,
                                         trans=int(transpose),
-                                        check_finite=False)
+                                        check_finite=False)[:, :width]
             return X
         index = self._index[:, cols]
         width = self._pos[cols].max() + 1

@@ -723,6 +723,82 @@ def test_non_finite_sparse_jacobian_is_reported():
         simulate(sys_, input_signal("ci_u1"), 1.0, 11)
 
 
+def test_non_finite_states_and_outputs_are_reported(monkeypatch):
+    sys_, u = chafee_infante(4), input_signal("ci_u1")
+    step = benchmarks._Radau.step
+
+    def poisoned_state(self):
+        done = step(self)
+        self.y = self.y * np.nan
+        return done
+
+    def poisoned_last_samples(self):
+        # the last step's collocation polynomial, which only the samples
+        # read, while the state stays finite
+        done = step(self)
+        if self.t >= self.t_bound:
+            self.Q = self.Q * np.inf
+        return done
+
+    for poisoned, match in ((poisoned_state, "state became non-finite"),
+                            (poisoned_last_samples,
+                             "sampled outputs are non-finite")):
+        with monkeypatch.context() as m:
+            m.setattr(benchmarks._Radau, "step", poisoned)
+            with pytest.raises(NonFiniteState, match=match):
+                simulate(sys_, u, 1.0, 11)
+
+
+def _run_python(code):
+    """Run code in a fresh interpreter on this qbmor, within a timeout, so
+    that a run that never ends fails the test instead of hanging it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qbmor.__file__)))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip().splitlines()
+
+
+def test_zero_atol_with_a_zero_state_is_refused():
+    # atol = 0 gives the zero components of the default x0 a zero error
+    # scale and the first step a NaN size; the step loop used to halve it
+    # forever. A nonzero x0 runs.
+    msg, steps = _run_python(
+        "import numpy as np, qbmor\n"
+        "sys_, u = qbmor.chafee_infante(4), qbmor.input_signal('ci_u1')\n"
+        "try:\n"
+        "    qbmor.simulate(sys_, u, 1.0, 11, rtol=1e-6, atol=0.0)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "tr = qbmor.simulate(sys_, u, 1.0, 11, rtol=1e-6, atol=0.0,\n"
+        "                    x0=np.ones(8))\n"
+        "print(tr.stats['steps'])\n")
+    assert msg.startswith("initial step size is nan: atol = 0.0 gives the "
+                          "8 zero components of x0 (first [0, 1, 2, 3, 4])")
+    assert int(steps) > 0
+
+
+def test_a_nan_step_size_ends_the_run():
+    # the underflow test reads a NaN step size as an underflow
+    lines = _run_python(
+        "import math, qbmor\n"
+        "from qbmor import benchmarks\n"
+        "from qbmor.errors import NewtonDivergence\n"
+        "step = benchmarks._Radau.step\n"
+        "def nan_after(self):\n"
+        "    done = step(self)\n"
+        "    self.h_abs = math.nan\n"
+        "    return done\n"
+        "benchmarks._Radau.step = nan_after\n"
+        "try:\n"
+        "    qbmor.simulate(qbmor.chafee_infante(4),\n"
+        "                   qbmor.input_signal('ci_u1'), 1.0, 11)\n"
+        "except NewtonDivergence as exc:\n"
+        "    print(exc)\n")
+    assert len(lines) == 1 and lines[0].startswith("step size underflow at")
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # the stepper is qbmor's own, so not even simulate loads scipy.integrate
     src = os.path.dirname(os.path.dirname(os.path.abspath(qbmor.__file__)))

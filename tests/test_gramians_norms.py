@@ -8,7 +8,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from qbmor import gramians_norms, qb_core
-from qbmor.errors import IndefiniteGramian, NoConvergence, NotStable
+from qbmor.errors import (
+    IndefiniteGramian, NoConvergence, NotStable, NumericalError,
+    SolverBreakdown,
+)
 from qbmor.kron_tensor import Hessian
 from qbmor.qb_core import QBSystem, ReducedModel, project, rescale
 from qbmor.reduction_baselines import balanced_truncation
@@ -450,6 +453,58 @@ def test_quadratic_gramians_stop_at_the_step_budget(monkeypatch):
     with pytest.raises(NoConvergence, match="controllability iteration did "
                                             "not settle in 1 steps"):
         quadratic_gramians(sys)
+
+
+def test_picard_failures_are_typed(monkeypatch):
+    # each way a Picard step can fail ends in NoConvergence with its reason
+    sys = scalar_system(-1.0, 0.1, 0.0, 1.0, 1.0)
+    solve = gramians_norms.solve_lyapunov
+
+    def after_the_first_solve(result):
+        calls = []
+
+        def solve_lyapunov(S, F, transpose=False):
+            calls.append(F)
+            if len(calls) == 1:  # the linear Gramian, before any step
+                return solve(S, F, transpose=transpose)
+            return result(S, F, transpose)
+        return solve_lyapunov
+
+    def breakdown(S, F, transpose):
+        raise SolverBreakdown("forced")
+
+    with monkeypatch.context() as m:
+        m.setattr(gramians_norms, "_controllability_gram",
+                  lambda sys, P: np.full_like(P, np.nan))
+        with pytest.raises(NoConvergence, match=r"controllability iteration "
+                           r"diverged \(non-finite source\)"):
+            quadratic_gramians(sys)
+    with monkeypatch.context() as m:
+        m.setattr(gramians_norms, "solve_lyapunov",
+                  after_the_first_solve(breakdown))
+        with pytest.raises(NoConvergence, match="controllability iteration "
+                           "broke the solver") as info:
+            quadratic_gramians(sys)
+        assert isinstance(info.value.__cause__, SolverBreakdown)
+    with monkeypatch.context() as m:
+        m.setattr(gramians_norms, "solve_lyapunov", after_the_first_solve(
+            lambda S, F, transpose: np.full_like(F, 1e300)))
+        with pytest.raises(NoConvergence, match=r"controllability iteration "
+                           r"diverged \(norm overflow\)"):
+            quadratic_gramians(sys)
+
+
+def test_truncated_norm_checks_trace_duality(monkeypatch):
+    # Gramians whose two traces disagree are refused, not averaged
+    sys = random_stable_qb(4, 1, 1, rng_for(5))
+    g = truncated_gramians(sys)
+    bad = gramians_norms.GramianBundle(g.basis, g.schur["P_T"],
+                                       2.0 * g.schur["Q_T"],
+                                       g.factors["P_T"], g.factors["Q_T"])
+    monkeypatch.setattr(gramians_norms, "truncated_gramians", lambda s: bad)
+    with pytest.raises(NumericalError,
+                       match="truncated trace duality violated"):
+        truncated_h2_norm(sys)
 
 
 # ------------------------------------------------------------------ norms

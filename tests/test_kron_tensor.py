@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from qbmor import kron_tensor
+from qbmor.benchmarks import chafee_infante, fitzhugh_nagumo
 from qbmor.kron_tensor import (
     Hessian, commutation_matrix, perm_T, perm_M, mode_matricize,
     vec, unvec, PermutationMatrix,
@@ -317,10 +318,38 @@ def _pair_loop(h, X, Y, mode2):
     return out
 
 
+@pytest.mark.parametrize("complex_operands", [False, True])
+def test_blocked_products_equal_the_unblocked_bit_for_bit(complex_operands,
+                                                          monkeypatch):
+    # the products are blocked by operand columns, never by active rows, so
+    # a block of one operand column computes each of its columns as the
+    # whole product does; row blocks summed in parts differed by 1e-13
+    rng = rng_for(16)
+    hessians = [chafee_infante(15).H, fitzhugh_nagumo(10).H,
+                random_dense_hessian(7, rng, symmetric=True),
+                random_pair_hessian(7, 2, rng, symmetric=True)]
+    for h in hessians:
+        X, Y = (rng.standard_normal((h.n, q)) for q in (3, 4))
+        if complex_operands:
+            X = X + 1j * rng.standard_normal(X.shape)
+            Y = Y + 1j * rng.standard_normal(Y.shape)
+
+        def products():
+            return (h.apply_kron(X, Y), h.apply_kron_distinct(X),
+                    h.apply_kron_mode2(X, Y))
+        whole = products()
+        with monkeypatch.context() as m:
+            m.setattr(kron_tensor, "_KRON_BLOCK", 1)
+            blocked = products()
+        for got, want in zip(blocked, whole):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("blocked", [False, True])
 def test_active_row_products_match_mode1(blocked, monkeypatch):
     if blocked:
-        # blocks of n rows, so the mixed Hessian's n + 2 active rows split
+        # blocks of one operand column each
         monkeypatch.setattr(kron_tensor, "_KRON_BLOCK", 1)
     rng = rng_for(15)
     n = 6
@@ -357,8 +386,7 @@ def test_active_row_products_match_mode1(blocked, monkeypatch):
                            atol=1e-14 * np.linalg.norm(W) * scale)
         if h.storage == "pairs":
             # the same sums in the same order as the loop over the pairs
-            if not blocked:
-                assert np.array_equal(got, _pair_loop(h, X, Y, False))
+            assert np.array_equal(got, _pair_loop(h, X, Y, False))
             assert np.allclose(got2, _pair_loop(h, X, Y, True), rtol=0,
                                atol=1e-14 * scale)
 
@@ -498,10 +526,12 @@ def test_dense_active_rows_match_its_pair_copy():
     h = Hessian.dense(T.reshape(n, n * n))
     L, R, RT, S, dest = h.active_rows()
     Lp, Rp, _, Sp, destp = Hessian.from_pairs(h.pairs, n).active_rows()
-    assert sp.issparse(L) and isinstance(R, np.ndarray)
+    # R^T is CSR whatever R is, so that every product sums by a sparse one
+    assert sp.issparse(L) and isinstance(R, np.ndarray) and sp.issparse(RT)
     assert dest.size == n * n - 3 and np.array_equal(dest, destp)
     assert (L != Lp).nnz == 0 and (S != Sp).nnz == 0
-    assert np.array_equal(R, Rp.toarray()) and np.array_equal(RT, R.T)
+    assert np.array_equal(R, Rp.toarray())
+    assert np.array_equal(RT.toarray(), R.T)
 
 
 def test_scaled():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -389,6 +392,17 @@ def test_symmetric_coefficient_errors_are_typed():
             solve_lyapunov(bad, np.eye(2))
 
 
+def test_schur_failure_is_a_breakdown(monkeypatch):
+    # a LAPACK failure in a nonsymmetric block surfaces as a typed error
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(sla, "schur", fail)
+    with pytest.raises(SolverBreakdown,
+                       match="Schur factorization failed: forced"):
+        hurwitz_schur(np.array([[-1.0, 2.0], [0.0, -3.0]]))
+
+
 @pytest.mark.parametrize("transpose", [False, True])
 def test_symmetric_coefficient_solves_in_its_eigenbasis(transpose):
     # n > _TRSYL_LEAF, so a nonsymmetric A of this size would recurse
@@ -594,6 +608,46 @@ def test_sylvester_singular_shift_detected():
     A = -np.eye(2)
     with pytest.raises(SingularShift):
         solve_sylvester_shifted(A, np.array([1.0 + 0.0j]), np.ones((2, 1)))
+
+
+_THREAD_DIGEST = """
+import hashlib, warnings
+import numpy as np
+from qbmor import (IrkaConfig, chafee_infante, optimality_residuals,
+                   rescale, solve_bases, tqb_irka)
+h = hashlib.sha1()
+sys_ = chafee_infante(10)
+for seed in (0, 1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        red, bases, _ = tqb_irka(sys_, IrkaConfig(r=4, gamma=0.01, seed=seed))
+    ssys, sred = rescale(sys_, 0.01), red.rescaled(0.01)
+    res = optimality_residuals(ssys, sred, solve_bases(ssys, sred))
+    for a in (red.A, red.H.mode1(), red.B, red.C, *red.N, bases.V, bases.W,
+              [v for _, v in res.items()], res.Phi_C, res.Phi_B, res.Phi_N,
+              res.Phi_H, res.Phi_lambda):
+        h.update(np.ascontiguousarray(a).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_dense_pencil_results_do_not_depend_on_the_blas_thread_count():
+    # chafee_infante(10)'s pencils and its models' are dense; OpenBLAS's
+    # complex getrs rounded their one-column shifted solves differently at
+    # one and two threads, which moved the reductions and the residuals
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["qbmor"].__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, QBMOR_THREADS=threads,
+                   **{var: threads for var in (
+                       "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                       "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")})
+        out = subprocess.run([sys.executable, "-c", _THREAD_DIGEST], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # a real shift, a lone complex shift, and a conjugate pair whose right-hand
