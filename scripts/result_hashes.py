@@ -14,7 +14,12 @@ over each array's dtype and bytes. The results:
   201 samples, rtol 1e-5), and the states of fitzhugh_nagumo(5) and (67)
   on fhn_i0_sin (T = 1, rtol 1e-7);
 - balanced_truncation of chafee_infante(100) (r = 10, gamma = 0.01), its
-  truncated_h2_error and h2_norm of the gamma-scaled system.
+  truncated_h2_error and h2_norm of the gamma-scaled system;
+- solve_sylvester_shifted on the pencils of chafee_infante(10) (dense,
+  n = 20) and chafee_infante(100) (band, n = 200), in both directions, for
+  the shifts [-0.5, -0.5, -2, 1.5 -+ 2i, 3 -+ i]: a repeated real shift,
+  a pair whose Rhs columns are conjugate and a pair whose partner's Rhs is
+  not conjugate, the Rhs drawn from default_rng(0).
 
 Equal lines from two versions of the library mean bit-identical results;
 scripts/gramian_memory.py hashes the Gramian routines themselves. The four
@@ -39,7 +44,10 @@ from qbmor import (  # noqa: E402
     h2_norm, input_signal, optimality_residuals, rescale, simulate,
     solve_bases, tqb_irka, truncated_h2_error,
 )
+from qbmor.matrix_equations import solve_sylvester_shifted  # noqa: E402
 
+SHIFTS = np.array([-0.5, -0.5, -2.0, 1.5 - 2.0j, 1.5 + 2.0j, 3.0 - 1.0j,
+                   3.0 + 1.0j])
 _STATS = ("steps", "rejected", "newton_iters", "jacobian_factorizations",
           "nfev", "njev")
 
@@ -85,6 +93,17 @@ def run(label, sys, kind, T, samples, rtol, atol, states=False):
         "%s=%d" % (s, traj.stats[s]) for s in _STATS), digest(*arrays)))
 
 
+def shifted(label, sys):
+    rhs = np.random.default_rng(0).standard_normal(
+        (sys.n, 2 * SHIFTS.size)).view(complex)
+    rhs[:, 4] = rhs[:, 3].conj()
+    form = sys.pencil()
+    V = [solve_sylvester_shifted(form, SHIFTS, rhs, transpose=t)
+         for t in (False, True)]
+    print("shifted %s %s %s" % (label, "dense" if form.band is None
+                                else "band", digest(*V)))
+
+
 def main():
     print("threads=%s" % THREADS)
     flagship = chafee_infante(100)
@@ -109,6 +128,8 @@ def main():
     print("truncated_h2_error chafee(100) bt %s" % digest(
         truncated_h2_error(scaled, bt.rescaled(gamma))))
     print("h2_norm chafee(100) gamma=%g %s" % (gamma, digest(h2_norm(scaled))))
+    shifted("chafee(10)", small)
+    shifted("chafee(100)", flagship)
 
 
 if __name__ == "__main__":

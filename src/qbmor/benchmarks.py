@@ -594,6 +594,8 @@ def output_errors(y, yhat):
     if y.times.shape != yhat.times.shape or not np.allclose(
             y.times, yhat.times, rtol=1e-12, atol=1e-12):
         raise ValueError("trajectory grids do not match")
+    if y.outputs.shape != yhat.outputs.shape:
+        raise ValueError("output shapes do not match")
     diff = np.linalg.norm(y.outputs - yhat.outputs, axis=0)
     denom = float(np.linalg.norm(y.outputs, axis=0).max())
     if denom == 0.0:

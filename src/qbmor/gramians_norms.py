@@ -320,10 +320,17 @@ def _embed_pairs(h, lead, trail):
 
 
 def _block_diag(M, Mr):
-    """blkdiag(M, Mr), a CSR array when M is sparse."""
+    """blkdiag(M, Mr), a CSR array when M is sparse and dense otherwise."""
     if sp.issparse(M):
         return sp.block_diag([M, Mr], format="csr")
-    return sla.block_diag(M, Mr)
+    return sla.block_diag(M, Mr.toarray() if sp.issparse(Mr) else Mr)
+
+
+def _mass(sys):
+    """sys.E, or the identity, sparse when A is."""
+    if sys.E is None and sp.issparse(sys.A):
+        return sp.eye_array(sys.n, format="csr")
+    return np.eye(sys.n) if sys.E is None else sys.E
 
 
 def error_system(sys, red):
@@ -332,15 +339,15 @@ def error_system(sys, red):
     The quadratic map acts blockwise: rows in the full part see only the
     full state, rows in the reduced part only the reduced state, so it is
     stored as structured factor pairs and never densified. A, the N_k and
-    the mass matrix blkdiag(E, I_r) (absent when sys has none) are sparse
-    when the full system's are. Its Schur form is that of
-    blkdiag(E^{-1}A, A_r): the blocks of ``sys.schur()``, cached on sys,
-    and those of ``red.schur()``, their rows offset by n, so the full
-    model's blocks are factored once for every model compared with it.
-    Both forms are taken here, so NotStable is raised unless both systems
-    are stable.
+    the mass matrix blkdiag(E, E_r), with I for a missing E and absent when
+    both are, are sparse when the full system's are. Its Schur form is
+    that of blkdiag(E^{-1}A, E_r^{-1}A_r): the blocks of ``sys.schur()``,
+    cached on sys, and those of ``red.schur()``, their rows offset by n,
+    so the full model's blocks are factored once for every model compared
+    with it. Both forms are taken here, so NotStable is raised unless both
+    systems are stable.
     """
-    n, r = sys.n, red.r
+    n, r = sys.n, red.n
     if sys.m != red.m or sys.p != red.p:
         raise ValueError("input/output dimensions of the pair do not match")
     ntot = n + r
@@ -348,7 +355,8 @@ def error_system(sys, red):
     Be = np.vstack([sys.B, red.B])
     Ce = np.hstack([sys.C, -red.C])
     Ne = [_block_diag(Nk, Nhk) for Nk, Nhk in zip(sys.N, red.N)]
-    Ee = None if sys.E is None else _block_diag(sys.E, np.eye(r))
+    Ee = (None if sys.E is None and red.E is None
+          else _block_diag(_mass(sys), _mass(red)))
     pairs = _embed_pairs(sys.H, 0, r) + _embed_pairs(red.H, n, 0)
     He = Hessian.from_pairs(pairs, ntot,
                             symmetric=sys.H.symmetric and red.H.symmetric)

@@ -25,8 +25,9 @@ and conjugate-pair leads, none for a partner, serves the V solves with
 A + lam E and, with ``transpose``, the W solves with its transpose. A
 sparse pencil is a band matrix in the reverse Cuthill-McKee order of its
 pattern, found once per form, its shifts stacked block-diagonally for one
-LAPACK gbtrf and solved by gbtrs; a dense pencil's shifts are one batch of
-dense LU.
+LAPACK gbtrf; a dense pencil's shifts are one batch of dense LU. A solve
+stacks its columns by shift for one solver call, gbtrs or a batched
+lu_solve, and one check of the result raises SingularShift.
 """
 
 import warnings
@@ -482,8 +483,9 @@ class ShiftedLU:
     complex factorization of its blocks A + lam_j E: for a sparse pencil
     one LAPACK ``gbtrf`` of their block-diagonal band matrix, itself a band
     matrix with the pencil's kl and ku; for a dense one a batch for one
-    ``scipy.linalg.lu_factor``. The last shift vector's are kept, so the
-    solves of one sweep share them, with A + lam E and its transpose alike.
+    ``scipy.linalg.lu_factor``, each solve one stacked call. The last shift
+    vector's are kept, so the solves of one sweep share them, with A + lam E
+    and its transpose alike.
     """
 
     def __init__(self, A, E, band=None):
@@ -507,89 +509,77 @@ class _ShiftFactors:
     ``own`` of the real shifts and the leads (alone or not) come first,
     then each partner in its lead's block, which a solve takes only when
     its Rhs is not the conjugate of its lead's; a partner's shift is never
-    factored. Column q is solved by block blk[q].
+    factored.
 
-    A dense pencil solves each block's columns by one call, a lone complex
-    column as two equal ones, so its bits do not depend on the BLAS thread
-    count. A band pencil solves all columns by one gbtrs call on the
-    stacked blocks: row i of column q is row rank[i] of block blk[q] in
-    column pos[q] of the stacked right-hand side, pos[q] counting the
-    earlier columns of that block. ``_index`` holds these places, flattened
-    in Fortran order.
+    A solve scatters its columns into one zero-filled stack, solves it by
+    one gbtrs call (band) or one batched lu_solve on (count, n, width)
+    blocks (dense), and gathers the result: row i of column q is row
+    rank[i] (the identity when dense) of block blk[q], in column pos[q],
+    which counts the earlier columns of that block. ``_index`` holds these
+    places, flattened. A dense stack is at least two columns wide, so its
+    bits do not depend on the BLAS thread count, by which OpenBLAS's
+    complex getrs rounds a lone column. No pivot is checked: an exactly
+    zero one makes every column of its block non-finite, and a band
+    pencil's transposed solve carries that into the later blocks.
     """
 
     def __init__(self, form, lam):
         real, lead, self.partner = conjugate_pairs(lam, strict=False)
         self.own = np.union1d(real, lead)
         shifts, blk = np.unique(lam[self.own], return_inverse=True)
-        self._blk = blk = np.concatenate(
+        blk = np.concatenate(
             [blk, blk[np.searchsorted(self.own, self.partner - 1)]])
-        self.count = shifts.size
+        self.count = count = shifts.size
         self.band = band = form.band
+        n = form.A.shape[0]
         if band is None:
-            I = np.eye(form.A.shape[0]) if form.E is None else form.E
-            M = form.A + shifts[:, None, None] * I
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", sla.LinAlgWarning)
-                    self._lu = sla.lu_factor(M, overwrite_a=True,
-                                             check_finite=False)
-            except sla.LinAlgWarning as exc:  # an exactly zero pivot
-                raise SingularShift("a shift of %r makes A + lam E singular"
-                                    % (shifts,)) from exc
-            return
-        n = band.rank.size
-        # block j's columns in band storage, one row each: the transpose
-        # of this (count n) x rows array is the stacked matrix's band
-        # storage, in the Fortran order gbtrf takes
-        ab = np.empty((self.count,) + form.A.shape, dtype=shifts.dtype)
-        ab[...] = form.A
-        # shifts times E only where E has entries: a broadcast product over
-        # the whole band, complex by real, took 1.4 ms against gbtrf's
-        # 0.9 ms for four complex shifts of fitzhugh_nagumo(334)
-        at = np.flatnonzero(form.E)
-        ab.reshape(self.count, -1)[:, at] += (shifts[:, None]
-                                              * form.E.ravel()[at])
-        gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        self._lu, self._piv, info = gbtrf(ab.reshape(self.count * n, -1).T,
-                                          band.kl, band.ku, overwrite_ab=True)
-        if info > 0:  # an exactly zero pivot
-            raise SingularShift("a shift of %r makes A + lam E singular"
-                                % (shifts,))
+            I = np.eye(n) if form.E is None else form.E
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                self._lu = sla.lu_factor(form.A + shifts[:, None, None] * I,
+                                         overwrite_a=True, check_finite=False)
+            rank = np.arange(n)
+        else:
+            # block j's columns in band storage, one row each: the transpose
+            # of this (count n) x rows array is the stacked matrix's band
+            # storage, in the Fortran order gbtrf takes
+            ab = np.empty((count,) + form.A.shape, dtype=shifts.dtype)
+            ab[...] = form.A
+            # shifts times E only where E has entries: a broadcast product
+            # over the whole band, complex by real, took 1.4 ms against
+            # gbtrf's 0.9 ms for four complex shifts of fitzhugh_nagumo(334)
+            at = np.flatnonzero(form.E)
+            ab.reshape(count, -1)[:, at] += (shifts[:, None]
+                                             * form.E.ravel()[at])
+            gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"),
+                                                      (ab,))
+            self._lu, self._piv, _ = gbtrf(ab.reshape(count * n, -1).T,
+                                           band.kl, band.ku, overwrite_ab=True)
+            rank = band.rank
         order = np.argsort(blk, kind="stable")
         self._pos = np.empty_like(blk)
         self._pos[order] = (np.arange(blk.size)
                             - np.searchsorted(blk[order], blk[order]))
-        self._index = band.rank[:, None] + (self._pos * self.count + blk) * n
+        self._index = rank[:, None] + (self._pos * count + blk) * n
 
     def solve(self, B, transpose, cols):
         """X with column q the solve of column q of B by its block. B holds
         the columns that the mask cols selects."""
-        if self.band is None:
-            blk = self._blk[cols]
-            lu, piv = self._lu
-            X = np.empty_like(B)
-            for j in range(self.count):
-                at = blk == j
-                Bj = B[:, at]
-                width = Bj.shape[1]
-                if width == 1 and np.result_type(lu, Bj).kind == "c":
-                    # OpenBLAS's complex getrs rounds one column by the BLAS
-                    # thread count; two equal columns solve, at any count,
-                    # as one column does at one thread
-                    Bj = np.repeat(Bj, 2, axis=1)
-                X[:, at] = sla.lu_solve((lu[j], piv[j]), Bj,
-                                        trans=int(transpose),
-                                        check_finite=False)[:, :width]
-            return X
         index = self._index[:, cols]
-        width = self._pos[cols].max() + 1
-        R = np.zeros(self._lu.shape[1] * width, dtype=self._lu.dtype)
+        n = index.shape[0]
+        width = max(self._pos[cols].max() + 1, 2 if self.band is None else 1)
+        R = np.zeros(self.count * n * width, dtype=complex)
         R[index] = B
-        X, _ = self._gbtrs(self._lu, self.band.kl, self.band.ku,
-                           R.reshape((-1, width), order="F"), self._piv,
-                           trans=int(transpose), overwrite_b=True)
-        return X.ravel(order="F")[index]
+        if self.band is None:
+            X = sla.lu_solve(self._lu, R.reshape(width, self.count, n)
+                             .transpose(1, 2, 0), trans=int(transpose),
+                             check_finite=False).transpose(2, 0, 1).ravel()
+        else:
+            X = self._gbtrs(self._lu, self.band.kl, self.band.ku,
+                            R.reshape((-1, width), order="F"), self._piv,
+                            trans=int(transpose),
+                            overwrite_b=True)[0].ravel(order="F")
+        return X[index]
 
 
 def shifted_lu(A, E=None):
@@ -657,9 +647,10 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None, transpose=False):
     i + 1 of a lead i is never factored. Its column is the exact conjugate
     of column i when the matching Rhs columns are conjugate to 1e-12,
     which keeps realification exact, and otherwise
-    conj(-(A + lam_i E)^{-1} conj(Rhs[:, i+1])). SingularShift is raised
-    when a shift makes the pencil exactly singular or a column comes out
-    non-finite.
+    conj(-(A + lam_i E)^{-1} conj(Rhs[:, i+1])). One check after the solve
+    raises SingularShift naming the shifts of the non-finite columns: all
+    of an exactly singular shift's (see ``_ShiftFactors``) and any of a
+    non-finite Rhs column.
     """
     if isinstance(A, ShiftedLU):
         if E is not None:
@@ -691,13 +682,10 @@ def solve_sylvester_shifted(A, lam, Rhs, E=None, transpose=False):
     V[:, f.own] = X[:, :f.own.size]
     V[:, f.partner] = V[:, f.partner - 1].conj()
     V[:, solo] = X[:, f.own.size:].conj()
-    # a non-finite entry makes the sum non-finite; only then are the
-    # columns checked one by one
-    if not np.isfinite(V.sum()):
-        bad = ~np.all(np.isfinite(V), axis=0)
-        if bad.any():
-            raise SingularShift("shift %r gave a non-finite column"
-                                % (lam[np.argmax(bad)],))
+    bad = ~np.isfinite(V).all(axis=0)
+    if bad.any():
+        raise SingularShift("A + lam E is singular, or a column non-finite, "
+                            "at lam = %s" % ", ".join(map(str, lam[bad])))
     return V
 
 

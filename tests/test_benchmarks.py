@@ -841,6 +841,17 @@ def test_output_errors_synthetic_offset():
     assert abs(linf_rel - 0.01) <= 2e-4
 
 
+def test_output_errors_refuse_other_output_counts():
+    # a one-output prediction used to broadcast against two reference
+    # outputs and read (0.447, 0.447)
+    t = np.linspace(0.0, 10.0, 500)
+    y = synth(np.vstack([np.sin(t), np.cos(t)]))
+    with pytest.raises(ValueError, match="output shapes"):
+        output_errors(y, synth(np.sin(t)))
+    with pytest.raises(ValueError, match="output shapes"):
+        output_errors(synth(np.sin(t)), y)
+
+
 def test_output_errors_grid_mismatch():
     t = np.linspace(0.0, 10.0, 500)
     y = synth(np.sin(t), times=t)

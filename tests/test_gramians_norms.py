@@ -663,6 +663,31 @@ def test_error_system_embeds_sparse_factors():
     assert np.linalg.norm(err.H.mode1() - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+def test_error_norm_of_plain_systems_with_and_without_mass():
+    # red may be any QBSystem: a system against itself, and against its
+    # copy with E = 2 I (every other matrix but C doubled), reads exactly 0;
+    # the error system's mass matrix takes the identity for a missing E,
+    # sparse with a sparse full side and dense with a dense one
+    sys = chafee_infante(5)
+    massed = QBSystem(2 * sys.A, sys.H.scaled(2.0), [2 * Nk for Nk in sys.N],
+                      2 * sys.B, sys.C, E=2 * sp.eye_array(sys.n))
+    assert truncated_h2_error(sys, sys) == 0.0
+    assert error_system(sys, sys).E is None
+    for full, red in ((sys, massed), (massed, sys)):
+        assert truncated_h2_error(full, red) == 0.0
+        E = error_system(full, red).E
+        assert sp.issparse(E)
+        assert np.array_equal(E.toarray(), sp.block_diag(
+            [full.E if full.E is not None else sp.eye_array(sys.n),
+             red.E if red.E is not None else sp.eye_array(sys.n)]).toarray())
+    dense = QBSystem(sys.A.toarray(), sys.H, [Nk.toarray() for Nk in sys.N],
+                     sys.B, sys.C, E=np.eye(sys.n))
+    es = error_system(dense, massed)
+    assert not sp.issparse(es.E) and not sp.issparse(es.A)
+    assert np.array_equal(es.E, np.diag(np.r_[np.ones(sys.n),
+                                               np.full(sys.n, 2.0)]))
+
+
 # ------------------------------------------------------- block-diagonal A
 
 def test_connected_a_keeps_its_gramians():

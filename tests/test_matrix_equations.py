@@ -969,6 +969,69 @@ def test_band_form_singular_shift_in_reordered_pencil():
                                     np.ones((n, len(lam))))
 
 
+def test_dense_shifted_solve_is_one_lu_solve_call(monkeypatch):
+    # three distinct own shifts, one of them repeated and one a pair's lead
+    # with a partner Rhs that is not conjugate: each solve stacks every
+    # column into one batched call
+    calls = []
+
+    def counting(lu_and_piv, b, *args, _f=sla.lu_solve, **kwargs):
+        calls.append(b.shape)
+        return _f(lu_and_piv, b, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "lu_solve", counting)
+    n = 20
+    A = random_stable(n, rng_for(21))
+    form = shifted_lu(A)
+    assert form.band is None
+    lam = np.array([0.7, 1.5 - 0.4j, 1.5 + 0.4j, 0.7, 2.0])
+    Rhs = rng_for(22).standard_normal((n, 5)) + 0j
+    for transposed in (False, True):
+        calls.clear()
+        V = solve_sylvester_shifted(form, lam, Rhs, transpose=transposed)
+        assert calls == [(3, n, 2)]
+        Aop = A.T if transposed else A
+        ref = np.column_stack([np.linalg.solve(Aop + s * np.eye(n),
+                                               -Rhs[:, i])
+                               for i, s in enumerate(lam)])
+        assert np.linalg.norm(V - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_band_rhs_of_both_infinities_raises_singular_shift():
+    # a diagonal band solves the column to +inf and -inf with no NaN, so a
+    # sum over it would warn "invalid value" in place of the typed error
+    n = 40
+    form = shifted_lu(sp.csr_array(-3.0 * np.eye(n)))
+    assert form.band is not None
+    Rhs = np.zeros((n, 1))
+    Rhs[0, 0], Rhs[1, 0] = np.inf, -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularShift, match="singular"):
+            solve_sylvester_shifted(form, np.array([2.0]), Rhs)
+
+
+@pytest.mark.parametrize("kind", ["dense", "band"])
+def test_singular_shift_named_then_form_solves_on(kind):
+    A = _SINGULAR_AT_ONE if kind == "dense" else _sparse_singular_pencil(100)
+    form = shifted_lu(A)
+    assert (form.band is None) == (kind == "dense")
+    n = A.shape[0]
+    Ad = A if kind == "dense" else A.toarray()
+    lam = np.array([3.0, 2.5 - 0.5j, 1.0 + 2.0j, 1.0 - 2.0j])
+    Rhs = rng_for(23).standard_normal((n, 4)) + 0j
+    for transposed in (False, True):
+        # names the singular shift, among any whose blocks a transposed
+        # band solve reaches after it
+        with pytest.raises(SingularShift, match=r"singular.*\(1\+0j\)"):
+            solve_sylvester_shifted(form, np.array([3.0, 1.0]),
+                                    np.ones((n, 2)), transpose=transposed)
+        V = solve_sylvester_shifted(form, lam, Rhs, transpose=transposed)
+        Aop = Ad.T if transposed else Ad
+        res = -V @ np.diag(lam) - Aop @ V - Rhs
+        assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(Rhs)
+
+
 def test_sparse_shifted_solves_never_call_splu(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("splu called")
