@@ -19,7 +19,10 @@ over each array's dtype and bytes. The results:
   n = 20) and chafee_infante(100) (band, n = 200), in both directions, for
   the shifts [-0.5, -0.5, -2, 1.5 -+ 2i, 3 -+ i]: a repeated real shift,
   a pair whose Rhs columns are conjugate and a pair whose partner's Rhs is
-  not conjugate, the Rhs drawn from default_rng(0).
+  not conjugate, the Rhs drawn from default_rng(0); the same solves on
+  the form built from chafee_infante(100)'s A as a dense array;
+- the hurwitz_schur blocks (rows, basis and Schur factor of each) of
+  chafee_infante(100)'s A as a dense array.
 
 Equal lines from two versions of the library mean bit-identical results;
 scripts/gramian_memory.py hashes the Gramian routines themselves. The four
@@ -44,7 +47,9 @@ from qbmor import (  # noqa: E402
     h2_norm, input_signal, optimality_residuals, rescale, simulate,
     solve_bases, tqb_irka, truncated_h2_error,
 )
-from qbmor.matrix_equations import solve_sylvester_shifted  # noqa: E402
+from qbmor.matrix_equations import (  # noqa: E402
+    hurwitz_schur, shifted_lu, solve_sylvester_shifted,
+)
 
 SHIFTS = np.array([-0.5, -0.5, -2.0, 1.5 - 2.0j, 1.5 + 2.0j, 3.0 - 1.0j,
                    3.0 + 1.0j])
@@ -93,11 +98,11 @@ def run(label, sys, kind, T, samples, rtol, atol, states=False):
         "%s=%d" % (s, traj.stats[s]) for s in _STATS), digest(*arrays)))
 
 
-def shifted(label, sys):
+def shifted(label, form):
+    n = form.A.shape[0]
     rhs = np.random.default_rng(0).standard_normal(
-        (sys.n, 2 * SHIFTS.size)).view(complex)
+        (n, 2 * SHIFTS.size)).view(complex)
     rhs[:, 4] = rhs[:, 3].conj()
-    form = sys.pencil()
     V = [solve_sylvester_shifted(form, SHIFTS, rhs, transpose=t)
          for t in (False, True)]
     print("shifted %s %s %s" % (label, "dense" if form.band is None
@@ -128,8 +133,14 @@ def main():
     print("truncated_h2_error chafee(100) bt %s" % digest(
         truncated_h2_error(scaled, bt.rescaled(gamma))))
     print("h2_norm chafee(100) gamma=%g %s" % (gamma, digest(h2_norm(scaled))))
-    shifted("chafee(10)", small)
-    shifted("chafee(100)", flagship)
+    shifted("chafee(10)", small.pencil())
+    shifted("chafee(100)", flagship.pencil())
+    dense = flagship.A.toarray()
+    shifted("chafee(100)-dense", shifted_lu(dense))
+    S = hurwitz_schur(dense)
+    print("hurwitz_schur chafee(100)-dense %s" % digest(*(
+        a for b in S.blocks for a in (np.arange(S.n)[b.idx], b.T)
+        + (() if b.Z is None else (b.Z,)))))
 
 
 if __name__ == "__main__":

@@ -48,7 +48,8 @@ def input_signal(kind, table=None):
 
     Known kinds: ci_u1, ci_u2 (single channel), fhn_i0_sin, fhn_i0_bump
     (current plus a constant unit channel feeding the q terms), custom
-    (table = (times, values), times finite and strictly increasing).
+    (table = (times, values), times finite and strictly increasing, at
+    least one of them, and values finite, one row or column per time).
     """
     if kind == "ci_u1":
         return InputSignal(kind, 1, lambda t: ((1.0 + math.sin(math.pi * t))
@@ -67,10 +68,14 @@ def input_signal(kind, table=None):
             raise ValueError("custom signals need table=(times, values)")
         ts, us = table
         ts = np.asarray(ts, dtype=float)
-        if not (np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0.0)):
-            raise ValueError("table times must be finite and strictly "
-                             "increasing")
-        us = np.atleast_2d(np.asarray(us, dtype=float))
+        if not (ts.size and np.all(np.isfinite(ts))
+                and np.all(np.diff(ts) > 0.0)):
+            raise ValueError("table times must be nonempty, finite and "
+                             "strictly increasing")
+        us = np.asarray(us, dtype=float)
+        if us.ndim > 2 or not np.all(np.isfinite(us)):
+            raise ValueError("table values must be a finite 1-D or 2-D array")
+        us = np.atleast_2d(us)
         if us.shape[0] != ts.shape[0]:
             us = us.T
         if us.shape[0] != ts.shape[0]:
@@ -88,8 +93,8 @@ def chafee_infante(k):
     k interior grid points on (0, 1], h = 1/k; states (v; w) with w the
     lifted square, so n = 2k. Output is v at the right end.
     """
-    if k < 3:
-        raise ValueError("need at least 3 grid points")
+    if not isinstance(k, numbers.Integral) or k < 3:
+        raise ValueError("need an integer of at least 3 grid points")
     n = 2 * k
     inv_h2 = float(k * k)
 
@@ -132,8 +137,8 @@ def fitzhugh_nagumo(k):
     so n = 3k. Inputs are the injected current and a constant unit channel
     carrying the q offsets; outputs are v and w at the left end.
     """
-    if k < 3:
-        raise ValueError("need at least 3 grid points")
+    if not isinstance(k, numbers.Integral) or k < 3:
+        raise ValueError("need an integer of at least 3 grid points")
     eps, h_par, gam, q = 0.015, 0.5, 2.0, 0.05
     length = 0.3
     hg = length / (k - 1)

@@ -207,22 +207,13 @@ class HurwitzSchur:
         return self.right(self.left(Y), transpose=True)
 
 
-def _pattern(A):
-    """Row, column and value of every nonzero entry of a dense or sparse A."""
-    if sp.issparse(A):
-        P = sp.coo_array(A)
-        keep = P.data != 0.0
-        return P.row[keep], P.col[keep], P.data[keep]
-    rows, cols = np.nonzero(A)
-    return rows, cols, A[rows, cols]
-
-
 def hurwitz_schur(A):
     """Real Schur form of A by its decoupled blocks, checked for stability.
 
-    A is split into the connected components of the pattern of
-    |A| + |A^T|, read from the stored entries of a sparse A; only each
-    component's own square block is densified. All 1 x 1 components make
+    A, dense or sparse, is read once as a CSR copy without its zero
+    entries and split into the connected components of the pattern of
+    |A| + |A^T|; only each component's own square block is densified, and
+    the caller's A is left as it is. All 1 x 1 components make
     one diagonal block with the identity basis. A block equal to its
     transpose entry for entry is factored by ``eigh`` (a diagonal block of
     its ascending eigenvalues), any other by ``schur``; in LAPACK's
@@ -235,30 +226,24 @@ def hurwitz_schur(A):
     # 1 MB of resident memory to every process, and only this path uses it
     from scipy.sparse.csgraph import connected_components
 
-    if not sp.issparse(A):
-        A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    rows, cols, vals = _pattern(A)
-    if not np.all(np.isfinite(vals)):
+    # a copy: csr_array of a CSR input may share its arrays, and
+    # eliminate_zeros must not drop the caller's stored cells
+    A = sp.csr_array(A, dtype=float, copy=True)
+    A.eliminate_zeros()
+    if not np.all(np.isfinite(A.data)):
         raise SolverBreakdown("coefficient matrix has non-finite entries")
-    count, label = connected_components(
-        sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)),
-        directed=False)
+    count, label = connected_components(A, directed=False)
     sizes = np.bincount(label, minlength=count)
     comps = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
     single = np.flatnonzero(sizes[label] == 1)
     blocks = []
     if single.size:
-        d = (A.diagonal() if sp.issparse(A) else np.diag(A))[single]
-        blocks.append((single, None, d))
+        blocks.append((single, None, A.diagonal()[single]))
     for idx in comps:
         if idx.size == 1:
             continue
         idx = _as_slice(idx)
-        if sp.issparse(A):
-            M = A[idx][:, idx].toarray()
-        else:
-            M = A[idx, idx] if isinstance(idx, slice) else A[np.ix_(idx, idx)]
+        M = A[idx][:, idx].toarray()
         try:
             if np.array_equal(M, M.T):
                 d, Z = sla.eigh(M)
@@ -585,33 +570,18 @@ class _ShiftFactors:
 def shifted_lu(A, E=None):
     """``ShiftedLU`` form of A + lam E for ``solve_sylvester_shifted``.
 
-    The format is decided once here, by one rule for dense and sparse
-    input: the pencil is sparse when the pattern of A, plus the diagonal
-    (or E's pattern), fills at most ``_SPARSE_FILL`` of n^2, and dense
-    otherwise. Sparse input is read from its stored entries, dense input
-    by one scan of its n^2 cells. A sparse pencil's A and E are laid out
-    in band storage on the ``_BandLayout`` of that pattern, its reverse
-    Cuthill-McKee order, computed here once per form. The band is as wide
-    as that order makes it, with no second sparse format for a wide one: a
-    pattern with a dense row and column has a band as wide as the matrix,
-    and its factors take about 3 n^2 entries per shift.
+    A and E, dense or sparse, are read once as COO arrays: the cells of a
+    sparse input are its stored entries, explicit zeros included, and
+    those of a dense one its nonzero entries. The format is decided once
+    here: the pencil is sparse when the cells of A, plus the diagonal (or
+    E's cells), fill at most ``_SPARSE_FILL`` of n^2, and dense
+    otherwise. A sparse pencil's A and E are laid out in band storage on
+    the ``_BandLayout`` of that pattern, its reverse Cuthill-McKee order,
+    computed here once per form. The band is as wide as that order makes
+    it, with no second sparse format for a wide one: a pattern with a
+    dense row and column has a band as wide as the matrix, and its factors
+    take about 3 n^2 entries per shift.
     """
-    if not (sp.issparse(A) or sp.issparse(E)):
-        A = np.asarray(A, dtype=float)
-        E = None if E is None else np.asarray(E, dtype=float)
-        cells = A != 0.0
-        if E is None:
-            cells.flat[::A.shape[0] + 1] = True
-        else:
-            cells |= E != 0.0
-        if np.count_nonzero(cells) > _SPARSE_FILL * cells.size:
-            return ShiftedLU(A, E)
-        # indexing by the flat pattern costs a tenth of coo_array(A)'s scan
-        idx = np.flatnonzero(cells)
-        ij = np.divmod(idx, A.shape[0])
-        A = sp.coo_array((A.ravel()[idx], ij), shape=A.shape)
-        if E is not None:
-            E = sp.coo_array((E.ravel()[idx], ij), shape=A.shape)
     A = sp.coo_array(A, dtype=float)
     n = A.shape[0]
     Ec = (sp.eye_array(n, format="coo") if E is None

@@ -90,11 +90,21 @@ def solve_bases(sys, red):
 
 
 def initial_guess(sys, r, kind="random", seed=0):
-    """A given ReducedModel, or the Hurwitz draw of order r from seed."""
+    """A given ReducedModel, or the Hurwitz draw of order r from seed.
+
+    The draw is the one random draw of a reduction, so it is repeatable:
+    ValueError for a seed that is not a non-negative integer, or an order
+    outside 1 <= r <= n.
+    """
     if isinstance(kind, ReducedModel):
         return kind
     if kind != "random":
         raise ValueError("unknown initial guess kind %r" % (kind,))
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError("seed must be a non-negative integer, not %r"
+                         % (seed,))
+    if not isinstance(r, numbers.Integral) or not 1 <= r <= sys.n:
+        raise ValueError("reduced order must be an integer 1 <= r <= n")
     rng = np.random.default_rng(seed)
     D = 10.0 ** rng.uniform(-1.0, 1.0, r)
     S = rng.standard_normal((r, r))

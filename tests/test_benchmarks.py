@@ -99,8 +99,10 @@ def test_generators_build_sparse_operators(make):
 
 
 def test_chafee_small_k_rejected():
-    with pytest.raises(ValueError):
-        chafee_infante(2)
+    # and a non-integral k, an integral float too (numpy's TypeError)
+    for k in (2, 3.0, 4.5, "4"):
+        with pytest.raises(ValueError):
+            chafee_infante(k)
 
 
 def test_fhn_dimensions_and_structure():
@@ -165,8 +167,10 @@ def test_fhn_v_rows_match_cubic_reaction():
 
 
 def test_fhn_small_k_rejected():
-    with pytest.raises(ValueError):
-        fitzhugh_nagumo(2)
+    # and a non-integral k, an integral float too (numpy's TypeError)
+    for k in (2, 3.0, 4.5, "4"):
+        with pytest.raises(ValueError):
+            fitzhugh_nagumo(k)
 
 
 # ------------------------------------------------------------- input signals
@@ -202,6 +206,15 @@ def test_custom_signal_interpolates():
     # values that match the times in neither orientation
     with pytest.raises(ValueError, match="disagree in length"):
         input_signal("custom", table=(tab_t, np.ones((2, 4))))
+    # tables no call could evaluate: no times (numpy: "array of sample
+    # points is empty"), 3-D values ("object too deep"), non-finite values
+    for table in (([], []), (tab_t, np.zeros((3, 2, 1))),
+                  (tab_t, [0.0, np.nan, 1.0]), (tab_t, tab_u - np.inf)):
+        with pytest.raises(ValueError, match="table"):
+            input_signal("custom", table=table)
+    # one sample is a constant signal
+    assert np.array_equal(input_signal("custom", table=([1.0], [2.0]))(0.0),
+                          [2.0])
 
 
 def test_custom_signal_rejects_unordered_times():

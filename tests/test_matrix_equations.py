@@ -534,11 +534,38 @@ def test_hurwitz_schur_reads_explicit_zeros_as_no_coupling():
     A = sp.csr_array(([-1.0, 0.0, -2.0, -3.0], ([0, 0, 1, 2], [0, 2, 1, 2])),
                      shape=(3, 3))
     assert A.nnz == 4
+    before = [a.copy() for a in (A.data, A.indices, A.indptr)]
     S = hurwitz_schur(A)
     assert len(S.blocks) == 1 and S.blocks[0].Z is None and S.nd == S.n
+    # the form drops the stored zero from its own copy, not from A
+    for a, b in zip((A.data, A.indices, A.indptr), before):
+        assert np.array_equal(a, b)
     assert np.array_equal(S.d, [-1.0, -2.0, -3.0])
     with pytest.raises(SolverBreakdown):
         hurwitz_schur(np.diag([-1.0, np.inf]))
+
+
+def _flagship_model_A():
+    from qbmor import IrkaConfig, tqb_irka
+    red, _, _ = tqb_irka(chafee_infante(100),
+                         IrkaConfig(r=10, gamma=0.01, seed=0))
+    return red.A
+
+
+@pytest.mark.parametrize("case", ["chafee", "random", "flagship_model"])
+def test_hurwitz_schur_of_dense_input_equals_its_csr_copy(case):
+    A = {"chafee": lambda: chafee_infante(100).A.toarray(),
+         "random": lambda: random_stable(50, rng_for(44)),
+         "flagship_model": _flagship_model_A}[case]()
+    dense, csr = hurwitz_schur(A), hurwitz_schur(sp.csr_array(A))
+    assert len(dense.blocks) == len(csr.blocks)
+    for a, b in zip(dense.blocks, csr.blocks):
+        assert np.array_equal(np.arange(A.shape[0])[a.idx],
+                              np.arange(A.shape[0])[b.idx])
+        assert a.seg == b.seg
+        assert (a.Z is None) == (b.Z is None)
+        assert a.Z is None or np.array_equal(a.Z, b.Z)
+        assert np.array_equal(a.T, b.T)
 
 
 # ------------------------------------------------------------------ sylvester
@@ -912,6 +939,39 @@ def test_shifted_lu_format_rule():
     form = shifted_lu(-np.eye(100), sp.eye_array(100))
     assert form.band is not None
     assert np.array_equal(form.E, shifted_lu(-np.eye(100)).E)
+
+
+def _dense_mass_pencil():
+    rng = rng_for(18)
+    G = rng.standard_normal((50, 50))
+    return random_stable(50, rng), G @ G.T + 50 * np.eye(50)
+
+
+@pytest.mark.parametrize("case", ["chafee", "random", "flagship_model",
+                                  "band_mass", "dense_mass"])
+def test_shifted_lu_of_dense_input_equals_its_csr_copy(case):
+    A, E = {"chafee": lambda: (chafee_infante(100).A.toarray(), None),
+            "random": lambda: (random_stable(50, rng_for(15)), None),
+            "flagship_model": lambda: (_flagship_model_A(), None),
+            "band_mass": lambda: _sparse_pencil(80, True, rng_for(18)),
+            "dense_mass": _dense_mass_pencil}[case]()
+    ref = shifted_lu(A, E)
+    if case in ("chafee", "band_mass"):
+        assert ref.band is not None
+    else:
+        assert ref.band is None
+    csr = [sp.csr_array(A), None if E is None else sp.csr_array(E)]
+    mixed = [(csr[0], E)] + ([] if E is None else [(A, csr[1])])
+    for form in [shifted_lu(*csr)] + [shifted_lu(*p) for p in mixed]:
+        if ref.band is None:
+            assert form.band is None
+        else:
+            for field in ("order", "kl", "ku"):
+                assert np.array_equal(getattr(form.band, field),
+                                      getattr(ref.band, field))
+        assert np.array_equal(form.A, ref.A)
+        assert (form.E is None) == (ref.E is None)
+        assert ref.E is None or np.array_equal(form.E, ref.E)
 
 
 def _band_pencils():

@@ -287,6 +287,26 @@ def test_seed_is_recorded_only_for_a_drawn_start():
     assert np.array_equal(drawn.A, given.A)
 
 
+def test_a_draw_without_a_usable_seed_or_order_is_refused(monkeypatch):
+    # the draw is checked before any sweep: an unseeded draw (seed=None)
+    # would not repeat, and numpy raised its own errors for the others
+    sys = chafee_infante(10)
+    solves = []
+    monkeypatch.setattr(tqb_irka_module, "solve_sylvester_shifted",
+                        lambda *args, **kwargs: solves.append(1))
+    for seed in (None, 1.5, 2.0, -1, "0"):
+        with pytest.raises(ValueError, match="seed"):
+            tqb_irka(sys, IrkaConfig(r=2, seed=seed))
+        with pytest.raises(ValueError, match="seed"):
+            initial_guess(sys, 2, "random", seed=seed)
+    assert solves == []
+    for r in (0, -1, sys.n + 1, 2.0):
+        with pytest.raises(ValueError, match="order"):
+            initial_guess(sys, r)
+    g = initial_guess(sys, np.int64(2), seed=np.int64(3))
+    assert np.array_equal(g.A, initial_guess(sys, 2, seed=3).A)
+
+
 def test_balanced_truncation_start_leaves_the_linear_set():
     # a linear start (H = 0, N = 0) is a fixed point of the sweep here
     sys = chafee_infante(50)
